@@ -211,7 +211,7 @@ BM_PkeyMprotectModel(benchmark::State &state)
     space.map(0, 16, hw::kPermRead | hw::kPermWrite, 2);
     uint8_t key = 3;
     for (auto _ : state) {
-        space.setKey(0, 1, key);
+        space.setKeyRange(0, 1, key);
         key = key == 3 ? 4 : 3;
     }
     state.counters["paper_cycles"] = hw::cost::kPkeyMprotect;

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "baselines/deployments.h"
+#include "apps/httpd/harness.h"
 #include "bench/bench_util.h"
 #include "tests/core/toy_components.h"
 
@@ -131,32 +131,33 @@ struct ServeResult {
 ServeResult
 runServe(int tenants)
 {
-    auto h = baselines::makeMultiTenantHttpd(
-        tenants, core::IsolationMode::kFull, 65536);
+    httpd::HttpHarness h(core::IsolationMode::kFull, 65536,
+                         httpd::HttpHarness::kRequestBaseCycles,
+                         /*sendfile=*/false, tenants);
     ServeResult r;
-    r.cubicles = h->sys().cubicleCount();
+    r.cubicles = h.sys().cubicleCount();
 
-    const auto cold = bench::measure(h->sys().clock(), [&] {
+    const auto cold = bench::measure(h.sys().clock(), [&] {
         for (int t = 0; t < tenants; ++t) {
-            h->createFile(t, "/index.html", 4096);
-            h->fetch(t, "/index.html");
+            h.createFile(t, "/index.html", 4096);
+            h.fetch(t, "/index.html");
         }
     });
     r.coldMs = cold.totalMs();
-    r.coldEvictions = h->sys().stats().evictions();
-    r.coldFaultIns = h->sys().stats().faultIns();
-    r.coldFaultInPages = h->sys().stats().faultInPages();
+    r.coldEvictions = h.sys().stats().evictions();
+    r.coldFaultIns = h.sys().stats().faultIns();
+    r.coldFaultInPages = h.sys().stats().faultInPages();
 
     // Steady state: a 6-tenant working set served in batches of 8.
-    h->sys().stats().reset();
-    const auto steady = bench::measure(h->sys().clock(), [&] {
+    h.sys().stats().reset();
+    const auto steady = bench::measure(h.sys().clock(), [&] {
         for (int t = 0; t < 6 && t < tenants; ++t) {
             for (int i = 0; i < 8; ++i)
-                h->fetch(t, "/index.html");
+                h.fetch(t, "/index.html");
         }
     });
     r.steadyMs = steady.totalMs();
-    r.steadyHitPct = h->sys().stats().tagHitRatePercent();
+    r.steadyHitPct = h.sys().stats().tagHitRatePercent();
     return r;
 }
 

@@ -16,7 +16,7 @@
 #include <cstdio>
 #include <string>
 
-#include "baselines/deployments.h"
+#include "apps/httpd/harness.h"
 
 using namespace cubicleos;
 
@@ -38,10 +38,11 @@ constexpr double kHitRateFloor = 90.0;
 int
 main()
 {
-    auto h = baselines::makeMultiTenantHttpd(
-        kTenants, core::IsolationMode::kFull, 65536);
+    httpd::HttpHarness h(core::IsolationMode::kFull, 65536,
+                         httpd::HttpHarness::kRequestBaseCycles,
+                         /*sendfile=*/false, kTenants);
 
-    const std::size_t cubicles = h->sys().cubicleCount();
+    const std::size_t cubicles = h.sys().cubicleCount();
     if (cubicles < 64) {
         std::fprintf(stderr,
                      "tag_pressure_smoke: only %zu cubicles booted, "
@@ -56,8 +57,8 @@ main()
     // from the cold pass is the reference for the pressured re-serve.
     std::string want[kTenants];
     for (int t = 0; t < kTenants; ++t) {
-        h->createFile(t, "/index.html", kFileSize);
-        const auto res = h->fetch(t, "/index.html");
+        h.createFile(t, "/index.html", kFileSize);
+        const auto res = h.fetch(t, "/index.html");
         if (res.status != 200 || res.bodyBytes != kFileSize) {
             std::fprintf(stderr,
                          "tag_pressure_smoke: tenant %d cold fetch "
@@ -68,7 +69,7 @@ main()
         want[t] = res.body;
     }
 
-    auto &st = h->sys().stats();
+    auto &st = h.sys().stats();
     const uint64_t cold_evictions = st.evictions();
     const uint64_t cold_fault_ins = st.faultIns();
     if (cold_evictions == 0) {
@@ -80,10 +81,10 @@ main()
 
     // Steady-state pass: per-tenant batches over a 6-tenant working
     // set. Reset the counters so the rate reflects serving, not boot.
-    h->sys().stats().reset();
+    h.sys().stats().reset();
     for (int t = 0; t < 6; ++t) {
         for (int i = 0; i < 8; ++i) {
-            const auto res = h->fetch(t, "/index.html");
+            const auto res = h.fetch(t, "/index.html");
             if (res.status != 200 || res.bodyBytes != kFileSize) {
                 std::fprintf(stderr,
                              "tag_pressure_smoke: tenant %d batch "
@@ -115,7 +116,7 @@ main()
 
     // Request accounting crossed every tenant's log cubicle.
     for (int t = 0; t < 6; ++t) {
-        if (h->tenantLog(t).totalRequests() == 0) {
+        if (h.tenantLog(t).totalRequests() == 0) {
             std::fprintf(stderr,
                          "tag_pressure_smoke: tenant %d log cubicle "
                          "recorded no requests\n",

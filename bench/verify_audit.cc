@@ -81,18 +81,19 @@ main(int argc, char **argv)
 
     std::printf("== multi-tenant httpd (64 cubicles on 16 MPK tags, "
                 "full isolation) ==\n");
-    auto mt = baselines::makeMultiTenantHttpd(
-        26, core::IsolationMode::kFull, 65536);
-    mt->createFile(0, "/index.html", 2048);
-    mt->createFile(13, "/index.html", 2048);
-    mt->createFile(25, "/index.html", 2048);
+    httpd::HttpHarness mt(core::IsolationMode::kFull, 65536,
+                          httpd::HttpHarness::kRequestBaseCycles,
+                          /*sendfile=*/false, 26);
+    mt.createFile(0, "/index.html", 2048);
+    mt.createFile(13, "/index.html", 2048);
+    mt.createFile(25, "/index.html", 2048);
     for (int t : {0, 13, 25}) {
-        if (mt->fetch(t, "/index.html").status != 200) {
+        if (mt.fetch(t, "/index.html").status != 200) {
             std::printf("FAIL: tenant %d did not serve\n", t);
             return 1;
         }
     }
-    bad += reportFindings("multitenant-httpd", mt->sys());
+    bad += reportFindings("multitenant-httpd", mt.sys());
 
     std::printf("== minisql (7 cubicles, full isolation) ==\n");
     auto dep = baselines::SqliteDeployment::makeCubicles(

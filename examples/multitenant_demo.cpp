@@ -20,7 +20,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "baselines/deployments.h"
+#include "apps/httpd/harness.h"
 
 using namespace cubicleos;
 
@@ -35,9 +35,10 @@ main(int argc, char **argv)
 
     std::printf("booting %d tenant groups on the networked stack...\n",
                 tenants);
-    auto h = baselines::makeMultiTenantHttpd(
-        tenants, core::IsolationMode::kFull, 65536);
-    auto &sys = h->sys();
+    httpd::HttpHarness h(core::IsolationMode::kFull, 65536,
+                         httpd::HttpHarness::kRequestBaseCycles,
+                         /*sendfile=*/false, tenants);
+    auto &sys = h.sys();
     std::printf("%zu logical cubicles on %d physical MPK tags "
                 "(dynamic pool: 4, 1 parked tag)\n\n",
                 sys.cubicleCount(), hw::kNumPhysPkeys);
@@ -47,8 +48,8 @@ main(int argc, char **argv)
     // walks the full evict / fault-back-in path.
     std::printf("cold round — one request per tenant:\n");
     for (int t = 0; t < tenants; ++t) {
-        h->createFile(t, "/index.html", 2048);
-        const auto res = h->fetch(t, "/index.html");
+        h.createFile(t, "/index.html", 2048);
+        const auto res = h.fetch(t, "/index.html");
         if (res.status != 200) {
             std::fprintf(stderr, "tenant %d: status %d\n", t,
                          res.status);
@@ -71,7 +72,7 @@ main(int argc, char **argv)
                 hot);
     for (int t = 0; t < hot; ++t) {
         for (int i = 0; i < 8; ++i) {
-            if (h->fetch(t, "/index.html").status != 200) {
+            if (h.fetch(t, "/index.html").status != 200) {
                 std::fprintf(stderr, "tenant %d: batch fetch failed\n",
                              t);
                 return 1;
@@ -89,7 +90,7 @@ main(int argc, char **argv)
     for (int t = 0; t < hot; ++t) {
         std::printf("  tenant%-3d %6llu requests\n", t,
                     static_cast<unsigned long long>(
-                        h->tenantLog(t).totalRequests()));
+                        h.tenantLog(t).totalRequests()));
     }
     return 0;
 }

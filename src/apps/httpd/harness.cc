@@ -5,14 +5,23 @@
 
 namespace cubicleos::httpd {
 
-HttpHarness::HttpHarness(core::IsolationMode mode,
-                         std::size_t num_pages,
-                         uint64_t request_base_cycles, bool sendfile)
+HttpHarness::HttpHarness(core::IsolationMode mode, std::size_t num_pages,
+                         uint64_t request_base_cycles, bool sendfile,
+                         int tenants)
+    : HttpHarness(mode, num_pages, request_base_cycles, sendfile, tenants,
+                  nullptr)
+{
+}
+
+HttpHarness::HttpHarness(core::IsolationMode mode, std::size_t num_pages,
+                         uint64_t request_base_cycles, bool sendfile,
+                         int tenants, std::unique_ptr<core::Component> app)
     : requestBaseCycles_(request_base_cycles)
 {
     core::SystemConfig cfg;
     cfg.numPages = num_pages;
     cfg.mode = mode;
+    cfg.virtualizeTags = tenants > 0;
     sys_ = std::make_unique<core::System>(cfg);
     wire_ = std::make_unique<libos::FrameChannel>(&sys_->clock());
 
@@ -20,12 +29,35 @@ HttpHarness::HttpHarness(core::IsolationMode mode,
     opts.withNet = true;
     opts.wire = wire_.get();
     libos::addLibosComponents(*sys_, opts);
-    nginx_ = static_cast<NginxComponent *>(&sys_->addComponent(
-        std::make_unique<NginxComponent>(80, sendfile)));
+    if (tenants == 0) {
+        Server &s = servers_.emplace_back();
+        s.name = "nginx";
+        s.nginx = static_cast<NginxComponent *>(&sys_->addComponent(
+            std::make_unique<NginxComponent>(s.port, sendfile)));
+    }
+    for (int t = 0; t < tenants; ++t) {
+        Server &s = servers_.emplace_back();
+        s.name = "tenant" + std::to_string(t);
+        s.docroot = "/" + s.name;
+        s.port = static_cast<uint16_t>(8000 + t);
+        const std::string log = "tlog" + std::to_string(t);
+        s.nginx = static_cast<NginxComponent *>(
+            &sys_->addComponent(std::make_unique<NginxComponent>(
+                s.name, s.port, sendfile, s.docroot, log)));
+        s.log = static_cast<TenantLogComponent *>(&sys_->addComponent(
+            std::make_unique<TenantLogComponent>(log)));
+    }
+    if (app)
+        sys_->addComponent(std::move(app));
     libos::finishBoot(*sys_);
 
-    nginxCid_ = sys_->cidOf("nginx");
-    nginxPoll_ = sys_->resolve<int64_t(uint64_t)>("nginx", "nginx_poll");
+    lwipCid_ = sys_->cidOf("lwip");
+    for (Server &s : servers_) {
+        s.cid = sys_->cidOf(s.name);
+        s.poll = sys_->resolve<int64_t(uint64_t)>(s.name, "nginx_poll");
+        if (!s.docroot.empty())
+            s.nginx->makeDir(s.docroot);
+    }
 
     libos::TcpConfig ccfg;
     ccfg.ipAddr = 0x0A000002;
@@ -35,27 +67,28 @@ HttpHarness::HttpHarness(core::IsolationMode mode,
 HttpHarness::~HttpHarness() = default;
 
 void
-HttpHarness::createFile(const std::string &path, std::size_t size)
+HttpHarness::createFile(int t, const std::string &path, std::size_t size)
 {
-    nginx_->createFile(path, size);
+    servers_[t].nginx->createFile(servers_[t].docroot + path, size);
 }
 
 void
-HttpHarness::pumpOnce()
+HttpHarness::pumpOnce(Server &s)
 {
     now_ += 1'000'000; // 1 ms of simulated time per round
     client_->tick(now_);
     client_->pollOutput([&](const uint8_t *p, std::size_t n) {
         wire_->hostSend(libos::FrameChannel::Frame(p, p + n));
     });
-    sys_->runAs(nginxCid_, [&] { nginxPoll_(now_); });
+    sys_->runAs(s.cid, [&] { s.poll(now_); });
     while (auto frame = wire_->hostRecv())
         client_->input(frame->data(), frame->size());
 }
 
 FetchResult
-HttpHarness::fetch(const std::string &path)
+HttpHarness::fetch(int t, const std::string &path, int max_rounds)
 {
+    Server &s = servers_[t];
     FetchResult res;
     const auto wall_start = std::chrono::steady_clock::now();
     const uint64_t cycles_start = sys_->clock().read();
@@ -64,10 +97,10 @@ HttpHarness::fetch(const std::string &path)
     sys_->clock().charge(requestBaseCycles_);
 
     const int fd = client_->socket();
-    client_->connect(fd, 0x0A000001, 80);
+    client_->connect(fd, 0x0A000001, s.port);
 
     const std::string request =
-        "GET " + path + " HTTP/1.1\r\nHost: bench\r\n\r\n";
+        "GET " + path + " HTTP/1.1\r\nHost: " + s.name + "\r\n\r\n";
     bool request_sent = false;
 
     std::string response;
@@ -75,8 +108,11 @@ HttpHarness::fetch(const std::string &path)
     std::size_t header_end = std::string::npos;
     std::vector<char> buf(16384);
 
-    for (int round = 0; round < 1'000'000; ++round) {
-        pumpOnce();
+    auto lwip_alive = [&] {
+        return sys_->monitor().cubicleAlive(lwipCid_);
+    };
+    for (int round = 0; round < max_rounds && lwip_alive(); ++round) {
+        pumpOnce(s);
         if (!request_sent && client_->isEstablished(fd)) {
             client_->send(fd, request.data(), request.size());
             request_sent = true;
@@ -104,154 +140,8 @@ HttpHarness::fetch(const std::string &path)
         }
     }
     client_->close(fd);
-    for (int i = 0; i < 5; ++i)
-        pumpOnce(); // drain FIN exchange
-
-    if (response.compare(0, 9, "HTTP/1.1 ") == 0)
-        res.status = std::atoi(response.c_str() + 9);
-    if (header_end != std::string::npos) {
-        res.body = response.substr(header_end + 4);
-        res.bodyBytes = res.body.size();
-    }
-
-    res.wallMs =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count();
-    res.modelMs = hw::CycleClock::toNanoseconds(sys_->clock().read() -
-                                                cycles_start) /
-                  1e6;
-    return res;
-}
-
-MultiTenantHarness::MultiTenantHarness(int tenants,
-                                       core::IsolationMode mode,
-                                       std::size_t num_pages,
-                                       int phys_budget,
-                                       std::size_t dynamic_tags,
-                                       uint64_t request_base_cycles)
-    : tenants_(tenants), requestBaseCycles_(request_base_cycles)
-{
-    core::SystemConfig cfg;
-    cfg.numPages = num_pages;
-    cfg.mode = mode;
-    // A multi-tenant deployment outgrows the 16 hardware keys almost
-    // immediately (12 infrastructure cubicles + 2 per tenant), so tag
-    // virtualisation is always on here.
-    cfg.virtualizeTags = true;
-    cfg.physTagBudget = phys_budget;
-    cfg.dynamicTags = dynamic_tags;
-    sys_ = std::make_unique<core::System>(cfg);
-    wire_ = std::make_unique<libos::FrameChannel>(&sys_->clock());
-
-    libos::StackOptions opts;
-    opts.withNet = true;
-    opts.wire = wire_.get();
-    libos::addLibosComponents(*sys_, opts);
-    for (int t = 0; t < tenants_; ++t) {
-        const std::string srv = "tenant" + std::to_string(t);
-        const std::string log = "tlog" + std::to_string(t);
-        servers_.push_back(static_cast<NginxComponent *>(
-            &sys_->addComponent(std::make_unique<NginxComponent>(
-                srv, portOf(t), /*sendfile=*/false,
-                "/" + srv, log))));
-        logs_.push_back(static_cast<TenantLogComponent *>(
-            &sys_->addComponent(
-                std::make_unique<TenantLogComponent>(log))));
-    }
-    libos::finishBoot(*sys_);
-
-    for (int t = 0; t < tenants_; ++t) {
-        const std::string srv = "tenant" + std::to_string(t);
-        cids_.push_back(sys_->cidOf(srv));
-        polls_.push_back(
-            sys_->resolve<int64_t(uint64_t)>(srv, "nginx_poll"));
-        servers_[t]->makeDir("/" + srv);
-    }
-
-    libos::TcpConfig ccfg;
-    ccfg.ipAddr = 0x0A000002;
-    client_ = std::make_unique<libos::TcpIpStack>(ccfg);
-}
-
-MultiTenantHarness::~MultiTenantHarness() = default;
-
-void
-MultiTenantHarness::createFile(int t, const std::string &path,
-                               std::size_t size)
-{
-    servers_[t]->createFile("/tenant" + std::to_string(t) + path, size);
-}
-
-void
-MultiTenantHarness::pumpOnce(int t)
-{
-    // Event-loop discipline: only the tenant with pending work runs —
-    // idle tenants stay parked, which is what makes the physical-tag
-    // hit rate meaningful under per-tenant request batching.
-    now_ += 1'000'000;
-    client_->tick(now_);
-    client_->pollOutput([&](const uint8_t *p, std::size_t n) {
-        wire_->hostSend(libos::FrameChannel::Frame(p, p + n));
-    });
-    sys_->runAs(cids_[t], [&] { polls_[t](now_); });
-    while (auto frame = wire_->hostRecv())
-        client_->input(frame->data(), frame->size());
-}
-
-FetchResult
-MultiTenantHarness::fetch(int t, const std::string &path)
-{
-    FetchResult res;
-    const auto wall_start = std::chrono::steady_clock::now();
-    const uint64_t cycles_start = sys_->clock().read();
-
-    sys_->clock().charge(requestBaseCycles_);
-
-    const int fd = client_->socket();
-    client_->connect(fd, 0x0A000001, portOf(t));
-
-    const std::string request =
-        "GET " + path + " HTTP/1.1\r\nHost: tenant" + std::to_string(t) +
-        "\r\n\r\n";
-    bool request_sent = false;
-
-    std::string response;
-    std::size_t content_length = 0;
-    std::size_t header_end = std::string::npos;
-    std::vector<char> buf(16384);
-
-    for (int round = 0; round < 1'000'000; ++round) {
-        pumpOnce(t);
-        if (!request_sent && client_->isEstablished(fd)) {
-            client_->send(fd, request.data(), request.size());
-            request_sent = true;
-        }
-        const int64_t n = client_->recv(fd, buf.data(), buf.size());
-        if (n > 0) {
-            response.append(buf.data(), static_cast<std::size_t>(n));
-        } else if (n == 0) {
-            break; // orderly close
-        }
-        if (header_end == std::string::npos) {
-            header_end = response.find("\r\n\r\n");
-            if (header_end != std::string::npos) {
-                const auto cl = response.find("Content-Length: ");
-                if (cl != std::string::npos) {
-                    content_length = static_cast<std::size_t>(
-                        std::strtoull(response.c_str() + cl + 16,
-                                      nullptr, 10));
-                }
-            }
-        }
-        if (header_end != std::string::npos &&
-            response.size() >= header_end + 4 + content_length) {
-            break;
-        }
-    }
-    client_->close(fd);
-    for (int i = 0; i < 5; ++i)
-        pumpOnce(t); // drain FIN exchange
+    for (int i = 0; i < 5 && lwip_alive(); ++i)
+        pumpOnce(s); // drain FIN exchange
 
     if (response.compare(0, 9, "HTTP/1.1 ") == 0)
         res.status = std::atoi(response.c_str() + 9);

@@ -1,8 +1,5 @@
 #include "baselines/crashlab.h"
 
-#include <chrono>
-#include <cstring>
-
 namespace cubicleos::baselines {
 
 void
@@ -52,36 +49,13 @@ SqlComponent::teardown()
     fs_.reset();
 }
 
-CrashLabHarness::CrashLabHarness(core::IsolationMode mode,
-                                 std::size_t num_pages,
-                                 uint64_t request_base_cycles,
-                                 bool sendfile)
-    : requestBaseCycles_(request_base_cycles)
+CrashLabHarness::CrashLabHarness(core::IsolationMode mode)
+    : HttpHarness(mode, 32768, kRequestBaseCycles, /*sendfile=*/false,
+                  /*tenants=*/0, std::make_unique<SqlComponent>()),
+      sqlCid_(sys().cidOf("minisql")),
+      sql_(static_cast<SqlComponent *>(&sys().componentAt(sqlCid_)))
 {
-    core::SystemConfig cfg;
-    cfg.numPages = num_pages;
-    cfg.mode = mode;
-    sys_ = std::make_unique<core::System>(cfg);
-    wire_ = std::make_unique<libos::FrameChannel>(&sys_->clock());
-
-    libos::StackOptions opts;
-    opts.withNet = true;
-    opts.wire = wire_.get();
-    libos::addLibosComponents(*sys_, opts);
-    nginx_ = static_cast<httpd::NginxComponent *>(&sys_->addComponent(
-        std::make_unique<httpd::NginxComponent>(80, sendfile)));
-    sql_ = static_cast<SqlComponent *>(
-        &sys_->addComponent(std::make_unique<SqlComponent>()));
-    libos::finishBoot(*sys_);
-
-    nginxCid_ = sys_->cidOf("nginx");
-    sqlCid_ = sys_->cidOf("minisql");
-    nginxPoll_ = sys_->resolve<int64_t(uint64_t)>("nginx", "nginx_poll");
-    sys_->runAs(sqlCid_, [&] { sql_->openDb(); });
-
-    libos::TcpConfig ccfg;
-    ccfg.ipAddr = 0x0A000002;
-    client_ = std::make_unique<libos::TcpIpStack>(ccfg);
+    sys().runAs(sqlCid_, [&] { sql_->openDb(); });
 }
 
 CrashLabHarness::~CrashLabHarness()
@@ -89,134 +63,18 @@ CrashLabHarness::~CrashLabHarness()
     // The database must be closed from inside its cubicle: ~Pager
     // flushes through cross-calls, which the host context (and a dead
     // cubicle) cannot make. Mirrors CubicleDeployment's destructor.
-    if (sys_ && sql_) {
-        if (sys_->monitor().cubicleAlive(sqlCid_))
-            sys_->runAs(sqlCid_, [&] { sql_->shutdown(); });
-        else
-            sql_->abandonDead();
-    }
-}
-
-void
-CrashLabHarness::createFile(const std::string &path, std::size_t size)
-{
-    nginx_->createFile(path, size);
+    if (sys().monitor().cubicleAlive(sqlCid_))
+        sys().runAs(sqlCid_, [&] { sql_->shutdown(); });
+    else
+        sql_->abandonDead();
 }
 
 minisql::ResultSet
 CrashLabHarness::exec(const std::string &sql)
 {
     minisql::ResultSet out;
-    sys_->runAs(sqlCid_, [&] { out = sql_->db().exec(sql); });
+    sys().runAs(sqlCid_, [&] { out = sql_->db().exec(sql); });
     return out;
-}
-
-std::size_t
-CrashLabHarness::killMinisql()
-{
-    return sys_->destroyComponent("minisql");
-}
-
-void
-CrashLabHarness::restartMinisql()
-{
-    sys_->restartComponent("minisql");
-}
-
-std::size_t
-CrashLabHarness::killLwip()
-{
-    return sys_->destroyComponent("lwip");
-}
-
-void
-CrashLabHarness::pumpOnce()
-{
-    now_ += 1'000'000; // 1 ms of simulated time per round
-    client_->tick(now_);
-    client_->pollOutput([&](const uint8_t *p, std::size_t n) {
-        wire_->hostSend(libos::FrameChannel::Frame(p, p + n));
-    });
-    sys_->runAs(nginxCid_, [&] { nginxPoll_(now_); });
-    while (auto frame = wire_->hostRecv())
-        client_->input(frame->data(), frame->size());
-}
-
-httpd::FetchResult
-CrashLabHarness::fetch(const std::string &path, int max_rounds)
-{
-    httpd::FetchResult res;
-    const auto wall_start = std::chrono::steady_clock::now();
-    const uint64_t cycles_start = sys_->clock().read();
-
-    sys_->clock().charge(requestBaseCycles_);
-
-    const int fd = client_->socket();
-    client_->connect(fd, 0x0A000001, 80);
-
-    const std::string request =
-        "GET " + path + " HTTP/1.1\r\nHost: crashlab\r\n\r\n";
-    bool request_sent = false;
-
-    std::string response;
-    std::size_t content_length = 0;
-    std::size_t header_end = std::string::npos;
-    std::vector<char> buf(16384);
-
-    const core::Cid lwip = sys_->cidOf("lwip");
-    for (int round = 0; round < max_rounds; ++round) {
-        // A destroyed network stack can never answer: bail out with
-        // status 0 instead of spinning out the round budget.
-        if (!sys_->monitor().cubicleAlive(lwip))
-            break;
-        pumpOnce();
-        if (!request_sent && client_->isEstablished(fd)) {
-            client_->send(fd, request.data(), request.size());
-            request_sent = true;
-        }
-        const int64_t n = client_->recv(fd, buf.data(), buf.size());
-        if (n > 0) {
-            response.append(buf.data(), static_cast<std::size_t>(n));
-        } else if (n == 0) {
-            break; // orderly close
-        }
-        if (header_end == std::string::npos) {
-            header_end = response.find("\r\n\r\n");
-            if (header_end != std::string::npos) {
-                const auto cl = response.find("Content-Length: ");
-                if (cl != std::string::npos) {
-                    content_length = static_cast<std::size_t>(
-                        std::strtoull(response.c_str() + cl + 16,
-                                      nullptr, 10));
-                }
-            }
-        }
-        if (header_end != std::string::npos &&
-            response.size() >= header_end + 4 + content_length) {
-            break;
-        }
-    }
-    client_->close(fd);
-    if (sys_->monitor().cubicleAlive(lwip)) {
-        for (int i = 0; i < 5; ++i)
-            pumpOnce(); // drain FIN exchange
-    }
-
-    if (response.compare(0, 9, "HTTP/1.1 ") == 0)
-        res.status = std::atoi(response.c_str() + 9);
-    if (header_end != std::string::npos) {
-        res.body = response.substr(header_end + 4);
-        res.bodyBytes = res.body.size();
-    }
-
-    res.wallMs =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count();
-    res.modelMs = hw::CycleClock::toNanoseconds(sys_->clock().read() -
-                                                cycles_start) /
-                  1e6;
-    return res;
 }
 
 } // namespace cubicleos::baselines

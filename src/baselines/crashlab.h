@@ -27,9 +27,6 @@
 #include "apps/httpd/harness.h"
 #include "apps/minisql/db.h"
 #include "core/system.h"
-#include "libos/netdev.h"
-#include "libos/stack.h"
-#include "libos/tcpip.h"
 #include "libos/ukapi.h"
 
 namespace cubicleos::baselines {
@@ -95,37 +92,15 @@ class SqlComponent : public core::Component {
 };
 
 /**
- * Boots the crash-lab deployment and drives it: HTTP fetches through a
- * host-side TCP client (as HttpHarness) plus SQL queries inside the
- * minisql cubicle, with kill/restart controls for fault injection.
+ * Boots the crash-lab deployment and drives it: the single-server
+ * HttpHarness deployment plus the minisql cubicle, with SQL queries
+ * inside it and kill/restart controls for fault injection.
  */
-class CrashLabHarness {
+class CrashLabHarness : public httpd::HttpHarness {
   public:
     explicit CrashLabHarness(
-        core::IsolationMode mode = core::IsolationMode::kFull,
-        std::size_t num_pages = 32768,
-        uint64_t request_base_cycles = 11'000'000,
-        bool sendfile = false);
+        core::IsolationMode mode = core::IsolationMode::kFull);
     ~CrashLabHarness();
-
-    /** Creates a served file with deterministic contents. */
-    void createFile(const std::string &path, std::size_t size);
-
-    /**
-     * Fetches @p path over a fresh connection; measures latency.
-     * @p max_rounds caps the event-loop budget — a small cap abandons
-     * the request client-side, leaving the server connection mid-state
-     * (fault-injection setup for killing a peer under it).
-     */
-    httpd::FetchResult fetch(const std::string &path,
-                             int max_rounds = 1'000'000);
-
-    /** Drives @p rounds of the event loop with no client request. */
-    void pump(int rounds)
-    {
-        while (rounds-- > 0)
-            pumpOnce();
-    }
 
     /**
      * Executes @p sql inside the minisql cubicle. When the cubicle is
@@ -136,29 +111,15 @@ class CrashLabHarness {
     minisql::ResultSet exec(const std::string &sql);
 
     /** Destroys the minisql cubicle. @return pages reclaimed. */
-    std::size_t killMinisql();
+    std::size_t killMinisql() { return sys().destroyComponent("minisql"); }
     /** Hot-restarts the minisql cubicle (reopen → journal recovery). */
-    void restartMinisql();
+    void restartMinisql() { sys().restartComponent("minisql"); }
     /** Destroys the network-stack cubicle under the application. */
-    std::size_t killLwip();
-
-    core::System &sys() { return *sys_; }
-    httpd::NginxComponent &nginx() { return *nginx_; }
-    SqlComponent &minisql() { return *sql_; }
+    std::size_t killLwip() { return sys().destroyComponent("lwip"); }
 
   private:
-    void pumpOnce();
-
-    std::unique_ptr<core::System> sys_;
-    std::unique_ptr<libos::FrameChannel> wire_;
-    std::unique_ptr<libos::TcpIpStack> client_;
-    core::CrossFn<int64_t(uint64_t)> nginxPoll_;
-    httpd::NginxComponent *nginx_ = nullptr;
-    SqlComponent *sql_ = nullptr;
-    uint64_t requestBaseCycles_;
-    uint64_t now_ = 0;
-    core::Cid nginxCid_ = core::kNoCubicle;
-    core::Cid sqlCid_ = core::kNoCubicle;
+    core::Cid sqlCid_;
+    SqlComponent *sql_;
 };
 
 } // namespace cubicleos::baselines

@@ -15,15 +15,6 @@
 
 namespace cubicleos::baselines {
 
-std::unique_ptr<httpd::MultiTenantHarness>
-makeMultiTenantHttpd(int tenants, core::IsolationMode mode,
-                     std::size_t num_pages, int phys_budget,
-                     std::size_t dynamic_tags)
-{
-    return std::make_unique<httpd::MultiTenantHarness>(
-        tenants, mode, num_pages, phys_budget, dynamic_tags);
-}
-
 namespace {
 
 /** Fig. 10a "Linux": MemFileApi with per-op syscall charges. */

@@ -19,33 +19,11 @@
 #include <memory>
 #include <string>
 
-#include "apps/httpd/harness.h"
 #include "apps/minisql/db.h"
 #include "baselines/microkernel.h"
 #include "core/system.h"
 
 namespace cubicleos::baselines {
-
-/**
- * Multi-tenant CubicleOS web deployment (tag-virtualisation showcase):
- * the Fig. 5 networked stack shared by @p tenants independent tenant
- * groups — each an NGINX instance plus a private request-log cubicle.
- * 26 tenants put 64 cubicles on 16 MPK keys; the monitor's logical-key
- * table multiplexes them onto the dynamic physical-tag pool
- * (DESIGN.md §14).
- *
- * @param tenants number of tenant groups (2 cubicles each)
- * @param mode isolation mode (kUnikraft for the unprotected baseline)
- * @param num_pages simulated memory pages
- * @param phys_budget physical MPK tags available (artificial-pressure
- *        knob for tests and benches; 16 = real hardware)
- * @param dynamic_tags size of the monitor's dynamic tag pool
- */
-std::unique_ptr<httpd::MultiTenantHarness>
-makeMultiTenantHttpd(int tenants, core::IsolationMode mode,
-                     std::size_t num_pages = 65536,
-                     int phys_budget = hw::kNumPhysPkeys,
-                     std::size_t dynamic_tags = 4);
 
 /**
  * A ready-to-measure SQLite substrate: a database plus the execution

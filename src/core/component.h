@@ -46,7 +46,6 @@ struct ComponentSpec {
     std::size_t codePages = 2;
     std::size_t globalPages = 2;
     std::size_t stackPages = 0;     ///< 0: use system default
-    std::size_t heapChunkPages = 0; ///< 0: use system default
 
     /**
      * Offsets of exported entry points within @c image, seeding the

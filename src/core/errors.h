@@ -16,10 +16,10 @@ namespace cubicleos::core {
 
 /**
  * Verdict value delivered to a caller whose cross-call (or batched
- * CallRing slot) was unwound because the callee cubicle died. Mirrored
- * by the porting layers as libos::VfsErr::kErrPeerFault and
- * libos::NetErr::kNetPeerFault; -131 (ENOTRECOVERABLE) collides with
- * neither error range.
+ * CallRing slot) was unwound because the callee cubicle died. The
+ * porting layers' libos::VfsErr::kErrPeerFault and
+ * libos::NetErr::kNetPeerFault are defined as this value; -131
+ * (ENOTRECOVERABLE) collides with neither error range.
  */
 inline constexpr int64_t kPeerFaultVerdict = -131;
 
@@ -82,6 +82,25 @@ class PeerFault : public std::runtime_error {
   private:
     Cid peer_;
 };
+
+/**
+ * Runs @p fn, mapping PeerFault to kPeerFaultVerdict. The porting
+ * layers wrap every call into another cubicle with it, so a destroyed
+ * or draining callee (DESIGN.md §15) surfaces as an error return that
+ * application code predating the lifecycle subsystem already handles.
+ * A real generated trampoline could not propagate a C++ exception
+ * across cubicles anyway.
+ */
+template <typename R, typename Fn>
+R
+catchPeerFault(Fn &&fn)
+{
+    try {
+        return fn();
+    } catch (const PeerFault &) {
+        return static_cast<R>(kPeerFaultVerdict);
+    }
+}
 
 /** Out of memory in the monitor's page pool or a cubicle heap. */
 class OutOfMemory : public std::runtime_error {

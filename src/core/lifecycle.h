@@ -62,7 +62,6 @@ struct RevokedGrant {
     bool usedWrite = false;
     bool prestagedRead = false;  ///< standing prestage hints to replay
     bool prestagedWrite = false;
-    bool hot = false; ///< window had a dedicated hot key at destroy
 };
 
 /**

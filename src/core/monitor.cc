@@ -13,6 +13,36 @@
 
 namespace cubicleos::core {
 
+namespace {
+
+/**
+ * Physical keys kept allocatable for hot windows (paper §8) under tag
+ * virtualisation: static cubicle tagging stops once only this many
+ * keys remain, so the infrastructure's hot windows can still claim
+ * dedicated hardware tags. Hot windows requested after the reserve
+ * too is spent degrade to ordinary trap-and-map windows instead of
+ * failing the boot.
+ */
+constexpr int kHotKeyReserve = 2;
+
+/** Model the paper's modified-MPK execute semantics. */
+constexpr bool kModifiedExecSemantics = true;
+
+/** Heap growth granularity in pages. */
+constexpr std::size_t kHeapChunkPages = 16;
+
+/**
+ * Upper bound, in pages, on one range-granular retag (trap-and-map
+ * step ❺, prestaging, eviction and fault-in sweeps). One fault retags
+ * the whole window-range ∩ owner-pages intersection around the
+ * faulting address, but never more than this many pages per
+ * pkey_mprotect call, so a huge window cannot turn one trap into an
+ * unbounded tag sweep. 512 pages = 2 MiB, a huge-page analogue.
+ */
+constexpr std::size_t kRetagChunkPages = 512;
+
+} // namespace
+
 const char *
 isolationModeName(IsolationMode mode)
 {
@@ -28,7 +58,7 @@ isolationModeName(IsolationMode mode)
 Monitor::Monitor(const SystemConfig &cfg, Stats *stats)
     : cfg_(cfg), stats_(stats), clock_(),
       space_(cfg.numPages, &clock_),
-      mpk_(cfg.modifiedExecSemantics, cfg.physTagBudget),
+      mpk_(kModifiedExecSemantics, cfg.physTagBudget),
       meta_(cfg.numPages),
       pageAlloc_(&space_, &meta_, /*reserve_first=*/0)
 {
@@ -103,7 +133,7 @@ Monitor::loadComponent(const ComponentSpec &spec)
         // dedicated hardware tag each.
         const bool reserve_hit =
             cfg_.virtualizeTags &&
-            mpk_.remainingKeys() <= cfg_.hotKeyReserve;
+            mpk_.remainingKeys() <= kHotKeyReserve;
         const int key = reserve_hit ? -1 : mpk_.allocKey();
         if (key >= 0) {
             // Statically tagged: this cubicle keeps its physical tag
@@ -240,8 +270,6 @@ Monitor::provisionCubicle(Cubicle &cub, const ComponentSpec &spec,
     // rewire it to cross-call the ALLOC component (see System::boot).
     // The callbacks run under the owning cubicle's heapMu and take only
     // the leaf pageMutex_, per the lock hierarchy.
-    const std::size_t chunk_pages =
-        spec.heapChunkPages ? spec.heapChunkPages : cfg_.heapChunkPages;
     cub.heap = std::make_unique<mem::HeapAllocator>(
         [this, cid](std::size_t pages) {
             // Through allocPagesFor: reads the cubicle's current tag
@@ -252,7 +280,7 @@ Monitor::provisionCubicle(Cubicle &cub, const ComponentSpec &spec,
             MutexLock l(pageMutex_);
             pageAlloc_.freePages(r);
         },
-        chunk_pages);
+        kHeapChunkPages);
 }
 
 const verifier::VerifierReport &
@@ -382,13 +410,15 @@ Monitor::windowAdd(Cid caller, Wid wid, const void *ptr, std::size_t size)
 
     if (w.hotKey >= 0) {
         // Hot window: tag the pages with the window key now, so uses
-        // by any ACL member need no trap at all.
-        const std::size_t first = space_.pageIndexOf(ptr);
-        const std::size_t last = space_.pageIndexOf(
-            static_cast<const uint8_t *>(ptr) + size - 1);
-        space_.setKey(first, last - first + 1,
-                      static_cast<uint8_t>(w.hotKey));
-        stats_->countRetag();
+        // by any ACL member need no trap at all. Through the prestage
+        // sweep, which retags only the caller's own pages and clamps
+        // at the end of the space: only the range's first page was
+        // validated above.
+        const std::size_t pages = prestageSweep(
+            caller, wid, static_cast<uint8_t>(w.hotKey),
+            /*only_parked=*/false);
+        if (pages > 0)
+            stats_->countRetag(pages);
     }
 }
 
@@ -468,14 +498,7 @@ Monitor::destroyWindowLocked(Cid owner, Wid wid)
         // race this sweep and win on a page; it leaves the page tagged
         // for a still-entitled accessor, which lazy close already
         // permits.
-        for (std::size_t page = 0; page < space_.numPages(); ++page) {
-            if (space_.entryAt(page).present &&
-                space_.entryAt(page).pkey == w.hotKey) {
-                space_.setKey(page, 1,
-                              static_cast<uint8_t>(
-                                  cubicles_[owner]->pkey));
-            }
-        }
+        sweepTag(0, space_.numPages(), w.hotKey, cubicles_[owner]->pkey);
         for (std::size_t i = 0; i < cubicleCount(); ++i)
             cubicles_[i]->extraAllow.deny(w.hotKey);
     }
@@ -562,8 +585,6 @@ std::size_t
 Monitor::prestageSweep(Cid owner, Wid wid, uint8_t peer_key,
                        bool only_parked)
 {
-    const std::size_t chunk =
-        cfg_.retagChunkPages ? cfg_.retagChunkPages : 1;
     std::size_t total = 0;
     // Owner intersection, exactly as in handleFault: windowAdd
     // validates only the first page, so foreign pages inside a range
@@ -602,7 +623,7 @@ Monitor::prestageSweep(Cid owner, Wid wid, uint8_t peer_key,
                 continue;
             }
             std::size_t run_end = i + 1;
-            while (run_end <= last && run_end - i < chunk &&
+            while (run_end <= last && run_end - i < kRetagChunkPages &&
                    eligible(run_end))
                 ++run_end;
             space_.setKeyRange(i, run_end - i, peer_key);
@@ -675,22 +696,20 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
     if (parkedKey_ >= 0 && accessor_key_i == parkedKey_)
         accessor_key_i = ensureResident(accessor);
     const auto accessor_key = static_cast<uint8_t>(accessor_key_i);
-    const std::size_t chunk =
-        cfg_.retagChunkPages ? cfg_.retagChunkPages : 1;
 
     // The owner always has access to its own pages (implicit window 0):
     // a fault here means the page was lazily left tagged for a previous
     // accessor; retag it back. Range-granular: the contiguous run of
     // pages with the same owner and the same stale tag was granted
     // away by the same lazy history, so one pkey_mprotect reclaims all
-    // of it (capped at retagChunkPages). Matching on the faulting tag
+    // of it (capped at kRetagChunkPages). Matching on the faulting tag
     // keeps hot-window pages (dedicated key) out of the run. Lock-free:
     // the atomic tag stores are the whole commit.
     // "CubicleOS w/o ACLs" takes the same path: MPK enforced, windows
     // open for any access.
     if (page_owner == accessor || mode == IsolationMode::kNoAcl) {
         const std::size_t limit =
-            std::min(space_.numPages(), page + chunk);
+            std::min(space_.numPages(), page + kRetagChunkPages);
         std::size_t end = page + 1;
         while (end < limit && meta_.at(end).owner == page_owner &&
                space_.entryAt(end).pkey == fault.pkey)
@@ -737,7 +756,7 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
     // one page, so one fault may retag the entire merged coverage of
     // the matched window's ranges around the faulting address —
     // intersected per page with the owner's pages (windowAdd validates
-    // only the first page of a range) and capped at retagChunkPages.
+    // only the first page of a range) and capped at kRetagChunkPages.
     // The tag stores are atomic, so the commit needs no exclusive
     // lock; a concurrent close cannot interleave (it takes the lock
     // exclusively).
@@ -753,10 +772,10 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
         const std::size_t last = space_.contains(span_last)
             ? space_.pageIndexOf(span_last)
             : space_.numPages() - 1;
-        while (hi <= last && hi - lo < chunk &&
+        while (hi <= last && hi - lo < kRetagChunkPages &&
                meta_.at(hi).owner == page_owner)
             ++hi;
-        while (lo > first && hi - lo < chunk &&
+        while (lo > first && hi - lo < kRetagChunkPages &&
                meta_.at(lo - 1).owner == page_owner)
             --lo;
     }
@@ -895,8 +914,6 @@ Monitor::faultInLocked(Cid cid, int tag)
 {
     const auto parked = static_cast<uint8_t>(parkedKey_);
     const auto to = static_cast<uint8_t>(tag);
-    const std::size_t chunk =
-        cfg_.retagChunkPages ? cfg_.retagChunkPages : 1;
     const std::size_t n = space_.numPages();
 
     // Restore the cubicle's own parked pages in chunked runs.
@@ -912,7 +929,7 @@ Monitor::faultInLocked(Cid cid, int tag)
             continue;
         }
         std::size_t run = i + 1;
-        while (run < n && run - i < chunk && wants(run))
+        while (run < n && run - i < kRetagChunkPages && wants(run))
             ++run;
         space_.setKeyRange(i, run - i, to);
         stats_->countRetag(run - i);
@@ -953,8 +970,6 @@ Monitor::sweepTag(std::size_t first, std::size_t end, int from, int to)
 {
     const auto from_key = static_cast<uint8_t>(from);
     const auto to_key = static_cast<uint8_t>(to);
-    const std::size_t chunk =
-        cfg_.retagChunkPages ? cfg_.retagChunkPages : 1;
     auto wants = [&](std::size_t p) {
         return space_.entryAt(p).present &&
                space_.entryAt(p).pkey == from_key;
@@ -967,7 +982,7 @@ Monitor::sweepTag(std::size_t first, std::size_t end, int from, int to)
             continue;
         }
         std::size_t run = i + 1;
-        while (run < end && run - i < chunk && wants(run))
+        while (run < end && run - i < kRetagChunkPages && wants(run))
             ++run;
         space_.setKeyRange(i, run - i, to_key);
         stats_->countRetag(run - i);
@@ -1051,7 +1066,6 @@ Monitor::destroyCubicle(Cid cid)
             g.prestagedWrite =
                 (windowUsage_[wid].prestagedWrite.load() & bit) !=
                 AclMask{};
-            g.hot = w.hotKey >= 0;
             rec.revoked.push_back(g);
             w.acl &= keep;
             windowUsage_[wid].usedRead.store(
@@ -1084,8 +1098,8 @@ Monitor::destroyCubicle(Cid cid)
                 const Cid own = meta_.at(p).owner;
                 if (own == cid || own >= cubicleCount())
                     continue;
-                space_.setKey(p, 1,
-                              static_cast<uint8_t>(cubicles_[own]->pkey));
+                space_.setKeyRange(
+                    p, 1, static_cast<uint8_t>(cubicles_[own]->pkey));
                 ++returned;
             }
             if (returned > 0)

@@ -47,10 +47,10 @@
  * (owner/type), page-table entries (present/perms/pkey) and each
  * cubicle's published fields are word-atomic, the cubicle table is
  * pre-reserved and append-only behind an atomic count, and the grant
- * commit ❺ is an atomic tag store (hw::AddressSpace::setKey) — so an
- * owner re-faulting its own page, and the whole no-ACL ablation mode,
- * resolve without taking any lock, and System::touch's no-fault check
- * never synchronises at all (like the hardware TLB check).
+ * commit ❺ is an atomic tag store (hw::AddressSpace::setKeyRange) — so
+ * an owner re-faulting its own page, and the whole no-ACL ablation
+ * mode, resolve without taking any lock, and System::touch's no-fault
+ * check never synchronises at all (like the hardware TLB check).
  *
  * Revocation ordering: windowClose/CloseAll/Remove/Destroy bump
  * windowEpoch_ after mutating the ACL/ranges, which invalidates every
@@ -125,21 +125,8 @@ struct SystemConfig {
      * clamped to [2, hw::kNumPhysPkeys]).
      */
     int physTagBudget = hw::kNumPhysPkeys;
-    /**
-     * Physical keys kept allocatable for hot windows (paper §8) when
-     * virtualizeTags is on: static cubicle tagging stops once only
-     * this many keys remain, so the infrastructure's hot windows can
-     * still claim dedicated hardware tags. Hot windows requested
-     * after the reserve too is spent degrade to ordinary trap-and-map
-     * windows instead of failing the boot.
-     */
-    int hotKeyReserve = 2;
-    /** Model the paper's modified-MPK execute semantics. */
-    bool modifiedExecSemantics = true;
     /** Default per-cubicle stack arena size in pages. */
     std::size_t stackPages = 16;
-    /** Default heap growth granularity in pages. */
-    std::size_t heapChunkPages = 16;
     /**
      * Strict verification: after boot wires every component, run the
      * isolation linter over the wiring snapshot and refuse to boot on
@@ -152,16 +139,6 @@ struct SystemConfig {
      * boot (no effect otherwise). See AuditLevel.
      */
     AuditLevel auditLevel = AuditLevel::kOff;
-    /**
-     * Upper bound, in pages, on one range-granular retag (trap-and-map
-     * step ❺ and eager prestaging). One fault retags the whole
-     * window-range ∩ owner-pages intersection around the faulting
-     * address, but never more than this many pages per pkey_mprotect
-     * call, so a huge window cannot turn one trap into an unbounded
-     * tag sweep. Default 512 pages = 2 MiB (a huge-page analogue).
-     * Setting 1 restores the paper's per-page behaviour exactly.
-     */
-    std::size_t retagChunkPages = 512;
 };
 
 /**
@@ -379,7 +356,7 @@ class Monitor {
      * never widens rights, it only moves the grant's step ❺ from
      * fault time to open time, so a prestaged access is exactly as
      * authorised as a faulted one. Per-page owner intersection and the
-     * retagChunkPages cap apply as in handleFault. The hint counts as
+     * retag chunk cap apply as in handleFault. The hint counts as
      * exercised usage for the least-privilege audit: declaring
      * expected access *is* the usage declaration (same contract as
      * hot windows, which never fault either).

@@ -56,7 +56,7 @@ enum PagePerm : uint8_t {
  * hardware page-table walks race benignly with PTE updates: a checker
  * thread observes either the old or the new tag, never a torn value.
  * This is what lets the monitor's trap-and-map handler commit a grant
- * (setKey) under a shared lock while other threads run access checks
+ * (setKeyRange) under a shared lock while other threads run access checks
  * with no lock at all.
  */
 struct PageEntry {
@@ -77,7 +77,7 @@ class AddressSpace {
     /**
      * Creates an address space of @p num_pages pages.
      *
-     * @param clock cycle clock charged for priced operations (setKey).
+     * @param clock cycle clock charged for priced operations (setKeyRange).
      */
     AddressSpace(std::size_t num_pages, CycleClock *clock);
 
@@ -143,12 +143,6 @@ class AddressSpace {
      */
     std::size_t setKeyRange(std::size_t first, std::size_t n,
                             uint8_t pkey);
-
-    /** Single-call alias kept for existing call sites. */
-    void setKey(std::size_t first, std::size_t n, uint8_t pkey)
-    {
-        setKeyRange(first, n, pkey);
-    }
 
     /** Changes the page-table permissions on a range (no key change). */
     void setPerms(std::size_t first, std::size_t n, uint8_t perms);

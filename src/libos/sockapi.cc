@@ -2,6 +2,8 @@
 
 namespace cubicleos::libos {
 
+using core::catchPeerFault;
+
 CubicleSockApi::CubicleSockApi(core::System &sys)
     : sys_(sys),
       lwipCid_(sys.cidOf("lwip")),
@@ -37,7 +39,7 @@ CubicleSockApi::send(int fd, const void *buf, std::size_t n)
     // whenever the callee threw). LWIP always copies the buffer into
     // its send queue, so declare the read up front: the prestage retag
     // replaces the guaranteed first-touch fault.
-    return guarded<int64_t>([&] {
+    return catchPeerFault<int64_t>([&] {
         Grant grant(sys_, window_, lwipPeer_, buf, n, hw::Access::kRead,
                     Prestage::kRead);
         return send_(fd, buf, n);
@@ -49,7 +51,7 @@ CubicleSockApi::recv(int fd, void *buf, std::size_t n)
 {
     // LWIP writes received bytes into the buffer (when data is
     // pending); declare the write so the delivery path never faults.
-    return guarded<int64_t>([&] {
+    return catchPeerFault<int64_t>([&] {
         Grant grant(sys_, window_, lwipPeer_, buf, n, hw::Access::kRead,
                     Prestage::kWrite);
         return recv_(fd, buf, n);

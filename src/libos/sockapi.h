@@ -43,34 +43,41 @@ class CubicleSockApi {
     // draining (DESIGN.md §15) — into kNetPeerFault instead of letting
     // the exception unwind the application: socket code predating the
     // lifecycle subsystem already handles negative NetErr returns.
-    int socket() { return guarded<int>([&] { return socket_(); }); }
+    int socket()
+    {
+        return core::catchPeerFault<int>([&] { return socket_(); });
+    }
     int bind(int fd, uint16_t port)
     {
-        return guarded<int>([&] { return bind_(fd, port); });
+        return core::catchPeerFault<int>([&] { return bind_(fd, port); });
     }
     int listen(int fd, int backlog)
     {
-        return guarded<int>([&] { return listen_(fd, backlog); });
+        return core::catchPeerFault<int>([&] { return listen_(fd, backlog); });
     }
     int accept(int fd)
     {
-        return guarded<int>([&] { return accept_(fd); });
+        return core::catchPeerFault<int>([&] { return accept_(fd); });
     }
     int connect(int fd, uint32_t ip, uint16_t port)
     {
-        return guarded<int>([&] { return connect_(fd, ip, port); });
+        return core::catchPeerFault<int>(
+            [&] { return connect_(fd, ip, port); });
     }
     int64_t send(int fd, const void *buf, std::size_t n);
     int64_t recv(int fd, void *buf, std::size_t n);
-    int close(int fd) { return guarded<int>([&] { return close_(fd); }); }
+    int close(int fd)
+    {
+        return core::catchPeerFault<int>([&] { return close_(fd); });
+    }
     /** False (not an error) when the stack died: the peer is gone. */
     bool established(int fd)
     {
-        return guarded<int>([&] { return established_(fd); }) > 0;
+        return core::catchPeerFault<int>([&] { return established_(fd); }) > 0;
     }
     bool sendDrained(int fd)
     {
-        return guarded<int>([&] { return sendDrained_(fd); }) > 0;
+        return core::catchPeerFault<int>([&] { return sendDrained_(fd); }) > 0;
     }
     /** Drives the stack; batches with any pending submitted calls. */
     int64_t poll(uint64_t now_ns);
@@ -123,17 +130,6 @@ class CubicleSockApi {
         if (!ring_.push(std::forward<Fn>(fn), verdict)) {
             ring_.flush();
             ring_.push(std::forward<Fn>(fn), verdict);
-        }
-    }
-
-    /** Runs @p fn, mapping core::PeerFault to kNetPeerFault. */
-    template <typename R, typename Fn>
-    R guarded(Fn &&fn)
-    {
-        try {
-            return fn();
-        } catch (const core::PeerFault &) {
-            return static_cast<R>(kNetPeerFault);
         }
     }
 

@@ -24,6 +24,8 @@
 #include <memory>
 #include <vector>
 
+#include "core/errors.h"
+
 namespace cubicleos::libos {
 
 /** Errors returned by the socket API (negative). */
@@ -40,10 +42,10 @@ enum NetErr : int {
      * The network-stack cubicle is destroyed or draining (DESIGN.md
      * §15): the call never reached the stack. Connection state is
      * gone; callers drop the connection and may retry after a
-     * restart. Numerically equal to core::kPeerFaultVerdict so ring
-     * verdicts pass through unconverted.
+     * restart. Defined as core::kPeerFaultVerdict so ring verdicts
+     * pass through unconverted.
      */
-    kNetPeerFault = -131,
+    kNetPeerFault = core::kPeerFaultVerdict,
 };
 
 /** Configuration of one stack instance. */

@@ -4,6 +4,8 @@
 
 namespace cubicleos::libos {
 
+using core::catchPeerFault;
+
 CubicleFileApi::CubicleFileApi(core::System &sys,
                                const std::string &backend_name,
                                bool hot_windows)
@@ -70,13 +72,13 @@ CubicleFileApi::stagePath(const char *path)
 int
 CubicleFileApi::open(const char *path, int flags)
 {
-    return guarded<int>([&] { return open_(stagePath(path), flags); });
+    return catchPeerFault<int>([&] { return open_(stagePath(path), flags); });
 }
 
 int
 CubicleFileApi::close(int fd)
 {
-    return guarded<int>([&] { return close_(fd); });
+    return catchPeerFault<int>([&] { return close_(fd); });
 }
 
 int64_t
@@ -85,7 +87,7 @@ CubicleFileApi::read(int fd, void *buf, std::size_t n)
     // Only the backend touches the data buffer (VFSCORE forwards the
     // pointer), and on a read it always writes into it: declare that
     // so the backend's first store is a prestaged retag, not a trap.
-    return guarded<int64_t>([&] {
+    return catchPeerFault<int64_t>([&] {
         Grant grant(sys_, ioWin_, peers_, buf, n, hw::Access::kRead,
                     Prestage::kWrite, PeerSet{backendCid_});
         return read_(fd, buf, n);
@@ -95,7 +97,7 @@ CubicleFileApi::read(int fd, void *buf, std::size_t n)
 int64_t
 CubicleFileApi::write(int fd, const void *buf, std::size_t n)
 {
-    return guarded<int64_t>([&] {
+    return catchPeerFault<int64_t>([&] {
         Grant grant(sys_, ioWin_, peers_, buf, n, hw::Access::kRead,
                     Prestage::kRead, PeerSet{backendCid_});
         return write_(fd, buf, n);
@@ -105,7 +107,7 @@ CubicleFileApi::write(int fd, const void *buf, std::size_t n)
 int64_t
 CubicleFileApi::pread(int fd, void *buf, std::size_t n, uint64_t off)
 {
-    return guarded<int64_t>([&] {
+    return catchPeerFault<int64_t>([&] {
         Grant grant(sys_, ioWin_, peers_, buf, n, hw::Access::kRead,
                     Prestage::kWrite, PeerSet{backendCid_});
         return pread_(fd, buf, n, off);
@@ -116,7 +118,7 @@ int64_t
 CubicleFileApi::pwrite(int fd, const void *buf, std::size_t n,
                        uint64_t off)
 {
-    return guarded<int64_t>([&] {
+    return catchPeerFault<int64_t>([&] {
         Grant grant(sys_, ioWin_, peers_, buf, n, hw::Access::kRead,
                     Prestage::kRead, PeerSet{backendCid_});
         return pwrite_(fd, buf, n, off);
@@ -126,14 +128,14 @@ CubicleFileApi::pwrite(int fd, const void *buf, std::size_t n,
 int64_t
 CubicleFileApi::lseek(int fd, int64_t off, int whence)
 {
-    return guarded<int64_t>([&] { return lseek_(fd, off, whence); });
+    return catchPeerFault<int64_t>([&] { return lseek_(fd, off, whence); });
 }
 
 int
 CubicleFileApi::stat(const char *path, VfsStat *st)
 {
     // Stage both the path and the out-struct on the transfer page.
-    return guarded<int>([&] {
+    return catchPeerFault<int>([&] {
         const char *p = stagePath(path);
         auto *out = reinterpret_cast<VfsStat *>(xfer_.at(kMaxPath));
         const int rc = stat_(p, out);
@@ -146,7 +148,7 @@ CubicleFileApi::stat(const char *path, VfsStat *st)
 int
 CubicleFileApi::fstat(int fd, VfsStat *st)
 {
-    return guarded<int>([&] {
+    return catchPeerFault<int>([&] {
         xfer_.touchForWrite(0, hw::kPageSize);
         auto *out = reinterpret_cast<VfsStat *>(xfer_.at(kMaxPath));
         const int rc = fstat_(fd, out);
@@ -159,31 +161,31 @@ CubicleFileApi::fstat(int fd, VfsStat *st)
 int
 CubicleFileApi::unlink(const char *path)
 {
-    return guarded<int>([&] { return unlink_(stagePath(path)); });
+    return catchPeerFault<int>([&] { return unlink_(stagePath(path)); });
 }
 
 int
 CubicleFileApi::mkdir(const char *path)
 {
-    return guarded<int>([&] { return mkdir_(stagePath(path)); });
+    return catchPeerFault<int>([&] { return mkdir_(stagePath(path)); });
 }
 
 int
 CubicleFileApi::ftruncate(int fd, uint64_t size)
 {
-    return guarded<int>([&] { return ftruncate_(fd, size); });
+    return catchPeerFault<int>([&] { return ftruncate_(fd, size); });
 }
 
 int
 CubicleFileApi::fsync(int fd)
 {
-    return guarded<int>([&] { return fsync_(fd); });
+    return catchPeerFault<int>([&] { return fsync_(fd); });
 }
 
 int
 CubicleFileApi::readdir(const char *path, uint64_t idx, VfsDirent *out)
 {
-    return guarded<int>([&] {
+    return catchPeerFault<int>([&] {
         const char *p = stagePath(path);
         auto *staged = reinterpret_cast<VfsDirent *>(xfer_.at(kMaxPath));
         const int rc = readdir_(p, idx, staged);
@@ -200,7 +202,7 @@ CubicleFileApi::borrow(int fd, uint64_t off, core::Cid peer,
     // The out-struct is staged past the path slot so a concurrent
     // stagePath cannot clobber it; the arena window already covers it
     // for VFSCORE and the backend.
-    return guarded<int>([&] {
+    return catchPeerFault<int>([&] {
         auto *staged = reinterpret_cast<VfsSpan *>(xfer_.at(kMaxPath));
         sys_.touch(staged, sizeof(*staged), hw::Access::kWrite);
         *staged = VfsSpan{};
@@ -214,7 +216,7 @@ CubicleFileApi::borrow(int fd, uint64_t off, core::Cid peer,
 int
 CubicleFileApi::release(int fd, uint64_t token)
 {
-    return guarded<int>([&] { return release_(fd, token); });
+    return catchPeerFault<int>([&] { return release_(fd, token); });
 }
 
 int

@@ -97,22 +97,6 @@ class CubicleFileApi : public FileApi {
     /** Copies a path into the transfer arena, returns the staged copy. */
     const char *stagePath(const char *path);
 
-    /**
-     * Runs @p fn, mapping core::PeerFault to kErrPeerFault: a
-     * destroyed VFSCORE or backend cubicle (DESIGN.md §15) surfaces as
-     * an error return, not an exception — application code predating
-     * the lifecycle subsystem already handles negative VfsErr codes.
-     */
-    template <typename R, typename Fn>
-    R guarded(Fn &&fn)
-    {
-        try {
-            return fn();
-        } catch (const core::PeerFault &) {
-            return static_cast<R>(kErrPeerFault);
-        }
-    }
-
     core::System &sys_;
     core::Cid vfsCid_;
     core::Cid backendCid_;

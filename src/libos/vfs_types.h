@@ -13,6 +13,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "core/errors.h"
+
 namespace cubicleos::libos {
 
 /** POSIX-flavoured error codes returned as negative ints. */
@@ -37,11 +39,11 @@ enum VfsErr : int {
      * The component that would have served this call is destroyed or
      * draining (DESIGN.md §15). Outside the POSIX range on purpose:
      * callers distinguish "your file is bad" from "your filesystem
-     * died" and may retry after System::restartComponent. Numerically
-     * equal to core::kPeerFaultVerdict so ring verdicts pass through
+     * died" and may retry after System::restartComponent. Defined as
+     * core::kPeerFaultVerdict so ring verdicts pass through
      * unconverted.
      */
-    kErrPeerFault = -131,
+    kErrPeerFault = core::kPeerFaultVerdict,
 };
 
 /** open() flags (subset). */

@@ -2,26 +2,7 @@
 
 namespace cubicleos::libos {
 
-namespace {
-
-/**
- * Converts core::PeerFault from a backend forward into kErrPeerFault
- * at the export boundary: a destroyed backend (DESIGN.md §15) must
- * surface to the application as an error code, and a real generated
- * trampoline could not propagate a C++ exception across cubicles
- * anyway.
- */
-template <typename R, typename Fn>
-R forwarded(Fn &&fn)
-{
-    try {
-        return fn();
-    } catch (const core::PeerFault &) {
-        return static_cast<R>(kErrPeerFault);
-    }
-}
-
-} // namespace
+using core::catchPeerFault;
 
 void
 VfsComponent::init()
@@ -323,77 +304,77 @@ void
 VfsComponent::registerExports(core::Exporter &exp)
 {
     exp.fn<int(const char *)>("vfs_mount", [this](const char *fs) {
-        return forwarded<int>([&] { return doMount(fs); });
+        return catchPeerFault<int>([&] { return doMount(fs); });
     });
     exp.fn<int(const char *, int)>(
         "vfs_open", [this](const char *p, int flags) {
-            return forwarded<int>([&] { return doOpen(p, flags); });
+            return catchPeerFault<int>([&] { return doOpen(p, flags); });
         });
     exp.fn<int(int)>("vfs_close", [this](int fd) {
-        return forwarded<int>([&] { return doClose(fd); });
+        return catchPeerFault<int>([&] { return doClose(fd); });
     });
     exp.fn<int64_t(int, void *, std::size_t)>(
         "vfs_read", [this](int fd, void *buf, std::size_t n) {
-            return forwarded<int64_t>(
+            return catchPeerFault<int64_t>(
                 [&] { return doRead(fd, buf, n); });
         });
     exp.fn<int64_t(int, const void *, std::size_t)>(
         "vfs_write", [this](int fd, const void *buf, std::size_t n) {
-            return forwarded<int64_t>(
+            return catchPeerFault<int64_t>(
                 [&] { return doWrite(fd, buf, n); });
         });
     exp.fn<int64_t(int, void *, std::size_t, uint64_t)>(
         "vfs_pread",
         [this](int fd, void *buf, std::size_t n, uint64_t off) {
-            return forwarded<int64_t>(
+            return catchPeerFault<int64_t>(
                 [&] { return doPread(fd, buf, n, off); });
         });
     exp.fn<int64_t(int, const void *, std::size_t, uint64_t)>(
         "vfs_pwrite",
         [this](int fd, const void *buf, std::size_t n, uint64_t off) {
-            return forwarded<int64_t>(
+            return catchPeerFault<int64_t>(
                 [&] { return doPwrite(fd, buf, n, off); });
         });
     exp.fn<int64_t(int, int64_t, int)>(
         "vfs_lseek", [this](int fd, int64_t off, int whence) {
-            return forwarded<int64_t>(
+            return catchPeerFault<int64_t>(
                 [&] { return doLseek(fd, off, whence); });
         });
     exp.fn<int(int, VfsStat *)>(
         "vfs_fstat", [this](int fd, VfsStat *st) {
-            return forwarded<int>([&] { return doFstat(fd, st); });
+            return catchPeerFault<int>([&] { return doFstat(fd, st); });
         });
     exp.fn<int(const char *, VfsStat *)>(
         "vfs_stat", [this](const char *p, VfsStat *st) {
-            return forwarded<int>([&] { return doStat(p, st); });
+            return catchPeerFault<int>([&] { return doStat(p, st); });
         });
     exp.fn<int(const char *)>("vfs_unlink", [this](const char *p) {
-        return forwarded<int>([&] { return doUnlink(p); });
+        return catchPeerFault<int>([&] { return doUnlink(p); });
     });
     exp.fn<int(const char *)>("vfs_mkdir", [this](const char *p) {
-        return forwarded<int>([&] { return doMkdir(p); });
+        return catchPeerFault<int>([&] { return doMkdir(p); });
     });
     exp.fn<int(const char *, uint64_t, VfsDirent *)>(
         "vfs_readdir", [this](const char *p, uint64_t i, VfsDirent *d) {
-            return forwarded<int>([&] { return doReaddir(p, i, d); });
+            return catchPeerFault<int>([&] { return doReaddir(p, i, d); });
         });
     exp.fn<int(int, uint64_t)>(
         "vfs_ftruncate", [this](int fd, uint64_t size) {
-            return forwarded<int>([&] { return doFtruncate(fd, size); });
+            return catchPeerFault<int>([&] { return doFtruncate(fd, size); });
         });
     exp.fn<int(int)>("vfs_fsync", [this](int fd) {
-        return forwarded<int>([&] { return doFsync(fd); });
+        return catchPeerFault<int>([&] { return doFsync(fd); });
     });
     exp.fn<int(int, uint64_t, core::Cid, std::size_t, VfsSpan *)>(
         "vfs_borrow",
         [this](int fd, uint64_t off, core::Cid peer, std::size_t max_len,
                VfsSpan *out) {
-            return forwarded<int>(
+            return catchPeerFault<int>(
                 [&] { return doBorrow(fd, off, peer, max_len, out); });
         });
     exp.fn<int(int, uint64_t)>(
         "vfs_release", [this](int fd, uint64_t token) {
-            return forwarded<int>([&] { return doRelease(fd, token); });
+            return catchPeerFault<int>([&] { return doRelease(fd, token); });
         });
 }
 

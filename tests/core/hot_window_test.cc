@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <initializer_list>
+#include <memory>
 
 #include "core/system.h"
 #include "tests/core/toy_components.h"
@@ -118,6 +120,111 @@ TEST_F(HotWindowTest, OnlyOwnerCanPromote)
     sys->runAs(peer, [&] {
         EXPECT_THROW(sys->windowSetHot(wid), WindowError);
     });
+}
+
+/** A booted system of toy cubicles @p names, with @p pages of memory. */
+std::unique_ptr<System>
+bootToys(std::size_t pages, std::initializer_list<const char *> names)
+{
+    SystemConfig cfg;
+    cfg.numPages = pages;
+    auto sys = std::make_unique<System>(cfg);
+    for (const char *n : names)
+        addToy(*sys, n);
+    sys->boot();
+    return sys;
+}
+
+int
+tagOf(System &sys, std::size_t page)
+{
+    return sys.monitor().space().entryAt(page).pkey.load();
+}
+
+int
+keyOf(System &sys, Cid cid)
+{
+    return sys.monitor().cubicle(cid).pkey.load();
+}
+
+TEST(HotWindowAdd, RetagsEveryPageAndDestroyCountsTheSweep)
+{
+    auto sys = bootToys(2048, {"a", "peer"});
+    const Cid a = sys->cidOf("a");
+    hw::AddressSpace &space = sys->monitor().space();
+    const mem::PageRange buf =
+        sys->monitor().allocPagesFor(a, 2, mem::PageType::kHeap);
+    ASSERT_TRUE(buf.valid());
+
+    Wid wid{};
+    sys->stats().reset();
+    sys->runAs(a, [&] {
+        wid = sys->windowInit();
+        sys->windowSetHot(wid);
+        sys->windowAdd(wid, buf.ptr, 2 * hw::kPageSize);
+    });
+    const int hot = tagOf(*sys, buf.first);
+    EXPECT_NE(hot, keyOf(*sys, a));
+    EXPECT_EQ(tagOf(*sys, buf.first + 1), hot);
+    EXPECT_EQ(sys->stats().retags(), 1u);
+    EXPECT_EQ(sys->stats().retagPages(), 2u);
+
+    // Destroy sweeps both pages back to the owner in one counted
+    // pkey_mprotect, not one uncounted call per page.
+    const uint64_t calls = space.retagCount();
+    sys->runAs(a, [&] { sys->windowDestroy(wid); });
+    EXPECT_EQ(space.retagCount() - calls, 1u);
+    EXPECT_EQ(sys->stats().retags(), 2u);
+    EXPECT_EQ(sys->stats().retagPages(), 4u);
+    EXPECT_EQ(tagOf(*sys, buf.first + 1), keyOf(*sys, a));
+}
+
+TEST(HotWindowAdd, ForeignPageInsideTheRangeKeepsItsOwnersTag)
+{
+    auto sys = bootToys(2048, {"a", "b"});
+    const Cid a = sys->cidOf("a");
+    const Cid b = sys->cidOf("b");
+    const mem::PageRange mine =
+        sys->monitor().allocPagesFor(a, 1, mem::PageType::kHeap);
+    const mem::PageRange theirs =
+        sys->monitor().allocPagesFor(b, 1, mem::PageType::kHeap);
+    ASSERT_EQ(theirs.first, mine.first + 1) << "pages must be adjacent";
+
+    sys->stats().reset();
+    sys->runAs(a, [&] {
+        const Wid wid = sys->windowInit();
+        sys->windowSetHot(wid);
+        // windowAdd validates only the first page: the range runs on
+        // from A's last page into B's.
+        sys->windowAdd(wid, mine.ptr, 2 * hw::kPageSize);
+        EXPECT_THROW(sys->touch(theirs.ptr, 1, hw::Access::kRead),
+                     hw::CubicleFault);
+    });
+    EXPECT_EQ(sys->stats().violations(), 1u);
+    EXPECT_EQ(sys->stats().retagPages(), 1u);
+    EXPECT_EQ(tagOf(*sys, theirs.first), keyOf(*sys, b));
+}
+
+TEST(HotWindowAdd, RangePastTheEndOfTheSpaceIsClamped)
+{
+    auto sys = bootToys(256, {"a"});
+    const Cid a = sys->cidOf("a");
+    hw::AddressSpace &space = sys->monitor().space();
+    // Take pages until A owns the last page of the space.
+    mem::PageRange last;
+    do {
+        last = sys->monitor().allocPagesFor(a, 1, mem::PageType::kHeap);
+        ASSERT_TRUE(last.valid());
+    } while (last.first != space.numPages() - 1);
+
+    const uint64_t pages = space.retagPageCount();
+    sys->runAs(a, [&] {
+        const Wid wid = sys->windowInit();
+        sys->windowSetHot(wid);
+        sys->windowAdd(wid, last.ptr, 17 * hw::kPageSize);
+    });
+    EXPECT_EQ(space.retagPageCount() - pages, 1u);
+    EXPECT_NE(tagOf(*sys, last.first), keyOf(*sys, a));
 }
 
 TEST(HotWindowKeys, ExhaustionIsReported)

@@ -14,8 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "apps/httpd/harness.h"
 #include "baselines/crashlab.h"
-#include "baselines/deployments.h"
 #include "core/system.h"
 #include "tests/core/toy_components.h"
 
@@ -275,34 +275,35 @@ TEST(MultiTenantCrashTest, TenantLogKillIsInvisibleToOtherTenants)
     constexpr int kVictim = 3;
 
     auto run = [&](bool inject) {
-        auto h = baselines::makeMultiTenantHttpd(kTenants,
-                                                 IsolationMode::kFull);
+        httpd::HttpHarness h(IsolationMode::kFull, 65536,
+                             httpd::HttpHarness::kRequestBaseCycles,
+                             /*sendfile=*/false, kTenants);
         for (int t = 0; t < kTenants; ++t)
-            h->createFile(t, "/f.txt", 1024 + 128 * t);
+            h.createFile(t, "/f.txt", 1024 + 128 * t);
 
         std::vector<std::string> bodies;
         for (int t = 0; t < kTenants; ++t) {
-            auto r = h->fetch(t, "/f.txt");
+            auto r = h.fetch(t, "/f.txt");
             EXPECT_EQ(r.status, 200);
             bodies.push_back(r.body);
         }
 
         if (inject)
-            h->sys().destroyComponent("tlog" + std::to_string(kVictim));
+            h.sys().destroyComponent("tlog" + std::to_string(kVictim));
 
         for (int t = 0; t < kTenants; ++t) {
-            auto r = h->fetch(t, "/f.txt");
+            auto r = h.fetch(t, "/f.txt");
             EXPECT_EQ(r.status, 200);
             bodies.push_back(r.body);
         }
 
         if (inject) {
-            h->sys().restartComponent("tlog" + std::to_string(kVictim));
+            h.sys().restartComponent("tlog" + std::to_string(kVictim));
             // The next completed request re-delivers the full running
             // total: the restarted log converges to the truth.
-            auto r = h->fetch(kVictim, "/f.txt");
+            auto r = h.fetch(kVictim, "/f.txt");
             EXPECT_EQ(r.status, 200);
-            EXPECT_EQ(h->tenantLog(kVictim).totalRequests(), 3u);
+            EXPECT_EQ(h.tenantLog(kVictim).totalRequests(), 3u);
         }
         return bodies;
     };

@@ -23,6 +23,20 @@ namespace {
 
 using testing::addToy;
 
+/**
+ * Blocks until @p counter has advanced by @p n past its value at the
+ * call. The owner threads below hand off to their accessor threads
+ * through it, so every round provably overlaps accessor progress
+ * instead of depending on the scheduler running the accessors at all.
+ */
+void
+awaitProgress(const std::atomic<int> &counter, int n)
+{
+    const int target = counter.load() + n;
+    while (counter.load() < target)
+        std::this_thread::yield();
+}
+
 TEST(MtTrapMap, ThreadsFaultThroughOneWindowOnOverlappingPages)
 {
     SystemConfig cfg;
@@ -115,12 +129,13 @@ TEST(MtTrapMap, OpenCloseRacingAccessorFaults)
     std::atomic<bool> done{false};
     std::atomic<int> granted{0};
     std::atomic<int> denied{0};
+    std::atomic<int> attempts{0};
 
     std::thread owner_thread([&] {
         sys.runAs(owner, [&] {
             for (int i = 0; i < kRounds; ++i) {
                 sys.windowOpen(wid, acc);
-                std::this_thread::yield();
+                awaitProgress(attempts, 1);
                 sys.windowClose(wid, acc);
                 // Reclaim the page so the next accessor attempt
                 // re-faults instead of riding the lazily kept tag.
@@ -138,6 +153,7 @@ TEST(MtTrapMap, OpenCloseRacingAccessorFaults)
                 } catch (const hw::CubicleFault &) {
                     ++denied;
                 }
+                ++attempts;
             }
         });
     });
@@ -146,7 +162,8 @@ TEST(MtTrapMap, OpenCloseRacingAccessorFaults)
 
     // Every attempt resolved to exactly one of the two outcomes — no
     // deadlock, no torn state — and the system still works afterwards.
-    EXPECT_GT(granted + denied, 0);
+    EXPECT_GE(granted + denied, kRounds);
+    EXPECT_EQ(granted + denied, attempts.load());
     sys.runAs(owner, [&] {
         sys.windowOpen(wid, acc);
     });
@@ -228,7 +245,7 @@ TEST(MtTrapMap, RangeRetagsDoNotInvalidateOtherThreadsCachedGrants)
 
     // An 8-page buffer behind one window, open for both accessors: big
     // enough that every prestage is a multi-page range retag, small
-    // enough to stay one setKeyRange run (retagChunkPages default).
+    // enough to stay one setKeyRange run (the 512-page retag chunk).
     constexpr std::size_t kBufPages = 8;
     constexpr std::size_t kBufBytes = kBufPages * hw::kPageSize;
     char *buf = nullptr;
@@ -258,23 +275,27 @@ TEST(MtTrapMap, RangeRetagsDoNotInvalidateOtherThreadsCachedGrants)
     // peers keeps flipping every page's tag between the two accessor
     // keys. These retags only WIDEN access — they must not bump the
     // revocation epoch, so both readers' caches stay valid and absorb
-    // the PKU misses without a single rejected access.
+    // the PKU misses without a single rejected access. After each
+    // prestage the owner waits until both readers have run a whole
+    // iteration, so each one reads through every flip.
     std::atomic<int> failures{0};
     std::atomic<bool> done{false};
+    std::atomic<int> progress[2] = {0, 0};
     std::thread owner_thread([&] {
         sys.runAs(owner, [&] {
             for (int i = 0; i < 400; ++i) {
                 sys.windowPrestage(wid, (i & 1) ? acc1 : acc0,
                                    hw::Access::kRead);
-                std::this_thread::yield();
+                for (const std::atomic<int> &p : progress)
+                    awaitProgress(p, 2);
             }
             done = true;
         });
     });
     std::vector<std::thread> readers;
-    for (Cid acc : {acc0, acc1}) {
-        readers.emplace_back([&, acc] {
-            sys.runAs(acc, [&] {
+    for (int r = 0; r < 2; ++r) {
+        readers.emplace_back([&, r] {
+            sys.runAs(r == 0 ? acc0 : acc1, [&] {
                 while (!done) {
                     try {
                         sys.touch(buf, kBufBytes, hw::Access::kRead);
@@ -288,6 +309,7 @@ TEST(MtTrapMap, RangeRetagsDoNotInvalidateOtherThreadsCachedGrants)
                     } catch (const hw::CubicleFault &) {
                         ++failures; // ACL never changed: no violation
                     }
+                    ++progress[r];
                     std::this_thread::yield();
                 }
             });

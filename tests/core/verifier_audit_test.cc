@@ -614,14 +614,15 @@ TEST(DeploymentAudit, MultiTenantSixtyFourCubiclesAuditsClean)
     // cubicles multiplexed onto 16 physical MPK tags. The deployment
     // must boot, serve real traffic for resident AND parked tenants,
     // and come back audit-clean.
-    auto harness = baselines::makeMultiTenantHttpd(
-        26, IsolationMode::kFull, 65536);
-    ASSERT_GE(harness->sys().cubicleCount(), 64u);
-    harness->createFile(0, "/index.html", 1024);
-    harness->createFile(25, "/index.html", 1024);
-    ASSERT_EQ(harness->fetch(0, "/index.html").status, 200);
-    ASSERT_EQ(harness->fetch(25, "/index.html").status, 200);
-    expectDeploymentClean(harness->sys());
+    httpd::HttpHarness harness(IsolationMode::kFull, 65536,
+                               httpd::HttpHarness::kRequestBaseCycles,
+                               /*sendfile=*/false, 26);
+    ASSERT_GE(harness.sys().cubicleCount(), 64u);
+    harness.createFile(0, "/index.html", 1024);
+    harness.createFile(25, "/index.html", 1024);
+    ASSERT_EQ(harness.fetch(0, "/index.html").status, 200);
+    ASSERT_EQ(harness.fetch(25, "/index.html").status, 200);
+    expectDeploymentClean(harness.sys());
 }
 
 TEST(DeploymentAudit, MinisqlSevenCubiclesAuditsClean)

@@ -72,7 +72,7 @@ TEST_F(AddressSpaceTest, MultiPageAccessChecksEveryPage)
 {
     // Pages 0..2 mapped; page 1 carries a different key.
     space.map(0, 3, kPermRead | kPermWrite, 2);
-    space.setKey(1, 1, 5);
+    space.setKeyRange(1, 1, 5);
     Pkru pkru = Pkru::denyAll();
     pkru.allow(2);
 
@@ -99,7 +99,7 @@ TEST_F(AddressSpaceTest, SetKeyChargesPkeyMprotectCost)
 {
     space.map(0, 4, kPermRead, 2);
     const uint64_t before = clock.read();
-    space.setKey(0, 4, 3);
+    space.setKeyRange(0, 4, 3);
     EXPECT_EQ(clock.read() - before, cost::kPkeyMprotect);
     EXPECT_EQ(space.retagCount(), 1u);
     EXPECT_EQ(space.entryAt(0).pkey, 3);
