@@ -12,8 +12,9 @@
  *
  * Usage: ./multitenant_demo [tenants]   (default 26 → 64 cubicles)
  *
- * Tip: CUBICLEOS_TRACE_EVICTIONS=1 prints every park/fault-back-in
- * transition as it happens.
+ * Tip: CUBICLEOS_TRACE=evictions prints every park/fault-back-in
+ * transition as it happens (CUBICLEOS_TRACE=all adds faults and
+ * lifecycle events).
  */
 
 #include <cstdio>

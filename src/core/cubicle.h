@@ -92,9 +92,6 @@ struct Cubicle {
     /** LRU clock value of the last cross-call into this cubicle. */
     hw::RelaxedAtomic<uint64_t> lastUse{0};
 
-    /** Times this cubicle's tag was evicted (residency stats). */
-    hw::RelaxedAtomic<uint64_t> evictions{0};
-
     /** Times this cubicle faulted back in after eviction. */
     hw::RelaxedAtomic<uint64_t> faultIns{0};
 

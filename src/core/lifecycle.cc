@@ -1,9 +1,5 @@
 #include "core/lifecycle.h"
 
-#include <cstdarg>
-#include <cstdio>
-#include <cstdlib>
-
 namespace cubicleos::core {
 
 const char *
@@ -19,30 +15,5 @@ lifeStateName(LifeState state)
     }
     return "?";
 }
-
-namespace lifecycle {
-
-bool
-traceEnabled()
-{
-    static const bool trace =
-        std::getenv("CUBICLEOS_TRACE_LIFECYCLE") != nullptr;
-    return trace;
-}
-
-void
-trace(const char *fmt, ...)
-{
-    if (!traceEnabled())
-        return;
-    std::fprintf(stderr, "[lifecycle] ");
-    va_list ap;
-    va_start(ap, fmt);
-    std::vfprintf(stderr, fmt, ap);
-    va_end(ap);
-    std::fputc('\n', stderr);
-}
-
-} // namespace lifecycle
 
 } // namespace cubicleos::core

@@ -19,9 +19,8 @@
  * kDead. restartCubicle reloads the image through the verify cache and
  * replays the grants recorded at destroy time (RevokedGrant).
  *
- * Tracing: set CUBICLEOS_TRACE_LIFECYCLE to log destroy/restart/unwind
- * events to stderr (same pattern as CUBICLEOS_TRACE_FAULTS and
- * CUBICLEOS_TRACE_EVICTIONS).
+ * Tracing: CUBICLEOS_TRACE=lifecycle logs destroy/restart/unwind events
+ * to stderr (core/trace.h; combine with faults,evictions or use all).
  */
 
 #ifndef CUBICLEOS_CORE_LIFECYCLE_H_
@@ -58,10 +57,8 @@ const char *lifeStateName(LifeState state);
 struct RevokedGrant {
     Wid wid = kInvalidWindow;
     Cid owner = kNoCubicle; ///< window owner (sanity check at replay)
-    bool usedRead = false;  ///< audit usage mask bits held at destroy
-    bool usedWrite = false;
-    bool prestagedRead = false;  ///< standing prestage hints to replay
-    bool prestagedWrite = false;
+    /** Bit k set: the victim held usage record UsageKind k at destroy. */
+    uint8_t usage = 0;
 };
 
 /**
@@ -84,16 +81,6 @@ struct LifecycleRecord {
     /** Grants on other owners' windows to replay at restart. */
     std::vector<RevokedGrant> revoked;
 };
-
-namespace lifecycle {
-
-/** True when CUBICLEOS_TRACE_LIFECYCLE is set (checked once). */
-bool traceEnabled();
-
-/** printf-style trace line, prefixed "[lifecycle] " (stderr). */
-void trace(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-} // namespace lifecycle
 
 } // namespace cubicleos::core
 

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
 #include "core/codescan.h"
 #include "core/lifecycle.h"
+#include "core/trace.h"
 #include "core/verifier/cache.h"
 
 namespace cubicleos::core {
@@ -203,15 +202,15 @@ Monitor::verifyImage(const ComponentSpec &spec,
         verifier::VerifyCache::instance().verify(image, spec.entryPoints,
                                                  spec.indirectTables,
                                                  &cacheHit);
-    if (cacheHit)
-        stats_->countVerifyCacheHit();
-    else
-        stats_->countVerifyCacheMiss();
+    stats_->add(cacheHit ? Stat::verifyCacheHits : Stat::verifyCacheMisses);
     // Counted per load, hit or miss: imagesVerified tracks verified
     // loads, the hit/miss counters tell how many ran the passes.
-    stats_->countVerifiedImage(report.imageBytes, report.decodedBytes,
-                               report.insnCount, report.rejectingCount(),
-                               report.embeddedCount());
+    stats_->add(Stat::imagesVerified);
+    stats_->add(Stat::verifierBytesScanned, report.imageBytes);
+    stats_->add(Stat::verifierBytesDecoded, report.decodedBytes);
+    stats_->add(Stat::verifierInsns, report.insnCount);
+    stats_->add(Stat::verifierRejected, report.rejectingCount());
+    stats_->add(Stat::verifierReported, report.embeddedCount());
     if (const verifier::CodeFinding *f = report.firstRejecting()) {
         throw VerifierError(
             "component '" + spec.name +
@@ -310,8 +309,8 @@ Monitor::snapshotWiring() const
             continue;
         snap.windows.push_back(verifier::WindowWiring{
             wid, w.owner, w.acl, w.rangeCount, w.hotKey,
-            w.rangesEverAdded, windowUsage_[wid].usedRead.load(),
-            windowUsage_[wid].usedWrite.load()});
+            w.rangesEverAdded, windowUsage_[wid][kUsedRead].load(),
+            windowUsage_[wid][kUsedWrite].load()});
     }
     return snap;
 }
@@ -353,6 +352,32 @@ Monitor::pkruFor(Cid cid) const
     return pkru;
 }
 
+template <typename Wants, typename KeyFor>
+std::size_t
+Monitor::retagRuns(std::size_t first, std::size_t end, Wants wants,
+                   KeyFor keyFor, bool count)
+{
+    std::size_t total = 0;
+    std::size_t i = first;
+    while (i < end) {
+        if (!wants(i)) {
+            ++i;
+            continue;
+        }
+        const uint8_t key = keyFor(i);
+        std::size_t run = i + 1;
+        while (run < end && run - i < kRetagChunkPages && wants(run) &&
+               keyFor(run) == key)
+            ++run;
+        space_.setKeyRange(i, run - i, key);
+        if (count)
+            stats_->countRetag(run - i);
+        total += run - i;
+        i = run;
+    }
+    return total;
+}
+
 // ----------------------------------------------------------------------
 // Window API
 // ----------------------------------------------------------------------
@@ -376,7 +401,7 @@ Wid
 Monitor::windowInit(Cid caller)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stat::windowOps);
     // Reuse a dead slot if available.
     for (Wid wid = 0; wid < windows_.size(); ++wid) {
         if (!windows_[wid].live) {
@@ -394,7 +419,7 @@ void
 Monitor::windowAdd(Cid caller, Wid wid, const void *ptr, std::size_t size)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stat::windowOps);
     Window &w = windowChecked(caller, wid, "window_add");
 
     if (!space_.contains(ptr) || size == 0)
@@ -426,7 +451,7 @@ void
 Monitor::windowRemove(Cid caller, Wid wid, const void *ptr)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stat::windowOps);
     Window &w = windowChecked(caller, wid, "window_remove");
     if (!cubicles_[caller]->windows.remove(wid, ptr))
         throw WindowError("window_remove: no such range in window");
@@ -438,7 +463,7 @@ void
 Monitor::windowOpen(Cid caller, Wid wid, Cid peer)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stat::windowOps);
     Window &w = windowChecked(caller, wid, "window_open");
     w.acl |= aclBit(peer);
     if (w.hotKey >= 0 && peer < cubicleCount())
@@ -450,7 +475,7 @@ void
 Monitor::windowClose(Cid caller, Wid wid, Cid peer)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stat::windowOps);
     Window &w = windowChecked(caller, wid, "window_close");
     // Lazy revocation: the ACL bit is cleared but pages keep their
     // current tag (causal tag consistency, §5.6). Hot windows revoke
@@ -465,7 +490,7 @@ void
 Monitor::windowCloseAll(Cid caller, Wid wid)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stat::windowOps);
     Window &w = windowChecked(caller, wid, "window_close_all");
     if (w.hotKey >= 0) {
         for (Cid cid = 0; cid < cubicleCount(); ++cid) {
@@ -481,7 +506,7 @@ void
 Monitor::windowDestroy(Cid caller, Wid wid)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stat::windowOps);
     windowChecked(caller, wid, "window_destroy");
     destroyWindowLocked(caller, wid);
 }
@@ -511,7 +536,7 @@ void
 Monitor::windowSetHot(Cid caller, Wid wid)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stat::windowOps);
     Window &w = windowChecked(caller, wid, "window_set_hot");
     if (w.hotKey >= 0)
         return;
@@ -540,7 +565,7 @@ Monitor::windowPrestage(Cid caller, Wid wid, Cid peer,
                         hw::Access expected)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stat::windowOps);
     Window &w = windowChecked(caller, wid, "window_prestage");
     if (peer >= cubicleCount())
         throw WindowError("window_prestage: unknown peer cubicle");
@@ -555,15 +580,14 @@ Monitor::windowPrestage(Cid caller, Wid wid, Cid peer,
 
     // The hint is a usage declaration: the audit would otherwise never
     // see a fault from a peer whose first touch was prestaged away.
-    if (expected == hw::Access::kWrite)
-        windowUsage_[wid].usedWrite.fetchOr(aclBit(peer));
-    windowUsage_[wid].usedRead.fetchOr(aclBit(peer));
+    WindowUsage &usage = windowUsage_[wid];
+    const bool write = expected == hw::Access::kWrite;
+    if (write)
+        usage[kUsedWrite].fetchOr(aclBit(peer));
+    usage[kUsedRead].fetchOr(aclBit(peer));
     // Remember the standing hint so an eviction of the peer does not
     // erase it: fault-in replays the prestage (DESIGN.md §14).
-    if (expected == hw::Access::kWrite)
-        windowUsage_[wid].prestagedWrite.fetchOr(aclBit(peer));
-    else
-        windowUsage_[wid].prestagedRead.fetchOr(aclBit(peer));
+    usage[write ? kPrestagedWrite : kPrestagedRead].fetchOr(aclBit(peer));
 
     const int peer_pkey = cubicles_[peer]->pkey;
     if (parkedKey_ >= 0 && peer_pkey == parkedKey_) {
@@ -612,24 +636,12 @@ Monitor::prestageSweep(Cid owner, Wid wid, uint8_t peer_key,
         if (r.size == 0 || !space_.contains(p))
             continue;
         const std::byte *last_byte = p + r.size - 1;
-        const std::size_t first = space_.pageIndexOf(p);
-        const std::size_t last = space_.contains(last_byte)
-            ? space_.pageIndexOf(last_byte)
-            : space_.numPages() - 1;
-        std::size_t i = first;
-        while (i <= last) {
-            if (!eligible(i)) {
-                ++i;
-                continue;
-            }
-            std::size_t run_end = i + 1;
-            while (run_end <= last && run_end - i < kRetagChunkPages &&
-                   eligible(run_end))
-                ++run_end;
-            space_.setKeyRange(i, run_end - i, peer_key);
-            total += run_end - i;
-            i = run_end;
-        }
+        const std::size_t end = space_.contains(last_byte)
+            ? space_.pageIndexOf(last_byte) + 1
+            : space_.numPages();
+        total += retagRuns(
+            space_.pageIndexOf(p), end, eligible,
+            [peer_key](std::size_t) { return peer_key; }, /*count=*/false);
     }
     return total;
 }
@@ -652,20 +664,20 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
                      IsolationMode mode)
 {
     clock_.charge(hw::cost::kFaultTrap);
-    stats_->countTrap();
+    stats_->add(Stat::traps);
 
     // Opt-in fault trace for hot-path tuning: every trap is a modelled
     // 3,500-cycle event, so when a workload traps more than expected
     // this names the accessor, the page owner and the access at the
-    // fault site. Gated by env var; zero cost when unset.
-    static const bool trace =
-        std::getenv("CUBICLEOS_TRACE_FAULTS") != nullptr;
-    if (trace && space_.contains(fault.addr) &&
+    // fault site (CUBICLEOS_TRACE=faults). The category is cached here
+    // so a disabled trace costs every trap one inline branch.
+    static const bool trace_faults = traceOn(TraceCategory::kFaults);
+    if (trace_faults && space_.contains(fault.addr) &&
         accessor < cubicleCount()) {
         const std::size_t pg = space_.pageIndexOf(fault.addr);
         const Cid own = meta_.at(pg).owner;
-        std::fprintf(
-            stderr, "[fault] %s %s page=%zu owner=%s pkey=%u\n",
+        trace(
+            TraceCategory::kFaults, "%s %s page=%zu owner=%s pkey=%u",
             cubicles_[accessor]->name.c_str(),
             fault.reason == hw::FaultReason::kPkuWrite ? "W" : "R", pg,
             own < cubicleCount() ? cubicles_[own]->name.c_str() : "?",
@@ -747,10 +759,9 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
     // is the one point where a peer demonstrably used its ACL bit.
     // Relaxed fetch-or under the shared lock — the audit only reads
     // the masks after quiescing through snapshotWiring's locks.
-    if (fault.reason == hw::FaultReason::kPkuWrite)
-        windowUsage_[wid].usedWrite.fetchOr(aclBit(accessor));
-    else
-        windowUsage_[wid].usedRead.fetchOr(aclBit(accessor));
+    const UsageKind used =
+        fault.reason == hw::FaultReason::kPkuWrite ? kUsedWrite : kUsedRead;
+    windowUsage_[wid][used].fetchOr(aclBit(accessor));
 
     // ❺ grant: range-granular. The ACL covers the whole window, not
     // one page, so one fault may retag the entire merged coverage of
@@ -795,18 +806,6 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
 // Tag virtualisation (DESIGN.md §14)
 // ----------------------------------------------------------------------
 
-namespace {
-
-bool
-traceEvictions()
-{
-    static const bool trace =
-        std::getenv("CUBICLEOS_TRACE_EVICTIONS") != nullptr;
-    return trace;
-}
-
-} // namespace
-
 int
 Monitor::ensureResident(Cid cid)
 {
@@ -837,10 +836,8 @@ Monitor::ensureResident(Cid cid)
     cub.pkey = tag;
     cub.lastUse = useClock_.fetch_add(1, std::memory_order_relaxed) + 1;
     keyEpoch_.fetch_add(1, std::memory_order_seq_cst);
-    if (traceEvictions()) {
-        std::fprintf(stderr, "[faultin] %s tag=%d pages=%zu\n",
-                     cub.name.c_str(), tag, restored);
-    }
+    trace(TraceCategory::kEvictions, "faultin %s tag=%d pages=%zu",
+          cub.name.c_str(), tag, restored);
     return tag;
 }
 
@@ -854,10 +851,10 @@ Monitor::noteSwitch(Cid callee)
         return; // statically tagged: never evicted
     cub.lastUse = useClock_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (cub.pkey == parkedKey_) {
-        stats_->countTagMiss();
+        stats_->add(Stat::tagMisses);
         ensureResident(callee);
     } else {
-        stats_->countTagHit();
+        stats_->add(Stat::tagHits);
     }
 }
 
@@ -899,13 +896,10 @@ Monitor::evictLocked()
     // that is now parked.
     bumpEpoch();
 
-    v.evictions.fetchAdd(1);
-    stats_->countEviction(pages);
+    stats_->add(Stat::evictions);
     keys_.release(tag);
-    if (traceEvictions()) {
-        std::fprintf(stderr, "[evict] %s tag=%d pages=%zu\n",
-                     v.name.c_str(), tag, pages);
-    }
+    trace(TraceCategory::kEvictions, "evict %s tag=%d pages=%zu",
+          v.name.c_str(), tag, pages);
     return tag;
 }
 
@@ -914,28 +908,16 @@ Monitor::faultInLocked(Cid cid, int tag)
 {
     const auto parked = static_cast<uint8_t>(parkedKey_);
     const auto to = static_cast<uint8_t>(tag);
-    const std::size_t n = space_.numPages();
 
     // Restore the cubicle's own parked pages in chunked runs.
-    auto wants = [&](std::size_t p) {
-        return space_.entryAt(p).present &&
-               space_.entryAt(p).pkey == parked && meta_.at(p).owner == cid;
-    };
-    std::size_t total = 0;
-    std::size_t i = 0;
-    while (i < n) {
-        if (!wants(i)) {
-            ++i;
-            continue;
-        }
-        std::size_t run = i + 1;
-        while (run < n && run - i < kRetagChunkPages && wants(run))
-            ++run;
-        space_.setKeyRange(i, run - i, to);
-        stats_->countRetag(run - i);
-        total += run - i;
-        i = run;
-    }
+    std::size_t total = retagRuns(
+        0, space_.numPages(),
+        [&](std::size_t p) {
+            return space_.entryAt(p).present &&
+                   space_.entryAt(p).pkey == parked &&
+                   meta_.at(p).owner == cid;
+        },
+        [to](std::size_t) { return to; }, /*count=*/true);
 
     // Replay standing prestage hints: every live window that prestaged
     // for this cubicle (and still lists it in the ACL) gets its parked
@@ -947,10 +929,9 @@ Monitor::faultInLocked(Cid cid, int tag)
         const Window &w = windows_[wid];
         if (!w.live || !(w.acl & bit))
             continue;
-        const bool hinted =
-            static_cast<bool>(windowUsage_[wid].prestagedRead.load() & bit) ||
-            static_cast<bool>(windowUsage_[wid].prestagedWrite.load() & bit);
-        if (!hinted)
+        const WindowUsage &usage = windowUsage_[wid];
+        if (!((usage[kPrestagedRead].load() |
+               usage[kPrestagedWrite].load()) & bit))
             continue;
         const std::size_t replayed =
             prestageSweep(w.owner, wid, to, /*only_parked=*/true);
@@ -970,26 +951,13 @@ Monitor::sweepTag(std::size_t first, std::size_t end, int from, int to)
 {
     const auto from_key = static_cast<uint8_t>(from);
     const auto to_key = static_cast<uint8_t>(to);
-    auto wants = [&](std::size_t p) {
-        return space_.entryAt(p).present &&
-               space_.entryAt(p).pkey == from_key;
-    };
-    std::size_t total = 0;
-    std::size_t i = first;
-    while (i < end) {
-        if (!wants(i)) {
-            ++i;
-            continue;
-        }
-        std::size_t run = i + 1;
-        while (run < end && run - i < kRetagChunkPages && wants(run))
-            ++run;
-        space_.setKeyRange(i, run - i, to_key);
-        stats_->countRetag(run - i);
-        total += run - i;
-        i = run;
-    }
-    return total;
+    return retagRuns(
+        first, end,
+        [this, from_key](std::size_t p) {
+            return space_.entryAt(p).present &&
+                   space_.entryAt(p).pkey == from_key;
+        },
+        [to_key](std::size_t) { return to_key; }, /*count=*/true);
 }
 
 // ----------------------------------------------------------------------
@@ -1014,8 +982,8 @@ Monitor::destroyCubicle(Cid cid)
             "destroyCubicle: '" + cub.name + "' is " +
             lifeStateName(static_cast<LifeState>(cub.life.load())));
     }
-    lifecycle::trace("destroy %s (cid=%u): draining",
-                     cub.name.c_str(), static_cast<unsigned>(cid));
+    trace(TraceCategory::kLifecycle, "destroy %s (cid=%u): draining",
+          cub.name.c_str(), static_cast<unsigned>(cid));
 
     // 1. Refuse new entries (CrossCallGuard checks life before
     // charging) and unwind threads already inside: their next checked
@@ -1053,29 +1021,15 @@ Monitor::destroyCubicle(Cid cid)
             Window &w = windows_[wid];
             if (!w.live || (w.acl & bit) == AclMask{})
                 continue;
-            RevokedGrant g;
-            g.wid = wid;
-            g.owner = w.owner;
-            g.usedRead =
-                (windowUsage_[wid].usedRead.load() & bit) != AclMask{};
-            g.usedWrite =
-                (windowUsage_[wid].usedWrite.load() & bit) != AclMask{};
-            g.prestagedRead =
-                (windowUsage_[wid].prestagedRead.load() & bit) !=
-                AclMask{};
-            g.prestagedWrite =
-                (windowUsage_[wid].prestagedWrite.load() & bit) !=
-                AclMask{};
+            RevokedGrant g{wid, w.owner};
+            for (int k = 0; k < kUsageKinds; ++k) {
+                AtomicAclMask &mask = windowUsage_[wid][k];
+                if (mask.load() & bit)
+                    g.usage |= 1u << k;
+                mask.store(mask.load() & keep);
+            }
             rec.revoked.push_back(g);
             w.acl &= keep;
-            windowUsage_[wid].usedRead.store(
-                windowUsage_[wid].usedRead.load() & keep);
-            windowUsage_[wid].usedWrite.store(
-                windowUsage_[wid].usedWrite.load() & keep);
-            windowUsage_[wid].prestagedRead.store(
-                windowUsage_[wid].prestagedRead.load() & keep);
-            windowUsage_[wid].prestagedWrite.store(
-                windowUsage_[wid].prestagedWrite.load() & keep);
         }
 
         // 3c. Pages of OTHER owners still carrying the victim's tag
@@ -1086,24 +1040,24 @@ Monitor::destroyCubicle(Cid cid)
         // unmapped below, and reallocation retags. A parked victim's
         // tag backs nothing — the eviction already swept it — so the
         // scan finds no pages and the destroy never faults the victim
-        // back in.
+        // back in. Adjacent pages going back to the same tag share one
+        // counted pkey_mprotect.
         const int victim_tag = cub.pkey;
         if (victim_tag >= 0 && victim_tag != parkedKey_) {
             const auto vkey = static_cast<uint8_t>(victim_tag);
-            std::size_t returned = 0;
-            for (std::size_t p = 0; p < space_.numPages(); ++p) {
-                if (!space_.entryAt(p).present ||
-                    space_.entryAt(p).pkey != vkey)
-                    continue;
-                const Cid own = meta_.at(p).owner;
-                if (own == cid || own >= cubicleCount())
-                    continue;
-                space_.setKeyRange(
-                    p, 1, static_cast<uint8_t>(cubicles_[own]->pkey));
-                ++returned;
-            }
-            if (returned > 0)
-                stats_->countRetag(returned);
+            retagRuns(
+                0, space_.numPages(),
+                [&](std::size_t p) {
+                    const Cid own = meta_.at(p).owner;
+                    return space_.entryAt(p).present &&
+                           space_.entryAt(p).pkey == vkey && own != cid &&
+                           own < cubicleCount();
+                },
+                [&](std::size_t p) {
+                    return static_cast<uint8_t>(
+                        cubicles_[meta_.at(p).owner]->pkey);
+                },
+                /*count=*/true);
         }
 
         // 3d. Hot-window keys granted TO the victim die with it.
@@ -1160,10 +1114,10 @@ Monitor::destroyCubicle(Cid cid)
 
     cub.life.store(static_cast<uint8_t>(LifeState::kDead));
     stats_->countDestroy(reclaimed);
-    lifecycle::trace("destroy %s: %zu pages reclaimed, %zu grants "
-                     "revoked, static key %d saved",
-                     cub.name.c_str(), reclaimed, rec.revoked.size(),
-                     rec.staticKey);
+    trace(TraceCategory::kLifecycle,
+          "destroy %s: %zu pages reclaimed, %zu grants revoked, static "
+          "key %d saved",
+          cub.name.c_str(), reclaimed, rec.revoked.size(), rec.staticKey);
     return reclaimed;
 }
 
@@ -1217,6 +1171,8 @@ Monitor::restartCubicle(Cid cid, const ComponentSpec &spec)
         WriterLock windows(windowMutex_);
         const AclMask bit = aclBit(cid);
         const int pk = cub.pkey;
+        constexpr unsigned hinted =
+            (1u << kPrestagedRead) | (1u << kPrestagedWrite);
         std::size_t replayed = 0;
         for (const RevokedGrant &g : rec.revoked) {
             if (g.wid >= windows_.size())
@@ -1225,18 +1181,13 @@ Monitor::restartCubicle(Cid cid, const ComponentSpec &spec)
             if (!w.live || w.owner != g.owner)
                 continue;
             w.acl |= bit;
-            if (g.usedRead)
-                windowUsage_[g.wid].usedRead.fetchOr(bit);
-            if (g.usedWrite)
-                windowUsage_[g.wid].usedWrite.fetchOr(bit);
-            if (g.prestagedRead)
-                windowUsage_[g.wid].prestagedRead.fetchOr(bit);
-            if (g.prestagedWrite)
-                windowUsage_[g.wid].prestagedWrite.fetchOr(bit);
+            for (int k = 0; k < kUsageKinds; ++k) {
+                if (g.usage & (1u << k))
+                    windowUsage_[g.wid][k].fetchOr(bit);
+            }
             if (w.hotKey >= 0)
                 cub.extraAllow.allow(w.hotKey);
-            if ((g.prestagedRead || g.prestagedWrite) &&
-                pk != parkedKey_) {
+            if ((g.usage & hinted) && pk != parkedKey_) {
                 // Resident restart: replay the eager sweep now. A
                 // parked restart leaves it to fault-in (as after an
                 // eviction).
@@ -1257,11 +1208,12 @@ Monitor::restartCubicle(Cid cid, const ComponentSpec &spec)
 
     cub.life.store(static_cast<uint8_t>(LifeState::kLive));
     ++rec.generation;
-    stats_->countRestart();
-    lifecycle::trace("restart %s (cid=%u): generation %llu, pkey=%d",
-                     cub.name.c_str(), static_cast<unsigned>(cid),
-                     static_cast<unsigned long long>(rec.generation),
-                     static_cast<int>(cub.pkey));
+    stats_->add(Stat::restarts);
+    trace(TraceCategory::kLifecycle,
+          "restart %s (cid=%u): generation %llu, pkey=%d",
+          cub.name.c_str(), static_cast<unsigned>(cid),
+          static_cast<unsigned long long>(rec.generation),
+          static_cast<int>(cub.pkey));
 }
 
 uint64_t

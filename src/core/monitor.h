@@ -63,6 +63,7 @@
 #ifndef CUBICLEOS_CORE_MONITOR_H_
 #define CUBICLEOS_CORE_MONITOR_H_
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -491,6 +492,17 @@ class Monitor {
                          int to);
 
     /**
+     * The page-run retag every sweep shares: each maximal run of pages
+     * in [first,end) with @p wants(p) true and the same @p keyFor(p),
+     * capped at kRetagChunkPages, becomes one setKeyRange to that key,
+     * counted as one Stats retag when @p count.
+     * @return pages retagged.
+     */
+    template <typename Wants, typename KeyFor>
+    std::size_t retagRuns(std::size_t first, std::size_t end, Wants wants,
+                          KeyFor keyFor, bool count);
+
+    /**
      * Eagerly retags window @p wid's ranges (owner ∩ not-peer-tagged,
      * chunked) to @p peer_key. With @p only_parked, restricted to
      * currently parked pages — the fault-in prestage replay.
@@ -559,28 +571,20 @@ class Monitor {
     std::atomic<uint64_t> windowEpoch_{0};
 
     /**
-     * Per-window dataflow history for the least-privilege audit
+     * Per-window peer masks, indexed by UsageKind. kUsedRead/kUsedWrite
+     * are the dataflow history for the least-privilege audit
      * (verifier::auditWiring): which peers actually faulted a read or
-     * a write through the window. Parallel to windows_; slots are
-     * reset when windowInit recycles a descriptor. The members are
-     * relaxed atomics so the fault path can record usage under the
-     * shared window lock; hot windows never fault and therefore stay
-     * blank (the audit's documented blind spot).
+     * a write through the window; hot windows never fault and therefore
+     * stay blank (the audit's documented blind spot). kPrestagedRead/
+     * kPrestagedWrite are the peers with a standing prestage hint,
+     * recorded by windowPrestage; fault-in replays these so a hint
+     * survives its pages being parked by an eviction (the grant layer
+     * declared the access once; the monitor keeps the declaration,
+     * DESIGN.md §14). Parallel to windows_; slots are reset when
+     * windowInit recycles a descriptor. The masks are relaxed atomics
+     * so the fault path can record usage under the shared window lock.
      */
-    struct WindowUsage {
-        AtomicAclMask usedRead;
-        AtomicAclMask usedWrite;
-        /**
-         * Peers with a standing prestage hint on this window (read /
-         * write), recorded by windowPrestage and cleared with the
-         * usage masks on slot recycle. Fault-in replays these so a
-         * prestage hint survives its pages being parked by an
-         * eviction (the grant layer declared the access once; the
-         * monitor keeps the declaration, DESIGN.md §14).
-         */
-        AtomicAclMask prestagedRead;
-        AtomicAclMask prestagedWrite;
-    };
+    using WindowUsage = std::array<AtomicAclMask, kUsageKinds>;
     std::vector<WindowUsage> windowUsage_ GUARDED_BY(windowMutex_);
 
     /** Load-time verifier reports, parallel to cubicles_ (same

@@ -3,20 +3,22 @@
  * Runtime statistics: cross-cubicle call edges, traps, retags.
  *
  * The per-edge call counters regenerate the annotations on the component
- * graphs of Fig. 5 (NGINX) and Fig. 8 (SQLite).
+ * graphs of Fig. 5 (NGINX) and Fig. 8 (SQLite). Every other counter is
+ * one row of CUBICLEOS_STATS: the Stat enum, the counter array, the
+ * named getters and reset() all derive from that one list.
  *
- * Thread-safety: every counter is a relaxed atomic. CrossCallGuard
- * bumps countCall/countWrpkru on every cross-cubicle call from any
- * thread, and the trap-and-map handler runs concurrently across
- * threads, so the counters must not serialise the hot paths: relaxed
- * increments add no ordering and no locks, mirroring per-CPU event
- * counters. Readers (benches, tests) see values at least as fresh as
- * the last synchronisation point (thread join, lock release).
+ * Thread-safety: every counter is a relaxed atomic. Cross-calls and
+ * trap-and-map faults bump counters concurrently from any thread, so
+ * the counters must not serialise the hot paths: relaxed increments
+ * add no ordering and no locks, mirroring per-CPU event counters.
+ * Readers (benches, tests) see values at least as fresh as the last
+ * synchronisation point (thread join, lock release).
  */
 
 #ifndef CUBICLEOS_CORE_STATS_H_
 #define CUBICLEOS_CORE_STATS_H_
 
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -25,7 +27,51 @@
 #include "core/ids.h"
 #include "hw/relaxed_atomic.h"
 
+/**
+ * The counter table, in array order. C(name) is one counter, read as
+ * Stats::name() and bumped with add(Stat::name[, n]). P(helper, events,
+ * amount) is two counters that always move together: Stats::helper(n)
+ * adds one to events and n to amount. R(helper, hits, misses) is a hit
+ * and a miss counter: Stats::helper() is the hit rate in percent, 100
+ * before the first event. retags/retagPages is the amortisation
+ * range-granular retagging buys: 1 page per pkey_mprotect call when
+ * per-page, up to 512 for a 2 MiB chunk.
+ */
+#define CUBICLEOS_STATS(C, P, R)                                          \
+    C(traps)                            /* trap-and-map entries */        \
+    P(countRetag, retags, retagPages)   /* pkey_mprotect calls, pages */  \
+    P(countPrestage, prestages, prestagePages) /* eager retags */         \
+    P(countRingFlush, ringFlushes, ringCalls)  /* CallRing batches */     \
+    C(wrpkrus)                          /* PKRU register writes */        \
+    C(windowOps)                        /* window API calls */            \
+    C(violations)                       /* unresolvable faults */         \
+    C(grantCacheHits)                   /* faults the TLB absorbed */     \
+    R(tagHitRatePercent, tagHits, tagMisses) /* callee bound/parked */   \
+    C(evictions)                        /* LRU tag evictions */           \
+    P(countFaultIn, faultIns, faultInPages)    /* parked, re-bound */     \
+    P(countDestroy, destroys, reclaimedPages)  /* pages freed */          \
+    C(restarts)                         /* relaunches after destroy */    \
+    C(unwoundCalls)                     /* PeerFault verdicts */          \
+    C(imagesVerified)                   /* load-time verifier runs */     \
+    C(verifierBytesScanned) C(verifierBytesDecoded) C(verifierInsns)      \
+    C(verifierRejected) C(verifierReported) /* findings */                \
+    P(countLintRun, lintRuns, lintFindings)                               \
+    P(countAuditRun, auditRuns, auditFindings)                            \
+    C(verifyCacheHits) C(verifyCacheMisses)   /* image-hash cache */      \
+    P(countDataCopy, dataCopies, dataCopyBytes) /* payload memcpys */     \
+    C(zeroCopySends) C(zeroCopyBytes)   /* segments from borrowed spans */
+
 namespace cubicleos::core {
+
+#define CUBICLEOS_STAT_ONE(name) name,
+#define CUBICLEOS_STAT_TWO(helper, events, amount) events, amount,
+/** One counter of the table; kCount is the table size. */
+enum class Stat : std::size_t {
+    CUBICLEOS_STATS(CUBICLEOS_STAT_ONE, CUBICLEOS_STAT_TWO,
+                    CUBICLEOS_STAT_TWO) kCount
+};
+#undef CUBICLEOS_STAT_ONE
+#undef CUBICLEOS_STAT_TWO
 
 /** One (caller → callee) edge with its call count. */
 struct CallEdge {
@@ -55,190 +101,34 @@ class Stats {
         edgeMatrix_[matrixIndex(caller, callee)].fetchAdd(1);
     }
 
-    /** Memory-protection traps taken (trap-and-map entries). */
-    void countTrap() { traps_.fetchAdd(1); }
-    /**
-     * One retag operation (one pkey_mprotect call) covering @p pages
-     * pages. The ratio retagPages()/retags() is the amortisation the
-     * range-granular fault handler buys: per-page retagging keeps it
-     * at 1, a 2 MiB chunk pushes it to 512.
-     */
-    void countRetag(uint64_t pages = 1)
+    /** Adds @p n to counter @p s. */
+    void add(Stat s, uint64_t n = 1)
     {
-        retags_.fetchAdd(1);
-        retagPages_.fetchAdd(pages);
+        counters_[static_cast<std::size_t>(s)].fetchAdd(n);
     }
-    /**
-     * One eager (prestaged) retag: pages tagged for a peer at window
-     * open rather than lazily at first-touch fault time.
-     */
-    void countPrestage(uint64_t pages)
+    /** Current value of counter @p s. */
+    uint64_t get(Stat s) const
     {
-        prestages_.fetchAdd(1);
-        prestagePages_.fetchAdd(pages);
-    }
-    /**
-     * One submission-ring flush executing @p calls queued cross-calls
-     * under a single trampoline/PKRU switch.
-     */
-    void countRingFlush(uint64_t calls)
-    {
-        ringFlushes_.fetchAdd(1);
-        ringCalls_.fetchAdd(calls);
-    }
-    /** PKRU register writes. */
-    void countWrpkru(uint64_t n = 1) { wrpkrus_.fetchAdd(n); }
-    /** Window API operations (init/add/open/close/...). */
-    void countWindowOp() { windowOps_.fetchAdd(1); }
-    /** Faults the monitor could not resolve (isolation violations). */
-    void countViolation() { violations_.fetchAdd(1); }
-    /**
-     * Faults absorbed by a thread's grant cache (the simulated TLB):
-     * the access was allowed from the cached window grant without
-     * entering the monitor or retagging the page.
-     */
-    void countGrantCacheHit() { grantCacheHits_.fetchAdd(1); }
-
-    /**
-     * Cross-call into a dynamically-tagged cubicle whose physical tag
-     * was already bound (no eviction machinery on the path).
-     */
-    void countTagHit() { tagHits_.fetchAdd(1); }
-    /** Cross-call that found its callee parked (fault-in required). */
-    void countTagMiss() { tagMisses_.fetchAdd(1); }
-    /**
-     * One eviction: a victim cubicle's resident pages were swept to
-     * the parked tag in range-granular retags covering @p pages pages.
-     */
-    void countEviction(uint64_t pages)
-    {
-        evictions_.fetchAdd(1);
-        evictionPages_.fetchAdd(pages);
-    }
-    /**
-     * One fault-in: a parked cubicle was re-bound to a physical tag
-     * and @p pages of its pages restored from the parked tag.
-     */
-    void countFaultIn(uint64_t pages)
-    {
-        faultIns_.fetchAdd(1);
-        faultInPages_.fetchAdd(pages);
+        return counters_[static_cast<std::size_t>(s)];
     }
 
-    /**
-     * One cubicle destroyed (lifecycle subsystem): @p pages of its
-     * code/global/stack/heap pages were returned to the allocator.
-     */
-    void countDestroy(uint64_t pages)
-    {
-        destroys_.fetchAdd(1);
-        reclaimedPages_.fetchAdd(pages);
-    }
-    /** One cubicle relaunched through Monitor::restartCubicle. */
-    void countRestart() { restarts_.fetchAdd(1); }
-    /**
-     * @p calls in-flight or queued cross-calls unwound with a
-     * kPeerFaultVerdict because their callee died.
-     */
-    void countUnwound(uint64_t calls = 1) { unwoundCalls_.fetchAdd(calls); }
-
-    /** Records one load-time verifier run over a component image. */
-    void countVerifiedImage(uint64_t imageBytes, uint64_t decodedBytes,
-                            uint64_t insns, uint64_t rejecting,
-                            uint64_t reportOnly)
-    {
-        imagesVerified_.fetchAdd(1);
-        verifierBytesScanned_.fetchAdd(imageBytes);
-        verifierBytesDecoded_.fetchAdd(decodedBytes);
-        verifierInsns_.fetchAdd(insns);
-        verifierRejected_.fetchAdd(rejecting);
-        verifierReported_.fetchAdd(reportOnly);
-    }
-    /** Records one isolation-lint run yielding @p findings findings. */
-    void countLintRun(uint64_t findings)
-    {
-        lintRuns_.fetchAdd(1);
-        lintFindings_.fetchAdd(findings);
-    }
-    /** Records one least-privilege audit run yielding @p findings. */
-    void countAuditRun(uint64_t findings)
-    {
-        auditRuns_.fetchAdd(1);
-        auditFindings_.fetchAdd(findings);
-    }
-    /** Load served from the verifier's image-hash cache. */
-    void countVerifyCacheHit() { verifyCacheHits_.fetchAdd(1); }
-    /** Load that ran the sweep + CFG walk for real. */
-    void countVerifyCacheMiss() { verifyCacheMisses_.fetchAdd(1); }
-    /**
-     * One payload memcpy on the data path (FS block ↔ app buffer,
-     * header staging, send-queue staging). The sendfile experiment
-     * compares this counter between the copying and zero-copy paths.
-     */
-    void countDataCopy(uint64_t bytes)
-    {
-        dataCopies_.fetchAdd(1);
-        dataCopyBytes_.fetchAdd(bytes);
-    }
-    /** TCP segments whose payload came straight from a borrowed span. */
-    void countZeroCopySend(uint64_t bytes, uint64_t segs = 1)
-    {
-        zeroCopySends_.fetchAdd(segs);
-        zeroCopyBytes_.fetchAdd(bytes);
-    }
-
-    uint64_t traps() const { return traps_; }
-    uint64_t retags() const { return retags_; }
-    uint64_t retagPages() const { return retagPages_; }
-    uint64_t prestages() const { return prestages_; }
-    uint64_t prestagePages() const { return prestagePages_; }
-    uint64_t ringFlushes() const { return ringFlushes_; }
-    uint64_t ringCalls() const { return ringCalls_; }
-    uint64_t wrpkrus() const { return wrpkrus_; }
-    uint64_t windowOps() const { return windowOps_; }
-    uint64_t violations() const { return violations_; }
-    uint64_t grantCacheHits() const { return grantCacheHits_; }
-    uint64_t tagHits() const { return tagHits_; }
-    uint64_t tagMisses() const { return tagMisses_; }
-    uint64_t evictions() const { return evictions_; }
-    uint64_t evictionPages() const { return evictionPages_; }
-    uint64_t faultIns() const { return faultIns_; }
-    uint64_t faultInPages() const { return faultInPages_; }
-    uint64_t destroys() const { return destroys_; }
-    uint64_t restarts() const { return restarts_; }
-    uint64_t reclaimedPages() const { return reclaimedPages_; }
-    uint64_t unwoundCalls() const { return unwoundCalls_; }
-
-    /**
-     * Physical-tag hit rate over all cross-calls into virtual-key
-     * cubicles, in percent; 100 when no such call happened yet.
-     */
-    double tagHitRatePercent() const
-    {
-        const uint64_t hits = tagHits_;
-        const uint64_t misses = tagMisses_;
-        if (hits + misses == 0)
-            return 100.0;
-        return 100.0 * static_cast<double>(hits) /
-               static_cast<double>(hits + misses);
-    }
-
-    uint64_t imagesVerified() const { return imagesVerified_; }
-    uint64_t verifierBytesScanned() const { return verifierBytesScanned_; }
-    uint64_t verifierBytesDecoded() const { return verifierBytesDecoded_; }
-    uint64_t verifierInsns() const { return verifierInsns_; }
-    uint64_t verifierRejected() const { return verifierRejected_; }
-    uint64_t verifierReported() const { return verifierReported_; }
-    uint64_t lintRuns() const { return lintRuns_; }
-    uint64_t lintFindings() const { return lintFindings_; }
-    uint64_t auditRuns() const { return auditRuns_; }
-    uint64_t auditFindings() const { return auditFindings_; }
-    uint64_t verifyCacheHits() const { return verifyCacheHits_; }
-    uint64_t verifyCacheMisses() const { return verifyCacheMisses_; }
-    uint64_t dataCopies() const { return dataCopies_; }
-    uint64_t dataCopyBytes() const { return dataCopyBytes_; }
-    uint64_t zeroCopySends() const { return zeroCopySends_; }
-    uint64_t zeroCopyBytes() const { return zeroCopyBytes_; }
+#define CUBICLEOS_STAT_GETTER(name)                                       \
+    uint64_t name() const { return get(Stat::name); }
+#define CUBICLEOS_STAT_PAIR(helper, events, amount)                       \
+    void helper(uint64_t n) { add(Stat::events); add(Stat::amount, n); } \
+    CUBICLEOS_STAT_GETTER(events) CUBICLEOS_STAT_GETTER(amount)
+#define CUBICLEOS_STAT_RATE(helper, hits, misses)                         \
+    double helper() const                                                 \
+    {                                                                     \
+        const double h = hits(), all = h + misses();                      \
+        return all == 0 ? 100.0 : 100.0 * h / all;                        \
+    }                                                                     \
+    CUBICLEOS_STAT_GETTER(hits) CUBICLEOS_STAT_GETTER(misses)
+    CUBICLEOS_STATS(CUBICLEOS_STAT_GETTER, CUBICLEOS_STAT_PAIR,
+                    CUBICLEOS_STAT_RATE)
+#undef CUBICLEOS_STAT_GETTER
+#undef CUBICLEOS_STAT_PAIR
+#undef CUBICLEOS_STAT_RATE
 
     /** Returns the call count on one edge. */
     uint64_t callsOnEdge(Cid caller, Cid callee) const
@@ -276,43 +166,8 @@ class Stats {
     {
         for (auto &v : edgeMatrix_)
             v = 0;
-        traps_ = 0;
-        retags_ = 0;
-        retagPages_ = 0;
-        prestages_ = 0;
-        prestagePages_ = 0;
-        ringFlushes_ = 0;
-        ringCalls_ = 0;
-        wrpkrus_ = 0;
-        windowOps_ = 0;
-        violations_ = 0;
-        grantCacheHits_ = 0;
-        tagHits_ = 0;
-        tagMisses_ = 0;
-        evictions_ = 0;
-        evictionPages_ = 0;
-        faultIns_ = 0;
-        faultInPages_ = 0;
-        destroys_ = 0;
-        restarts_ = 0;
-        reclaimedPages_ = 0;
-        unwoundCalls_ = 0;
-        imagesVerified_ = 0;
-        verifierBytesScanned_ = 0;
-        verifierBytesDecoded_ = 0;
-        verifierInsns_ = 0;
-        verifierRejected_ = 0;
-        verifierReported_ = 0;
-        lintRuns_ = 0;
-        lintFindings_ = 0;
-        auditRuns_ = 0;
-        auditFindings_ = 0;
-        verifyCacheHits_ = 0;
-        verifyCacheMisses_ = 0;
-        dataCopies_ = 0;
-        dataCopyBytes_ = 0;
-        zeroCopySends_ = 0;
-        zeroCopyBytes_ = 0;
+        for (auto &v : counters_)
+            v = 0;
     }
 
   private:
@@ -333,43 +188,7 @@ class Stats {
     using Counter = hw::RelaxedAtomic<uint64_t>;
 
     std::vector<Counter> edgeMatrix_;
-    Counter traps_;
-    Counter retags_;
-    Counter retagPages_;
-    Counter prestages_;
-    Counter prestagePages_;
-    Counter ringFlushes_;
-    Counter ringCalls_;
-    Counter wrpkrus_;
-    Counter windowOps_;
-    Counter violations_;
-    Counter grantCacheHits_;
-    Counter tagHits_;
-    Counter tagMisses_;
-    Counter evictions_;
-    Counter evictionPages_;
-    Counter faultIns_;
-    Counter faultInPages_;
-    Counter destroys_;
-    Counter restarts_;
-    Counter reclaimedPages_;
-    Counter unwoundCalls_;
-    Counter imagesVerified_;
-    Counter verifierBytesScanned_;
-    Counter verifierBytesDecoded_;
-    Counter verifierInsns_;
-    Counter verifierRejected_;
-    Counter verifierReported_;
-    Counter lintRuns_;
-    Counter lintFindings_;
-    Counter auditRuns_;
-    Counter auditFindings_;
-    Counter verifyCacheHits_;
-    Counter verifyCacheMisses_;
-    Counter dataCopies_;
-    Counter dataCopyBytes_;
-    Counter zeroCopySends_;
-    Counter zeroCopyBytes_;
+    std::array<Counter, static_cast<std::size_t>(Stat::kCount)> counters_;
 };
 
 } // namespace cubicleos::core

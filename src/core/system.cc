@@ -5,6 +5,7 @@
 #include <cassert>
 
 #include "core/lifecycle.h"
+#include "core/trace.h"
 #include "core/verifier/audit.h"
 
 namespace cubicleos::core {
@@ -45,9 +46,10 @@ CrossCallGuard::CrossCallGuard(System &sys, ThreadCtx &ctx, Cid callee)
         const auto state = static_cast<LifeState>(cub.life.load());
         if (state != LifeState::kLive) {
             cub.inFlight.fetch_sub(1);
-            sys.stats().countUnwound();
-            lifecycle::trace("refused entry into %s cubicle %s",
-                             lifeStateName(state), cub.name.c_str());
+            sys.stats().add(Stat::unwoundCalls);
+            trace(TraceCategory::kLifecycle,
+                  "refused entry into %s cubicle %s", lifeStateName(state),
+                  cub.name.c_str());
             throw PeerFault(callee, "cross-call into " +
                                         std::string(lifeStateName(state)) +
                                         " cubicle '" + cub.name + "'");
@@ -68,7 +70,7 @@ CrossCallGuard::CrossCallGuard(System &sys, ThreadCtx &ctx, Cid callee)
         // Guard-page wrpkru (enables the trampoline in the monitor's
         // cubicle) + the trampoline's wrpkru to the callee's key set.
         sys.clock().charge(2 * hw::cost::kWrpkru);
-        sys.stats().countWrpkru(2);
+        sys.stats().add(Stat::wrpkrus, 2);
         ctx.pkru = sys.monitor().pkruFor(callee);
         ctx.keyEpoch = sys.monitor().keyEpoch();
     }
@@ -90,7 +92,7 @@ CrossCallGuard::~CrossCallGuard()
     const IsolationMode mode = sys_.mode();
     if (mode >= IsolationMode::kNoAcl) {
         sys_.clock().charge(2 * hw::cost::kWrpkru);
-        sys_.stats().countWrpkru(2);
+        sys_.stats().add(Stat::wrpkrus, 2);
         ctx_.pkru = savedPkru_;
     }
     if (mode >= IsolationMode::kNoMpk) {
@@ -413,7 +415,7 @@ System::touchSlow(ThreadCtx &ctx, const void *ptr, std::size_t len,
         // memory touch so the destroyer's quiesce wait terminates.
         if (ctx.current < monitor_.cubicleCount() &&
             !monitor_.cubicleAlive(ctx.current)) {
-            stats_.countUnwound();
+            stats_.add(Stat::unwoundCalls);
             throw PeerFault(ctx.current,
                             "cubicle '" +
                                 monitor_.cubicle(ctx.current).name +
@@ -428,7 +430,7 @@ System::touchSlow(ThreadCtx &ctx, const void *ptr, std::size_t len,
             ctx.keyEpoch = monitor_.keyEpoch();
             ctx.pkru = monitor_.pkruFor(ctx.current);
             clock().charge(hw::cost::kWrpkru);
-            stats_.countWrpkru();
+            stats_.add(Stat::wrpkrus);
         }
         auto fault = monitor_.space().check(monitor_.mpk(), ctx.pkru,
                                             ptr, len, access);
@@ -445,7 +447,7 @@ System::touchSlow(ThreadCtx &ctx, const void *ptr, std::size_t len,
         if (!(fresh == ctx.pkru)) {
             ctx.pkru = fresh;
             clock().charge(hw::cost::kWrpkru);
-            stats_.countWrpkru();
+            stats_.add(Stat::wrpkrus);
             continue;
         }
 
@@ -464,7 +466,7 @@ System::touchSlow(ThreadCtx &ctx, const void *ptr, std::size_t len,
             // accesses through one window stop ping-ponging the tag.
             if (ctx.grants.hit(page, ctx.current,
                                monitor_.windowEpoch())) {
-                stats_.countGrantCacheHit();
+                stats_.add(Stat::grantCacheHits);
                 const auto *addr =
                     static_cast<const std::byte *>(fault->addr);
                 const std::size_t in_page = hw::kPageSize -
@@ -485,7 +487,7 @@ System::touchSlow(ThreadCtx &ctx, const void *ptr, std::size_t len,
         // entry carries the pre-close epoch and can never hit.
         const uint64_t epoch = monitor_.windowEpoch();
         if (!monitor_.handleFault(*fault, ctx.current, mode_)) {
-            stats_.countViolation();
+            stats_.add(Stat::violations);
             throw hw::CubicleFault(*fault);
         }
         if (pku_fault && in_space)
@@ -510,7 +512,7 @@ System::checkExec(const void *ptr)
             ctx.keyEpoch = monitor_.keyEpoch();
             ctx.pkru = monitor_.pkruFor(ctx.current);
             clock().charge(hw::cost::kWrpkru);
-            stats_.countWrpkru();
+            stats_.add(Stat::wrpkrus);
         }
         auto fault = monitor_.space().check(monitor_.mpk(), ctx.pkru,
                                             ptr, 1, hw::Access::kExec);
@@ -530,25 +532,32 @@ System::checkExec(const void *ptr)
         }
         // Execute faults are never resolvable by trap-and-map: windows
         // grant data access only.
-        stats_.countViolation();
+        stats_.add(Stat::violations);
         throw hw::CubicleFault(*fault);
     }
+}
+
+Cubicle &
+System::heapCubicle(const char *op)
+{
+    const Cid cid = currentCtx().current;
+    if (cid == kNoCubicle)
+        throw LoaderError(std::string(op) + " outside any cubicle");
+    Cubicle &cub = monitor_.cubicle(cid);
+    // Lifecycle: the heap dies with its cubicle, and a destroyed
+    // cubicle has cub.heap == nullptr until a restart rebuilds it.
+    if (static_cast<LifeState>(cub.life.load()) != LifeState::kLive) {
+        stats_.add(Stat::unwoundCalls);
+        throw PeerFault(cid, std::string(op) + " in destroyed cubicle '" +
+                                 cub.name + "'");
+    }
+    return cub;
 }
 
 void *
 System::heapAlloc(std::size_t size)
 {
-    const Cid cid = currentCtx().current;
-    if (cid == kNoCubicle)
-        throw LoaderError("heapAlloc outside any cubicle");
-    Cubicle &cub = monitor_.cubicle(cid);
-    // Lifecycle: the heap dies with its cubicle, and a destroyed
-    // cubicle has cub.heap == nullptr until a restart rebuilds it.
-    if (static_cast<LifeState>(cub.life.load()) != LifeState::kLive) {
-        stats_.countUnwound();
-        throw PeerFault(cid, "heapAlloc in destroyed cubicle '" +
-                                 cub.name + "'");
-    }
+    Cubicle &cub = heapCubicle("heapAlloc");
     void *p;
     {
         // Per-cubicle heap lock: threads in different cubicles allocate
@@ -565,15 +574,7 @@ System::heapAlloc(std::size_t size)
 void *
 System::heapAllocZeroed(std::size_t size)
 {
-    const Cid cid = currentCtx().current;
-    if (cid == kNoCubicle)
-        throw LoaderError("heapAlloc outside any cubicle");
-    Cubicle &cub = monitor_.cubicle(cid);
-    if (static_cast<LifeState>(cub.life.load()) != LifeState::kLive) {
-        stats_.countUnwound();
-        throw PeerFault(cid, "heapAlloc in destroyed cubicle '" +
-                                 cub.name + "'");
-    }
+    Cubicle &cub = heapCubicle("heapAlloc");
     void *p;
     {
         MutexLock lock(cub.heapMu);
@@ -587,15 +588,7 @@ System::heapAllocZeroed(std::size_t size)
 void
 System::heapFree(void *ptr)
 {
-    const Cid cid = currentCtx().current;
-    if (cid == kNoCubicle)
-        throw LoaderError("heapFree outside any cubicle");
-    Cubicle &cub = monitor_.cubicle(cid);
-    if (static_cast<LifeState>(cub.life.load()) != LifeState::kLive) {
-        stats_.countUnwound();
-        throw PeerFault(cid, "heapFree in destroyed cubicle '" +
-                                 cub.name + "'");
-    }
+    Cubicle &cub = heapCubicle("heapFree");
     MutexLock lock(cub.heapMu);
     cub.heap->free(ptr);
 }

@@ -445,6 +445,13 @@ class System {
     void touchSlow(ThreadCtx &ctx, const void *ptr, std::size_t len,
                    hw::Access access);
 
+    /**
+     * The running cubicle, for heap operation @p op.
+     * @throws LoaderError outside any cubicle; PeerFault (counted as an
+     *         unwound call) when the cubicle is no longer live.
+     */
+    Cubicle &heapCubicle(const char *op);
+
     const ExportSlot &findSlot(std::string_view comp_name,
                                std::string_view fn_name,
                                const char *sig_name) const;
@@ -643,7 +650,7 @@ class CallRing {
                     slots_[j].destroy(slots_[j].storage);
             }
             if (count_ > i + 1)
-                sys_.stats().countUnwound(count_ - i - 1);
+                sys_.stats().add(Stat::unwoundCalls, count_ - i - 1);
             count_ = 0;
             return;
         } catch (...) {
@@ -663,7 +670,7 @@ class CallRing {
                 *slots_[i].verdict = kPeerFaultVerdict;
             slots_[i].destroy(slots_[i].storage);
         }
-        sys_.stats().countUnwound(count_);
+        sys_.stats().add(Stat::unwoundCalls, count_);
         count_ = 0;
     }
 

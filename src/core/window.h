@@ -113,6 +113,20 @@ class AtomicAclMask {
 };
 
 /**
+ * The per-window, per-peer usage records the monitor keeps: accesses
+ * seen in faults (for the least-privilege audit), then standing
+ * prestage hints (replayed at fault-in). Indexes the monitor's usage
+ * masks and RevokedGrant::usage.
+ */
+enum UsageKind : uint8_t {
+    kUsedRead,
+    kUsedWrite,
+    kPrestagedRead,
+    kPrestagedWrite,
+    kUsageKinds
+};
+
+/**
  * Returns the ACL bit for cubicle @p cid.
  *
  * @throws WindowError when @p cid does not fit the mask. This used to

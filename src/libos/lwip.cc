@@ -74,8 +74,9 @@ LwipComponent::doPoll(uint64_t now_ns)
     // system-wide stats (the stack itself is System-agnostic).
     const TcpStats &ts = stack_.stats();
     if (ts.zcSegsOut > zcSegsSeen_) {
-        sys()->stats().countZeroCopySend(ts.zcBytesOut - zcBytesSeen_,
-                                         ts.zcSegsOut - zcSegsSeen_);
+        core::Stats &st = sys()->stats();
+        st.add(core::Stat::zeroCopySends, ts.zcSegsOut - zcSegsSeen_);
+        st.add(core::Stat::zeroCopyBytes, ts.zcBytesOut - zcBytesSeen_);
         zcSegsSeen_ = ts.zcSegsOut;
         zcBytesSeen_ = ts.zcBytesOut;
     }

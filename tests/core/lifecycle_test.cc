@@ -128,6 +128,47 @@ TEST(LifecycleTest, RestartRelaunchesThroughVerifyCache)
 }
 
 /**
+ * Destroy returns pages a peer was granted to their owner's tag in
+ * page runs: two adjacent granted pages cost one pkey_mprotect, and
+ * Stats counts exactly the calls made.
+ */
+TEST(LifecycleTest, DestroyReturnsGrantedPagesInOneCountedRun)
+{
+    System sys(fullConfig());
+    addToy(sys, "a");
+    addToy(sys, "b");
+    sys.boot();
+    const Cid a = sys.cidOf("a");
+    const Cid b = sys.cidOf("b");
+    const mem::PageRange buf =
+        sys.monitor().allocPagesFor(a, 2, mem::PageType::kHeap);
+    ASSERT_TRUE(buf.valid());
+
+    sys.runAs(a, [&] {
+        const Wid wid = sys.windowInit();
+        sys.windowAdd(wid, buf.ptr, 2 * hw::kPageSize);
+        sys.windowOpen(wid, b);
+    });
+    sys.runAs(b, [&] {
+        sys.touch(buf.ptr, 2 * hw::kPageSize, hw::Access::kRead);
+    });
+    const hw::AddressSpace &space = sys.monitor().space();
+    const int b_key = sys.monitor().cubicle(b).pkey.load();
+    ASSERT_EQ(space.entryAt(buf.first).pkey.load(), b_key);
+    ASSERT_EQ(space.entryAt(buf.first + 1).pkey.load(), b_key);
+
+    const uint64_t calls0 = space.retagCount();
+    const uint64_t retags0 = sys.stats().retags();
+    sys.destroyComponent("b");
+
+    EXPECT_EQ(space.retagCount() - calls0, 1u);
+    EXPECT_EQ(sys.stats().retags() - retags0, space.retagCount() - calls0);
+    const int a_key = sys.monitor().cubicle(a).pkey.load();
+    EXPECT_EQ(space.entryAt(buf.first).pkey.load(), a_key);
+    EXPECT_EQ(space.entryAt(buf.first + 1).pkey.load(), a_key);
+}
+
+/**
  * Satellite regression: destroying a *parked* (tag-evicted) cubicle
  * reclaims it in place — the revocation epoch is bumped but its pages
  * are never faulted back in just to be freed.
