@@ -72,22 +72,14 @@ struct Cubicle {
      * destroyCubicle marks it kDraining; kDead once reclaimed;
      * restartCubicle flips it back to kLive. Deliberately std::atomic
      * (seq_cst), not RelaxedAtomic: the quiesce handshake — an
-     * entering thread increments inFlight *then* checks life, the
-     * destroyer stores kDraining *then* reads inFlight — relies on a
-     * total order over the four operations; with relaxed ordering both
-     * sides could miss each other (store-buffering) and a thread would
-     * enter a cubicle being reclaimed.
+     * entering thread increments its in-flight count
+     * (Monitor::inFlightSlot) *then* checks life, the destroyer stores
+     * kDraining *then* reads every in-flight count — relies on a total
+     * order over those operations; with relaxed ordering both sides
+     * could miss each other (store-buffering) and a thread would enter
+     * a cubicle being reclaimed.
      */
     std::atomic<uint8_t> life{static_cast<uint8_t>(LifeState::kLive)};
-
-    /**
-     * Threads currently executing *inside* this cubicle via a
-     * cross-call (CrossCallGuard increments on entry, decrements on
-     * exit). destroyCubicle quiesces by waiting for this to reach 0
-     * after marking the cubicle kDraining. seq_cst, paired with life
-     * (see above).
-     */
-    std::atomic<uint32_t> inFlight{0};
 
     /** LRU clock value of the last cross-call into this cubicle. */
     hw::RelaxedAtomic<uint64_t> lastUse{0};

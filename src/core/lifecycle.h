@@ -14,7 +14,8 @@
  * kDraining quiesces in-flight cross-calls: CrossCallGuard refuses new
  * entries with core::PeerFault, and threads already inside are unwound
  * by the next checked access (System::touchSlow / heapAlloc) throwing
- * the same. Once Cubicle::inFlight reaches zero the monitor reclaims
+ * the same. Once no thread's in-flight count for the cubicle
+ * (Monitor::inFlightSlot) is non-zero, the monitor reclaims
  * windows, grants, pages and the logical key, then marks the cubicle
  * kDead. restartCubicle reloads the image through the verify cache and
  * replays the grants recorded at destroy time (RevokedGrant).

@@ -990,11 +990,15 @@ Monitor::destroyCubicle(Cid cid)
     // access — System::touchSlow, heapAlloc — throws PeerFault.
     cub.life.store(static_cast<uint8_t>(LifeState::kDraining));
 
-    // 2. Quiesce. We hold only lifecycleMutex_ (above the whole
-    // hierarchy), so draining threads are free to fault, allocate and
-    // unwind underneath us.
-    while (cub.inFlight.load() != 0)
-        std::this_thread::yield();
+    // 2. Quiesce, shard by shard. We hold only lifecycleMutex_ (above
+    // the whole hierarchy), so draining threads are free to fault,
+    // allocate and unwind underneath us. A shard that reads zero stays
+    // drained: an entry counted on it after this read checks life
+    // after our kDraining store, so it backs out.
+    for (std::size_t s = 0; s < hw::kShards; ++s) {
+        while (inFlight_[s][cid].load() != 0)
+            std::this_thread::yield();
+    }
 
     // Everything the cubicle owns right now is what destroy reclaims.
     const std::size_t reclaimed = meta_.countOwnedBy(cid);

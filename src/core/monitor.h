@@ -82,6 +82,7 @@
 #include "hw/mpk.h"
 #include "hw/page_table.h"
 #include "hw/relaxed_atomic.h"
+#include "hw/shards.h"
 #include "mem/arena.h"
 #include "mem/page_meta.h"
 #include "mem/suballoc.h"
@@ -241,7 +242,8 @@ class Monitor {
      *   1. mark kDraining: CrossCallGuard refuses new entries with
      *      PeerFault, and every checked access (touch/heap) by a
      *      thread already inside throws PeerFault, unwinding it;
-     *   2. quiesce: wait for Cubicle::inFlight to drain to zero;
+     *   2. quiesce: wait until every shard's in-flight count for the
+     *      cubicle (inFlightSlot) reads zero;
      *   3. close every window it owns and revoke its ACL bit (plus
      *      usage/prestage mask bits) from every other live window,
      *      recording the revoked set for restart replay; sweep every
@@ -446,6 +448,20 @@ class Monitor {
     void debugWindowLookupUnlockedForTest(Cid cid) const;
 
   private:
+    friend class CrossCallGuard;
+
+    /**
+     * The calling thread's shard of @p cid's in-flight count: threads
+     * executing inside @p cid via a cross-call. CrossCallGuard
+     * increments it *then* checks Cubicle::life, and decrements it on
+     * leaving; destroyCubicle stores kDraining *then* waits for every
+     * shard's count to read zero. seq_cst, paired with life.
+     */
+    std::atomic<uint32_t> &inFlightSlot(Cid cid)
+    {
+        return inFlight_.local()[cid];
+    }
+
     Window &windowChecked(Cid caller, Wid wid, const char *op)
         REQUIRES(windowMutex_);
 
@@ -598,6 +614,13 @@ class Monitor {
      * destroy/restart under lifecycleMutex_.
      */
     std::vector<LifecycleRecord> lifeRecords_;
+
+    /**
+     * In-flight counts, [shard][cid] (see inFlightSlot). Sharded per
+     * thread so cross-calls into one cubicle from several cores do not
+     * share a cache line (DESIGN.md §9).
+     */
+    hw::Shards<std::array<std::atomic<uint32_t>, kMaxCubicles>> inFlight_;
 };
 
 } // namespace cubicleos::core

@@ -9,8 +9,9 @@
  *
  * Thread-safety: every counter is a relaxed atomic. Cross-calls and
  * trap-and-map faults bump counters concurrently from any thread, so
- * the counters must not serialise the hot paths: relaxed increments
- * add no ordering and no locks, mirroring per-CPU event counters.
+ * the counters must not serialise the hot paths: the table is sharded
+ * per thread (hw/shards.h) and a getter sums the shards, like per-CPU
+ * event counters. Relaxed increments add no ordering and no locks.
  * Readers (benches, tests) see values at least as fresh as the last
  * synchronisation point (thread join, lock release).
  */
@@ -26,6 +27,7 @@
 
 #include "core/ids.h"
 #include "hw/relaxed_atomic.h"
+#include "hw/shards.h"
 
 /**
  * The counter table, in array order. C(name) is one counter, read as
@@ -101,15 +103,18 @@ class Stats {
         edgeMatrix_[matrixIndex(caller, callee)].fetchAdd(1);
     }
 
-    /** Adds @p n to counter @p s. */
+    /** Adds @p n to counter @p s, on the calling thread's shard. */
     void add(Stat s, uint64_t n = 1)
     {
-        counters_[static_cast<std::size_t>(s)].fetchAdd(n);
+        counters_.local()[static_cast<std::size_t>(s)].fetchAdd(n);
     }
-    /** Current value of counter @p s. */
+    /** Current value of counter @p s, summed over the shards. */
     uint64_t get(Stat s) const
     {
-        return counters_[static_cast<std::size_t>(s)];
+        uint64_t n = 0;
+        for (std::size_t i = 0; i < hw::kShards; ++i)
+            n += counters_[i][static_cast<std::size_t>(s)];
+        return n;
     }
 
 #define CUBICLEOS_STAT_GETTER(name)                                       \
@@ -161,13 +166,16 @@ class Stats {
         return out;
     }
 
-    /** Resets every counter (benchmark warm-up boundary). */
+    /** Resets every counter on every shard (benchmark warm-up
+     *  boundary). */
     void reset()
     {
         for (auto &v : edgeMatrix_)
             v = 0;
-        for (auto &v : counters_)
-            v = 0;
+        for (std::size_t i = 0; i < hw::kShards; ++i) {
+            for (auto &v : counters_[i])
+                v = 0;
+        }
     }
 
   private:
@@ -187,8 +195,13 @@ class Stats {
 
     using Counter = hw::RelaxedAtomic<uint64_t>;
 
+    /**
+     * Not sharded: callers in different cubicles bump different rows,
+     * and 16 copies would add about 2 MB per System.
+     */
     std::vector<Counter> edgeMatrix_;
-    std::array<Counter, static_cast<std::size_t>(Stat::kCount)> counters_;
+    hw::Shards<std::array<Counter, static_cast<std::size_t>(Stat::kCount)>>
+        counters_;
 };
 
 } // namespace cubicleos::core

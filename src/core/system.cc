@@ -37,15 +37,17 @@ CrossCallGuard::CrossCallGuard(System &sys, ThreadCtx &ctx, Cid callee)
     // destroyCubicle's mark-then-wait. Both sides are seq_cst, so in
     // the total order either the destroyer's kDraining store precedes
     // our life load (we back out and refuse), or our increment
-    // precedes the destroyer's in-flight read (it waits for us).
-    // Relaxed ordering would admit the store-buffering interleaving
-    // where the destroyer reads 0 while we read kLive.
+    // precedes the destroyer's read of this thread's shard (it waits
+    // for us). Relaxed ordering would admit the store-buffering
+    // interleaving where the destroyer reads 0 while we read kLive.
     if (callee < sys.monitor().cubicleCount()) {
         Cubicle &cub = sys.monitor().cubicle(callee);
-        cub.inFlight.fetch_add(1);
+        std::atomic<uint32_t> &in_flight =
+            sys.monitor().inFlightSlot(callee);
+        in_flight.fetch_add(1);
         const auto state = static_cast<LifeState>(cub.life.load());
         if (state != LifeState::kLive) {
-            cub.inFlight.fetch_sub(1);
+            in_flight.fetch_sub(1);
             sys.stats().add(Stat::unwoundCalls);
             trace(TraceCategory::kLifecycle,
                   "refused entry into %s cubicle %s", lifeStateName(state),
@@ -54,7 +56,7 @@ CrossCallGuard::CrossCallGuard(System &sys, ThreadCtx &ctx, Cid callee)
                                         std::string(lifeStateName(state)) +
                                         " cubicle '" + cub.name + "'");
         }
-        tracked_ = true;
+        inFlight_ = &in_flight;
     }
 
     const IsolationMode mode = sys.mode();
@@ -80,8 +82,6 @@ CrossCallGuard::CrossCallGuard(System &sys, ThreadCtx &ctx, Cid callee)
 
 CrossCallGuard::~CrossCallGuard()
 {
-    const Cid callee = ctx_.current;
-
     // Return CFI: returns must unwind through the trampoline that made
     // the call, back to the recorded caller.
     assert(!ctx_.callStack.empty() && ctx_.callStack.back() == caller_ &&
@@ -102,8 +102,8 @@ CrossCallGuard::~CrossCallGuard()
 
     // Drop the in-flight ref last: once the counter reads zero the
     // destroyer may reclaim, so this thread must be fully out first.
-    if (tracked_)
-        sys_.monitor().cubicle(callee).inFlight.fetch_sub(1);
+    if (inFlight_)
+        inFlight_->fetch_sub(1);
 }
 
 // ----------------------------------------------------------------------

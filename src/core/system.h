@@ -140,8 +140,8 @@ class CrossCallGuard {
     ThreadCtx &ctx_;
     Cid caller_;
     hw::Pkru savedPkru_;
-    /** True once this guard holds an in-flight ref on the callee. */
-    bool tracked_ = false;
+    /** The in-flight count this guard holds a ref on, once entered. */
+    std::atomic<uint32_t> *inFlight_ = nullptr;
 };
 
 /**

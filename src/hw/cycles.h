@@ -13,8 +13,10 @@
 #ifndef CUBICLEOS_HW_CYCLES_H_
 #define CUBICLEOS_HW_CYCLES_H_
 
-#include <atomic>
 #include <cstdint>
+
+#include "hw/relaxed_atomic.h"
+#include "hw/shards.h"
 
 namespace cubicleos::hw {
 
@@ -59,21 +61,31 @@ inline constexpr uint64_t kSyscall = 600;
 /**
  * A monotonically increasing virtual cycle clock.
  *
- * One instance is owned by each core::System. Charges use relaxed atomics:
- * the clock is an accumulator, not a synchronisation point.
+ * One instance is owned by each core::System. Every cross-call charges
+ * it from the calling thread, so charges go to the thread's own shard
+ * (hw/shards.h) and read() sums the shards. Each shard is a relaxed
+ * atomic: the clock is an accumulator, not a synchronisation point.
  */
 class CycleClock {
   public:
-    CycleClock() : cycles_(0) {}
-
     /** Charges @p n virtual cycles. */
-    void charge(uint64_t n) { cycles_.fetch_add(n, std::memory_order_relaxed); }
+    void charge(uint64_t n) { cycles_.local().fetchAdd(n); }
 
     /** Returns the accumulated virtual cycles. */
-    uint64_t read() const { return cycles_.load(std::memory_order_relaxed); }
+    uint64_t read() const
+    {
+        uint64_t n = 0;
+        for (std::size_t s = 0; s < kShards; ++s)
+            n += cycles_[s];
+        return n;
+    }
 
-    /** Resets the clock to zero (benchmark harness use). */
-    void reset() { cycles_.store(0, std::memory_order_relaxed); }
+    /** Resets the clock to zero on every shard (benchmark harness use). */
+    void reset()
+    {
+        for (std::size_t s = 0; s < kShards; ++s)
+            cycles_[s] = 0;
+    }
 
     /** Converts cycles to nanoseconds at the modelled CPU frequency. */
     static double toNanoseconds(uint64_t cycles)
@@ -82,7 +94,7 @@ class CycleClock {
     }
 
   private:
-    std::atomic<uint64_t> cycles_;
+    Shards<RelaxedAtomic<uint64_t>> cycles_;
 };
 
 } // namespace cubicleos::hw

@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "core/system.h"
+#include "hw/cycles.h"
+#include "hw/shards.h"
 #include "tests/core/toy_components.h"
 
 namespace cubicleos::core {
@@ -60,6 +62,65 @@ TEST(Concurrency, ParallelCrossCallsKeepContextsSeparate)
                       sys.cidOf("app" + std::to_string(t)), srv),
                   2000u);
     }
+}
+
+// Per-crossing counters live on per-thread shards (hw/shards.h). With
+// twice as many threads as shards, threads must share shards, and the
+// summed counters must still be exact: each thread's runAs entry and
+// its kCalls cross-calls are T * (kCalls + 1) crossings of 4 wrpkrus
+// (2 in, 2 out) and two trampoline + stack-switch charges each. The
+// callers are shared cubicles because 2 * kShards isolated cubicles
+// would exhaust the 16 MPK tags, and tag virtualisation would add
+// retag cycles to the clock.
+TEST(Concurrency, ShardedCountersStayExactWhenThreadsShareShards)
+{
+    constexpr int kThreads = 2 * static_cast<int>(hw::kShards);
+    constexpr int kCalls = 500;
+    SystemConfig cfg;
+    cfg.numPages = 8192;
+    System sys(cfg);
+    addToy(sys, "srv").onExports([](Exporter &exp, ToyComponent &) {
+        exp.fn<int(int)>("inc", [](int x) { return x + 1; });
+    });
+    for (int t = 0; t < kThreads; ++t)
+        addToy(sys, "app" + std::to_string(t), CubicleKind::kShared);
+    sys.boot();
+    auto inc = sys.resolve<int(int)>("srv", "inc");
+
+    const uint64_t wrpkrus0 = sys.stats().wrpkrus();
+    const uint64_t calls0 = sys.stats().totalCalls();
+    const uint64_t cycles0 = sys.clock().read();
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            sys.runAs(sys.cidOf("app" + std::to_string(t)), [&] {
+                for (int i = 0; i < kCalls; ++i) {
+                    if (inc(i) != i + 1)
+                        ++failures;
+                }
+            });
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    EXPECT_EQ(failures.load(), 0);
+
+    const uint64_t crossings = uint64_t{kThreads} * (kCalls + 1);
+    EXPECT_EQ(sys.stats().wrpkrus() - wrpkrus0, 4 * crossings);
+    EXPECT_EQ(sys.stats().totalCalls() - calls0,
+              uint64_t{kThreads} * kCalls);
+    EXPECT_EQ(sys.clock().read() - cycles0,
+              crossings * 2 *
+                  (hw::cost::kTrampoline + hw::cost::kStackSwitch +
+                   2 * hw::cost::kWrpkru));
+
+    // Reset from a thread that never wrote most of the shards.
+    sys.stats().reset();
+    sys.clock().reset();
+    EXPECT_EQ(sys.stats().wrpkrus(), 0u);
+    EXPECT_EQ(sys.stats().totalCalls(), 0u);
+    EXPECT_EQ(sys.clock().read(), 0u);
 }
 
 TEST(Concurrency, ParallelWindowGrantsOnDisjointPages)

@@ -3,13 +3,14 @@
  * Threaded lifecycle tests: a cubicle is destroyed while other threads
  * are inside it or racing to enter it. Runs under both the `lifecycle`
  * and `concurrency` labels so the TSan preset exercises the quiesce
- * handshake (Cubicle::life / Cubicle::inFlight, seq_cst) under real
- * contention.
+ * handshake (Cubicle::life / the monitor's per-shard in-flight counts,
+ * seq_cst) under real contention.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,6 +78,58 @@ TEST(LifecycleStressTest, MidCallUnwindTerminatesQuiesce)
     EXPECT_GE(sys.stats().unwoundCalls(), 1u);
     EXPECT_EQ(sys.monitor().lifeState(sys.cidOf("victim")),
               LifeState::kDead);
+}
+
+/**
+ * The quiesce waits on every shard: a thread inside the victim that
+ * makes no checked access cannot be unwound, so destroy must not
+ * return until that thread leaves — and its call then completes
+ * normally.
+ */
+TEST(LifecycleStressTest, QuiesceWaitsForInsiderWithoutCheckedAccess)
+{
+    System sys(fullConfig());
+    std::atomic<bool> entered{false};
+    std::atomic<bool> release{false};
+
+    addToy(sys, "caller");
+    addToy(sys, "svc").onExports([&](Exporter &exp, auto &) {
+        exp.fn<int()>("hold", [&]() -> int {
+            entered.store(true);
+            while (!release.load())
+                std::this_thread::yield();
+            return 7;
+        });
+    });
+    sys.boot();
+
+    auto hold = sys.resolve<int()>("svc", "hold");
+    const Cid caller = sys.cidOf("caller");
+    const Cid svc = sys.cidOf("svc");
+
+    std::atomic<int> result{0};
+    std::thread worker(
+        [&] { sys.runAs(caller, [&] { result.store(hold()); }); });
+    while (!entered.load())
+        std::this_thread::yield();
+
+    std::atomic<bool> destroyed{false};
+    std::thread destroyer([&] {
+        sys.destroyComponent("svc");
+        destroyed.store(true);
+    });
+    while (sys.monitor().lifeState(svc) == LifeState::kLive)
+        std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_FALSE(destroyed.load());
+    EXPECT_EQ(sys.monitor().lifeState(svc), LifeState::kDraining);
+
+    release.store(true);
+    worker.join();
+    destroyer.join();
+    EXPECT_EQ(result.load(), 7);
+    EXPECT_TRUE(destroyed.load());
+    EXPECT_EQ(sys.monitor().lifeState(svc), LifeState::kDead);
 }
 
 /**

@@ -170,8 +170,9 @@ TEST_P(KeyOrderProperty, MemcmpMatchesCompare)
                 keyCompare(enc(values[i]), enc(values[j]));
             if (by_compare == 0) {
                 // Equal values of the same type encode identically.
-                if (values[i].type() == values[j].type())
+                if (values[i].type() == values[j].type()) {
                     EXPECT_EQ(by_key, 0);
+                }
             } else {
                 EXPECT_EQ(by_compare < 0, by_key < 0)
                     << values[i].asText() << " vs "
