@@ -20,7 +20,7 @@
  * benchmark fails, because at that point the auditor is rubber-
  * stamping opacity. Set CODESCAN_LIST_UNRESOLVED=1 to dump every
  * unresolved site (offset and kind); the per-deployment audit JSON
- * (System::auditJson) always lists them all.
+ * (audit::auditJson) always lists them all.
  */
 
 #include <cstdint>

@@ -8,9 +8,10 @@
  * one-command deployment audit.
  *
  * Pass a file path as argv[1] to also dump the httpd deployment's
- * machine-readable audit JSON (System::auditJson) for diffing.
+ * machine-readable audit JSON (audit::auditJson) for diffing.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -18,9 +19,9 @@
 
 #include "apps/httpd/harness.h"
 #include "apps/minisql/speedtest.h"
+#include "audit/audit.h"
 #include "baselines/deployments.h"
 #include "core/system.h"
-#include "core/verifier/lint.h"
 
 namespace {
 
@@ -30,17 +31,12 @@ using namespace cubicleos;
 int
 reportFindings(const char *deployment, core::System &sys)
 {
-    const std::vector<core::verifier::LintFinding> findings =
-        sys.auditIsolation();
-    int bad = 0;
-    for (const core::verifier::LintFinding &f : findings) {
-        std::printf("  [%s] %s: %s\n",
-                    core::verifier::lintSeverityName(f.severity),
-                    core::verifier::lintRuleName(f.rule),
-                    f.message.c_str());
-        if (f.severity >= core::verifier::LintSeverity::kWarning)
-            ++bad;
-    }
+    const std::vector<audit::LintFinding> findings = audit::audit(sys);
+    std::fputs(audit::formatFindings(findings).c_str(), stdout);
+    const auto bad = static_cast<int>(std::count_if(
+        findings.begin(), findings.end(), [](const audit::LintFinding &f) {
+            return f.severity >= audit::LintSeverity::kWarning;
+        }));
 
     std::size_t resolved = 0;
     std::size_t unresolved = 0;
@@ -75,7 +71,7 @@ main(int argc, char **argv)
     bad += reportFindings("httpd", harness.sys());
     if (argc > 1) {
         std::ofstream out(argv[1], std::ios::trunc);
-        out << harness.sys().auditJson();
+        out << audit::auditJson(harness.sys());
         std::printf("audit JSON written to %s\n", argv[1]);
     }
 

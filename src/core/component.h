@@ -63,16 +63,6 @@ struct ComponentSpec {
      * treats the table bytes as data. Empty means no declared targets.
      */
     std::vector<verifier::EntryTable> indirectTables;
-
-    /**
-     * If non-empty, load this component into the cubicle of the named
-     * (earlier-registered) component instead of a fresh one. This is
-     * how coarser partitionings are expressed — e.g. the paper's
-     * Fig. 9a merges VFS, RAMFS and the platform code into one "core"
-     * module. Calls between colocated components are plain calls; no
-     * trampoline, no permission switch.
-     */
-    std::string colocateWith;
 };
 
 /**
@@ -159,26 +149,22 @@ class Component {
     System *sys() const { return sys_; }
 
     /**
-     * Deployment-time colocation override: load this component into
-     * the named component's cubicle (takes precedence over the spec's
-     * colocateWith). Lets one component set serve several
-     * partitionings, as in Fig. 9's CORE vs CORE+RAMFS splits.
+     * Deployment-time colocation: load this component into the cubicle
+     * of the named, earlier-registered component instead of a fresh
+     * one. This is how coarser partitionings are expressed — e.g. the
+     * paper's Fig. 9a merges VFS, RAMFS and the platform code into one
+     * "core" module — and lets one component set serve several
+     * partitionings, as in Fig. 9's CORE vs CORE+RAMFS splits. Calls
+     * between colocated components are plain calls; no trampoline, no
+     * permission switch.
      */
-    void colocateWith(std::string host)
-    {
-        colocationOverride_ = std::move(host);
-    }
-
-    const std::string &colocationOverride() const
-    {
-        return colocationOverride_;
-    }
+    void colocateWith(std::string host) { colocateWith_ = std::move(host); }
 
   private:
     friend class System;
     System *sys_ = nullptr;
     Cid self_ = kNoCubicle;
-    std::string colocationOverride_;
+    std::string colocateWith_;
 };
 
 } // namespace cubicleos::core

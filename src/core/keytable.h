@@ -102,17 +102,6 @@ class KeyTable {
         }
     }
 
-    /** The cubicle currently backed by @p tag, or kNoCubicle. */
-    Cid ownerOf(int tag) const
-    {
-        checkGuard();
-        for (const KeyBinding &s : slots_) {
-            if (s.tag == tag)
-                return s.cid;
-        }
-        return kNoCubicle;
-    }
-
     /** Snapshot of every slot (for the monitor's LRU victim scan). */
     const std::vector<KeyBinding> &slots() const
     {

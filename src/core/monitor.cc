@@ -289,25 +289,25 @@ Monitor::verifierReport(Cid cid) const
     return loadReports_[cid];
 }
 
-verifier::WiringSnapshot
+WiringSnapshot
 Monitor::snapshotWiring() const
 {
     // Loader lock freezes the cubicle table, shared window lock
     // freezes ACLs — acquired in hierarchy order.
     MutexLock loader(loaderMutex_);
     ReaderLock windows(windowMutex_);
-    verifier::WiringSnapshot snap;
+    WiringSnapshot snap;
     snap.sharedKey = sharedKey_;
     snap.cubicles.reserve(cubicles_.size());
     for (const auto &cub : cubicles_) {
-        snap.cubicles.push_back(verifier::CubicleWiring{
+        snap.cubicles.push_back(CubicleWiring{
             cub->id, cub->name, cub->kind, cub->pkey});
     }
     for (Wid wid = 0; wid < windows_.size(); ++wid) {
         const Window &w = windows_[wid];
         if (!w.live)
             continue;
-        snap.windows.push_back(verifier::WindowWiring{
+        snap.windows.push_back(WindowWiring{
             wid, w.owner, w.acl, w.rangeCount, w.hotKey,
             w.rangesEverAdded, windowUsage_[wid][kUsedRead].load(),
             windowUsage_[wid][kUsedWrite].load()});
@@ -1285,27 +1285,6 @@ Monitor::stackRestore(Cid cid, std::size_t saved)
     Cubicle &cub = cubicle(cid);
     MutexLock lock(cub.stackMu);
     cub.stackUsed = saved;
-}
-
-void
-Monitor::debugAcquirePageThenWindowForTest() const
-{
-    // Deliberate inversion: pageMutex_ (rank page, the leaf) is taken
-    // first, then windowMutex_ (rank window). With CUBICLE_LOCKDEP
-    // this aborts inside ReaderLock before touching the shared_mutex;
-    // without it the scopes simply nest and release.
-    MutexLock pages(pageMutex_);
-    ReaderLock windows(windowMutex_);
-}
-
-void
-Monitor::debugWindowLookupUnlockedForTest(Cid cid) const
-{
-    // Deliberate cross-object guard bypass: the loader bound this
-    // table to windowMutex_, which this thread does not hold. With
-    // lockdep the table's checkGuard aborts before touching any state.
-    cubicles_[cid]->windows.findWindowFor(mem::PageType::kGlobal,
-                                          nullptr);
 }
 
 } // namespace cubicleos::core

@@ -75,9 +75,9 @@
 #include "core/keytable.h"
 #include "core/locking.h"
 #include "core/stats.h"
-#include "core/verifier/lint.h"
 #include "core/verifier/report.h"
 #include "core/window.h"
+#include "core/wiring.h"
 #include "hw/cycles.h"
 #include "hw/mpk.h"
 #include "hw/page_table.h"
@@ -88,16 +88,6 @@
 #include "mem/suballoc.h"
 
 namespace cubicleos::core {
-
-/**
- * How the least-privilege audit (verifier::auditWiring) is applied at
- * strict-verify boot. kOff keeps the historical behaviour: only the
- * syntactic linter gates boot. kReport runs the dataflow rules and
- * records their findings in Stats but never refuses. kStrict turns
- * warning-or-worse dataflow findings into boot refusals — asserting
- * that init itself exercises every grant the deployment declares.
- */
-enum class AuditLevel : uint8_t { kOff, kReport, kStrict };
 
 /** System-wide configuration knobs. */
 struct SystemConfig {
@@ -129,18 +119,6 @@ struct SystemConfig {
     int physTagBudget = hw::kNumPhysPkeys;
     /** Default per-cubicle stack arena size in pages. */
     std::size_t stackPages = 16;
-    /**
-     * Strict verification: after boot wires every component, run the
-     * isolation linter over the wiring snapshot and refuse to boot on
-     * any warning-or-worse finding. Off by default: deliberately loose
-     * deployments (ablation baselines, lint demos) must stay bootable.
-     */
-    bool strictVerify = false;
-    /**
-     * Least-privilege audit level applied when @c strictVerify gates
-     * boot (no effect otherwise). See AuditLevel.
-     */
-    AuditLevel auditLevel = AuditLevel::kOff;
 };
 
 /**
@@ -274,8 +252,7 @@ class Monitor {
      * static tag (or re-parks a dynamically-tagged cubicle until first
      * touch), and replays the grants recorded at destroy time —
      * including standing prestage hints. The caller is responsible for
-     * re-running the component's init() and any boot-time audit (see
-     * System::restartComponent).
+     * re-running the component's init() (see System::restartComponent).
      * @throws LoaderError unless the cubicle is kDead; VerifierError
      *         as in loadComponent.
      */
@@ -315,10 +292,10 @@ class Monitor {
 
     /**
      * Plain-data snapshot of the current wiring — cubicle table and
-     * live windows — for the isolation linter. Exports are appended by
+     * live windows (core/wiring.h). Exports are appended by
      * System::wiringSnapshot, which owns the export registry.
      */
-    verifier::WiringSnapshot snapshotWiring() const;
+    WiringSnapshot snapshotWiring() const;
 
     /** Computes the PKRU register value for a thread running in @p cid. */
     hw::Pkru pkruFor(Cid cid) const;
@@ -431,24 +408,10 @@ class Monitor {
         return pageAlloc_.freePageCount();
     }
 
-    /**
-     * Test-only: acquires pageMutex_ then windowMutex_ — a deliberate
-     * hierarchy inversion. Exists solely so the lockdep regression
-     * suite can prove the checker rejects it (death test); never call
-     * it from product code.
-     */
-    void debugAcquirePageThenWindowForTest() const;
-
-    /**
-     * Test-only: performs a window-table lookup without holding
-     * windowMutex_ — the cross-object guard violation that
-     * WindowTable::bindGuard exists to catch. With CUBICLE_LOCKDEP
-     * this aborts; never call it from product code.
-     */
-    void debugWindowLookupUnlockedForTest(Cid cid) const;
-
   private:
     friend class CrossCallGuard;
+    /** The lockdep death tests seed hierarchy violations through it. */
+    friend struct MonitorTestPeer;
 
     /**
      * The calling thread's shard of @p cid's in-flight count: threads
@@ -589,7 +552,7 @@ class Monitor {
     /**
      * Per-window peer masks, indexed by UsageKind. kUsedRead/kUsedWrite
      * are the dataflow history for the least-privilege audit
-     * (verifier::auditWiring): which peers actually faulted a read or
+     * (audit::auditWiring): which peers actually faulted a read or
      * a write through the window; hot windows never fault and therefore
      * stay blank (the audit's documented blind spot). kPrestagedRead/
      * kPrestagedWrite are the peers with a standing prestage hint,

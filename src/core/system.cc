@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <cctype>
 
 #include "core/lifecycle.h"
 #include "core/trace.h"
-#include "core/verifier/audit.h"
 
 namespace cubicleos::core {
 
@@ -226,22 +226,19 @@ System::boot()
     // ones, which join an earlier component's cubicle (coarser
     // partitioning, paper Fig. 9).
     for (auto &comp : components_) {
-        ComponentSpec spec = comp->spec();
+        const ComponentSpec spec = comp->spec();
         comp->sys_ = this;
-        if (!comp->colocationOverride().empty())
-            spec.colocateWith = comp->colocationOverride();
-        if (!spec.colocateWith.empty()) {
+        const std::string &hostName = comp->colocateWith_;
+        if (!hostName.empty()) {
             Cid host = kNoCubicle;
             for (auto &other : components_) {
                 if (other->self_ != kNoCubicle &&
-                    monitor_.cubicle(other->self_).name ==
-                        spec.colocateWith) {
+                    monitor_.cubicle(other->self_).name == hostName) {
                     host = other->self_;
                 }
             }
             if (host == kNoCubicle) {
-                throw LoaderError("colocation target '" +
-                                  spec.colocateWith +
+                throw LoaderError("colocation target '" + hostName +
                                   "' not loaded before '" + spec.name +
                                   "'");
             }
@@ -264,41 +261,6 @@ System::boot()
     // (components list dependencies first, like Unikraft's link order).
     for (auto &comp : components_) {
         runAs(comp->self_, [&] { comp->init(); });
-    }
-
-    // Strict mode: init hooks have wired windows and heap sources, so
-    // the snapshot now shows the deployment's real topology. Refuse to
-    // hand it to the application if the linter finds anything at
-    // warning severity or above. At AuditLevel::kStrict the dataflow
-    // least-privilege rules join the gate — that asserts init itself
-    // exercised every grant; kReport runs them for the counters only.
-    if (config().strictVerify) {
-        std::vector<verifier::LintFinding> findings = lintWiring();
-        if (config().auditLevel != AuditLevel::kOff) {
-            std::vector<verifier::LintFinding> audit =
-                verifier::auditWiring(wiringSnapshot());
-            stats_.countAuditRun(audit.size());
-            if (config().auditLevel == AuditLevel::kStrict) {
-                findings.insert(findings.end(),
-                                std::make_move_iterator(audit.begin()),
-                                std::make_move_iterator(audit.end()));
-            }
-        }
-        if (!verifier::lintClean(findings)) {
-            std::string msg =
-                "strict verify: isolation lint failed at boot:";
-            for (const verifier::LintFinding &f : findings) {
-                if (f.severity < verifier::LintSeverity::kWarning)
-                    continue;
-                msg += "\n  [";
-                msg += verifier::lintSeverityName(f.severity);
-                msg += "] ";
-                msg += verifier::lintRuleName(f.rule);
-                msg += ": ";
-                msg += f.message;
-            }
-            throw LoaderError(msg);
-        }
     }
 }
 
@@ -326,61 +288,50 @@ System::componentAt(Cid cid)
     throw LinkError("no component in cubicle " + std::to_string(cid));
 }
 
-verifier::WiringSnapshot
+bool
+signaturePassesPointers(const char *mangledSig)
+{
+    if (mangledSig == nullptr)
+        return false;
+    for (const char *p = mangledSig; *p != '\0';) {
+        const unsigned char c = static_cast<unsigned char>(*p);
+        if (std::isdigit(c)) {
+            // Length-prefixed identifier: skip the digits, then the
+            // identifier body (its characters are not type codes).
+            std::size_t len = 0;
+            while (std::isdigit(static_cast<unsigned char>(*p)))
+                len = len * 10 + static_cast<std::size_t>(*p++ - '0');
+            while (len-- > 0 && *p != '\0')
+                ++p;
+            continue;
+        }
+        if (c == 'S') {
+            // Substitution reference (S_, S0_, ...): skip through '_'.
+            ++p;
+            while (*p != '\0' && *p != '_')
+                ++p;
+            if (*p == '_')
+                ++p;
+            continue;
+        }
+        if (c == 'P')
+            return true;
+        ++p;
+    }
+    return false;
+}
+
+WiringSnapshot
 System::wiringSnapshot() const
 {
-    verifier::WiringSnapshot snap = monitor_.snapshotWiring();
+    WiringSnapshot snap = monitor_.snapshotWiring();
     snap.exports.reserve(exports_.size());
     for (const ExportSlot &slot : exports_) {
-        snap.exports.push_back(verifier::ExportWiring{
+        snap.exports.push_back(ExportWiring{
             slot.name, slot.owner, slot.ownerKind,
-            verifier::signaturePassesPointers(slot.sigName)});
+            signaturePassesPointers(slot.sigName)});
     }
     return snap;
-}
-
-std::vector<verifier::LintFinding>
-System::lintWiring()
-{
-    std::vector<verifier::LintFinding> findings =
-        verifier::lintWiring(wiringSnapshot());
-    stats_.countLintRun(findings.size());
-    return findings;
-}
-
-std::vector<verifier::LintFinding>
-System::auditIsolation()
-{
-    const verifier::WiringSnapshot snap = wiringSnapshot();
-    std::vector<verifier::LintFinding> findings =
-        verifier::lintWiring(snap);
-    stats_.countLintRun(findings.size());
-    std::vector<verifier::LintFinding> audit = verifier::auditWiring(snap);
-    stats_.countAuditRun(audit.size());
-    findings.insert(findings.end(),
-                    std::make_move_iterator(audit.begin()),
-                    std::make_move_iterator(audit.end()));
-    return findings;
-}
-
-std::string
-System::auditJson()
-{
-    const verifier::WiringSnapshot snap = wiringSnapshot();
-    std::vector<verifier::LintFinding> findings =
-        verifier::lintWiring(snap);
-    std::vector<verifier::LintFinding> audit = verifier::auditWiring(snap);
-    findings.insert(findings.end(),
-                    std::make_move_iterator(audit.begin()),
-                    std::make_move_iterator(audit.end()));
-    std::vector<verifier::ImageAuditView> images;
-    const std::size_t count = monitor_.cubicleCount();
-    images.reserve(count);
-    for (Cid cid = 0; cid < static_cast<Cid>(count); ++cid) {
-        images.push_back(verifier::ImageAuditView{
-            monitor_.cubicle(cid).name, &monitor_.verifierReport(cid)});
-    }
-    return verifier::auditReportJson(snap, images, findings);
 }
 
 const ExportSlot &
@@ -639,30 +590,6 @@ System::restartComponent(std::string_view name)
     // HeapAllocator::owns; cross-calls into live peers work normally.
     runAs(cid, [&] { comp.teardown(); });
     runAs(cid, [&] { comp.init(); });
-
-    // Scoped re-audit (§12 for one cubicle): re-run the wiring lint
-    // and gate on findings anchored to the restarted cubicle. Other
-    // cubicles' wiring did not change, so a full-deployment gate would
-    // only re-report pre-existing accepted findings.
-    if (config().strictVerify) {
-        std::string msg;
-        for (const verifier::LintFinding &f : lintWiring()) {
-            if (f.cubicle != cid ||
-                f.severity < verifier::LintSeverity::kWarning)
-                continue;
-            msg += "\n  [";
-            msg += verifier::lintSeverityName(f.severity);
-            msg += "] ";
-            msg += verifier::lintRuleName(f.rule);
-            msg += ": ";
-            msg += f.message;
-        }
-        if (!msg.empty()) {
-            throw LoaderError(
-                "strict verify: isolation lint failed after restart "
-                "of '" + std::string(name) + "':" + msg);
-        }
-    }
 }
 
 } // namespace cubicleos::core

@@ -211,8 +211,6 @@ class System {
      * the image through the verify cache and replays recorded grants
      * (Monitor::restartCubicle), then teardown() releases pre-crash
      * handles and init() re-runs — both inside the fresh cubicle.
-     * Under strictVerify the restarted cubicle re-earns the boot gate:
-     * warning-or-worse lint findings involving it refuse the restart.
      */
     void restartComponent(std::string_view name);
 
@@ -385,35 +383,10 @@ class System {
 
     /**
      * Plain-data snapshot of the booted system's wiring — cubicles,
-     * live windows, exports — as input to the isolation linter.
+     * live windows, exports (core/wiring.h) — as input to the
+     * isolation linter and auditor (src/audit).
      */
-    verifier::WiringSnapshot wiringSnapshot() const;
-
-    /**
-     * Runs the isolation linter over the current wiring and records
-     * the run in stats(). Findings never throw; callers decide policy
-     * (see verifier::lintClean).
-     */
-    std::vector<verifier::LintFinding> lintWiring();
-
-    /**
-     * Full isolation audit: the syntactic lint rules plus the dataflow
-     * least-privilege rules (verifier::auditWiring) over one wiring
-     * snapshot. Run it after traffic — the dataflow rules compare the
-     * declared ACLs against the accesses that actually happened, so a
-     * fresh boot makes every grant look over-broad. Findings never
-     * throw; callers decide policy.
-     */
-    std::vector<verifier::LintFinding> auditIsolation();
-
-    /**
-     * The combined machine-readable audit: per-image verifier pass-3
-     * records, the window usage matrix, and every lint + dataflow
-     * finding, rendered as deterministic JSON
-     * (verifier::auditReportJson). Safe to diff against a committed
-     * baseline.
-     */
-    std::string auditJson();
+    WiringSnapshot wiringSnapshot() const;
 
     hw::CycleClock &clock() { return monitor_.clock(); }
     IsolationMode mode() const { return mode_; }

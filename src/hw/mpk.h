@@ -28,9 +28,6 @@ namespace cubicleos::hw {
 /** Number of physical protection keys supported by MPK hardware. */
 inline constexpr int kNumPhysPkeys = 16;
 
-/** Historical alias: the hardware tag count. */
-inline constexpr int kNumPkeys = kNumPhysPkeys;
-
 /**
  * First logical key id. Logical keys form a separate, unbounded id
  * space handed out by Mpk::allocLogicalKey(); they never reach the
@@ -251,12 +248,6 @@ class Mpk {
         return next < physBudget_ ? physBudget_ - next : 0;
     }
 
-    /** Physical keys handed out so far (excluding the monitor key). */
-    int allocatedKeys() const
-    {
-        return nextKey_.load(std::memory_order_relaxed) - 1;
-    }
-
     /** Logical keys handed out so far. */
     int allocatedLogicalKeys() const
     {
@@ -266,9 +257,6 @@ class Mpk {
 
     /** The physical-tag budget this allocator enforces. */
     int physBudget() const { return physBudget_; }
-
-    /** True when the modified-MPK execute semantics are modelled. */
-    bool modifiedExecSemantics() const { return modifiedExec_; }
 
     /**
      * Evaluates an MPK check for an access of kind @p access to a page

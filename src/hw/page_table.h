@@ -113,14 +113,6 @@ class AddressSpace {
     PageEntry &entryAt(std::size_t idx) { return entries_[idx]; }
     const PageEntry &entryAt(std::size_t idx) const { return entries_[idx]; }
 
-    /** Returns the entry for @p ptr, or nullptr if outside the space. */
-    const PageEntry *entryFor(const void *ptr) const
-    {
-        if (!contains(ptr))
-            return nullptr;
-        return &entries_[pageIndexOf(ptr)];
-    }
-
     /** Maps @p n pages starting at @p first with @p perms and @p pkey. */
     void map(std::size_t first, std::size_t n, uint8_t perms, uint8_t pkey);
 

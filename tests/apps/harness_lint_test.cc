@@ -8,41 +8,29 @@
 #include <gtest/gtest.h>
 
 #include "apps/httpd/harness.h"
+#include "audit/audit.h"
 #include "baselines/deployments.h"
-#include "core/verifier/lint.h"
 
 namespace cubicleos {
 namespace {
 
-using core::verifier::LintFinding;
-using core::verifier::LintSeverity;
-using core::verifier::lintClean;
-
-std::string
-describe(const std::vector<LintFinding> &findings)
-{
-    std::string out;
-    for (const auto &f : findings) {
-        out += std::string(core::verifier::lintSeverityName(f.severity)) +
-               ": " + f.message + "\n";
-    }
-    return out;
-}
+using audit::formatFindings;
+using audit::lintClean;
 
 TEST(HarnessLint, NginxDeploymentLintsClean)
 {
     httpd::HttpHarness harness(core::IsolationMode::kFull);
     harness.createFile("/index.html", 512);
 
-    auto atBoot = harness.sys().lintWiring();
-    EXPECT_TRUE(lintClean(atBoot)) << describe(atBoot);
+    auto atBoot = audit::lint(harness.sys());
+    EXPECT_TRUE(lintClean(atBoot)) << formatFindings(atBoot);
 
     // Serve a request so the I/O windows carry live buffer grants.
     auto result = harness.fetch("/index.html");
     ASSERT_EQ(result.status, 200);
 
-    auto afterTraffic = harness.sys().lintWiring();
-    EXPECT_TRUE(lintClean(afterTraffic)) << describe(afterTraffic);
+    auto afterTraffic = audit::lint(harness.sys());
+    EXPECT_TRUE(lintClean(afterTraffic)) << formatFindings(afterTraffic);
     EXPECT_EQ(harness.sys().stats().lintRuns(), 2u);
 }
 
@@ -59,8 +47,8 @@ TEST(HarnessLint, SqliteFullDeploymentLintsClean)
         db.exec("SELECT * FROM t");
     });
 
-    auto findings = deployment->system()->lintWiring();
-    EXPECT_TRUE(lintClean(findings)) << describe(findings);
+    auto findings = audit::lint(*deployment->system());
+    EXPECT_TRUE(lintClean(findings)) << formatFindings(findings);
 
     // The loader verified every cubicle image on the way in.
     EXPECT_GE(deployment->system()->stats().imagesVerified(), 7u);

@@ -9,20 +9,18 @@
 
 #include <typeinfo>
 
+#include "audit/audit.h"
 #include "core/system.h"
-#include "core/verifier/lint.h"
 #include "tests/core/toy_components.h"
 
 namespace cubicleos::core {
 namespace {
 
-using verifier::LintFinding;
-using verifier::LintRule;
-using verifier::LintSeverity;
-using verifier::WiringSnapshot;
-using verifier::lintClean;
-using verifier::lintWiring;
-using verifier::signaturePassesPointers;
+using audit::LintFinding;
+using audit::LintRule;
+using audit::LintSeverity;
+using audit::lintClean;
+using audit::lintWiring;
 
 /** Two isolated cubicles + one shared, correctly keyed. */
 WiringSnapshot
@@ -205,10 +203,9 @@ TEST(Lint, FindingsAccumulateAcrossRules)
 
 TEST(Lint, RuleAndSeverityNames)
 {
-    EXPECT_STREQ(verifier::lintRuleName(LintRule::kAclGhostPeer),
+    EXPECT_STREQ(audit::lintRuleName(LintRule::kAclGhostPeer),
                  "acl-ghost-peer");
-    EXPECT_STREQ(verifier::lintSeverityName(LintSeverity::kError),
-                 "error");
+    EXPECT_STREQ(audit::lintSeverityName(LintSeverity::kError), "error");
 }
 
 // ----------------------------------------------------------------------
@@ -251,7 +248,7 @@ TEST(LintSystem, WellWiredToySystemIsClean)
     });
     sys.boot();
 
-    auto findings = sys.lintWiring();
+    auto findings = audit::lint(sys);
     EXPECT_TRUE(lintClean(findings));
     EXPECT_EQ(sys.stats().lintRuns(), 1u);
     EXPECT_EQ(sys.stats().lintFindings(), findings.size());
@@ -273,7 +270,7 @@ TEST(LintSystem, FlagsOverBroadAclAtRuntime)
     });
     sys.boot();
 
-    auto findings = sys.lintWiring();
+    auto findings = audit::lint(sys);
     EXPECT_TRUE(hasRule(findings, LintRule::kAclSelfGrant));
     EXPECT_TRUE(hasRule(findings, LintRule::kAclSharedPeer));
     EXPECT_FALSE(lintClean(findings));
@@ -296,7 +293,7 @@ TEST(LintSystem, StaleAclFlaggedAfterAddRemoveCycle)
     });
     sys.boot();
 
-    auto findings = sys.lintWiring();
+    auto findings = audit::lint(sys);
     EXPECT_TRUE(hasRule(findings, LintRule::kAclStaleGrant));
     EXPECT_FALSE(hasRule(findings, LintRule::kOpenWindowNoRanges));
     EXPECT_FALSE(lintClean(findings));
@@ -323,7 +320,7 @@ TEST(LintSystem, RecycledWindowSlotStartsWithFreshHistory)
     });
     sys.boot();
 
-    auto findings = sys.lintWiring();
+    auto findings = audit::lint(sys);
     EXPECT_TRUE(hasRule(findings, LintRule::kOpenWindowNoRanges));
     EXPECT_FALSE(hasRule(findings, LintRule::kAclStaleGrant));
 }

@@ -6,10 +6,10 @@
  * The static thread-safety annotations cannot express acquisition
  * *order* in a form gcc checks, so these death tests are the guard
  * that the documented hierarchy stays enforced at runtime: a seeded
- * pageMutex_→windowMutex_ inversion through a monitor test hook,
- * per-cubicle locks chained against cid order, and the fault path's
- * shared-vs-exclusive windowMutex_ re-entry. Positive cases pin down
- * that the legal orders stay silent.
+ * pageMutex_→windowMutex_ inversion inside the monitor (through the
+ * MonitorTestPeer friend below), per-cubicle locks chained against
+ * cid order, and the fault path's shared-vs-exclusive windowMutex_
+ * re-entry. Positive cases pin down that the legal orders stay silent.
  *
  * Death tests fork (threadsafe style), so the abort happens in a
  * throwaway child and the suite runs fine under the sanitizer presets.
@@ -22,6 +22,31 @@
 #include "tests/core/toy_components.h"
 
 namespace cubicleos::core {
+
+/**
+ * Seeds lock-discipline violations on Monitor internals, which only a
+ * friend can reach; the debug checker must abort on each.
+ */
+struct MonitorTestPeer {
+    /** pageMutex_ (rank page, the leaf) then windowMutex_. */
+    static void acquirePageThenWindow(const Monitor &monitor)
+    {
+        MutexLock pages(monitor.pageMutex_);
+        ReaderLock windows(monitor.windowMutex_);
+    }
+
+    /**
+     * A window-table lookup without holding windowMutex_, the table's
+     * bound guard: the cross-object violation WindowTable::bindGuard
+     * exists to catch.
+     */
+    static void windowLookupUnlocked(const Monitor &monitor, Cid cid)
+    {
+        monitor.cubicles_[cid]->windows.findWindowFor(
+            mem::PageType::kGlobal, nullptr);
+    }
+};
+
 namespace {
 
 using testing::addToy;
@@ -44,7 +69,7 @@ TEST_F(LockdepTest, MonitorInversionHookAborts)
     addToy(sys, "foo");
     sys.boot();
     // The seeded inversion: pageMutex_ (leaf) before windowMutex_.
-    EXPECT_DEATH(sys.monitor().debugAcquirePageThenWindowForTest(),
+    EXPECT_DEATH(MonitorTestPeer::acquirePageThenWindow(sys.monitor()),
                  "rank inversion");
 }
 
@@ -58,9 +83,9 @@ TEST_F(LockdepTest, UnguardedWindowTableLookupAborts)
     // The loader bound the cubicle's WindowTable to windowMutex_; a
     // lookup without holding it is the cross-object guard violation
     // the static analysis cannot see (DESIGN.md §11).
-    EXPECT_DEATH(
-        sys.monitor().debugWindowLookupUnlockedForTest(sys.cidOf("foo")),
-        "WindowTable accessed without its guard");
+    EXPECT_DEATH(MonitorTestPeer::windowLookupUnlocked(sys.monitor(),
+                                                       sys.cidOf("foo")),
+                 "WindowTable accessed without its guard");
 }
 
 TEST_F(LockdepTest, AssertHeldReportsBothModes)

@@ -1,25 +1,26 @@
 /**
  * @file
- * Tests for SystemConfig::strictVerify: boot runs the isolation linter
- * over the wired system and refuses to hand over a deployment with
- * warning-or-worse findings.
+ * Tests for the strict gate, audit::requireClean: a caller that wants
+ * strict boot lints the wired system after boot() and refuses to hand
+ * over a deployment with warning-or-worse findings; after a hot
+ * restart it gates on the restarted cubicle's findings only.
  */
 
 #include <gtest/gtest.h>
 
+#include "audit/audit.h"
 #include "core/system.h"
-#include "core/verifier/lint.h"
 #include "tests/core/toy_components.h"
 
 namespace cubicleos::core {
 namespace {
 
-SystemConfig
-strictConfig()
+/** boot() followed by the strict gate over the syntactic rules. */
+void
+strictBoot(System &sys)
 {
-    SystemConfig cfg;
-    cfg.strictVerify = true;
-    return cfg;
+    sys.boot();
+    audit::requireClean(audit::lint(sys));
 }
 
 /** producer shares a buffer with consumer — textbook wiring. */
@@ -37,35 +38,39 @@ wireCleanly(System &sys)
     });
 }
 
+/** An init that grants its own window to itself — a warning. */
+void
+selfGrant(testing::ToyComponent &self)
+{
+    System &s = *self.sys();
+    void *buf = s.heapAlloc(256);
+    const Wid wid = s.windowInit();
+    s.windowAdd(wid, buf, 256);
+    s.windowOpen(wid, self.self());
+}
+
 /** producer grants itself — a warning-severity self-grant. */
 void
 wireWithSelfGrant(System &sys)
 {
-    auto &producer = testing::addToy(sys, "producer");
+    testing::addToy(sys, "producer").onInit(selfGrant);
     testing::addToy(sys, "consumer");
-    producer.onInit([](testing::ToyComponent &self) {
-        System &s = *self.sys();
-        void *buf = s.heapAlloc(256);
-        const Wid wid = s.windowInit();
-        s.windowAdd(wid, buf, 256);
-        s.windowOpen(wid, self.self());
-    });
 }
 
 TEST(StrictBoot, WellWiredSystemBoots)
 {
-    System sys(strictConfig());
+    System sys;
     wireCleanly(sys);
-    EXPECT_NO_THROW(sys.boot());
+    EXPECT_NO_THROW(strictBoot(sys));
     EXPECT_EQ(sys.stats().lintRuns(), 1u);
 }
 
 TEST(StrictBoot, RefusesMisWiredSystem)
 {
-    System sys(strictConfig());
+    System sys;
     wireWithSelfGrant(sys);
     try {
-        sys.boot();
+        strictBoot(sys);
         FAIL() << "strict boot accepted a mis-wired system";
     } catch (const LoaderError &e) {
         const std::string what = e.what();
@@ -77,7 +82,7 @@ TEST(StrictBoot, RefusesMisWiredSystem)
 
 TEST(StrictBoot, RefusesGhostPeerGrant)
 {
-    System sys(strictConfig());
+    System sys;
     auto &producer = testing::addToy(sys, "producer");
     producer.onInit([](testing::ToyComponent &self) {
         System &s = *self.sys();
@@ -88,7 +93,7 @@ TEST(StrictBoot, RefusesGhostPeerGrant)
         s.windowOpen(wid, 9);
     });
     try {
-        sys.boot();
+        strictBoot(sys);
         FAIL() << "strict boot accepted a ghost-peer grant";
     } catch (const LoaderError &e) {
         EXPECT_NE(std::string(e.what()).find("acl-ghost-peer"),
@@ -98,7 +103,7 @@ TEST(StrictBoot, RefusesGhostPeerGrant)
 
 TEST(StrictBoot, RefusesStaleAclLeftByInit)
 {
-    System sys(strictConfig());
+    System sys;
     auto &producer = testing::addToy(sys, "producer");
     testing::addToy(sys, "consumer");
     producer.onInit([](testing::ToyComponent &self) {
@@ -110,7 +115,7 @@ TEST(StrictBoot, RefusesStaleAclLeftByInit)
         s.windowRemove(wid, buf); // grant outlives the range
     });
     try {
-        sys.boot();
+        strictBoot(sys);
         FAIL() << "strict boot accepted a stale ACL";
     } catch (const LoaderError &e) {
         EXPECT_NE(std::string(e.what()).find("acl-stale-grant"),
@@ -121,23 +126,60 @@ TEST(StrictBoot, RefusesStaleAclLeftByInit)
 TEST(StrictBoot, InfoFindingsDoNotBlockBoot)
 {
     // A pointer-taking export with no window anywhere is info-severity:
-    // strict mode tolerates it.
-    System sys(strictConfig());
+    // the strict gate tolerates it.
+    System sys;
     auto &fs = testing::addToy(sys, "fs");
     fs.onExports([](Exporter &exp, testing::ToyComponent &) {
         exp.fn<int(const char *)>("open", [](const char *) { return 3; });
     });
-    EXPECT_NO_THROW(sys.boot());
+    EXPECT_NO_THROW(strictBoot(sys));
 }
 
 TEST(StrictBoot, DefaultModeToleratesMisWiring)
 {
-    // The same mis-wired deployment boots when strictVerify is off;
-    // the findings surface only through an explicit lintWiring call.
+    // The same mis-wired deployment boots without the gate; the
+    // findings surface only through an explicit lint call.
     System sys;
     wireWithSelfGrant(sys);
     EXPECT_NO_THROW(sys.boot());
-    EXPECT_FALSE(verifier::lintClean(sys.lintWiring()));
+    EXPECT_FALSE(audit::lintClean(audit::lint(sys)));
+}
+
+TEST(StrictBoot, RestartGateRefusesSelfGrantLeftByRestartedInit)
+{
+    System sys;
+    auto &producer = testing::addToy(sys, "producer");
+    testing::addToy(sys, "consumer");
+    strictBoot(sys);
+
+    // The relaunched producer's init leaves a self-grant behind.
+    producer.onInit(selfGrant);
+    sys.destroyComponent("producer");
+    sys.restartComponent("producer");
+    try {
+        audit::requireClean(audit::lint(sys), sys.cidOf("producer"));
+        FAIL() << "restart gate accepted a self-grant";
+    } catch (const LoaderError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("strict verify"), std::string::npos);
+        EXPECT_NE(what.find("acl-self-grant"), std::string::npos);
+        EXPECT_NE(what.find("producer"), std::string::npos);
+    }
+}
+
+TEST(StrictBoot, RestartGateIgnoresOtherCubiclesWarnings)
+{
+    System sys;
+    wireWithSelfGrant(sys);
+    sys.boot();
+    // The deployment-wide gate refuses producer's self-grant...
+    EXPECT_THROW(audit::requireClean(audit::lint(sys)), LoaderError);
+
+    // ...but a restarted consumer re-earns only its own gate.
+    sys.destroyComponent("consumer");
+    sys.restartComponent("consumer");
+    EXPECT_NO_THROW(
+        audit::requireClean(audit::lint(sys), sys.cidOf("consumer")));
 }
 
 } // namespace

@@ -2,8 +2,9 @@
  * @file
  * Whole-deployment isolation auditor tests: verifier pass 3
  * (interprocedural resolution of indirect flow) at load time, the
- * least-privilege dataflow audit at boot (AuditLevel), and the
- * machine-readable JSON report diffed against a committed baseline.
+ * least-privilege dataflow audit behind the strict gate after boot,
+ * and the machine-readable JSON report diffed against a committed
+ * baseline.
  */
 
 #include <gtest/gtest.h>
@@ -17,11 +18,10 @@
 
 #include "apps/httpd/harness.h"
 #include "apps/minisql/speedtest.h"
+#include "audit/audit.h"
 #include "baselines/deployments.h"
 #include "core/system.h"
-#include "core/verifier/audit.h"
 #include "core/verifier/ipcfg.h"
-#include "core/verifier/lint.h"
 #include "tests/core/toy_components.h"
 
 namespace cubicleos::core {
@@ -393,7 +393,9 @@ TEST(VerifierPass3, MutatedDispatchIdiomDoesNotMatch)
 }
 
 // ----------------------------------------------------------------------
-// Least-privilege dataflow audit at boot (AuditLevel)
+// Least-privilege dataflow audit behind the strict gate, one test per
+// audit level a caller can pick after boot(): off (lint gates), report
+// (audit counted, lint gates) and strict (lint + audit gate).
 // ----------------------------------------------------------------------
 
 /**
@@ -427,14 +429,12 @@ wireThreeWay(System &sys, char **buf, bool bystanderReads)
 
 TEST(AuditLevel, StrictRefusesOverBroadAcl)
 {
-    SystemConfig cfg = toyConfig();
-    cfg.strictVerify = true;
-    cfg.auditLevel = AuditLevel::kStrict;
-    System sys(cfg);
+    System sys(toyConfig());
     char *buf = nullptr;
     wireThreeWay(sys, &buf, /*bystanderReads=*/false);
+    sys.boot();
     try {
-        sys.boot();
+        audit::requireClean(audit::audit(sys));
         FAIL() << "strict audit accepted an unexercised grant";
     } catch (const LoaderError &e) {
         const std::string what = e.what();
@@ -446,38 +446,35 @@ TEST(AuditLevel, StrictRefusesOverBroadAcl)
 
 TEST(AuditLevel, StrictBootsWhenEveryGrantIsExercised)
 {
-    SystemConfig cfg = toyConfig();
-    cfg.strictVerify = true;
-    cfg.auditLevel = AuditLevel::kStrict;
-    System sys(cfg);
+    System sys(toyConfig());
     char *buf = nullptr;
     // bystander only reads: that leaves the info-severity
-    // write-grant-read-only finding, which strict mode tolerates.
+    // write-grant-read-only finding, which the gate tolerates.
     wireThreeWay(sys, &buf, /*bystanderReads=*/true);
-    EXPECT_NO_THROW(sys.boot());
+    sys.boot();
+    EXPECT_NO_THROW(audit::requireClean(audit::audit(sys)));
     EXPECT_EQ(sys.stats().auditRuns(), 1u);
 }
 
 TEST(AuditLevel, OffPreservesLintOnlyStrictBoot)
 {
-    SystemConfig cfg = toyConfig();
-    cfg.strictVerify = true; // auditLevel stays kOff (the default)
-    System sys(cfg);
+    System sys(toyConfig());
     char *buf = nullptr;
     wireThreeWay(sys, &buf, /*bystanderReads=*/false);
-    EXPECT_NO_THROW(sys.boot());
+    sys.boot();
+    EXPECT_NO_THROW(audit::requireClean(audit::lint(sys)));
     EXPECT_EQ(sys.stats().auditRuns(), 0u);
 }
 
 TEST(AuditLevel, ReportCountsWithoutRefusing)
 {
-    SystemConfig cfg = toyConfig();
-    cfg.strictVerify = true;
-    cfg.auditLevel = AuditLevel::kReport;
-    System sys(cfg);
+    System sys(toyConfig());
     char *buf = nullptr;
     wireThreeWay(sys, &buf, /*bystanderReads=*/false);
-    EXPECT_NO_THROW(sys.boot());
+    sys.boot();
+    // The dataflow findings are counted, not gated on.
+    EXPECT_FALSE(audit::lintClean(audit::audit(sys)));
+    EXPECT_NO_THROW(audit::requireClean(audit::lint(sys)));
     EXPECT_EQ(sys.stats().auditRuns(), 1u);
     EXPECT_GE(sys.stats().auditFindings(), 1u);
 }
@@ -489,13 +486,12 @@ TEST(AuditLevel, AuditIsolationConcatenatesBothRuleSets)
     wireThreeWay(sys, &buf, /*bystanderReads=*/false);
     sys.boot();
 
-    const std::vector<verifier::LintFinding> findings =
-        sys.auditIsolation();
+    const std::vector<audit::LintFinding> findings = audit::audit(sys);
     bool sawOverBroad = false;
-    for (const verifier::LintFinding &f : findings)
-        sawOverBroad |= f.rule == verifier::LintRule::kAclOverBroad;
+    for (const audit::LintFinding &f : findings)
+        sawOverBroad |= f.rule == audit::LintRule::kAclOverBroad;
     EXPECT_TRUE(sawOverBroad);
-    EXPECT_FALSE(verifier::lintClean(findings));
+    EXPECT_FALSE(audit::lintClean(findings));
     EXPECT_EQ(sys.stats().auditRuns(), 1u);
     EXPECT_EQ(sys.stats().lintRuns(), 1u);
 }
@@ -531,8 +527,8 @@ fixtureSystem()
 TEST(AuditJson, DeterministicAcrossCalls)
 {
     auto sys = fixtureSystem();
-    const std::string first = sys->auditJson();
-    const std::string second = sys->auditJson();
+    const std::string first = audit::auditJson(*sys);
+    const std::string second = audit::auditJson(*sys);
     EXPECT_EQ(first, second);
     EXPECT_NE(first.find("\"schema\":\"cubicleos-audit-v1\""),
               std::string::npos);
@@ -543,7 +539,7 @@ TEST(AuditJson, MatchesCommittedBaseline)
     const char *path =
         CUBICLEOS_SOURCE_DIR "/tests/fixtures/audit_baseline.json";
     auto sys = fixtureSystem();
-    const std::string actual = sys->auditJson();
+    const std::string actual = audit::auditJson(*sys);
 
     if (std::getenv("CUBICLEOS_REGEN_FIXTURES") != nullptr) {
         std::ofstream out(path, std::ios::trunc);
@@ -572,15 +568,9 @@ TEST(AuditJson, MatchesCommittedBaseline)
 void
 expectDeploymentClean(System &sys)
 {
-    const std::vector<verifier::LintFinding> findings =
-        sys.auditIsolation();
-    std::string report;
-    for (const verifier::LintFinding &f : findings) {
-        if (f.severity >= verifier::LintSeverity::kWarning)
-            report += std::string(verifier::lintRuleName(f.rule)) +
-                      ": " + f.message + "\n";
-    }
-    EXPECT_TRUE(verifier::lintClean(findings)) << report;
+    const std::vector<audit::LintFinding> findings = audit::audit(sys);
+    EXPECT_TRUE(audit::lintClean(findings))
+        << audit::formatFindings(findings, audit::LintSeverity::kWarning);
 
     const std::size_t count = sys.monitor().cubicleCount();
     ASSERT_GT(count, 0u);
@@ -596,7 +586,7 @@ expectDeploymentClean(System &sys)
             << " indirect sites unresolved";
     }
     // The JSON render of a real deployment stays deterministic.
-    EXPECT_EQ(sys.auditJson(), sys.auditJson());
+    EXPECT_EQ(audit::auditJson(sys), audit::auditJson(sys));
 }
 
 TEST(DeploymentAudit, HttpdEightCubiclesAuditsClean)

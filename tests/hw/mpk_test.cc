@@ -14,7 +14,7 @@ namespace {
 TEST(Pkru, DenyAllDeniesEveryKey)
 {
     Pkru pkru = Pkru::denyAll();
-    for (int k = 0; k < kNumPkeys; ++k) {
+    for (int k = 0; k < kNumPhysPkeys; ++k) {
         EXPECT_FALSE(pkru.canRead(k)) << k;
         EXPECT_FALSE(pkru.canWrite(k)) << k;
     }
@@ -23,7 +23,7 @@ TEST(Pkru, DenyAllDeniesEveryKey)
 TEST(Pkru, AllowAllAllowsEveryKey)
 {
     Pkru pkru = Pkru::allowAll();
-    for (int k = 0; k < kNumPkeys; ++k) {
+    for (int k = 0; k < kNumPhysPkeys; ++k) {
         EXPECT_TRUE(pkru.canRead(k)) << k;
         EXPECT_TRUE(pkru.canWrite(k)) << k;
     }
@@ -33,7 +33,7 @@ TEST(Pkru, AllowSingleKeyLeavesOthersDenied)
 {
     Pkru pkru = Pkru::denyAll();
     pkru.allow(5);
-    for (int k = 0; k < kNumPkeys; ++k) {
+    for (int k = 0; k < kNumPhysPkeys; ++k) {
         EXPECT_EQ(pkru.canRead(k), k == 5) << k;
         EXPECT_EQ(pkru.canWrite(k), k == 5) << k;
     }
@@ -81,7 +81,7 @@ TEST(Mpk, AllocatesFifteenKeysAfterMonitorKey)
 {
     Mpk mpk;
     // Key 0 is reserved for the monitor; 1..15 are allocatable.
-    for (int expected = 1; expected < kNumPkeys; ++expected)
+    for (int expected = 1; expected < kNumPhysPkeys; ++expected)
         EXPECT_EQ(mpk.allocKey(), expected);
     EXPECT_EQ(mpk.allocKey(), -1) << "16th allocation must fail";
 }
@@ -157,7 +157,7 @@ TEST_P(PkruSweep, KeyIndependence)
     const int key = GetParam();
     Pkru pkru = Pkru::denyAll();
     pkru.allow(key);
-    for (int other = 0; other < kNumPkeys; ++other) {
+    for (int other = 0; other < kNumPhysPkeys; ++other) {
         if (other == key)
             continue;
         EXPECT_FALSE(pkru.canRead(other));
@@ -170,7 +170,7 @@ TEST_P(PkruSweep, KeyIndependence)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKeys, PkruSweep,
-                         ::testing::Range(0, kNumPkeys));
+                         ::testing::Range(0, kNumPhysPkeys));
 
 } // namespace
 } // namespace cubicleos::hw
