@@ -10,15 +10,24 @@
  *     plus the physical-tag hit rate under the two canonical access
  *     patterns — adversarial round-robin (every switch touches a
  *     different parked cubicle) and per-cubicle batching (each
- *     cubicle serves a burst before the next one runs).
+ *     cubicle serves a burst before the next one runs). Next to the
+ *     modelled cycles, the median wall-clock µs of one fault-in and
+ *     one eviction, timed around Monitor::ensureResident on fresh
+ *     systems (kTimingReps of them): a bind with the pool full is an
+ *     eviction plus a fault-in, a bind onto the tag a destroyed
+ *     worker freed is a fault-in alone, and the eviction is their
+ *     difference of medians.
  *
  *  2. The 64-cubicle multi-tenant web deployment (26 tenant groups on
  *     the Fig. 5 networked stack) serving a working set in per-tenant
  *     batches: the acceptance gate is a >= 90% steady-state hit rate.
  */
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/httpd/harness.h"
@@ -29,29 +38,40 @@ using namespace cubicleos;
 
 namespace {
 
+/** Fresh systems per sweep point for the wall-clock transition times. */
+constexpr int kTimingReps = 5;
+
 struct MicroResult {
     int cubicles = 0;
     uint64_t evictions = 0;
     uint64_t faultIns = 0;
     double cyclesPerEviction = 0;  ///< full evict sweep, amortised
     double faultInCycles = 0;      ///< one parked->resident transition
+    double evictWallUs = 0;        ///< median, 0 without evictions
+    double faultInWallUs = 0;      ///< median, 0 without fault-ins
     double roundRobinHitPct = 0;
     double batchedHitPct = 0;
 };
 
-/** Boots @p n toy cubicles plus a hot driver and measures the sweep. */
-MicroResult
-runMicro(int n)
+core::SystemConfig
+microConfig()
 {
     core::SystemConfig cfg;
     cfg.numPages = 32768;
     cfg.stackPages = 2;
     cfg.virtualizeTags = true;
-    core::System sys(cfg);
-    // Worker 0 doubles as the driver (it runs constantly, so it stays
-    // resident); workers 1..n-1 are the parked population under test.
-    // That keeps the whole sweep inside the 128-cid ACL width even at
-    // the top of the range.
+    return cfg;
+}
+
+/**
+ * Boots @p n toy workers w0..w{n-1}. Worker 0 doubles as the driver
+ * (it runs constantly, so it stays resident); workers 1..n-1 are the
+ * parked population under test. That keeps the whole sweep inside the
+ * 128-cid ACL width even at the top of the range.
+ */
+void
+bootWorkers(core::System &sys, int n)
+{
     for (int i = 0; i < n; ++i) {
         core::testing::addToy(sys, "w" + std::to_string(i))
             .onExports([](core::Exporter &exp,
@@ -60,6 +80,83 @@ runMicro(int n)
             });
     }
     sys.boot();
+}
+
+double
+median(std::vector<double> v)
+{
+    if (v.empty())
+        return 0;
+    std::sort(v.begin(), v.end());
+    const std::size_t mid = v.size() / 2;
+    return v.size() % 2 ? v[mid] : (v[mid - 1] + v[mid]) / 2;
+}
+
+/** Wall-clock µs of one Monitor::ensureResident(@p cid). */
+double
+timeBind(core::Monitor &mon, core::Cid cid)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    mon.ensureResident(cid);
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double, std::micro>(t1 - t0).count();
+}
+
+/**
+ * Median wall-clock µs of one fault-in and of one eviction with @p n
+ * workers. Boot leaves the dynamic pool full, so three rounds over the
+ * parked workers time evictions plus fault-ins; then each destroy of
+ * a resident worker frees a tag for one fault-in alone.
+ */
+void
+timeTransitions(int n, MicroResult &r)
+{
+    std::vector<double> fault_in, miss;
+    for (int rep = 0; rep < kTimingReps; ++rep) {
+        core::System sys(microConfig());
+        bootWorkers(sys, n);
+        core::Monitor &mon = sys.monitor();
+        const int parked = mon.parkedKey();
+        std::vector<core::Cid> dynamic;
+        for (core::Cid cid = 0; cid < mon.cubicleCount(); ++cid) {
+            if (mon.cubicle(cid).lkey >= 0)
+                dynamic.push_back(cid);
+        }
+        if (dynamic.size() <= mon.config().dynamicTags)
+            return; // everyone fits: no eviction to time
+        for (int round = 0; round < 3; ++round) {
+            for (const core::Cid cid : dynamic) {
+                if (mon.cubicle(cid).pkey == parked)
+                    miss.push_back(timeBind(mon, cid));
+            }
+        }
+        for (std::size_t i = 0; i < mon.config().dynamicTags; ++i) {
+            auto resident = std::find_if(
+                dynamic.begin(), dynamic.end(), [&](core::Cid c) {
+                    return mon.cubicleAlive(c) &&
+                           mon.cubicle(c).pkey != parked;
+                });
+            auto waiting = std::find_if(
+                dynamic.begin(), dynamic.end(), [&](core::Cid c) {
+                    return mon.cubicleAlive(c) &&
+                           mon.cubicle(c).pkey == parked;
+                });
+            if (resident == dynamic.end() || waiting == dynamic.end())
+                break;
+            mon.destroyCubicle(*resident);
+            fault_in.push_back(timeBind(mon, *waiting));
+        }
+    }
+    r.faultInWallUs = median(fault_in);
+    r.evictWallUs = std::max(0.0, median(miss) - r.faultInWallUs);
+}
+
+/** Boots @p n toy cubicles plus a hot driver and measures the sweep. */
+MicroResult
+runMicro(int n)
+{
+    core::System sys(microConfig());
+    bootWorkers(sys, n);
 
     std::vector<core::CrossFn<int(int)>> ping;
     for (int i = 1; i < n; ++i) {
@@ -114,6 +211,7 @@ runMicro(int n)
         }
     });
     r.batchedHitPct = sys.stats().tagHitRatePercent();
+    timeTransitions(n, r);
     return r;
 }
 
@@ -171,18 +269,21 @@ main()
                   "Sartakov et al., ASPLOS'21, §8 (tag "
                   "virtualisation); DESIGN.md §14");
 
-    std::printf("%9s %10s %10s %14s %12s %9s %9s\n", "cubicles",
-                "evictions", "fault-ins", "cyc/eviction",
-                "faultin cyc", "rrobin%", "batched%");
+    std::printf("%9s %10s %10s %13s %9s %12s %10s %9s %9s\n",
+                "cubicles", "evictions", "fault-ins", "cyc/eviction",
+                "evict us", "faultin cyc", "faultin us", "rrobin%",
+                "batched%");
     std::vector<MicroResult> micro;
     for (int n : {8, 16, 32, 64, 128}) {
         MicroResult r = runMicro(n);
-        std::printf("%9d %10llu %10llu %14.0f %12.0f %8.1f%% %8.1f%%\n",
+        std::printf("%9d %10llu %10llu %13.0f %9.2f %12.0f %10.2f "
+                    "%8.1f%% %8.1f%%\n",
                     r.cubicles,
                     static_cast<unsigned long long>(r.evictions),
                     static_cast<unsigned long long>(r.faultIns),
-                    r.cyclesPerEviction, r.faultInCycles,
-                    r.roundRobinHitPct, r.batchedHitPct);
+                    r.cyclesPerEviction, r.evictWallUs, r.faultInCycles,
+                    r.faultInWallUs, r.roundRobinHitPct,
+                    r.batchedHitPct);
         micro.push_back(r);
     }
 
@@ -209,33 +310,47 @@ main()
         std::perror("BENCH_tag_pressure.json");
         return 1;
     }
+    // One run with its provenance; a before/after comparison keeps two
+    // such runs side by side in the "runs" list.
     std::fprintf(json,
                  "{\n"
                  "  \"bench\": \"tag_pressure\",\n"
-                 "  \"physical_tags\": %d,\n"
-                 "  \"dynamic_pool\": 4,\n"
-                 "  \"micro_sweep\": [\n",
+                 "  \"runs\": [{\n"
+                 "    \"git_sha\": \"%s\",\n"
+                 "    \"build_type\": \"%s\",\n"
+                 "    \"lockdep\": %s,\n"
+                 "    \"hardware_concurrency\": %u,\n"
+                 "    \"timing_reps\": %d,\n"
+                 "    \"physical_tags\": %d,\n"
+                 "    \"dynamic_pool\": 4,\n"
+                 "    \"micro_sweep\": [\n",
+                 CUBICLEOS_GIT_SHA, CUBICLEOS_BUILD_TYPE,
+                 core::lockdep::kEnabled ? "true" : "false",
+                 std::thread::hardware_concurrency(), kTimingReps,
                  hw::kNumPhysPkeys);
     for (std::size_t i = 0; i < micro.size(); ++i) {
         const MicroResult &r = micro[i];
         std::fprintf(
             json,
-            "    {\"logical_cubicles\": %d, \"evictions\": %llu, "
+            "      {\"logical_cubicles\": %d, \"evictions\": %llu, "
             "\"fault_ins\": %llu, \"cycles_per_eviction\": %.0f, "
+            "\"evict_wall_us\": %.3f, "
             "\"fault_in_latency_cycles\": %.0f, "
+            "\"fault_in_wall_us\": %.3f, "
             "\"round_robin_hit_pct\": %.2f, "
             "\"batched_hit_pct\": %.2f}%s\n",
             r.cubicles, static_cast<unsigned long long>(r.evictions),
             static_cast<unsigned long long>(r.faultIns),
-            r.cyclesPerEviction, r.faultInCycles, r.roundRobinHitPct,
-            r.batchedHitPct, i + 1 < micro.size() ? "," : "");
+            r.cyclesPerEviction, r.evictWallUs, r.faultInCycles,
+            r.faultInWallUs, r.roundRobinHitPct, r.batchedHitPct,
+            i + 1 < micro.size() ? "," : "");
     }
-    std::fprintf(json, "  ],\n  \"multi_tenant_serving\": [\n");
+    std::fprintf(json, "    ],\n    \"multi_tenant_serving\": [\n");
     for (std::size_t i = 0; i < serve.size(); ++i) {
         const ServeResult &r = serve[i];
         std::fprintf(
             json,
-            "    {\"cubicles\": %zu, \"cold_evictions\": %llu, "
+            "      {\"cubicles\": %zu, \"cold_evictions\": %llu, "
             "\"cold_fault_ins\": %llu, \"cold_fault_in_pages\": %llu, "
             "\"cold_ms\": %.2f, \"steady_state_hit_pct\": %.2f, "
             "\"steady_ms\": %.2f}%s\n",
@@ -246,7 +361,7 @@ main()
             r.coldMs, r.steadyHitPct, r.steadyMs,
             i + 1 < serve.size() ? "," : "");
     }
-    std::fprintf(json, "  ]\n}\n");
+    std::fprintf(json, "    ]\n  }]\n}\n");
     std::fclose(json);
     std::printf("\nwrote BENCH_tag_pressure.json\n");
 

@@ -9,8 +9,10 @@
  * tenant once cold (forcing parked tenants through the full
  * evict/fault-back-in path), then re-serves a working set in
  * per-tenant batches and hard-fails if the steady-state physical-tag
- * hit rate drops below the committed floor. Deterministic (virtual
- * clock + counters), so it runs as an ordinary tier-1 ctest.
+ * hit rate drops below the committed floor, or if the cold pass's
+ * residency walks read more page-table entries per eviction or
+ * fault-in than the committed ceiling. Deterministic (virtual clock +
+ * counters), so it runs as an ordinary tier-1 ctest.
  */
 
 #include <cstdio>
@@ -32,6 +34,14 @@ constexpr std::size_t kFileSize = 4096;
  * burst, so misses only happen on the first request of a batch.
  */
 constexpr double kHitRateFloor = 90.0;
+
+/**
+ * Committed ceiling on the page-table entries the residency walks
+ * (eviction and fault-in) examine per transition in the cold pass.
+ * They visit only the 64-page groups whose key summary flags the tag
+ * they look for; a walk over the whole 65,536-page space reads 65,536.
+ */
+constexpr uint64_t kScanPagesPerTransition = 2048;
 
 } // namespace
 
@@ -76,6 +86,23 @@ main()
         std::fprintf(stderr,
                      "tag_pressure_smoke: 64 cubicles on 16 tags took "
                      "no evictions — virtualisation is not engaged\n");
+        return 1;
+    }
+    const uint64_t transitions = cold_evictions + cold_fault_ins;
+    const uint64_t cold_scan = st.residencyScanPages();
+    const uint64_t scan_per_transition = cold_scan / transitions;
+    if (scan_per_transition > kScanPagesPerTransition) {
+        std::fprintf(stderr,
+                     "tag_pressure_smoke: residency walks read %llu "
+                     "page-table entries over %llu evictions and "
+                     "fault-ins (%llu each), ceiling is %llu.\nThey "
+                     "should visit only the groups the key summary "
+                     "flags (hw::AddressSpace::forEachKeyRun).\n",
+                     static_cast<unsigned long long>(cold_scan),
+                     static_cast<unsigned long long>(transitions),
+                     static_cast<unsigned long long>(scan_per_transition),
+                     static_cast<unsigned long long>(
+                         kScanPagesPerTransition));
         return 1;
     }
 
@@ -126,11 +153,16 @@ main()
     }
 
     std::printf("tag_pressure_smoke: %zu cubicles on %d physical tags; "
-                "%llu evictions / %llu fault-ins during cold serve; "
-                "steady-state tag hit rate %.1f%% (floor %.1f%%)\n",
+                "%llu evictions / %llu fault-ins during cold serve "
+                "walked %llu page-table entries, %llu each (ceiling "
+                "%llu); steady-state tag hit rate %.1f%% (floor "
+                "%.1f%%)\n",
                 cubicles, hw::kNumPhysPkeys,
                 static_cast<unsigned long long>(cold_evictions),
                 static_cast<unsigned long long>(cold_fault_ins),
+                static_cast<unsigned long long>(cold_scan),
+                static_cast<unsigned long long>(scan_per_transition),
+                static_cast<unsigned long long>(kScanPagesPerTransition),
                 hit_rate, kHitRateFloor);
     return 0;
 }

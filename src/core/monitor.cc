@@ -523,7 +523,7 @@ Monitor::destroyWindowLocked(Cid owner, Wid wid)
         // race this sweep and win on a page; it leaves the page tagged
         // for a still-entitled accessor, which lazy close already
         // permits.
-        sweepTag(0, space_.numPages(), w.hotKey, cubicles_[owner]->pkey);
+        sweepTag(w.hotKey, cubicles_[owner]->pkey);
         for (std::size_t i = 0; i < cubicleCount(); ++i)
             cubicles_[i]->extraAllow.deny(w.hotKey);
     }
@@ -887,8 +887,9 @@ Monitor::evictLocked()
     // parked tag — the victim's own pages and pages other owners
     // granted it through windows (their tag ran ahead of revocation
     // under §5.6 laziness; parking them is a narrowing, always safe).
-    const std::size_t pages =
-        sweepTag(0, space_.numPages(), tag, parkedKey_);
+    std::size_t examined = 0;
+    const std::size_t pages = sweepTag(tag, parkedKey_, &examined);
+    stats_->add(Stat::residencyScanPages, examined);
 
     // Unlike PR 8's widening retags, an eviction is a *narrowing*
     // retag that cached grants may still cover: bump the revocation
@@ -909,15 +910,22 @@ Monitor::faultInLocked(Cid cid, int tag)
     const auto parked = static_cast<uint8_t>(parkedKey_);
     const auto to = static_cast<uint8_t>(tag);
 
-    // Restore the cubicle's own parked pages in chunked runs.
-    std::size_t total = retagRuns(
-        0, space_.numPages(),
-        [&](std::size_t p) {
-            return space_.entryAt(p).present &&
-                   space_.entryAt(p).pkey == parked &&
-                   meta_.at(p).owner == cid;
-        },
-        [to](std::size_t) { return to; }, /*count=*/true);
+    // Restore the cubicle's own parked pages in chunked runs, over the
+    // groups the key summary flags for the parked tag. Other parked
+    // pages stay, so the flags stay too.
+    std::size_t total = 0;
+    const std::size_t examined = space_.forEachKeyRun(
+        parked, /*clear=*/false, [&](std::size_t first, std::size_t end) {
+            total += retagRuns(
+                first, end,
+                [&](std::size_t p) {
+                    return space_.entryAt(p).present &&
+                           space_.entryAt(p).pkey == parked &&
+                           meta_.at(p).owner == cid;
+                },
+                [to](std::size_t) { return to; }, /*count=*/true);
+        });
+    stats_->add(Stat::residencyScanPages, examined);
 
     // Replay standing prestage hints: every live window that prestaged
     // for this cubicle (and still lists it in the ACL) gets its parked
@@ -947,17 +955,26 @@ Monitor::faultInLocked(Cid cid, int tag)
 }
 
 std::size_t
-Monitor::sweepTag(std::size_t first, std::size_t end, int from, int to)
+Monitor::sweepTag(int from, int to, std::size_t *examined)
 {
     const auto from_key = static_cast<uint8_t>(from);
     const auto to_key = static_cast<uint8_t>(to);
-    return retagRuns(
-        first, end,
-        [this, from_key](std::size_t p) {
-            return space_.entryAt(p).present &&
-                   space_.entryAt(p).pkey == from_key;
-        },
-        [to_key](std::size_t) { return to_key; }, /*count=*/true);
+    std::size_t total = 0;
+    // Every present page of from_key moves, so the walk may clear the
+    // summary flags it visits.
+    const std::size_t visited = space_.forEachKeyRun(
+        from_key, /*clear=*/true, [&](std::size_t first, std::size_t end) {
+            total += retagRuns(
+                first, end,
+                [this, from_key](std::size_t p) {
+                    return space_.entryAt(p).present &&
+                           space_.entryAt(p).pkey == from_key;
+                },
+                [to_key](std::size_t) { return to_key; }, /*count=*/true);
+        });
+    if (examined)
+        *examined = visited;
+    return total;
 }
 
 // ----------------------------------------------------------------------
@@ -1049,19 +1066,23 @@ Monitor::destroyCubicle(Cid cid)
         const int victim_tag = cub.pkey;
         if (victim_tag >= 0 && victim_tag != parkedKey_) {
             const auto vkey = static_cast<uint8_t>(victim_tag);
-            retagRuns(
-                0, space_.numPages(),
-                [&](std::size_t p) {
-                    const Cid own = meta_.at(p).owner;
-                    return space_.entryAt(p).present &&
-                           space_.entryAt(p).pkey == vkey && own != cid &&
-                           own < cubicleCount();
-                },
-                [&](std::size_t p) {
-                    return static_cast<uint8_t>(
-                        cubicles_[meta_.at(p).owner]->pkey);
-                },
-                /*count=*/true);
+            space_.forEachKeyRun(
+                vkey, /*clear=*/false,
+                [&](std::size_t first, std::size_t end) {
+                    retagRuns(
+                        first, end,
+                        [&](std::size_t p) {
+                            const Cid own = meta_.at(p).owner;
+                            return space_.entryAt(p).present &&
+                                   space_.entryAt(p).pkey == vkey &&
+                                   own != cid && own < cubicleCount();
+                        },
+                        [&](std::size_t p) {
+                            return static_cast<uint8_t>(
+                                cubicles_[meta_.at(p).owner]->pkey);
+                        },
+                        /*count=*/true);
+                });
         }
 
         // 3d. Hot-window keys granted TO the victim die with it.

@@ -465,10 +465,14 @@ class Monitor {
     std::size_t faultInLocked(Cid cid, int tag)
         REQUIRES(windowMutex_, keyMutex_);
 
-    /** One chunked setKeyRange sweep: pages in [first,end) whose
-     *  current tag is @p from become @p to. Returns pages retagged. */
-    std::size_t sweepTag(std::size_t first, std::size_t end, int from,
-                         int to);
+    /**
+     * Every present page whose tag is @p from becomes @p to, in
+     * chunked runs over the groups the key summary flags for @p from
+     * (it clears those flags). Stores the entries the walk covered in
+     * @p examined when given. Returns pages retagged.
+     */
+    std::size_t sweepTag(int from, int to,
+                         std::size_t *examined = nullptr);
 
     /**
      * The page-run retag every sweep shares: each maximal run of pages

@@ -51,6 +51,7 @@
     R(tagHitRatePercent, tagHits, tagMisses) /* callee bound/parked */   \
     C(evictions)                        /* LRU tag evictions */           \
     P(countFaultIn, faultIns, faultInPages)    /* parked, re-bound */     \
+    C(residencyScanPages)  /* PTEs the evict/fault-in key walks read */   \
     P(countDestroy, destroys, reclaimedPages)  /* pages freed */          \
     C(restarts)                         /* relaunches after destroy */    \
     C(unwoundCalls)                     /* PeerFault verdicts */          \

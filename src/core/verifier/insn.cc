@@ -411,7 +411,7 @@ decodeAt(std::span<const uint8_t> image, std::size_t pos)
 
     int immBytes = spec.imm;
     if (immBytes == kImmZ)
-        immBytes = opsize16 ? 2 : 4;
+        immBytes = (opsize16 && !rexW) ? 2 : 4; // REX.W overrides 0x66
     else if (immBytes == kImmV)
         immBytes = rexW ? 8 : (opsize16 ? 2 : 4);
     len += static_cast<std::size_t>(immBytes);

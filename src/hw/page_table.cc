@@ -10,6 +10,7 @@ AddressSpace::AddressSpace(std::size_t num_pages, CycleClock *clock)
     : memory_(static_cast<std::byte *>(
           std::aligned_alloc(kPageSize, num_pages * kPageSize))),
       entries_(num_pages),
+      groupKeys_((num_pages + kKeyGroupPages - 1) / kKeyGroupPages),
       clock_(clock)
 {
     assert(memory_ && "address-space allocation failed");
@@ -26,6 +27,7 @@ AddressSpace::map(std::size_t first, std::size_t n, uint8_t perms,
         entries_[i].perms = perms;
         entries_[i].pkey = pkey;
     }
+    flagKey(first, n, pkey);
 }
 
 void
@@ -43,11 +45,26 @@ AddressSpace::setKeyRange(std::size_t first, std::size_t n, uint8_t pkey)
     for (std::size_t i = first; i < first + n; ++i)
         entries_[i].pkey = pkey; // atomic store; concurrent checks see
                                  // either the old or the new tag
+    flagKey(first, n, pkey);
     retags_.fetchAdd(1);
     retagPages_.fetchAdd(n);
     if (clock_)
         clock_->charge(cost::kPkeyMprotect);
     return n;
+}
+
+void
+AddressSpace::flagKey(std::size_t first, std::size_t n, uint8_t key)
+{
+    if (n == 0)
+        return;
+    // After the tag stores, and never skipped when the bit looks set:
+    // a sweep whose clear reads this fetch-or must also see the tags
+    // (see forEachKeyRun).
+    const uint16_t bit = keyBit(key);
+    const std::size_t last = (first + n - 1) / kKeyGroupPages;
+    for (std::size_t g = first / kKeyGroupPages; g <= last; ++g)
+        groupKeys_[g].fetch_or(bit, std::memory_order_release);
 }
 
 void

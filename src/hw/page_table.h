@@ -9,12 +9,16 @@
  *
  * The page table holds, per page: presence, R/W/X permissions, and the
  * 4-bit MPK protection key. Access checks combine page permissions with
- * the PKRU state, exactly as the hardware would.
+ * the PKRU state, exactly as the hardware would. A per-group key
+ * summary lets the monitor's tag sweeps skip groups that cannot hold
+ * the tag they look for (DESIGN.md §14).
  */
 
 #ifndef CUBICLEOS_HW_PAGE_TABLE_H_
 #define CUBICLEOS_HW_PAGE_TABLE_H_
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdlib>
 #include <cstdint>
@@ -33,6 +37,9 @@ namespace cubicleos::hw {
 inline constexpr std::size_t kPageSize = 4096;
 /** log2(kPageSize). */
 inline constexpr std::size_t kPageShift = 12;
+
+/** Pages per group of the key summary (AddressSpace::groupKeys). */
+inline constexpr std::size_t kKeyGroupPages = 64;
 
 /** Rounds @p n up to a whole number of pages. */
 constexpr std::size_t
@@ -110,7 +117,7 @@ class AddressSpace {
         return memory_.get() + idx * kPageSize;
     }
 
-    PageEntry &entryAt(std::size_t idx) { return entries_[idx]; }
+    /** Read-only: map, unmap and setKeyRange are the only writers. */
     const PageEntry &entryAt(std::size_t idx) const { return entries_[idx]; }
 
     /** Maps @p n pages starting at @p first with @p perms and @p pkey. */
@@ -150,6 +157,62 @@ class AddressSpace {
                                const void *ptr, std::size_t len,
                                Access access) const;
 
+    /**
+     * The key summary of group @p g, pages [g, g + 1) * kKeyGroupPages:
+     * bit k set when some present page of the group may carry key k.
+     * Conservative: map and setKeyRange store the tags, then set the
+     * bit (release); only a clearing forEachKeyRun clears one.
+     */
+    uint16_t groupKeys(std::size_t g) const
+    {
+        return groupKeys_[g].load(std::memory_order_acquire);
+    }
+
+    /**
+     * Calls @p scan(first, end) for each maximal run of groups whose
+     * summary flags @p key, in address order, with [first, end) the
+     * run's pages. A present page carrying @p key outside every run
+     * was tagged by a writer racing this walk, whose bit stays set.
+     *
+     * With @p clear, each group's bit is cleared (acquire) before its
+     * run is scanned, and @p scan must move every present page that
+     * carries @p key out of the run. A writer racing such a sweep has
+     * its page swept or its bit left set: either its fetch-or comes
+     * first in the group's modification order, and the clear makes
+     * its tag stores visible to the scan, or it comes after the clear.
+     *
+     * @return pages in the visited runs: the entries @p scan may read.
+     */
+    template <typename Scan>
+    std::size_t forEachKeyRun(uint8_t key, bool clear, Scan scan)
+    {
+        const uint16_t bit = keyBit(key);
+        auto flagged = [&](std::size_t g) {
+            if ((groupKeys_[g].load(std::memory_order_acquire) & bit) == 0)
+                return false;
+            if (clear)
+                groupKeys_[g].fetch_and(static_cast<uint16_t>(~bit),
+                                        std::memory_order_acquire);
+            return true;
+        };
+        const std::size_t groups = groupKeys_.size();
+        std::size_t visited = 0;
+        for (std::size_t g = 0; g < groups; ++g) {
+            if (!flagged(g))
+                continue;
+            std::size_t end = g + 1;
+            while (end < groups && flagged(end))
+                ++end;
+            const std::size_t first = g * kKeyGroupPages;
+            const std::size_t last =
+                std::min(end * kKeyGroupPages, numPages());
+            scan(first, last);
+            visited += last - first;
+            g = end; // read unflagged: a later writer keeps its bit
+        }
+        return visited;
+    }
+
     /** Number of setKeyRange invocations (retag statistics). */
     uint64_t retagCount() const { return retags_; }
 
@@ -161,9 +224,20 @@ class AddressSpace {
         void operator()(std::byte *p) const { std::free(p); }
     };
 
+    /** Summary bit of @p key; keys past the 16 tags alias mod 16. */
+    static uint16_t keyBit(uint8_t key)
+    {
+        return static_cast<uint16_t>(1u << (key % kNumPhysPkeys));
+    }
+
+    /** Flags @p key in every group [first, first + n) touches. */
+    void flagKey(std::size_t first, std::size_t n, uint8_t key);
+
     /** Page-aligned backing memory (aligned_alloc). */
     std::unique_ptr<std::byte[], FreeDeleter> memory_;
     std::vector<PageEntry> entries_;
+    /** One key mask per kKeyGroupPages pages (groupKeys). */
+    std::vector<std::atomic<uint16_t>> groupKeys_;
     CycleClock *clock_;
     RelaxedAtomic<uint64_t> retags_ = uint64_t{0};
     RelaxedAtomic<uint64_t> retagPages_ = uint64_t{0};

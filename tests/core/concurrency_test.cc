@@ -382,6 +382,29 @@ TEST(Concurrency, GrantsStayCoherentUnderConcurrentEvictions)
     EXPECT_EQ(failures.load(), 0);
     EXPECT_GT(sys.stats().evictions(), 0u);
     EXPECT_GT(sys.stats().faultIns(), 0u);
+
+    // Full scan after the join: no page kept a tag that was recycled
+    // under it. Each present page carries its owner's current tag or
+    // the parked tag; the window page may also carry its one grantee's.
+    Monitor &mon = sys.monitor();
+    const auto &space = mon.space();
+    const auto parked = static_cast<uint8_t>(mon.parkedKey());
+    const std::size_t shared_page = space.pageIndexOf(buf);
+    for (std::size_t p = 0; p < space.numPages(); ++p) {
+        if (!space.entryAt(p).present)
+            continue;
+        const Cid own = mon.pageMeta().at(p).owner;
+        ASSERT_LT(own, mon.cubicleCount()) << "page " << p;
+        const uint8_t tag = space.entryAt(p).pkey;
+        const bool ok =
+            tag == parked ||
+            tag == static_cast<uint8_t>(mon.cubicle(own).pkey) ||
+            (p == shared_page &&
+             tag == static_cast<uint8_t>(mon.cubicle(reader).pkey));
+        EXPECT_TRUE(ok) << "page " << p << " of "
+                        << mon.cubicle(own).name << " carries tag "
+                        << int(tag);
+    }
 }
 
 } // namespace

@@ -186,5 +186,80 @@ TEST(TagPressureProperty, PressuredRunActuallyEvicts)
     EXPECT_LT(sys.stats().tagHitRatePercent(), 100.0);
 }
 
+TEST(TagPressure, EvictionParksGrantedPageInAGroupWithoutTenantPages)
+{
+    // The eviction walks only the groups the key summary flags for the
+    // victim's tag. A page granted to the victim through a window sits
+    // in a group holding none of the victim's own pages, and the
+    // grant's retag alone flags that group: the sweep must still park
+    // the page, or the cubicle inheriting the recycled tag reads it.
+    SystemConfig cfg;
+    cfg.numPages = 4096;
+    cfg.stackPages = 2;
+    cfg.virtualizeTags = true;
+    cfg.physTagBudget = 4; // monitor, shared, parked + ONE tag
+    cfg.dynamicTags = 1;
+    System sys(cfg);
+    addToy(sys, "tenant").onExports([](Exporter &exp, ToyComponent &me) {
+        exp.fn<int(const char *)>("peek", [&me](const char *p) {
+            me.sys()->touch(p, 1, hw::Access::kRead);
+            return static_cast<int>(p[0]);
+        });
+    });
+    addToy(sys, "owner");
+    addToy(sys, "heir");
+    sys.boot();
+    auto peek = sys.resolve<int(const char *)>("tenant", "peek");
+    const Cid tenant = sys.cidOf("tenant");
+    const Cid owner = sys.cidOf("owner");
+    const Cid heir = sys.cidOf("heir");
+    Monitor &mon = sys.monitor();
+    const auto parked = static_cast<uint8_t>(mon.parkedKey());
+
+    // A whole group of padding puts the buffer, the last mapped page,
+    // in a group of its own.
+    ASSERT_TRUE(mon.allocPagesFor(owner, hw::kKeyGroupPages,
+                                  mem::PageType::kHeap)
+                    .valid());
+    char *buf = reinterpret_cast<char *>(
+        mon.allocPagesFor(owner, 1, mem::PageType::kHeap).ptr);
+    ASSERT_NE(buf, nullptr);
+    const std::size_t page = mon.space().pageIndexOf(buf);
+    const std::size_t group = page / hw::kKeyGroupPages;
+    for (std::size_t p = group * hw::kKeyGroupPages;
+         p < (group + 1) * hw::kKeyGroupPages; ++p) {
+        ASSERT_NE(mon.pageMeta().at(p).owner, tenant) << p;
+        if (p > page) {
+            ASSERT_FALSE(mon.space().entryAt(p).present) << p;
+        }
+    }
+
+    sys.runAs(owner, [&] {
+        sys.touch(buf, 1, hw::Access::kWrite);
+        buf[0] = 42;
+        const Wid wid = sys.windowInit();
+        sys.windowAdd(wid, buf, 64);
+        sys.windowOpen(wid, tenant);
+        ASSERT_EQ(peek(buf), 42); // trap-and-map grants the tenant
+    });
+    const int tag = mon.cubicle(tenant).pkey;
+    ASSERT_NE(tag, mon.parkedKey());
+    ASSERT_EQ(mon.space().entryAt(page).pkey.load(),
+              static_cast<uint8_t>(tag));
+
+    // The heir's first touch evicts the tenant and inherits its tag.
+    const mem::PageRange &own = mon.cubicle(heir).globalRange;
+    sys.runAs(heir, [&] { sys.touch(own.ptr, 16, hw::Access::kWrite); });
+    ASSERT_EQ(mon.cubicle(tenant).pkey.load(), mon.parkedKey());
+    ASSERT_EQ(mon.cubicle(heir).pkey.load(), tag);
+    EXPECT_EQ(mon.space().entryAt(page).pkey.load(), parked);
+
+    const uint64_t violations = sys.stats().violations();
+    EXPECT_THROW(sys.runAs(heir,
+                           [&] { sys.touch(buf, 1, hw::Access::kRead); }),
+                 hw::CubicleFault);
+    EXPECT_EQ(sys.stats().violations(), violations + 1);
+}
+
 } // namespace
 } // namespace cubicleos::core

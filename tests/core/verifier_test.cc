@@ -89,6 +89,22 @@ TEST(InsnDecode, OperandSizePrefixNarrowsImmediate)
     EXPECT_EQ(insn->payloadOff, 2u);
 }
 
+TEST(InsnDecode, RexWOverridesOperandSizePrefix)
+{
+    // 66 48 2d: sub rax, imm32. With REX.W the operand is 64-bit, so
+    // the 0x66 prefix is ignored and the immediate stays 4 bytes.
+    auto image = bytes({0x66, 0x48, 0x2D, 0xAA, 0xBB, 0x68, 0xDD});
+    auto insn = decodeAt(image, 0);
+    ASSERT_TRUE(insn.has_value());
+    EXPECT_EQ(insn->length, 7u);
+    EXPECT_EQ(insn->payloadOff, 3u);
+
+    auto push = bytes({0x66, 0x48, 0x68, 1, 2, 3, 4}); // push imm32
+    insn = decodeAt(push, 0);
+    ASSERT_TRUE(insn.has_value());
+    EXPECT_EQ(insn->length, 7u);
+}
+
 TEST(InsnDecode, ModRmDisp8AndDisp32)
 {
     auto d8 = bytes({0x48, 0x8B, 0x45, 0x08}); // mov rax, [rbp+8]
@@ -795,6 +811,28 @@ TEST(VerifierLoader, RejectsAlignedWrpkruWithClassification)
         EXPECT_NE(std::string(e.what()).find("instruction-aligned"),
                   std::string::npos);
     }
+}
+
+TEST(VerifierLoader, RejectsWrpkruHiddenByOperandSizeDesync)
+{
+    // sub rax, imm32 (66 48 2d aa bb 68 dd), wrpkru at offset 7, ret.
+    // Sizing the immediate from 0x66 alone decoded a 5-byte sub and a
+    // push imm32 swallowing the wrpkru, so the load succeeded.
+    System sys;
+    ComponentSpec spec;
+    spec.name = "desync";
+    spec.image = bytes({0x66, 0x48, 0x2D, 0xAA, 0xBB, 0x68, 0xDD, 0x0F,
+                        0x01, 0xEF, 0xC3});
+    spec.entryPoints = {0};
+    try {
+        sys.monitor().loadComponent(spec);
+        FAIL() << "desynchronising image was loaded";
+    } catch (const VerifierError &e) {
+        EXPECT_NE(std::string(e.what()).find("'wrpkru' at offset 7"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(sys.monitor().cubicleCount(), 0u);
 }
 
 TEST(VerifierLoader, AcceptsMisalignedSpanOnlyTheSweepWouldReject)

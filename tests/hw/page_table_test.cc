@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "hw/page_table.h"
 
 namespace cubicleos::hw {
@@ -146,6 +150,112 @@ TEST_F(AddressSpaceTest, UnmapClearsEntries)
     space.unmap(0, 1);
     EXPECT_FALSE(space.entryAt(0).present);
     EXPECT_TRUE(space.entryAt(1).present);
+}
+
+// The key summary: one 16-bit mask per kKeyGroupPages pages, walked in
+// maximal runs of flagged groups by the eviction and fault-in sweeps.
+
+/** Runs forEachKeyRun(key, clear=false) and collects its runs. */
+std::vector<std::pair<std::size_t, std::size_t>>
+keyRuns(AddressSpace &space, uint8_t key)
+{
+    std::vector<std::pair<std::size_t, std::size_t>> runs;
+    space.forEachKeyRun(key, /*clear=*/false,
+                        [&](std::size_t first, std::size_t end) {
+                            runs.emplace_back(first, end);
+                        });
+    return runs;
+}
+
+TEST(KeySummary, WalkVisitsMaximalFlaggedRunsAndClearsOnSweep)
+{
+    CycleClock clock;
+    AddressSpace space(5 * kKeyGroupPages - 10, &clock); // short tail
+    space.map(10, 100, kPermRead, 3);               // groups 0 and 1
+    space.map(4 * kKeyGroupPages, 5, kPermRead, 3); // the tail group
+    space.map(2 * kKeyGroupPages, 1, kPermRead, 4); // group 2
+
+    using Runs = std::vector<std::pair<std::size_t, std::size_t>>;
+    EXPECT_EQ(keyRuns(space, 3),
+              (Runs{{0, 2 * kKeyGroupPages},
+                    {4 * kKeyGroupPages, space.numPages()}}));
+    EXPECT_EQ(keyRuns(space, 4),
+              (Runs{{2 * kKeyGroupPages, 3 * kKeyGroupPages}}));
+    EXPECT_TRUE(keyRuns(space, 5).empty());
+
+    // A sweep moving every page of key 3 clears its flags first, and
+    // its own retags flag the destination key.
+    const std::size_t visited = space.forEachKeyRun(
+        3, /*clear=*/true, [&](std::size_t first, std::size_t end) {
+            for (std::size_t p = first; p < end; ++p) {
+                if (space.entryAt(p).present && space.entryAt(p).pkey == 3)
+                    space.setKeyRange(p, 1, 5);
+            }
+        });
+    EXPECT_EQ(visited, 2 * kKeyGroupPages + (space.numPages() -
+                                              4 * kKeyGroupPages));
+    EXPECT_TRUE(keyRuns(space, 3).empty());
+    EXPECT_EQ(keyRuns(space, 5),
+              (Runs{{0, 2 * kKeyGroupPages},
+                    {4 * kKeyGroupPages, space.numPages()}}));
+}
+
+TEST(KeySummary, RandomOpsKeepEveryPresentKeyFlaggedAndWalked)
+{
+    // Seeded map/unmap/setKeyRange sequences plus clearing sweeps (as
+    // the eviction runs them). After every step each present page's
+    // key is flagged in its group, and the walk for that key visits
+    // the page.
+    CycleClock clock;
+    constexpr std::size_t kPages = 15 * kKeyGroupPages + 40;
+    AddressSpace space(kPages, &clock);
+    std::mt19937 rng(0x5EEDu);
+    for (int step = 0; step < 1500; ++step) {
+        const std::size_t first = rng() % kPages;
+        const std::size_t n =
+            1 + rng() % std::min<std::size_t>(3 * kKeyGroupPages,
+                                              kPages - first);
+        const auto key = static_cast<uint8_t>(rng() % kNumPhysPkeys);
+        switch (rng() % 4) {
+          case 0: space.map(first, n, kPermRead, key); break;
+          case 1: space.unmap(first, n); break;
+          case 2: space.setKeyRange(first, n, key); break;
+          default: {
+            const auto to = static_cast<uint8_t>(rng() % kNumPhysPkeys);
+            space.forEachKeyRun(
+                key, /*clear=*/true,
+                [&](std::size_t lo, std::size_t hi) {
+                    for (std::size_t p = lo; p < hi; ++p) {
+                        if (space.entryAt(p).present &&
+                            space.entryAt(p).pkey == key)
+                            space.setKeyRange(p, 1, to);
+                    }
+                });
+            break;
+          }
+        }
+
+        for (uint8_t k = 0; k < kNumPhysPkeys; ++k) {
+            std::vector<bool> walked(kPages, false);
+            for (const auto &[lo, hi] : keyRuns(space, k)) {
+                ASSERT_LT(lo, hi);
+                ASSERT_LE(hi, kPages);
+                std::fill(walked.begin() + static_cast<long>(lo),
+                          walked.begin() + static_cast<long>(hi), true);
+            }
+            for (std::size_t p = 0; p < kPages; ++p) {
+                if (!space.entryAt(p).present || space.entryAt(p).pkey != k)
+                    continue;
+                ASSERT_NE(space.groupKeys(p / kKeyGroupPages) & (1u << k),
+                          0u)
+                    << "step " << step << ": page " << p << " key "
+                    << int(k) << " not flagged";
+                ASSERT_TRUE(walked[p])
+                    << "step " << step << ": page " << p << " key "
+                    << int(k) << " not walked";
+            }
+        }
+    }
 }
 
 TEST(FaultTest, DescribeMentionsReasonAndAccess)
