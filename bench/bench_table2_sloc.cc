@@ -11,11 +11,19 @@
  * (src/core, src/hw, src/mem), by directory. The isolation linter and
  * auditor (src/audit) are not in the TCB; their line count follows
  * the TCB total, outside it.
+ *
+ * The TCB rows and their total are also the golden BENCH_table2_sloc.json
+ * at the source root: the binary exits non-zero when they differ from
+ * it, so a change to the trusted core carries its line delta in its
+ * own diff. CUBICLEOS_REGEN_FIXTURES=1 rewrites the file instead.
+ * Registered as the tier-1 ctest tcb_sloc_golden.
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -93,6 +101,38 @@ slocOfDir(const std::string &dir)
     return total;
 }
 
+/**
+ * Compares @p json with the committed golden, or rewrites the golden
+ * under CUBICLEOS_REGEN_FIXTURES. @return the process exit code.
+ */
+int
+checkGolden(const std::string &json)
+{
+    const char *path = CUBICLEOS_SOURCE_DIR "/BENCH_table2_sloc.json";
+    if (std::getenv("CUBICLEOS_REGEN_FIXTURES") != nullptr) {
+        std::ofstream out(path, std::ios::trunc);
+        out << json;
+        if (!out) {
+            std::fprintf(stderr, "cannot write %s\n", path);
+            return 1;
+        }
+        std::printf("\nwrote %s\n", path);
+        return 0;
+    }
+    std::fflush(stdout); // the table first, then the verdict
+    std::ifstream in(path);
+    std::stringstream committed;
+    committed << in.rdbuf();
+    if (in && committed.str() == json)
+        return 0;
+    std::fprintf(stderr,
+                 "\nTCB line counts differ from %s; if the change is "
+                 "intended, regenerate it with "
+                 "CUBICLEOS_REGEN_FIXTURES=1.\ncommitted:\n%s\nnow:\n%s",
+                 path, committed.str().c_str(), json.c_str());
+    return 1;
+}
+
 } // namespace
 
 int
@@ -140,11 +180,18 @@ main()
                 "this repo");
     cubicleos::bench::rule('-', 64);
     int tcb = 0;
+    std::string json = "{\n  \"schema\": \"cubicleos-tcb-sloc-v1\",\n"
+                       "  \"tcb\": {\n";
+    const char *sep = "";
     for (const char *dir : tcb_dirs) {
         const int n = slocOfDir(dir);
         tcb += n;
         std::printf("src/%-32s %27d\n", dir, n);
+        json += std::string(sep) + "    \"src/" + dir +
+                "\": " + std::to_string(n);
+        sep = ",\n";
     }
+    json += "\n  },\n  \"total\": " + std::to_string(tcb) + "\n}\n";
     std::printf("%-36s %27d\n", "TCB total", tcb);
     cubicleos::bench::rule('-', 64);
     std::printf("src/%-32s %27d\n", "audit (outside the TCB)",
@@ -155,5 +202,5 @@ main()
                 "the point of Table 2 — isolation with a small "
                 "trusted core and a small\nper-application porting "
                 "effort — is preserved.\n");
-    return 0;
+    return checkGolden(json);
 }

@@ -5,9 +5,9 @@
  * Runs one 2 MB zero-copy sendfile request on the full NGINX
  * deployment and hard-fails if the measured traps/request exceeds the
  * committed ceiling. This is the regression guard for the
- * range-granular retag + prestage + submission-ring machinery: before
- * that work the same request cost ~388 traps; with it, low
- * single-digits. The ceiling is deliberately far above today's number
+ * range-granular retag + prestage machinery: before that work the
+ * same request cost ~388 traps; with it, low single-digits. The
+ * ceiling is deliberately far above today's number
  * (timing noise never matters — traps are deterministic counters) but
  * far below the per-page-lazy regime, so any change that silently
  * reverts a hot window, a prestage hint, or range-granular retagging
@@ -28,8 +28,8 @@ namespace {
 /**
  * Committed ceiling for one steady-state 2 MB sendfile request
  * (64 borrowed 32 KiB spans, each queued by reference into the TCP
- * stack through the submission ring). Paper target (§6.3 discussion):
- * fewer than 100 traps for the whole request; measured today: 2.
+ * stack). Paper target (§6.3 discussion): fewer than 100 traps for
+ * the whole request; measured today: 2.
  */
 constexpr double kTrapCeiling = 100.0;
 

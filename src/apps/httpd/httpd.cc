@@ -217,23 +217,13 @@ NginxComponent::progress(Conn &conn)
                 }
                 conn.spanPending = true;
             }
-            // One batched trip into LWIP per round: completion reap
-            // and span queueing execute under a single
-            // trampoline/PKRU switch via the submission ring, with
-            // the reap ordered first so freshly-freed tokens can be
-            // released this round.
-            int64_t done = 0;
-            int64_t n = 0;
-            const bool reap = !conn.zcTokens.empty() && conn.fileFd >= 0;
-            if (reap)
-                sock_->submitZeroCopyDone(conn.fd, &done);
-            // All-or-nothing queueing: on kNetAgain the same borrowed
-            // span is retried next poll without re-borrowing.
-            sock_->submitSendZero(conn.fd, conn.span.ptr, conn.span.len,
-                                  &n);
-            sock_->flushRing();
-            if (reap)
-                releaseTokens(conn, done);
+            // Reap completions first, so tokens the stack has freed are
+            // released this round, then queue the span. All or nothing:
+            // on kNetAgain the same borrowed span is retried next poll
+            // without re-borrowing.
+            releaseCompleted(conn);
+            const int64_t n =
+                sock_->sendZero(conn.fd, conn.span.ptr, conn.span.len);
             if (n > 0) {
                 conn.fileOff += conn.span.len;
                 stats_.bytesSent += conn.span.len;
@@ -341,14 +331,10 @@ NginxComponent::releaseCompleted(Conn &conn)
 {
     if (conn.zcTokens.empty() || conn.fileFd < 0)
         return;
-    releaseTokens(conn, sock_->zeroCopyDone(conn.fd));
-}
-
-void
-NginxComponent::releaseTokens(Conn &conn, int64_t done)
-{
     // Spans complete in FIFO submission order, so the completion count
-    // maps onto our oldest outstanding tokens.
+    // maps onto our oldest outstanding tokens. A dead stack reports a
+    // negative count and releases nothing.
+    int64_t done = sock_->zeroCopyDone(conn.fd);
     while (done > 0 && !conn.zcTokens.empty()) {
         fs_->release(conn.fileFd, conn.zcTokens.front());
         conn.zcTokens.pop_front();

@@ -60,10 +60,9 @@ class NginxComponent : public core::Component {
      * borrowed from the backend (vfs_borrow with readahead), queued by
      * reference into the network stack (sendZero) and released once
      * acknowledged — no payload byte is copied between the RAMFS
-     * blocks and the TCP segments. Completion reaping and span
-     * queueing for one round share a single batched trip into LWIP
-     * (the submission ring). When clear, bodies take the classic
-     * pread-into-buffer-then-send path.
+     * blocks and the TCP segments. Each round reaps completions, then
+     * queues the next span: two plain calls into LWIP. When clear,
+     * bodies take the classic pread-into-buffer-then-send path.
      */
     explicit NginxComponent(uint16_t port = 80, bool sendfile = false)
         : port_(port), sendfile_(sendfile)
@@ -156,8 +155,6 @@ class NginxComponent : public core::Component {
     void dropConn(Conn &conn);
     /** Releases every span the stack has fully acknowledged. */
     void releaseCompleted(Conn &conn);
-    /** Releases @p done oldest acknowledged spans (FIFO order). */
-    void releaseTokens(Conn &conn, int64_t done);
 
     uint16_t port_;
     bool sendfile_;

@@ -15,9 +15,9 @@
 namespace cubicleos::core {
 
 /**
- * Verdict value delivered to a caller whose cross-call (or batched
- * CallRing slot) was unwound because the callee cubicle died. The
- * porting layers' libos::VfsErr::kErrPeerFault and
+ * Verdict value delivered to a caller whose cross-call was unwound
+ * because the callee cubicle died (catchPeerFault). The porting
+ * layers' libos::VfsErr::kErrPeerFault and
  * libos::NetErr::kNetPeerFault are defined as this value; -131
  * (ENOTRECOVERABLE) collides with neither error range.
  */

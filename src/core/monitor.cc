@@ -228,42 +228,41 @@ Monitor::provisionCubicle(Cubicle &cub, const ComponentSpec &spec,
     const auto pkey = static_cast<uint8_t>(cub.pkey);
     const Cid cid = cub.id;
 
-    // Code pages: map writable to copy the image, then execute-only
-    // (rule 1, §5.4: cubicles cannot change execute permissions later).
-    const std::size_t code_pages = hw::pagesFor(image.size());
-    {
-        MutexLock pages(pageMutex_);
-        cub.codeRange = pageAlloc_.allocPages(code_pages, cid,
-                                              mem::PageType::kCode,
-                                              hw::kPermWrite, pkey);
-    }
-    if (!cub.codeRange.valid())
-        throw OutOfMemory("code pages for '" + spec.name + "'");
-    std::memcpy(cub.codeRange.ptr, image.data(), image.size());
-    space_.setPerms(cub.codeRange.first, cub.codeRange.count,
-                    hw::kPermExec);
-
-    // Global data pages.
-    if (spec.globalPages > 0) {
-        MutexLock pages(pageMutex_);
-        cub.globalRange = pageAlloc_.allocPages(
-            spec.globalPages, cid, mem::PageType::kGlobal,
-            hw::kPermRead | hw::kPermWrite, pkey);
-        if (!cub.globalRange.valid())
-            throw OutOfMemory("global pages for '" + spec.name + "'");
-    }
-
-    // Per-cubicle stack arena.
+    // Code pages are mapped writable to copy the image, then made
+    // execute-only (rule 1, §5.4: cubicles cannot change execute
+    // permissions later). All or nothing: when one range does not fit,
+    // the ranges already taken go back, so a failed load or restart
+    // leaks no pages.
     const std::size_t stack_pages =
         spec.stackPages ? spec.stackPages : cfg_.stackPages;
     {
         MutexLock pages(pageMutex_);
+        cub.codeRange = pageAlloc_.allocPages(
+            hw::pagesFor(image.size()), cid, mem::PageType::kCode,
+            hw::kPermWrite, pkey);
+        cub.globalRange = pageAlloc_.allocPages(
+            spec.globalPages, cid, mem::PageType::kGlobal,
+            hw::kPermRead | hw::kPermWrite, pkey);
         cub.stackRange = pageAlloc_.allocPages(
             stack_pages, cid, mem::PageType::kStack,
             hw::kPermRead | hw::kPermWrite, pkey);
+        const char *missing = !cub.codeRange.valid() ? "code"
+            : spec.globalPages > 0 && !cub.globalRange.valid() ? "global"
+            : !cub.stackRange.valid() ? "stack"
+            : nullptr;
+        if (missing) {
+            for (mem::PageRange *r :
+                 {&cub.codeRange, &cub.globalRange, &cub.stackRange}) {
+                pageAlloc_.freePages(*r);
+                *r = mem::PageRange{};
+            }
+            throw OutOfMemory(std::string(missing) + " pages for '" +
+                              spec.name + "'");
+        }
     }
-    if (!cub.stackRange.valid())
-        throw OutOfMemory("stack pages for '" + spec.name + "'");
+    std::memcpy(cub.codeRange.ptr, image.data(), image.size());
+    space_.setPerms(cub.codeRange.first, cub.codeRange.count,
+                    hw::kPermExec);
 
     // Heap: default page source is the monitor's pool. The boot code may
     // rewire it to cross-call the ALLOC component (see System::boot).

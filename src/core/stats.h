@@ -37,13 +37,15 @@
  * and a miss counter: Stats::helper() is the hit rate in percent, 100
  * before the first event. retags/retagPages is the amortisation
  * range-granular retagging buys: 1 page per pkey_mprotect call when
- * per-page, up to 512 for a 2 MiB chunk.
+ * per-page, up to 512 for a 2 MiB chunk. ringFlushes and ringCalls
+ * have no writer and always read 0; they remain only because
+ * perfbench reads both getters, until a change to perfbench drops them.
  */
 #define CUBICLEOS_STATS(C, P, R)                                          \
     C(traps)                            /* trap-and-map entries */        \
     P(countRetag, retags, retagPages)   /* pkey_mprotect calls, pages */  \
     P(countPrestage, prestages, prestagePages) /* eager retags */         \
-    P(countRingFlush, ringFlushes, ringCalls)  /* CallRing batches */     \
+    C(ringFlushes) C(ringCalls)         /* no writer, see above */        \
     C(wrpkrus)                          /* PKRU register writes */        \
     C(windowOps)                        /* window API calls */            \
     C(violations)                       /* unresolvable faults */         \

@@ -107,53 +107,6 @@ CrossCallGuard::~CrossCallGuard()
 }
 
 // ----------------------------------------------------------------------
-// CallRing: batched cross-cubicle submission (io_uring shape)
-// ----------------------------------------------------------------------
-
-std::size_t
-CallRing::flush()
-{
-    if (count_ == 0)
-        return 0;
-    const std::size_t n = count_;
-    // Mirror crossCall's fast paths: shared callees and the Unikraft
-    // baseline never involve the runtime TCB, and calls within one
-    // cubicle are plain calls.
-    if (shared_ || sys_.mode() == IsolationMode::kUnikraft) {
-        runAll();
-        return n;
-    }
-    ThreadCtx &ctx = sys_.currentCtx();
-    if (ctx.current == callee_) {
-        runAll();
-        return n;
-    }
-    // Dead callee: fail the whole batch as verdicts without paying for
-    // a doomed switch. The guard would refuse anyway; this is the
-    // cheap path when the submitter races a destroy.
-    if (!sys_.monitor().cubicleAlive(callee_)) {
-        faultAll();
-        return n;
-    }
-    // Edge accounting stays per logical call — Fig. 5 counts calls,
-    // not switches. Only the switch itself is amortised.
-    for (std::size_t i = 0; i < n; ++i)
-        sys_.stats().countCall(ctx.current, callee_);
-    sys_.stats().countRingFlush(n);
-    try {
-        CrossCallGuard guard(sys_, ctx, callee_);
-        runAll();
-    } catch (const PeerFault &) {
-        // The guard refused entry (callee died between the pre-check
-        // and the switch): the batch never ran, so every slot gets a
-        // fault verdict. The guard's throw site already counted one
-        // unwound call for itself.
-        faultAll();
-    }
-    return n;
-}
-
-// ----------------------------------------------------------------------
 // System
 // ----------------------------------------------------------------------
 

@@ -17,10 +17,8 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <new>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -480,179 +478,6 @@ System::resolve(std::string_view comp_name, std::string_view fn_name)
         this, static_cast<const std::function<Sig> *>(slot.fn.get()),
         slot.owner, slot.ownerKind == CubicleKind::kShared);
 }
-
-/**
- * A fixed-depth submission ring of pending cross-cubicle calls to one
- * callee — the io_uring shape for trampoline amortisation.
- *
- * Every queued call is a full logical cross-call: it is accounted on
- * the caller→callee edge exactly as if invoked through CrossFn (the
- * Fig. 5 edge counts do not change), and it executes inside the
- * callee's cubicle with the callee's PKRU. What the ring amortises is
- * the *switch*: flush() performs one trampoline + stack switch + two
- * PKRU write pairs for the whole batch instead of per call, the way
- * io_uring amortises syscall entries. Shared callees and the Unikraft
- * baseline run the thunks directly, as CrossFn would.
- *
- * Usage: capture result targets by pointer in the queued thunk and
- * read them after flush():
- * @code
- *   CallRing ring(sys, lwipCid);
- *   int64_t sent = 0, done = 0;
- *   ring.push([&sendz, fd, span, n, &sent] { sent = sendz(fd, span, n); });
- *   ring.push([&zcdone, fd, &done] { done = zcdone(fd); });
- *   ring.flush(); // one switch, two calls
- * @endcode
- *
- * Queued thunks must not themselves cross back into the caller's
- * cubicle (the usual cross-call nesting rules apply — the CFI call
- * stack sees one entry into the callee for the whole batch). A thunk
- * that throws aborts the rest of the batch: remaining entries are
- * discarded unexecuted and the exception propagates through the
- * guard's exception-safe return switch. The one exception is
- * core::PeerFault — the callee died mid-batch: the ring absorbs it
- * and delivers kPeerFaultVerdict through each remaining slot's
- * verdict pointer (see push), so batched submitters observe a peer
- * crash as per-call error codes, not an unwinding exception.
- *
- * Thread-compatibility: a ring belongs to one thread, like the
- * ThreadCtx it runs against. This is also the API seam an async
- * channel transport can later reuse — a channel is a CallRing whose
- * flush happens on the callee's schedule instead of the caller's.
- */
-class CallRing {
-  public:
-    /** Queue depth: calls buffered per switch. */
-    static constexpr std::size_t kDepth = 16;
-    /** Inline storage per queued thunk (no heap on the hot path). */
-    static constexpr std::size_t kSlotBytes = 64;
-
-    CallRing(System &sys, Cid callee)
-        : sys_(sys), callee_(callee),
-          shared_(sys.monitor().cubicle(callee).kind ==
-                  CubicleKind::kShared)
-    {}
-
-    /** Discards (without executing) anything left unflushed. */
-    ~CallRing()
-    {
-        for (std::size_t i = 0; i < count_; ++i)
-            slots_[i].destroy(slots_[i].storage);
-    }
-
-    CallRing(const CallRing &) = delete;
-    CallRing &operator=(const CallRing &) = delete;
-
-    std::size_t pending() const { return count_; }
-    bool empty() const { return count_ == 0; }
-    bool full() const { return count_ == kDepth; }
-    Cid callee() const { return callee_; }
-
-    /**
-     * Queues one call. @return false when the ring is full — flush()
-     * first. @p fn must fit the inline slot (enforced at compile time).
-     *
-     * @p verdict, when given, is the slot's completion word: if the
-     * callee dies mid-batch (or is already dead at flush), every
-     * entry from the failure point on gets kPeerFaultVerdict written
-     * through its verdict pointer instead of running — the submitter
-     * reads per-call outcomes after flush() rather than unwinding.
-     * Entries without a verdict pointer fail silently.
-     */
-    template <typename Fn>
-    bool push(Fn &&fn, int64_t *verdict = nullptr)
-    {
-        using Decayed = std::decay_t<Fn>;
-        static_assert(sizeof(Decayed) <= kSlotBytes,
-                      "CallRing thunk exceeds inline slot storage");
-        if (full())
-            return false;
-        Slot &s = slots_[count_];
-        new (s.storage) Decayed(std::forward<Fn>(fn));
-        s.invoke = [](std::byte *p) {
-            auto *f = reinterpret_cast<Decayed *>(p);
-            struct Reaper {
-                Decayed *f;
-                ~Reaper() { f->~Decayed(); }
-            } reaper{f};
-            (*f)();
-        };
-        s.destroy = [](std::byte *p) {
-            reinterpret_cast<Decayed *>(p)->~Decayed();
-        };
-        s.verdict = verdict;
-        ++count_;
-        return true;
-    }
-
-    /**
-     * Executes every queued call under a single cross-cubicle switch.
-     * @return the number of calls executed.
-     */
-    std::size_t flush();
-
-  private:
-    struct Slot {
-        alignas(std::max_align_t) std::byte storage[kSlotBytes];
-        void (*invoke)(std::byte *) = nullptr;
-        void (*destroy)(std::byte *) = nullptr;
-        /** Completion word for peer-fault delivery; may be null. */
-        int64_t *verdict = nullptr;
-    };
-
-    /**
-     * Runs the thunks. A PeerFault — the callee died mid-batch — is
-     * absorbed: the failing entry and everything after it get the
-     * peer-fault verdict instead of tearing the submitter down. Any
-     * other throw discards the rest of the batch and propagates.
-     */
-    void runAll()
-    {
-        std::size_t i = 0;
-        try {
-            for (; i < count_; ++i)
-                slots_[i].invoke(slots_[i].storage);
-        } catch (const PeerFault &) {
-            // Slot i's thunk was destroyed by its Reaper; later slots
-            // are discarded unexecuted. The fault's own unwind was
-            // already counted at the throw site; count the discards.
-            for (std::size_t j = i; j < count_; ++j) {
-                if (slots_[j].verdict)
-                    *slots_[j].verdict = kPeerFaultVerdict;
-                if (j > i)
-                    slots_[j].destroy(slots_[j].storage);
-            }
-            if (count_ > i + 1)
-                sys_.stats().add(Stat::unwoundCalls, count_ - i - 1);
-            count_ = 0;
-            return;
-        } catch (...) {
-            for (std::size_t j = i + 1; j < count_; ++j)
-                slots_[j].destroy(slots_[j].storage);
-            count_ = 0;
-            throw;
-        }
-        count_ = 0;
-    }
-
-    /** Fails every queued entry by verdict (callee already dead). */
-    void faultAll()
-    {
-        for (std::size_t i = 0; i < count_; ++i) {
-            if (slots_[i].verdict)
-                *slots_[i].verdict = kPeerFaultVerdict;
-            slots_[i].destroy(slots_[i].storage);
-        }
-        sys_.stats().add(Stat::unwoundCalls, count_);
-        count_ = 0;
-    }
-
-    System &sys_;
-    Cid callee_;
-    bool shared_;
-    std::array<Slot, kDepth> slots_{};
-    std::size_t count_ = 0;
-};
 
 /**
  * RAII bump allocation from the current cubicle's stack arena.

@@ -379,6 +379,11 @@ decodeAt(std::span<const uint8_t> image, std::size_t pos)
     }
     if (!spec.valid)
         return std::nullopt;
+    // Vendor-divergent length: Intel ignores 0x66 on a near rel32
+    // call/jmp/jcc, AMD (which also ships MPK) reads a rel16. Opaque,
+    // so the sweep verdict decides.
+    if (opsize16 && spec.branch && spec.branchBytes == 4)
+        return std::nullopt;
 
     std::size_t len = (i - pos) + opcodeLen;
     std::size_t payload = len;
@@ -386,6 +391,9 @@ decodeAt(std::span<const uint8_t> image, std::size_t pos)
     if (spec.hasModRm) {
         auto enc = parseModRm(image, i + opcodeLen);
         if (!enc)
+            return std::nullopt;
+        // 8F /1-/7 is the XOP escape on AMD and #UD on Intel, not pop.
+        if (op == 0x8F && enc->reg != 0)
             return std::nullopt;
         len += enc->structBytes;
         payload = len;

@@ -18,7 +18,10 @@
  * apply unchanged (EVEX adds no immediates, and disp8*N compression
  * rescales the displacement's meaning, not its width). Anything
  * outside the subset is *undecodable*: the caller must treat such
- * bytes conservatively (reject-on-reach), never optimistically.
+ * bytes conservatively (reject-on-reach), never optimistically. So are
+ * encodings whose length differs between vendors: a 0x66-prefixed
+ * near call/jmp/jcc (rel32 on Intel, rel16 on AMD) and 8F with
+ * ModRM.reg != 0 (XOP on AMD, #UD on Intel).
  *
  * The decoder answers four questions per instruction:
  *   - how long is it (so a sweep or walk can find the next boundary)?

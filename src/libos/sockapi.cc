@@ -6,10 +6,8 @@ using core::catchPeerFault;
 
 CubicleSockApi::CubicleSockApi(core::System &sys)
     : sys_(sys),
-      lwipCid_(sys.cidOf("lwip")),
-      lwipPeer_{lwipCid_},
+      lwipPeer_{sys.cidOf("lwip")},
       window_(sys, lwipPeer_),
-      ring_(sys, lwipCid_),
       socket_(sys.resolve<int()>("lwip", "lwip_socket")),
       bind_(sys.resolve<int(int, uint16_t)>("lwip", "lwip_bind")),
       listen_(sys.resolve<int(int, int)>("lwip", "lwip_listen")),
@@ -56,58 +54,6 @@ CubicleSockApi::recv(int fd, void *buf, std::size_t n)
                     Prestage::kWrite);
         return recv_(fd, buf, n);
     });
-}
-
-int64_t
-CubicleSockApi::poll(uint64_t now_ns)
-{
-    // Push-then-flush: a poll becomes the tail of whatever batch is
-    // already queued, so callers that submitted zero-copy work earlier
-    // in the round get it executed under this poll's switch.
-    int64_t r = 0;
-    enqueue([this, now_ns, &r] { r = poll_(now_ns); }, &r);
-    ring_.flush();
-    return r;
-}
-
-int64_t
-CubicleSockApi::sendZero(int fd, const void *span, std::size_t n)
-{
-    // No window work: the span is backend memory already granted to
-    // LWIP by the borrow that produced it.
-    int64_t r = 0;
-    enqueue([this, fd, span, n, &r] { r = sendz_(fd, span, n); }, &r);
-    ring_.flush();
-    return r;
-}
-
-int64_t
-CubicleSockApi::zeroCopyDone(int fd)
-{
-    int64_t r = 0;
-    enqueue([this, fd, &r] { r = zcDone_(fd); }, &r);
-    ring_.flush();
-    return r;
-}
-
-void
-CubicleSockApi::submitSendZero(int fd, const void *span, std::size_t n,
-                               int64_t *out)
-{
-    enqueue([this, fd, span, n, out] { *out = sendz_(fd, span, n); },
-            out);
-}
-
-void
-CubicleSockApi::submitZeroCopyDone(int fd, int64_t *out)
-{
-    enqueue([this, fd, out] { *out = zcDone_(fd); }, out);
-}
-
-void
-CubicleSockApi::submitPoll(uint64_t now_ns, int64_t *out)
-{
-    enqueue([this, now_ns, out] { *out = poll_(now_ns); }, out);
 }
 
 } // namespace cubicleos::libos

@@ -13,14 +13,6 @@
  * passed to sendZero are backend-owned blocks already granted to the
  * LWIP cubicle (via vfs_borrow), so no window management happens here
  * — the pointer crosses by value and LWIP reads the block in place.
- *
- * The zero-copy calls ride a core::CallRing into LWIP: submitSendZero
- * and submitZeroCopyDone queue the call and flushRing() executes the
- * whole batch under ONE trampoline/PKRU switch (the io_uring shape).
- * The synchronous wrappers push-then-flush, so any pending queued
- * calls batch with them for free; results land exactly as if each
- * call had been made directly, and per-edge call accounting (Fig. 5)
- * is unchanged — only the switches are amortised.
  */
 
 #ifndef CUBICLEOS_LIBOS_SOCKAPI_H_
@@ -79,65 +71,38 @@ class CubicleSockApi {
     {
         return core::catchPeerFault<int>([&] { return sendDrained_(fd); }) > 0;
     }
-    /** Drives the stack; batches with any pending submitted calls. */
-    int64_t poll(uint64_t now_ns);
+    /** Drives the stack. */
+    int64_t poll(uint64_t now_ns)
+    {
+        return core::catchPeerFault<int64_t>([&] { return poll_(now_ns); });
+    }
 
     /**
      * Queues a borrowed span for zero-copy transmission (all or
      * nothing): returns @p n once queued, kNetAgain when the send
      * buffer cannot take the whole span yet. The span must stay
-     * granted to the LWIP cubicle until zeroCopyDone reports it.
+     * granted to the LWIP cubicle until zeroCopyDone reports it. No
+     * window work: the borrow that produced the span granted it.
      */
-    int64_t sendZero(int fd, const void *span, std::size_t n);
+    int64_t sendZero(int fd, const void *span, std::size_t n)
+    {
+        return core::catchPeerFault<int64_t>(
+            [&] { return sendz_(fd, span, n); });
+    }
     /**
      * Number of zero-copy spans fully acknowledged since the last
      * call, in FIFO queue order — the caller releases that many of its
      * oldest outstanding borrows.
      */
-    int64_t zeroCopyDone(int fd);
-
-    // --- Batched submission (io_uring shape) -------------------------
-    // submit* queues the call without crossing into LWIP; flushRing()
-    // executes every queued call under a single trampoline/PKRU
-    // switch, in submission order. Each *out target must stay alive
-    // until the flush and is written when its call executes. A full
-    // ring self-flushes on the next submit. When LWIP dies mid-batch
-    // the ring writes kNetPeerFault into every unexecuted call's *out
-    // (the verdict word), so submitters see per-call failures, never
-    // an exception.
-
-    /** Queues sendZero(fd, span, n); result lands in @p out at flush. */
-    void submitSendZero(int fd, const void *span, std::size_t n,
-                        int64_t *out);
-    /** Queues zeroCopyDone(fd); result lands in @p out at flush. */
-    void submitZeroCopyDone(int fd, int64_t *out);
-    /** Queues poll(now_ns); result lands in @p out at flush. */
-    void submitPoll(uint64_t now_ns, int64_t *out);
-    /** Executes the queued batch; returns the number of calls run. */
-    std::size_t flushRing() { return ring_.flush(); }
-    /** Calls queued but not yet flushed. */
-    std::size_t ringPending() const { return ring_.pending(); }
-
-  private:
-    /**
-     * Queues @p fn, flushing first if the ring is full. @p verdict
-     * (usually the call's *out word) receives kNetPeerFault if the
-     * batch dies before @p fn runs.
-     */
-    template <typename Fn>
-    void enqueue(Fn &&fn, int64_t *verdict = nullptr)
+    int64_t zeroCopyDone(int fd)
     {
-        if (!ring_.push(std::forward<Fn>(fn), verdict)) {
-            ring_.flush();
-            ring_.push(std::forward<Fn>(fn), verdict);
-        }
+        return core::catchPeerFault<int64_t>([&] { return zcDone_(fd); });
     }
 
+  private:
     core::System &sys_;
-    core::Cid lwipCid_;
     PeerSet lwipPeer_;
     GrantWindow window_;
-    core::CallRing ring_;
 
     core::CrossFn<int()> socket_;
     core::CrossFn<int(int, uint16_t)> bind_;

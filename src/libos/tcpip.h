@@ -42,8 +42,8 @@ enum NetErr : int {
      * The network-stack cubicle is destroyed or draining (DESIGN.md
      * §15): the call never reached the stack. Connection state is
      * gone; callers drop the connection and may retry after a
-     * restart. Defined as core::kPeerFaultVerdict so ring verdicts
-     * pass through unconverted.
+     * restart. Defined as core::kPeerFaultVerdict, the value
+     * core::catchPeerFault returns.
      */
     kNetPeerFault = core::kPeerFaultVerdict,
 };

@@ -40,8 +40,7 @@ enum VfsErr : int {
      * draining (DESIGN.md §15). Outside the POSIX range on purpose:
      * callers distinguish "your file is bad" from "your filesystem
      * died" and may retry after System::restartComponent. Defined as
-     * core::kPeerFaultVerdict so ring verdicts pass through
-     * unconverted.
+     * core::kPeerFaultVerdict, the value core::catchPeerFault returns.
      */
     kErrPeerFault = core::kPeerFaultVerdict,
 };

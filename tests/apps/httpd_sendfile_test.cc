@@ -136,6 +136,26 @@ TEST(HttpdSendfileTest, SequentialRequestsReuseBorrowMachinery)
     EXPECT_EQ(zc.nginx().stats().errors, 0u);
 }
 
+TEST(HttpdSendfileTest, StackDeathMidTransferDropsTheConnection)
+{
+    // Kill lwip while a 2 MB body is in flight: the reap and the span
+    // send come back as kNetPeerFault, and the connection is dropped
+    // with every borrowed span released.
+    HttpHarness zc(core::IsolationMode::kFull, kPages, kBaseCycles,
+                   /*sendfile=*/true);
+    zc.createFile("/big", 2 << 20);
+    zc.fetch("/big", 25); // abandoned client-side, mid-body
+    const uint64_t errors0 = zc.nginx().stats().errors;
+
+    zc.sys().destroyComponent("lwip");
+    zc.pump(10);
+
+    EXPECT_EQ(zc.nginx().stats().errors, errors0 + 1);
+    EXPECT_EQ(zc.sys().stats().violations(), 0u);
+    // A span still borrowed would make the file impossible to replace.
+    EXPECT_NO_THROW(zc.createFile("/big", 4096));
+}
+
 TEST(HttpdSendfileTest, TopologyStaysWithinFigureFive)
 {
     HttpHarness zc(core::IsolationMode::kFull, kPages, kBaseCycles,

@@ -65,6 +65,41 @@ TEST(LifecycleTest, DestroyReclaimsAndRefusesEntry)
     EXPECT_TRUE(sys.monitor().cubicleAlive(alpha));
 }
 
+TEST(LifecycleTest, FailedLoadOrRestartReturnsItsPages)
+{
+    SystemConfig cfg = fullConfig();
+    cfg.numPages = 256;
+    System sys(cfg);
+    Monitor &mon = sys.monitor();
+    ComponentSpec huge;
+    huge.name = "huge";
+    huge.stackPages = 1000; // more than the whole space
+
+    // Each load takes its code and global pages before the stack
+    // fails to fit; all of them must go back.
+    const std::size_t free0 = mon.freePageCount();
+    for (int i = 0; i < 10; ++i)
+        EXPECT_THROW(mon.loadComponent(huge), OutOfMemory);
+    EXPECT_EQ(mon.freePageCount(), free0);
+    EXPECT_EQ(sys.cubicleCount(), 0u);
+
+    // A restart that cannot fit leaves the cubicle dead, with the free
+    // pages unchanged, and a retry with the original spec succeeds.
+    ComponentSpec spec;
+    spec.name = "victim";
+    const Cid cid = mon.loadComponent(spec);
+    mon.destroyCubicle(cid);
+    const std::size_t free1 = mon.freePageCount();
+    ComponentSpec grown = spec;
+    grown.stackPages = huge.stackPages;
+    EXPECT_THROW(mon.restartCubicle(cid, grown), OutOfMemory);
+    EXPECT_EQ(mon.freePageCount(), free1);
+    EXPECT_EQ(mon.lifeState(cid), LifeState::kDead);
+    mon.restartCubicle(cid, spec);
+    EXPECT_EQ(mon.lifeState(cid), LifeState::kLive);
+    EXPECT_LT(mon.freePageCount(), free1);
+}
+
 TEST(LifecycleTest, SelfDestroyRefused)
 {
     System sys(fullConfig());

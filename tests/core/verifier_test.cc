@@ -170,6 +170,45 @@ TEST(InsnDecode, DirectBranches)
     EXPECT_EQ(insn->branchRel, 256);
 }
 
+TEST(InsnDecode, VendorDivergentEncodingsAreOpaque)
+{
+    // 0x66 on a near rel32 branch: Intel ignores it, AMD reads a
+    // rel16, so the two CPUs disagree on the length.
+    EXPECT_FALSE(decodeAt(bytes({0x66, 0xE8, 0, 0, 0, 0}), 0).has_value());
+    EXPECT_FALSE(decodeAt(bytes({0x66, 0xE9, 0, 0, 0, 0}), 0).has_value());
+    for (int cc = 0x80; cc <= 0x8F; ++cc) {
+        EXPECT_FALSE(
+            decodeAt(bytes({0x66, 0x0F, cc, 0, 0, 0, 0}), 0).has_value())
+            << cc;
+    }
+    // 8F /1-/7: XOP on AMD, #UD on Intel.
+    for (int reg = 1; reg <= 7; ++reg) {
+        EXPECT_FALSE(decodeAt(bytes({0x8F, 0xC0 | (reg << 3)}), 0)
+                         .has_value())
+            << reg;
+    }
+
+    // Their unprefixed and /0 neighbours still decode.
+    auto call = decodeAt(bytes({0xE8, 0, 0, 0, 0}), 0);
+    ASSERT_TRUE(call.has_value());
+    EXPECT_EQ(call->length, 5u);
+    auto jmp = decodeAt(bytes({0xE9, 0, 0, 0, 0}), 0);
+    ASSERT_TRUE(jmp.has_value());
+    EXPECT_EQ(jmp->length, 5u);
+    for (int cc = 0x80; cc <= 0x8F; ++cc) {
+        auto jcc = decodeAt(bytes({0x0F, cc, 0, 0, 0, 0}), 0);
+        ASSERT_TRUE(jcc.has_value()) << cc;
+        EXPECT_EQ(jcc->length, 6u) << cc;
+    }
+    auto pop = decodeAt(bytes({0x8F, 0xC0}), 0); // pop rax (8f /0)
+    ASSERT_TRUE(pop.has_value());
+    EXPECT_EQ(pop->length, 2u);
+    // A rel8 branch has one length on both vendors, prefix or not.
+    auto jmp8 = decodeAt(bytes({0x66, 0xEB, 0x05}), 0);
+    ASSERT_TRUE(jmp8.has_value());
+    EXPECT_EQ(jmp8->length, 3u);
+}
+
 TEST(InsnDecode, ForbiddenInstructions)
 {
     struct Case {
@@ -833,6 +872,43 @@ TEST(VerifierLoader, RejectsWrpkruHiddenByOperandSizeDesync)
             << e.what();
     }
     EXPECT_EQ(sys.monitor().cubicleCount(), 0u);
+}
+
+TEST(VerifierLoader, RejectsBranchesWhoseLengthDependsOnTheVendor)
+{
+    // Each image jumps or calls with a 0x66-prefixed near branch.
+    // Intel reads a rel32 that skips the forbidden bytes; AMD reads a
+    // rel16 of 0 and runs the wrpkru or syscall right after it.
+    struct Case {
+        std::vector<uint8_t> image;
+        const char *finding;
+    };
+    const Case cases[] = {
+        {bytes({0x66, 0xE9, 0x00, 0x00, 0x0F, 0x01, 0xEF, 0xC3}),
+         "'wrpkru' at offset 4"},
+        {bytes({0x66, 0xE9, 0x00, 0x00, 0x0F, 0x05, 0xC3}),
+         "'syscall' at offset 4"},
+        {bytes({0x66, 0xE8, 0x00, 0x00, 0x0F, 0x05, 0xC3}),
+         "'syscall' at offset 4"},
+        {bytes({0x66, 0x0F, 0x84, 0x00, 0x00, 0x0F, 0x05, 0xC3}),
+         "'syscall' at offset 5"},
+    };
+    for (const Case &c : cases) {
+        System sys;
+        ComponentSpec spec;
+        spec.name = "divergent";
+        spec.image = c.image;
+        spec.entryPoints = {0};
+        try {
+            sys.monitor().loadComponent(spec);
+            ADD_FAILURE() << "image with " << c.finding << " was loaded";
+        } catch (const VerifierError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.finding),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(sys.monitor().cubicleCount(), 0u);
+    }
 }
 
 TEST(VerifierLoader, AcceptsMisalignedSpanOnlyTheSweepWouldReject)
