@@ -1,17 +1,17 @@
 /**
  * @file
  * Load-time verification throughput: the conservative byte-grep, the
- * instruction-aware linear-sweep verifier, the reachability walk
- * (sweep + direct-branch CFG from entry 0), and the interprocedural
- * pass 3 (jump-table/lea-call/entry-table resolution), over
- * synthesized component images from 64 KiB to 16 MiB.
+ * instruction-aware linear-sweep verifier (pass 1), and the loader's
+ * full verdict, the reachability walk from every function entry with
+ * jump-table/lea-call/entry-table resolution of indirect flow
+ * (verifyImageInter), over synthesized component images from 64 KiB
+ * to 16 MiB.
  *
- * The verifier runs the grep *and* a full linear-sweep disassembly;
- * the CFG walk re-decodes only the reachable subset on top of that;
- * pass 3 adds the indirect-flow resolution on top of the walk. Their
- * throughputs bound how much load-time latency each pass adds on top
- * of the original scan. All are one-shot load-time costs, not
- * steady-state costs.
+ * The sweep runs the grep *and* a full linear-sweep disassembly; the
+ * walk re-decodes the reachable subset and resolves indirect flow on
+ * top of that. Their throughputs bound how much load-time latency
+ * each adds on top of the original scan. All are one-shot load-time
+ * costs, not steady-state costs.
  *
  * The benign generator plants indirect sites on purpose (bounded
  * switches, lea/call singletons, and a fraction of naked register
@@ -29,7 +29,6 @@
 
 #include "bench/bench_util.h"
 #include "core/codescan.h"
-#include "core/verifier/cfg.h"
 #include "core/verifier/ipcfg.h"
 #include "core/verifier/scanner.h"
 
@@ -51,8 +50,8 @@ int
 main()
 {
     bench::header("Load-time code verification throughput",
-                  "loader rule 2 (paper §5.4) — grep vs sweep vs CFG "
-                  "walk vs interprocedural pass 3");
+                  "loader rule 2 (paper §5.4) — grep vs sweep vs "
+                  "interprocedural walk");
 
     const int reps = bench::intFromEnv("CODESCAN_REPS", 8);
     const bool listUnresolved =
@@ -60,9 +59,9 @@ main()
     const std::size_t sizes[] = {64u << 10, 256u << 10, 1u << 20,
                                  4u << 20, 16u << 20};
 
-    std::printf("%10s %6s %11s %11s %11s %11s %8s %8s %6s\n", "image",
-                "reps", "grep MB/s", "verify MB/s", "cfg MB/s",
-                "inter MB/s", "indirect", "unres", "rate%");
+    std::printf("%10s %6s %11s %11s %11s %8s %8s %6s\n", "image",
+                "reps", "grep MB/s", "verify MB/s", "inter MB/s",
+                "indirect", "unres", "rate%");
     bench::rule();
 
     hw::CycleClock clock; // unused by any scanner; wall time only
@@ -75,7 +74,6 @@ main()
         // Warm-up + correctness guard: benign images must pass all.
         if (core::scanCodeImage(image).has_value() ||
             !core::verifier::verifyImage(image).accepted() ||
-            !core::verifier::verifyImageFrom(image, entries).accepted() ||
             !core::verifier::verifyImageInter(image, entries, {})
                  .accepted()) {
             std::printf("BUG: benign image flagged at size %zu\n", size);
@@ -94,12 +92,6 @@ main()
                 (void)core::verifier::verifyImage(image).insnCount;
         });
 
-        auto walk = bench::measure(clock, [&] {
-            for (int r = 0; r < reps; ++r)
-                (void)core::verifier::verifyImageFrom(image, entries)
-                    .cfg.reachableInsns;
-        });
-
         core::verifier::VerifierReport interReport;
         auto inter = bench::measure(clock, [&] {
             for (int r = 0; r < reps; ++r)
@@ -115,11 +107,10 @@ main()
 
         const std::size_t total = size * static_cast<std::size_t>(reps);
         std::printf(
-            "%8zuK %6d %11.1f %11.1f %11.1f %11.1f %8zu %8zu %6.2f\n",
+            "%8zuK %6d %11.1f %11.1f %11.1f %8zu %8zu %6.2f\n",
             size >> 10, reps, mbPerSec(total, grep.wallMs),
-            mbPerSec(total, verify.wallMs), mbPerSec(total, walk.wallMs),
-            mbPerSec(total, inter.wallMs), resolved + unresolved,
-            unresolved, 100.0 * rate);
+            mbPerSec(total, verify.wallMs), mbPerSec(total, inter.wallMs),
+            resolved + unresolved, unresolved, 100.0 * rate);
 
         if (listUnresolved) {
             for (const core::verifier::IndirectSiteRecord &site :
@@ -135,10 +126,10 @@ main()
     }
     bench::rule();
     std::printf("verify = grep + instruction-length decode of every "
-                "byte; cfg = verify + direct-branch\nreachability walk "
-                "from every function entry; inter = cfg + jump-table/"
-                "lea-call\nresolution (all one-shot, at load). unres "
-                "counts residual CFI-trusted indirect calls.\n");
+                "byte; inter = verify + reachability\nwalk from every "
+                "function entry with jump-table/lea-call resolution "
+                "(all one-shot,\nat load). unres counts residual "
+                "CFI-trusted indirect calls.\n");
     if (!rateOk) {
         std::printf("BUG: unresolved-indirect rate reached 20%% — "
                     "pass 3 lost its resolution power\n");

@@ -204,8 +204,8 @@ makeBenignImage(std::size_t size, uint64_t seed,
             // are {4c+4k, 0, 0, 0} — multiples of 4 up to 28, so every
             // table byte pair decodes as a benign 2-byte ALU op and the
             // linear sweep re-aligns exactly at the sled. ja skips the
-            // whole construct, so the pass-2 walk never enters the
-            // table either.
+            // whole construct, and the walk follows the dispatch into
+            // the sled, so it never decodes the table either.
             const std::size_t count = 2 + prng.nextBelow(3); // 2..4
             if (room < 22 + 8 * count) {
                 image.push_back(0x90);

@@ -49,7 +49,7 @@ struct ComponentSpec {
 
     /**
      * Offsets of exported entry points within @c image, seeding the
-     * verifier's reachability walk (pass 2). Empty means "the image
+     * verifier's reachability walk. Empty means "the image
      * exports its base": the walk starts at offset 0. An offset past
      * the image end fails the load.
      */

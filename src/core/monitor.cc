@@ -99,14 +99,14 @@ Monitor::loadComponent(const ComponentSpec &spec)
         throw LoaderError("too many cubicles for ACL bitmask width");
 
     // Rule 2 (§5.4): refuse code that could subvert isolation. The
-    // reachability verifier walks the direct-branch CFG from every
-    // exported entry point; only forbidden sequences an entry path
-    // executes block the load, while sequences in payload constants or
-    // provably dead code are recorded in the report for audit. An
-    // undecodable reachable byte falls back to the linear-sweep
-    // verdict (never more permissive). The verdict is memoised by
-    // image content hash, so reloading an identical image skips the
-    // sweep + walk.
+    // verifier walks the CFG from every exported entry point, through
+    // direct branches and the indirect flow it can resolve; forbidden
+    // sequences an entry path executes block the load, while sequences
+    // in payload constants or provably dead code are recorded in the
+    // report for audit. An unresolved reachable indirect jump or an
+    // undecodable reachable byte proves nothing dead, so then every
+    // sequence blocks. The verdict is memoised by image content hash,
+    // so reloading an identical image skips the sweep + walk.
     std::vector<uint8_t> image = spec.image.empty()
         ? makeBenignImage(spec.codePages * hw::kPageSize,
                           cubicles_.size() + 1)
@@ -155,7 +155,14 @@ Monitor::loadComponent(const ComponentSpec &spec)
         cub->pkey = sharedKey_;
     }
     const Cid cid = cub->id;
-    provisionCubicle(*cub, spec, image);
+    try {
+        provisionCubicle(*cub, spec, image);
+    } catch (...) {
+        // A failed load returns its static tag, as it does its pages.
+        if (spec.kind == CubicleKind::kIsolated && cub->lkey < 0)
+            mpk_.freeKey(cub->pkey);
+        throw;
+    }
 
     // Publish: the release store pairs with cubicleCount()'s acquire
     // load, making the fully constructed cubicle (and its parallel

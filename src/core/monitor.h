@@ -190,19 +190,22 @@ class Monitor {
     /**
      * Loads a component into a fresh cubicle.
      *
-     * Runs the interprocedural verifier over the code image (linear
-     * sweep, direct-branch walk, then jump-table/entry-table indirect
-     * resolution; see core/verifier/ipcfg.h) through the process-wide
-     * image-hash cache (core/verifier/cache.h), allocates an MPK key
-     * (isolated cubicles), maps code pages execute-only, and sets up
-     * globals, the stack arena and the heap sub-allocator.
+     * Runs the verifier over the code image (linear sweep, then one
+     * reachability walk that resolves jump-table, lea/call and
+     * entry-table indirect flow; see core/verifier/ipcfg.h) through
+     * the process-wide image-hash cache (core/verifier/cache.h),
+     * allocates an MPK key (isolated cubicles), maps code pages
+     * execute-only, and sets up globals, the stack arena and the heap
+     * sub-allocator. A load that then runs out of pages returns its
+     * key and pages before throwing.
      *
      * @throws VerifierError when a forbidden sequence is reachable
      *         from an entry point, when unresolved indirect jump flow
      *         (or an undecodable reachable byte) leaves forbidden
      *         bytes possibly live, when an entry point or declared
      *         indirect-target table lies outside the image;
-     *         LoaderError on key or table exhaustion.
+     *         LoaderError on key or table exhaustion; OutOfMemory
+     *         when the code, global or stack pages do not fit.
      */
     Cid loadComponent(const ComponentSpec &spec);
 

@@ -4,8 +4,8 @@
 #include <deque>
 #include <unordered_map>
 
-#include "core/verifier/cfg.h"
 #include "core/verifier/insn.h"
+#include "core/verifier/scanner.h"
 
 namespace cubicleos::core::verifier {
 
@@ -189,21 +189,22 @@ verifyImageInter(std::span<const uint8_t> image,
                  std::span<const std::size_t> entryPoints,
                  std::span<const EntryTable> tables)
 {
-    VerifierReport report = verifyImageFrom(image, entryPoints);
+    VerifierReport report = verifyImage(image);
+    CfgSummary &cfg = report.cfg;
     ImageAudit &audit = report.audit;
+    cfg.ran = true;
     audit.ran = true;
     const std::size_t n = image.size();
-    if (n == 0)
-        return report;
+    cfg.firstOpaque = n;
 
+    // An image that names no entry points exports its base offset.
     static constexpr std::size_t kDefaultEntry[] = {0};
     std::span<const std::size_t> entries =
         entryPoints.empty() ? std::span<const std::size_t>(kDefaultEntry)
                             : entryPoints;
-    for (const std::size_t e : entries) {
-        if (e >= n) // pass 2 already went opaque; nothing to refine
-            return report;
-    }
+    cfg.entryCount = entries.size();
+    if (n == 0)
+        return report;
 
     // ---- Declared entry tables: the indirect-call target universe.
     std::vector<std::size_t> callUniverse;
@@ -256,19 +257,18 @@ verifyImageInter(std::span<const uint8_t> image,
         }
     }
 
-    // ---- Interprocedural walk (BFS, so recorded parents give the
-    // shortest witness path). funcOf propagates the function
-    // partition: call targets and image entries open functions,
-    // every other edge stays in the caller's.
+    // ---- The walk (BFS, so recorded parents give the shortest
+    // witness path). funcOf propagates the function partition: call
+    // targets and image entries open functions, every other edge
+    // stays in the caller's.
     constexpr int32_t kUnvisited = -2;
     constexpr int32_t kRoot = -1;
     std::vector<int32_t> parent(n, kUnvisited);
     std::vector<int32_t> funcOf(n, -1);
+    std::vector<uint8_t> reachableByte(n, 0); // union of insn spans
     std::deque<std::size_t> queue;
     std::vector<ForbiddenSpan> spans;
     std::vector<uint8_t> jtCompromised(jumpTables.size(), 0);
-    bool opaqueFlow = false;
-    std::size_t opaquePos = n;
 
     std::unordered_map<std::size_t, std::size_t> funcIdByEntry;
     auto functionFor = [&](std::size_t entry) -> int32_t {
@@ -319,8 +319,10 @@ verifyImageInter(std::span<const uint8_t> image,
     // target); otherwise the successor inherits `func`.
     auto pushEdge = [&](std::size_t from, int64_t target, int32_t func,
                         bool callTarget = false) {
-        if (target < 0 || static_cast<std::size_t>(target) >= n)
-            return; // external sink (import stubs / image end)
+        if (target < 0 || static_cast<std::size_t>(target) >= n) {
+            cfg.externalTargets++; // import stubs / image end
+            return;
+        }
         const auto t = static_cast<std::size_t>(target);
         if (!interiors.empty())
             checkInterior(from, t);
@@ -332,6 +334,11 @@ verifyImageInter(std::span<const uint8_t> image,
     };
 
     for (const std::size_t e : entries) {
+        if (e >= n) {
+            // A broken export table leaves nothing to prove.
+            cfg.opaque = true;
+            continue;
+        }
         if (parent[e] != kUnvisited)
             continue;
         parent[e] = kRoot;
@@ -346,17 +353,22 @@ verifyImageInter(std::span<const uint8_t> image,
 
         const auto insn = decodeAt(image, pos);
         if (!insn) {
-            // Reachable bytes we cannot decode: unresolved flow, same
-            // policy as an unresolved indirect jump. Recorded, never
-            // silently skipped.
-            opaqueFlow = true;
-            opaquePos = std::min(opaquePos, pos);
+            // Reachable bytes we cannot decode leave the CFG with a
+            // hole: no deadness claim is sound.
+            cfg.opaque = true;
+            cfg.firstOpaque = std::min(cfg.firstOpaque, pos);
             continue;
         }
         const std::size_t end = pos + insn->length;
-        if (func >= 0)
-            audit.functions[static_cast<std::size_t>(func)].insnCount++;
+        cfg.reachableInsns++;
+        for (std::size_t b = pos; b < end; ++b)
+            reachableByte[b] = 1;
+        const std::size_t fnEntry =
+            audit.functions[static_cast<std::size_t>(func)].entry;
+        audit.functions[static_cast<std::size_t>(func)].insnCount++;
         if (insn->forbidden) {
+            // The load is already lost, and the instruction's behaviour
+            // (trap or PKRU write) makes its fall-through irrelevant.
             spans.push_back(
                 ForbiddenSpan{pos, insn->length, insn->mnemonic});
             continue;
@@ -369,20 +381,25 @@ verifyImageInter(std::span<const uint8_t> image,
             pushEdge(pos, static_cast<int64_t>(end), func);
             break;
           case FlowKind::kBranch:
+            cfg.directBranches++;
             pushEdge(pos, target, func);
             pushEdge(pos, static_cast<int64_t>(end), func);
             break;
           case FlowKind::kJump:
+            cfg.directBranches++;
             pushEdge(pos, target, func);
             break;
           case FlowKind::kCall:
+            cfg.directBranches++;
             pushEdge(pos, target, func, /*callTarget=*/true);
             pushEdge(pos, static_cast<int64_t>(end), func);
             break;
           case FlowKind::kIndirectCall: {
+            cfg.indirectSites++;
             IndirectSiteRecord rec;
             rec.offset = pos;
             rec.isJump = false;
+            rec.function = fnEntry;
             if (auto it = lcByCall.find(pos); it != lcByCall.end()) {
                 rec.resolved = true;
                 rec.how = "lea-call";
@@ -399,17 +416,16 @@ verifyImageInter(std::span<const uint8_t> image,
                     pushEdge(pos, static_cast<int64_t>(t), func,
                              /*callTarget=*/true);
             }
-            rec.function = (func >= 0)
-                ? audit.functions[static_cast<std::size_t>(func)].entry
-                : 0;
             audit.indirectSites.push_back(std::move(rec));
             pushEdge(pos, static_cast<int64_t>(end), func);
             break;
           }
           case FlowKind::kIndirectJump: {
+            cfg.indirectJumps++;
             IndirectSiteRecord rec;
             rec.offset = pos;
             rec.isJump = true;
+            rec.function = fnEntry;
             if (auto it = jtByJmp.find(pos); it != jtByJmp.end()) {
                 const JumpTableMatch &jm = jumpTables[it->second];
                 rec.resolved = true;
@@ -423,16 +439,16 @@ verifyImageInter(std::span<const uint8_t> image,
                 for (const std::size_t t : jm.targets)
                     pushEdge(pos, static_cast<int64_t>(t), func);
             }
-            rec.function = (func >= 0)
-                ? audit.functions[static_cast<std::size_t>(func)].entry
-                : 0;
             audit.indirectSites.push_back(std::move(rec));
             break;
           }
           case FlowKind::kTerminal:
+            cfg.terminals++;
             break;
         }
     }
+    cfg.reachableBytes = static_cast<std::size_t>(
+        std::count(reachableByte.begin(), reachableByte.end(), 1));
 
     // ---- Guard-bypass downgrade: a compromised dispatch is not
     // bounded by its table after all.
@@ -462,12 +478,7 @@ verifyImageInter(std::span<const uint8_t> image,
         if (rec.isJump)
             firstUnresolvedJump = std::min(firstUnresolvedJump,
                                            rec.offset);
-        for (FunctionAudit &fn : audit.functions) {
-            if (fn.entry == rec.function) {
-                fn.unresolvedSites++;
-                break;
-            }
-        }
+        audit.functions[funcIdByEntry.at(rec.function)].unresolvedSites++;
     }
     std::sort(audit.functions.begin(), audit.functions.end(),
               [](const FunctionAudit &a, const FunctionAudit &b) {
@@ -475,19 +486,26 @@ verifyImageInter(std::span<const uint8_t> image,
               });
     audit.functionCount = audit.functions.size();
 
-    // ---- Finding refinement. Resolved edges extend the reachable
-    // set, so spans found here upgrade pass-2 verdicts; then the
-    // unresolved-jump policy: while any reachable indirect *jump*
-    // stays unresolved (or reachable bytes stay undecodable), no
-    // forbidden byte sequence in the image is provably dead, so every
-    // non-rejecting finding escalates to kIndirectReachable.
+    // ---- Finding refinement. A finding that overlaps a reachable
+    // forbidden instruction is executed from an entry point: kAligned.
+    // Any other non-embedded finding sits in code the walk never
+    // reaches: kUnreachable, unless the walk is opaque, when the
+    // sweep's classes stand. A missed reachable forbidden instruction
+    // is added as a finding. Then the unresolved-jump policy: while
+    // any reachable indirect *jump* stays unresolved (or the walk is
+    // opaque), no forbidden byte sequence in the image is provably
+    // dead, so every non-rejecting finding escalates to
+    // kIndirectReachable.
     for (CodeFinding &f : report.findings) {
-        for (const ForbiddenSpan &s : spans) {
-            if (overlaps(f, s)) {
-                f.cls = FindingClass::kAligned;
-                break;
-            }
-        }
+        const bool hit =
+            std::any_of(spans.begin(), spans.end(),
+                        [&](const ForbiddenSpan &s) {
+                            return overlaps(f, s);
+                        });
+        if (hit)
+            f.cls = FindingClass::kAligned;
+        else if (!cfg.opaque && f.cls != FindingClass::kEmbedded)
+            f.cls = FindingClass::kUnreachable;
     }
     for (const ForbiddenSpan &s : spans) {
         bool reported = false;
@@ -502,9 +520,7 @@ verifyImageInter(std::span<const uint8_t> image,
                 s.start, s.length, s.mnemonic, FindingClass::kAligned});
         }
     }
-    const bool unresolvedJumpFlow =
-        opaqueFlow || firstUnresolvedJump < n;
-    if (unresolvedJumpFlow) {
+    if (cfg.opaque || firstUnresolvedJump < n) {
         for (CodeFinding &f : report.findings) {
             if (!f.rejecting())
                 f.cls = FindingClass::kIndirectReachable;
@@ -543,7 +559,7 @@ verifyImageInter(std::span<const uint8_t> image,
         if (f.cls == FindingClass::kIndirectReachable) {
             const std::size_t cause = (firstUnresolvedJump < n)
                 ? firstUnresolvedJump
-                : opaquePos;
+                : cfg.firstOpaque;
             if (cause < n)
                 w.steps = chainTo(cause);
         } else {

@@ -1,37 +1,61 @@
 /**
  * @file
- * Pass 3 of the load-time verifier: interprocedural control flow.
+ * The load-time verifier's reachability walk (pass 3): the loader's
+ * verdict on a code image.
  *
- * Pass 2 (cfg.h) walks direct branches only and treats every indirect
- * jump as an opaque sink — sound for rejecting what it *can* see, but
- * silent about what it cannot: a `jmp r/m` might land anywhere, so an
- * image whose forbidden bytes sit in "unreachable" code is only safe
- * if no indirect flow can reach them. Pass 3 closes that gap:
+ * Pass 1 (scanner.h) classifies forbidden byte sequences against a
+ * blind linear sweep, which presumes every boundary it visits is
+ * executable. That over-rejects: a `0f 01 ef` misaligned inside data
+ * after a `ret`, or inside dead code, never executes. The walk runs
+ * the sweep, then builds one control-flow graph over the image and
+ * walks it breadth-first from every exported entry point:
  *
- *  - it resolves the compiler's bounded-switch jump-table idiom
- *    (cmp/ja guard, rip-relative lea of the table base, movsxd of a
- *    scaled 32-bit entry, add, jmp reg) to the exact target set the
- *    table encodes, and follows those edges;
- *  - it resolves the rip-relative `lea reg, [rip+disp]` immediately
- *    followed by `call reg` singleton to its one target;
- *  - it takes builder-declared relocation-like entry tables
- *    (ComponentSpec::indirectTables) as the universe of indirect
- *    *call* targets, the way a CFI-instrumented build publishes its
- *    address-taken set;
- *  - residual indirect flow is classified per function and reported,
- *    never silently ignored: if a reachable indirect *jump* stays
- *    unresolved (or reachable bytes stay undecodable) while the image
- *    contains forbidden byte sequences anywhere, the image rejects —
- *    the sequences get class kIndirectReachable. Unresolved indirect
- *    *calls* keep pass-2's fall-through treatment (calls are confined
- *    to published entry slots by the cross-call trampoline), but are
- *    counted and listed in the audit record.
+ *   - fall-through edges from every sequential instruction;
+ *   - `jcc rel8/rel32`: target + fall-through;
+ *   - `jmp rel8/rel32`: target only;
+ *   - `call rel32`: target (a new function) + fall-through;
+ *   - `ret` / `hlt` / `ud2` / `int3`: sinks, no successor; so is a
+ *     reachable forbidden instruction (the load is already lost);
+ *   - a direct edge leaving the image is an external sink (imports go
+ *     through relocated call stubs);
+ *   - `jmp r/m`: the compiler's bounded-switch jump-table idiom
+ *     (cmp/ja guard, rip-relative lea of the table base, movsxd of a
+ *     scaled 32-bit entry, add, jmp reg) resolves to the exact target
+ *     set the table encodes, and those edges are followed; any other
+ *     indirect jump is an unresolved sink;
+ *   - `call r/m`: fall-through, plus the one target of a rip-relative
+ *     `lea reg, [rip+disp]` immediately followed by `call reg`, or
+ *     else every entry of the builder-declared tables
+ *     (ComponentSpec::indirectTables), the way a CFI-instrumented
+ *     build publishes its address-taken set. Otherwise the callee is
+ *     unresolved; the call keeps its fall-through (calls are confined
+ *     to published entry slots by the cross-call trampoline) and is
+ *     counted and listed in the audit record.
  *
- * The walk also emits the per-image ImageAudit (report.h): the
- * function partition, every indirect site with its resolution, the
- * bytes identified as jump-table data (so decode coverage accounts
- * them as data, not undecodable gaps), and a shortest witness path
- * from an entry point for every rejecting finding.
+ * The walk is *opaque* when it reaches a byte it cannot decode or an
+ * entry point lies outside the image: the CFG has a hole, so it
+ * proves nothing dead. Findings are then refined in one pass:
+ *
+ *   1. a finding that overlaps a reachable forbidden instruction
+ *      becomes kAligned (and a reachable forbidden instruction the
+ *      byte-grep missed is added as one);
+ *   2. any other non-embedded finding becomes kUnreachable
+ *      (report-only), unless the walk is opaque; then the sweep's
+ *      classes stand;
+ *   3. while a reachable indirect jump stays unresolved, or the walk
+ *      is opaque, every remaining report-only finding becomes
+ *      kIndirectReachable and rejects.
+ *
+ * So an opaque walk rejects every finding, and otherwise a rejecting
+ * finding is either executed from an entry point (kAligned) or not
+ * provably dead because an unresolved jump could reach it.
+ *
+ * The walk also fills CfgSummary and the per-image ImageAudit
+ * (report.h): the function partition, every indirect site with its
+ * resolution, the bytes identified as jump-table data (so decode
+ * coverage accounts them as data, not undecodable gaps), and a
+ * shortest witness path from an entry point for every rejecting
+ * finding.
  */
 
 #ifndef CUBICLEOS_CORE_VERIFIER_IPCFG_H_
@@ -101,13 +125,16 @@ LeaCallMatch matchLeaCall(std::span<const uint8_t> image,
                           std::size_t pos);
 
 /**
- * Pass 3: verifies @p image interprocedurally from @p entryPoints.
+ * Verifies @p image: the pass-1 sweep, then the walk from
+ * @p entryPoints and the refinement described in the file header.
  *
- * Runs passes 1+2 (verifyImageFrom) and then the interprocedural
- * refinement described in the file header. @p tables is the builder's
- * declared indirect-call target tables (may be empty). The returned
- * report has audit.ran set; decodedBytes counts identified table
- * bytes as covered data.
+ * @param entryPoints exported entry offsets; an empty span seeds the
+ *        walk at offset 0. An out-of-range entry makes the walk
+ *        opaque; it does not throw.
+ * @param tables the builder's declared indirect-call target tables
+ *        (may be empty).
+ * @return report with cfg.ran and audit.ran set; decodedBytes counts
+ *         identified table bytes as covered data.
  */
 VerifierReport verifyImageInter(std::span<const uint8_t> image,
                                 std::span<const std::size_t> entryPoints,

@@ -24,24 +24,23 @@ namespace cubicleos::core::verifier {
  * compiler constant no in-image control flow reaches, and is recorded
  * for audit instead.
  *
- * kUnreachable is produced only by pass 2 (the entry-point
- * reachability walk, cfg.h): a sequence the linear sweep would reject
- * but that no branch path from any exported entry point executes —
- * e.g. bytes after an unconditional ret, or a misaligned overlap in
- * dead code. Like kEmbedded it is report-only.
- *
- * kIndirectReachable is produced only by pass 3 (the interprocedural
- * analysis, ipcfg.h): the function holding the finding is reachable
- * from an entry point and contains an *unresolved* indirect jump, so
- * the analysis cannot prove the forbidden bytes dead — the finding
- * rejects even though no resolved path lands on it.
+ * kUnreachable and kIndirectReachable are produced only by the
+ * reachability walk (ipcfg.h). kUnreachable: a sequence the linear
+ * sweep would reject but that no path the walk follows from an
+ * exported entry point executes — e.g. bytes after an unconditional
+ * ret, or a misaligned overlap in dead code; never assigned when the
+ * walk is opaque. Like kEmbedded it is report-only.
+ * kIndirectReachable: a reachable indirect jump stays *unresolved* (or
+ * the walk is opaque), so the walk cannot prove the forbidden bytes
+ * dead — the finding rejects even though no followed path lands on
+ * it.
  */
 enum class FindingClass : uint8_t {
     kAligned,             ///< starts on an instruction boundary
     kMisalignedReachable, ///< overlaps structural bytes / undecoded region
     kEmbedded,            ///< wholly inside one instruction's payload
-    kUnreachable,         ///< pass 2: no path from any entry point
-    kIndirectReachable,   ///< pass 3: unresolved indirect flow nearby
+    kUnreachable,         ///< walk: no path from any entry point
+    kIndirectReachable,   ///< walk: unresolved indirect flow nearby
 };
 
 /** Human-readable class name. */
@@ -76,23 +75,25 @@ struct EntryTable {
 };
 
 /**
- * Summary of the pass-2 reachability walk (zeroed when only the
- * linear sweep ran).
+ * Summary of the reachability walk (ipcfg.h; zeroed when only the
+ * linear sweep ran). Counts cover everything the walk reached,
+ * including code reached through resolved indirect edges.
  *
  * When @c opaque is true the walk hit a reachable byte it could not
- * decode (or an entry point outside the image) and its refinement was
- * discarded: the report keeps the conservative pass-1 classes.
+ * decode (or an entry point outside the image): it proves nothing
+ * dead, so the report keeps the conservative pass-1 classes and every
+ * finding rejects.
  */
 struct CfgSummary {
-    bool ran = false;            ///< verifyImageFrom was used
-    bool opaque = false;         ///< walk aborted, pass-1 classes kept
-    std::size_t firstOpaque = 0; ///< offset that stopped the walk
+    bool ran = false;            ///< verifyImageInter was used
+    bool opaque = false;         ///< walk has a hole, pass-1 classes kept
+    std::size_t firstOpaque = 0; ///< first undecodable reachable offset
     std::size_t entryCount = 0;
     std::size_t reachableInsns = 0;
     std::size_t reachableBytes = 0;
     std::size_t directBranches = 0;  ///< jcc/jmp/call edges followed
     std::size_t indirectSites = 0;   ///< call r/m seen (fall-through kept)
-    std::size_t indirectJumps = 0;   ///< jmp r/m seen (sink for pass 2)
+    std::size_t indirectJumps = 0;   ///< jmp r/m seen
     std::size_t terminals = 0;       ///< ret/hlt/ud2/int3 sinks
     std::size_t externalTargets = 0; ///< direct edges leaving the image
 };
@@ -205,7 +206,7 @@ struct VerifierReport {
                static_cast<double>(imageBytes);
     }
 
-    /** Fraction of image bytes proven reachable by pass 2 (0 if not run). */
+    /** Fraction of image bytes the walk reached (0 if it did not run). */
     double reachableCoverage() const
     {
         if (!cfg.ran || imageBytes == 0)

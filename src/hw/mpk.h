@@ -18,6 +18,7 @@
 #define CUBICLEOS_HW_MPK_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <optional>
 
@@ -205,17 +206,26 @@ class Mpk {
     {}
 
     /**
-     * Allocates a fresh physical protection key.
+     * Allocates a physical protection key: one returned by freeKey
+     * first, else a fresh one.
      *
      * Thread-safe: the loader and windowSetHot allocate keys under
-     * different locks of the monitor's hierarchy, so the counter
-     * advances with a CAS instead of relying on external exclusion.
+     * different locks of the monitor's hierarchy, so the freed mask
+     * and the counter advance with a CAS instead of relying on
+     * external exclusion.
      *
      * @return the key, or -1 if the physical keys (as capped by the
      *         budget) are exhausted.
      */
     int allocKey()
     {
+        uint32_t freed = freedKeys_.load(std::memory_order_relaxed);
+        while (freed != 0) {
+            const int key = std::countr_zero(freed);
+            if (freedKeys_.compare_exchange_weak(
+                    freed, freed & ~(1u << key), std::memory_order_relaxed))
+                return key;
+        }
         int cur = nextKey_.load(std::memory_order_relaxed);
         while (cur < physBudget_) {
             if (nextKey_.compare_exchange_weak(
@@ -241,11 +251,21 @@ class Mpk {
         return key >= kFirstLogicalKey;
     }
 
+    /**
+     * Returns @p key, taken from allocKey and no longer tagging any
+     * page, for reuse (a load that failed after taking it).
+     */
+    void freeKey(int key)
+    {
+        freedKeys_.fetch_or(1u << key, std::memory_order_relaxed);
+    }
+
     /** Physical keys still allocatable under the budget. */
     int remainingKeys() const
     {
         const int next = nextKey_.load(std::memory_order_relaxed);
-        return next < physBudget_ ? physBudget_ - next : 0;
+        return (next < physBudget_ ? physBudget_ - next : 0) +
+               std::popcount(freedKeys_.load(std::memory_order_relaxed));
     }
 
     /** Logical keys handed out so far. */
@@ -286,6 +306,7 @@ class Mpk {
 
   private:
     std::atomic<int> nextKey_;
+    std::atomic<uint32_t> freedKeys_{0}; ///< bit k: key k was freed
     std::atomic<int> nextLogicalKey_;
     int physBudget_;
     bool modifiedExec_;

@@ -75,12 +75,16 @@ TEST(LifecycleTest, FailedLoadOrRestartReturnsItsPages)
     huge.name = "huge";
     huge.stackPages = 1000; // more than the whole space
 
-    // Each load takes its code and global pages before the stack
-    // fails to fit; all of them must go back.
+    // Each load takes its MPK key, code and global pages before the
+    // stack fails to fit; all of them must go back. Twenty loads are
+    // more than the physical keys, so a leaked key shows up as a
+    // LoaderError ("MPK keys exhausted").
     const std::size_t free0 = mon.freePageCount();
-    for (int i = 0; i < 10; ++i)
+    const int keys0 = mon.mpk().remainingKeys();
+    for (int i = 0; i < 20; ++i)
         EXPECT_THROW(mon.loadComponent(huge), OutOfMemory);
     EXPECT_EQ(mon.freePageCount(), free0);
+    EXPECT_EQ(mon.mpk().remainingKeys(), keys0);
     EXPECT_EQ(sys.cubicleCount(), 0u);
 
     // A restart that cannot fit leaves the cubicle dead, with the free

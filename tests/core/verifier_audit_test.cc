@@ -163,8 +163,9 @@ TEST(VerifierPass3, CleanJumpTableResolvesAndLoads)
 
 TEST(VerifierPass3, UnresolvedIndirectJumpWithForbiddenBytesRejects)
 {
-    // jmp rax at the entry point stays opaque; wrpkru behind it is
-    // dead to pass 2, but pass 3 cannot prove the jump misses it.
+    // jmp rax at the entry point stays opaque; no followed edge
+    // reaches the wrpkru behind it, but the walk cannot prove the jump
+    // misses it.
     std::vector<uint8_t> img = {0xFF, 0xE0}; // jmp rax
     append(img, kWrpkru);
     img.push_back(0xC3);
@@ -278,8 +279,8 @@ TEST(VerifierPass3, EntryTableDeclaringForbiddenTargetRejects)
 
 TEST(VerifierPass3, UndeclaredIndirectCallStaysTrustedButCounted)
 {
-    // Without the table the call is CFI-trusted (fall-through kept,
-    // like pass 2), so the image loads — but the residual opacity is
+    // Without the table the call is CFI-trusted (fall-through kept),
+    // so the image loads — but the residual opacity is
     // recorded, not hidden.
     const std::vector<uint8_t> img = {0xFF, 0xD0, 0xC3};
     System sys(toyConfig());
@@ -292,6 +293,32 @@ TEST(VerifierPass3, UndeclaredIndirectCallStaysTrustedButCounted)
     ASSERT_EQ(report.audit.indirectSites.size(), 1u);
     EXPECT_FALSE(report.audit.indirectSites[0].isJump);
     EXPECT_FALSE(report.audit.indirectSites[0].resolved);
+}
+
+TEST(VerifierPass3, UnresolvedSitesChargedToTheirFunction)
+{
+    // The entry function holds one naked indirect call, its direct
+    // callee at offset 8 holds three: each site is charged to the
+    // function whose walk reached it.
+    const std::vector<uint8_t> img = {
+        0xE8, 0x03, 0x00, 0x00, 0x00, // 0: call → 8
+        0xFF, 0xD0,                   // 5: call rax
+        0xC3,                         // 7: ret
+        0xFF, 0xD0,                   // 8: call rax
+        0xFF, 0xD1,                   // 10: call rcx
+        0xFF, 0xD2,                   // 12: call rdx
+        0xC3,                         // 14: ret
+    };
+    const std::size_t entries[] = {0};
+    const verifier::VerifierReport report =
+        verifier::verifyImageInter(img, entries, {});
+    EXPECT_TRUE(report.accepted());
+    EXPECT_EQ(report.audit.unresolvedSites, 4u);
+    ASSERT_EQ(report.audit.functions.size(), 2u);
+    EXPECT_EQ(report.audit.functions[0].entry, 0u);
+    EXPECT_EQ(report.audit.functions[0].unresolvedSites, 1u);
+    EXPECT_EQ(report.audit.functions[1].entry, 8u);
+    EXPECT_EQ(report.audit.functions[1].unresolvedSites, 3u);
 }
 
 TEST(VerifierPass3, MalformedEntryTableRejectedBeforeVerification)

@@ -23,7 +23,7 @@
 #include <algorithm>
 
 #include "core/codescan.h"
-#include "core/verifier/cfg.h"
+#include "core/verifier/ipcfg.h"
 #include "core/verifier/scanner.h"
 #include "hw/prng.h"
 
@@ -33,7 +33,7 @@ namespace {
 using verifier::FindingClass;
 using verifier::VerifierReport;
 using verifier::verifyImage;
-using verifier::verifyImageFrom;
+using verifier::verifyImageInter;
 
 std::vector<uint8_t>
 randomBytes(std::size_t size, uint64_t seed)
@@ -112,40 +112,40 @@ TEST(VerifierDiff, BenignStreamsWithSplicedForbiddenSequences)
 }
 
 // ----------------------------------------------------------------------
-// Pass 1 vs pass 2: the reachability walk may only downgrade
+// The reachability walk's contract
 // ----------------------------------------------------------------------
 
 /**
- * Checks the pass-2 monotonicity contract on one image:
- *   - pass 2 rejects      ⟹ pass 1 rejects (never *more* strict);
- *   - pass 2 opaque       ⟹ classes identical to pass 1;
- *   - every pass-1 kAligned finding that pass 2 keeps rejecting keeps
- *     the kAligned class (reachable-aligned occurrences never soften
- *     into a weaker rejecting class).
+ * Checks the walk's contract on one image, walked from offset 0:
+ *   - an opaque walk (a reachable byte it cannot decode) rejects every
+ *     finding: it proves nothing dead;
+ *   - otherwise every rejecting finding is kAligned (a reachable
+ *     forbidden instruction) or kIndirectReachable;
+ *   - and kIndirectReachable appears only when an unresolved indirect
+ *     jump exists.
  */
 void
 checkReachabilityMonotone(const std::vector<uint8_t> &image, uint64_t seed)
 {
-    const VerifierReport r1 = verifyImage(image);
-    const VerifierReport r2 = verifyImageFrom(image, {});
-
-    if (!r2.accepted()) {
-        EXPECT_FALSE(r1.accepted())
-            << "walk rejected what the sweep accepted, seed " << seed;
+    const VerifierReport r = verifyImageInter(image, {}, {});
+    if (r.cfg.opaque) {
+        for (const verifier::CodeFinding &f : r.findings)
+            EXPECT_TRUE(f.rejecting()) << seed;
+        return;
     }
-    if (r2.cfg.opaque) {
-        ASSERT_EQ(r2.findings.size(), r1.findings.size()) << seed;
-        for (std::size_t i = 0; i < r1.findings.size(); ++i) {
-            EXPECT_EQ(r2.findings[i].cls, r1.findings[i].cls) << seed;
-            EXPECT_EQ(r2.findings[i].offset, r1.findings[i].offset)
-                << seed;
-        }
-    }
-    if (!r2.cfg.opaque) {
-        for (const verifier::CodeFinding &f : r2.findings) {
-            if (f.rejecting()) {
-                EXPECT_EQ(f.cls, FindingClass::kAligned) << seed;
-            }
+    const bool unresolvedJump = std::any_of(
+        r.audit.indirectSites.begin(), r.audit.indirectSites.end(),
+        [](const verifier::IndirectSiteRecord &s) {
+            return s.isJump && !s.resolved;
+        });
+    for (const verifier::CodeFinding &f : r.findings) {
+        if (!f.rejecting())
+            continue;
+        EXPECT_TRUE(f.cls == FindingClass::kAligned ||
+                    f.cls == FindingClass::kIndirectReachable)
+            << seed;
+        if (f.cls == FindingClass::kIndirectReachable) {
+            EXPECT_TRUE(unresolvedJump) << seed;
         }
     }
 }
@@ -153,7 +153,7 @@ checkReachabilityMonotone(const std::vector<uint8_t> &image, uint64_t seed)
 TEST(VerifierDiff, ReachabilityMonotoneOnRandomBytes)
 {
     // Random byte soup is almost always opaque: the property reduces
-    // to "classes identical to pass 1".
+    // to "every finding rejects".
     for (uint64_t seed = 1; seed <= 64; ++seed)
         checkReachabilityMonotone(randomBytes(4096, seed), seed);
 }
@@ -163,7 +163,7 @@ TEST(VerifierDiff, ReachabilityMonotoneOnBenignStreams)
     for (uint64_t seed = 1; seed <= 64; ++seed) {
         auto image = makeBenignImage(4096, seed);
         checkReachabilityMonotone(image, seed);
-        EXPECT_TRUE(verifyImageFrom(image, {}).accepted()) << seed;
+        EXPECT_TRUE(verifyImageInter(image, {}, {}).accepted()) << seed;
     }
 }
 
@@ -189,8 +189,8 @@ TEST(VerifierDiff, ReachabilityMonotoneOnSplicedStreams)
 TEST(VerifierDiff, NopSledSpliceRejectsUnderBothPasses)
 {
     // Inside a nop sled every byte is a reachable boundary: a spliced
-    // forbidden sequence must fail pass 1 AND pass 2 wherever it lands
-    // before the first ret.
+    // forbidden sequence must fail the sweep AND the walk wherever it
+    // lands before the first ret.
     hw::Prng prng(0xABCDu);
     for (int round = 0; round < 32; ++round) {
         std::vector<uint8_t> image(2048, 0x90);
@@ -201,19 +201,19 @@ TEST(VerifierDiff, NopSledSpliceRejectsUnderBothPasses)
         image[at + 1] = 0x01;
         image[at + 2] = 0xEF;
         EXPECT_FALSE(verifyImage(image).accepted()) << at;
-        EXPECT_FALSE(verifyImageFrom(image, {}).accepted()) << at;
+        EXPECT_FALSE(verifyImageInter(image, {}, {}).accepted()) << at;
     }
 }
 
 TEST(VerifierDiff, RealComponentSnapshotsAcceptedWithFullDecodeCoverage)
 {
     // The loader's synthesized component images, at every size the
-    // in-tree deployments use: both passes accept, and the sweep
-    // decodes every byte.
+    // in-tree deployments use: the walk accepts, and the sweep decodes
+    // every byte.
     for (uint64_t seed = 1; seed <= 16; ++seed) {
         for (std::size_t pages = 1; pages <= 4; ++pages) {
             auto image = makeBenignImage(pages * 4096, seed);
-            const VerifierReport r = verifyImageFrom(image, {});
+            const VerifierReport r = verifyImageInter(image, {}, {});
             EXPECT_TRUE(r.accepted()) << seed;
             EXPECT_FALSE(r.cfg.opaque) << seed;
             EXPECT_DOUBLE_EQ(r.decodeCoverage(), 1.0) << seed;

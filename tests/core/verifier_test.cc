@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the load-time verifier: the x86-64 length decoder, the
- * linear-sweep classification of forbidden sequences, the entry-point
- * reachability walk (pass 2), and the loader integration (reject vs
+ * linear-sweep classification of forbidden sequences, the reachability
+ * walk from the entry points, and the loader integration (reject vs
  * report-only, reports and stats).
  */
 
@@ -11,8 +11,8 @@
 #include "core/codescan.h"
 #include "core/system.h"
 #include "core/verifier/cache.h"
-#include "core/verifier/cfg.h"
 #include "core/verifier/insn.h"
+#include "core/verifier/ipcfg.h"
 #include "core/verifier/scanner.h"
 #include "tests/core/toy_components.h"
 
@@ -25,7 +25,7 @@ using verifier::Insn;
 using verifier::VerifierReport;
 using verifier::decodeAt;
 using verifier::verifyImage;
-using verifier::verifyImageFrom;
+using verifier::verifyImageInter;
 
 std::vector<uint8_t>
 bytes(std::initializer_list<int> list)
@@ -650,7 +650,7 @@ TEST(Verifier, CoverageCountsAreConsistent)
 }
 
 // ----------------------------------------------------------------------
-// Pass 2: entry-point reachability walk
+// The reachability walk from the entry points
 // ----------------------------------------------------------------------
 
 TEST(Cfg, DataAfterRetIsUnreachable)
@@ -661,7 +661,7 @@ TEST(Cfg, DataAfterRetIsUnreachable)
     VerifierReport r1 = verifyImage(image);
     EXPECT_FALSE(r1.accepted());
 
-    VerifierReport r2 = verifyImageFrom(image, {});
+    VerifierReport r2 = verifyImageInter(image, {}, {});
     EXPECT_TRUE(r2.accepted());
     ASSERT_EQ(r2.findings.size(), 1u);
     EXPECT_EQ(r2.findings[0].cls, FindingClass::kUnreachable);
@@ -679,7 +679,7 @@ TEST(Cfg, JumpOverDataSkipsForbiddenBytes)
                         0x90, 0xC3});
     EXPECT_FALSE(verifyImage(image).accepted());
 
-    VerifierReport r = verifyImageFrom(image, {});
+    VerifierReport r = verifyImageInter(image, {}, {});
     EXPECT_TRUE(r.accepted());
     ASSERT_EQ(r.findings.size(), 1u);
     EXPECT_EQ(r.findings[0].cls, FindingClass::kUnreachable);
@@ -689,7 +689,7 @@ TEST(Cfg, JumpOverDataSkipsForbiddenBytes)
 TEST(Cfg, ReachableAlignedStillRejected)
 {
     auto image = bytes({0x90, 0x0F, 0x01, 0xEF, 0xC3});
-    VerifierReport r = verifyImageFrom(image, {});
+    VerifierReport r = verifyImageInter(image, {}, {});
     EXPECT_FALSE(r.accepted());
     ASSERT_EQ(r.findings.size(), 1u);
     EXPECT_EQ(r.findings[0].cls, FindingClass::kAligned);
@@ -702,13 +702,13 @@ TEST(Cfg, ConditionalBranchWalksBothPaths)
     auto taken = bytes({0x74, 0x03,       // je → 5
                         0x90, 0x90, 0xC3, // fall-through exits cleanly
                         0x0F, 0x05});     // target: syscall
-    EXPECT_FALSE(verifyImageFrom(taken, {}).accepted());
+    EXPECT_FALSE(verifyImageInter(taken, {}, {}).accepted());
 
     // Fall-through path reaches syscall.
     auto fallthrough = bytes({0x74, 0x02, // je → 4 (ret)
                               0x0F, 0x05, // fall-through: syscall
                               0xC3});
-    EXPECT_FALSE(verifyImageFrom(fallthrough, {}).accepted());
+    EXPECT_FALSE(verifyImageInter(fallthrough, {}, {}).accepted());
 }
 
 TEST(Cfg, CallWalksTargetAndFallThrough)
@@ -717,13 +717,13 @@ TEST(Cfg, CallWalksTargetAndFallThrough)
     auto callee = bytes({0xE8, 0x01, 0x00, 0x00, 0x00, // call → 6
                          0xC3,
                          0x0F, 0x01, 0xEF});
-    EXPECT_FALSE(verifyImageFrom(callee, {}).accepted());
+    EXPECT_FALSE(verifyImageInter(callee, {}, {}).accepted());
 
     // Return path (after the call site) contains them.
     auto after = bytes({0xE8, 0x02, 0x00, 0x00, 0x00, // call → 7
                         0x0F, 0x05,                   // fall-through
                         0xC3});
-    EXPECT_FALSE(verifyImageFrom(after, {}).accepted());
+    EXPECT_FALSE(verifyImageInter(after, {}, {}).accepted());
 }
 
 TEST(Cfg, EntryPointsSeedTheWalk)
@@ -731,9 +731,9 @@ TEST(Cfg, EntryPointsSeedTheWalk)
     auto image = bytes({0xC3, 0x0F, 0x01, 0xEF});
     const std::size_t first[] = {0};
     const std::size_t both[] = {0, 1};
-    EXPECT_TRUE(verifyImageFrom(image, first).accepted());
-    EXPECT_FALSE(verifyImageFrom(image, both).accepted());
-    EXPECT_EQ(verifyImageFrom(image, both).cfg.entryCount, 2u);
+    EXPECT_TRUE(verifyImageInter(image, first, {}).accepted());
+    EXPECT_FALSE(verifyImageInter(image, both, {}).accepted());
+    EXPECT_EQ(verifyImageInter(image, both, {}).cfg.entryCount, 2u);
 }
 
 TEST(Cfg, EntryPointOnEmbeddedConstantUpgradesToReject)
@@ -743,7 +743,7 @@ TEST(Cfg, EntryPointOnEmbeddedConstantUpgradesToReject)
     auto image = bytes({0xB8, 0x0F, 0x01, 0xEF, 0x90, 0xC3});
     EXPECT_TRUE(verifyImage(image).accepted());
     const std::size_t entries[] = {1};
-    VerifierReport r = verifyImageFrom(image, entries);
+    VerifierReport r = verifyImageInter(image, entries, {});
     EXPECT_FALSE(r.accepted());
     ASSERT_EQ(r.findings.size(), 1u);
     EXPECT_EQ(r.findings[0].cls, FindingClass::kAligned);
@@ -751,22 +751,22 @@ TEST(Cfg, EntryPointOnEmbeddedConstantUpgradesToReject)
 
 TEST(Cfg, IndirectJumpIsASink)
 {
-    // jmp rax ends the walk; the bytes after it are not provably
-    // reachable through any direct edge.
+    // jmp rax ends the walk, but nothing proves its target misses the
+    // syscall behind it: the unresolved jump makes the finding reject.
     auto image = bytes({0xFF, 0xE0, 0x0F, 0x05});
-    VerifierReport r = verifyImageFrom(image, {});
-    EXPECT_TRUE(r.accepted());
+    VerifierReport r = verifyImageInter(image, {}, {});
+    EXPECT_FALSE(r.accepted());
     EXPECT_EQ(r.cfg.indirectJumps, 1u);
     EXPECT_EQ(r.cfg.terminals, 0u);
     ASSERT_EQ(r.findings.size(), 1u);
-    EXPECT_EQ(r.findings[0].cls, FindingClass::kUnreachable);
+    EXPECT_EQ(r.findings[0].cls, FindingClass::kIndirectReachable);
 }
 
 TEST(Cfg, IndirectCallFallsThrough)
 {
     // call rax returns: the syscall after it is reachable.
     auto image = bytes({0xFF, 0xD0, 0x0F, 0x05});
-    VerifierReport r = verifyImageFrom(image, {});
+    VerifierReport r = verifyImageInter(image, {}, {});
     EXPECT_FALSE(r.accepted());
     EXPECT_EQ(r.cfg.indirectSites, 1u);
 }
@@ -776,7 +776,7 @@ TEST(Cfg, ReachableUndecodableByteFallsBackToSweepVerdict)
     // 0x06 is undecodable; the walk cannot see past it, so the
     // conservative pass-1 classes stand (here: reject).
     auto image = bytes({0x06, 0x0F, 0x01, 0xEF});
-    VerifierReport r = verifyImageFrom(image, {});
+    VerifierReport r = verifyImageInter(image, {}, {});
     EXPECT_TRUE(r.cfg.opaque);
     EXPECT_EQ(r.cfg.firstOpaque, 0u);
     EXPECT_FALSE(r.accepted());
@@ -788,7 +788,7 @@ TEST(Cfg, OutOfRangeEntryPointIsOpaque)
 {
     auto image = bytes({0xC3, 0x0F, 0x01, 0xEF});
     const std::size_t entries[] = {100};
-    VerifierReport r = verifyImageFrom(image, entries);
+    VerifierReport r = verifyImageInter(image, entries, {});
     EXPECT_TRUE(r.cfg.opaque);
     EXPECT_FALSE(r.accepted()); // pass-1 verdict kept
 }
@@ -798,13 +798,13 @@ TEST(Cfg, EdgesLeavingTheImageAreExternalSinks)
     // jmp far past the end, and a nop falling off the last byte: both
     // count as external targets, neither makes the image opaque.
     auto jump = bytes({0xEB, 0x10, 0xC3});
-    VerifierReport r = verifyImageFrom(jump, {});
+    VerifierReport r = verifyImageInter(jump, {}, {});
     EXPECT_TRUE(r.accepted());
     EXPECT_FALSE(r.cfg.opaque);
     EXPECT_EQ(r.cfg.externalTargets, 1u);
 
     auto falloff = bytes({0x90, 0x90});
-    r = verifyImageFrom(falloff, {});
+    r = verifyImageInter(falloff, {}, {});
     EXPECT_TRUE(r.accepted());
     EXPECT_EQ(r.cfg.externalTargets, 1u);
 }
@@ -814,7 +814,7 @@ TEST(Cfg, ReachableCoverageGauge)
     auto image = bytes({0xEB, 0x03,       // jmp → 5
                         0x90, 0x90, 0x90, // dead
                         0xC3});
-    VerifierReport r = verifyImageFrom(image, {});
+    VerifierReport r = verifyImageInter(image, {}, {});
     EXPECT_EQ(r.cfg.reachableBytes, 3u); // jmp (2) + ret (1)
     EXPECT_GT(r.reachableCoverage(), 0.0);
     EXPECT_LT(r.reachableCoverage(), 1.0);
@@ -824,7 +824,7 @@ TEST(Cfg, ReachableCoverageGauge)
 
 TEST(Cfg, EmptyImageIsTriviallyAccepted)
 {
-    VerifierReport r = verifyImageFrom({}, {});
+    VerifierReport r = verifyImageInter({}, {}, {});
     EXPECT_TRUE(r.accepted());
     EXPECT_TRUE(r.cfg.ran);
     EXPECT_FALSE(r.cfg.opaque);

@@ -111,6 +111,32 @@ TEST(Mpk, PhysBudgetCapsAllocation)
     EXPECT_EQ(mpk.allocKey(), -1) << "budget of 4 leaves 3 allocatable";
 }
 
+TEST(Mpk, FreedKeysAreReusedFirstAndCounted)
+{
+    Mpk mpk(/*modified_exec_semantics=*/true, /*phys_budget=*/4);
+    EXPECT_EQ(mpk.allocKey(), 1);
+    EXPECT_EQ(mpk.allocKey(), 2);
+    EXPECT_EQ(mpk.remainingKeys(), 1);
+
+    // A freed key counts as remaining and is handed out before a
+    // fresh one.
+    mpk.freeKey(1);
+    EXPECT_EQ(mpk.remainingKeys(), 2);
+    EXPECT_EQ(mpk.allocKey(), 1);
+    EXPECT_EQ(mpk.remainingKeys(), 1);
+    EXPECT_EQ(mpk.allocKey(), 3);
+    EXPECT_EQ(mpk.allocKey(), -1) << "budget of 4 leaves 3 allocatable";
+    EXPECT_EQ(mpk.remainingKeys(), 0);
+
+    // An exhausted allocator recovers every freed key, lowest first.
+    mpk.freeKey(3);
+    mpk.freeKey(2);
+    EXPECT_EQ(mpk.remainingKeys(), 2);
+    EXPECT_EQ(mpk.allocKey(), 2);
+    EXPECT_EQ(mpk.allocKey(), 3);
+    EXPECT_EQ(mpk.allocKey(), -1);
+}
+
 TEST(Mpk, CheckReadWrite)
 {
     Mpk mpk;
