@@ -139,12 +139,12 @@ void
 Catalog::persistTable(TableDef *def)
 {
     Row row;
-    row.push_back(Value(std::string("t")));
-    row.push_back(Value(def->name));
-    row.push_back(Value(encodeColumns(def->columns)));
-    row.push_back(Value(static_cast<int64_t>(def->root)));
-    row.push_back(Value(static_cast<int64_t>(def->rowidColumn)));
-    row.push_back(Value(def->objId));
+    row.emplace_back(std::string("t"));
+    row.emplace_back(def->name);
+    row.emplace_back(encodeColumns(def->columns));
+    row.emplace_back(static_cast<int64_t>(def->root));
+    row.emplace_back(static_cast<int64_t>(def->rowidColumn));
+    row.emplace_back(def->objId);
     BTree schema(pager_, pager_->schemaRoot());
     schema.insert(objKey(def->objId), encodeRow(row));
 }
@@ -153,13 +153,13 @@ void
 Catalog::persistIndex(IndexDef *def)
 {
     Row row;
-    row.push_back(Value(std::string("i")));
-    row.push_back(Value(def->name));
-    row.push_back(Value(def->table));
-    row.push_back(Value(def->column));
-    row.push_back(Value(static_cast<int64_t>(def->root)));
-    row.push_back(Value(static_cast<int64_t>(def->unique ? 1 : 0)));
-    row.push_back(Value(def->objId));
+    row.emplace_back(std::string("i"));
+    row.emplace_back(def->name);
+    row.emplace_back(def->table);
+    row.emplace_back(def->column);
+    row.emplace_back(static_cast<int64_t>(def->root));
+    row.emplace_back(static_cast<int64_t>(def->unique ? 1 : 0));
+    row.emplace_back(def->objId);
     BTree schema(pager_, pager_->schemaRoot());
     schema.insert(objKey(def->objId), encodeRow(row));
 }

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <utility>
 
+#include "libos/inet_checksum.h"
+
 namespace cubicleos::libos {
 
 namespace {
@@ -59,19 +61,6 @@ hton32(uint32_t v)
            (v >> 24);
 }
 
-/** Internet checksum over @p len bytes plus an initial partial sum. */
-uint16_t
-inetChecksum(const uint8_t *data, std::size_t len, uint64_t sum = 0)
-{
-    for (std::size_t i = 0; i + 1 < len; i += 2)
-        sum += (static_cast<uint32_t>(data[i]) << 8) | data[i + 1];
-    if (len & 1)
-        sum += static_cast<uint32_t>(data[len - 1]) << 8;
-    while (sum >> 16)
-        sum = (sum & 0xFFFF) + (sum >> 16);
-    return static_cast<uint16_t>(~sum & 0xFFFF);
-}
-
 /** TCP pseudo-header partial sum. */
 uint64_t
 pseudoSum(uint32_t src, uint32_t dst, std::size_t tcp_len)
@@ -112,6 +101,50 @@ struct SendChunk {
     std::size_t remaining() const { return len - popped; }
 };
 
+/**
+ * The receive buffer: a fixed ring of rcvBuf bytes, allocated without
+ * zero-filling when the first in-order payload arrives. Bytes move in
+ * and out with at most two memcpy calls each, split at the wrap point.
+ */
+class RecvRing {
+  public:
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    /** Appends @p n bytes; the caller checked n <= cap - size(). */
+    void push(const uint8_t *src, std::size_t n, std::size_t cap)
+    {
+        if (!buf_) {
+            buf_ = std::make_unique_for_overwrite<uint8_t[]>(cap);
+            cap_ = cap;
+        }
+        const std::size_t tail =
+            head_ < cap_ - size_ ? head_ + size_ : head_ + size_ - cap_;
+        const std::size_t first = std::min(n, cap_ - tail);
+        std::memcpy(buf_.get() + tail, src, first);
+        std::memcpy(buf_.get(), src + first, n - first);
+        size_ += n;
+    }
+
+    /** Moves min(@p n, size()) bytes out to @p dst; @return the count. */
+    std::size_t pop(uint8_t *dst, std::size_t n)
+    {
+        const std::size_t take = std::min(n, size_);
+        const std::size_t first = std::min(take, cap_ - head_);
+        std::memcpy(dst, buf_.get() + head_, first);
+        std::memcpy(dst + first, buf_.get(), take - first);
+        head_ = head_ < cap_ - take ? head_ + take : head_ + take - cap_;
+        size_ -= take;
+        return take;
+    }
+
+  private:
+    std::unique_ptr<uint8_t[]> buf_;
+    std::size_t cap_ = 0;
+    std::size_t head_ = 0; ///< offset of the oldest unread byte
+    std::size_t size_ = 0;
+};
+
 struct TcpIpStack::Conn {
     enum State {
         kClosed,
@@ -149,7 +182,7 @@ struct TcpIpStack::Conn {
 
     // Receive side.
     uint32_t rcvNxt = 0;
-    std::deque<uint8_t> rcvQ;
+    RecvRing rcvQ;
     bool finRcvd = false;
     bool ackPending = false;
 
@@ -196,11 +229,17 @@ struct TcpIpStack::Impl {
     uint64_t nowNs = 0;
     /** RSTs owed to peers with no matching connection. */
     std::vector<std::vector<uint8_t>> pendingRst;
+    /**
+     * The frame pollOutput builds every connection segment in, payload
+     * first; tx consumes it before the next segment overwrites it.
+     */
+    std::vector<uint8_t> frame;
 };
 
 TcpIpStack::TcpIpStack(const TcpConfig &cfg)
     : impl_(std::make_unique<Impl>()), cfg_(cfg)
 {
+    impl_->frame.resize(kIpHdr + kTcpHdr + cfg_.mss);
 }
 
 TcpIpStack::~TcpIpStack() = default;
@@ -388,12 +427,7 @@ TcpIpStack::recv(int fd, void *buf, std::size_t n)
             return kNetNotConn;
         return kNetAgain;
     }
-    const std::size_t take = std::min(n, c->rcvQ.size());
-    auto *out = static_cast<uint8_t *>(buf);
-    for (std::size_t i = 0; i < take; ++i) {
-        out[i] = c->rcvQ.front();
-        c->rcvQ.pop_front();
-    }
+    const std::size_t take = c->rcvQ.pop(static_cast<uint8_t *>(buf), n);
     // The window opened: let the peer know promptly.
     c->ackPending = true;
     return static_cast<int64_t>(take);
@@ -447,17 +481,21 @@ TcpIpStack::sendDrained(int fd) const
 
 namespace {
 
-std::vector<uint8_t>
-buildSegment(uint32_t src_ip, uint32_t dst_ip, uint16_t src_port,
-             uint16_t dst_port, uint32_t seq, uint32_t ack,
-             uint8_t flags, uint16_t window, const uint8_t *payload,
-             std::size_t len)
+/**
+ * Writes the IP and TCP headers of a segment into @p pkt, whose @p len
+ * payload bytes already sit at pkt + kIpHdr + kTcpHdr, and checksums
+ * it. @return the frame length.
+ */
+std::size_t
+buildSegment(uint8_t *pkt, uint32_t src_ip, uint32_t dst_ip,
+             uint16_t src_port, uint16_t dst_port, uint32_t seq,
+             uint32_t ack, uint8_t flags, uint16_t window, std::size_t len)
 {
-    std::vector<uint8_t> pkt(kIpHdr + kTcpHdr + len);
-    auto *ip = reinterpret_cast<IpHeader *>(pkt.data());
+    const std::size_t total = kIpHdr + kTcpHdr + len;
+    auto *ip = reinterpret_cast<IpHeader *>(pkt);
     ip->verIhl = 0x45;
     ip->tos = 0;
-    ip->totalLen = hton16(static_cast<uint16_t>(pkt.size()));
+    ip->totalLen = hton16(static_cast<uint16_t>(total));
     ip->id = 0;
     ip->fragOff = 0;
     ip->ttl = 64;
@@ -465,9 +503,9 @@ buildSegment(uint32_t src_ip, uint32_t dst_ip, uint16_t src_port,
     ip->checksum = 0;
     ip->src = hton32(src_ip);
     ip->dst = hton32(dst_ip);
-    ip->checksum = hton16(inetChecksum(pkt.data(), kIpHdr));
+    ip->checksum = hton16(inetChecksum(pkt, kIpHdr));
 
-    auto *tcp = reinterpret_cast<TcpHeader *>(pkt.data() + kIpHdr);
+    auto *tcp = reinterpret_cast<TcpHeader *>(pkt + kIpHdr);
     tcp->srcPort = hton16(src_port);
     tcp->dstPort = hton16(dst_port);
     tcp->seq = hton32(seq);
@@ -477,12 +515,10 @@ buildSegment(uint32_t src_ip, uint32_t dst_ip, uint16_t src_port,
     tcp->window = hton16(window);
     tcp->checksum = 0;
     tcp->urgent = 0;
-    if (len > 0)
-        std::memcpy(pkt.data() + kIpHdr + kTcpHdr, payload, len);
     tcp->checksum = hton16(
-        inetChecksum(pkt.data() + kIpHdr, kTcpHdr + len,
+        inetChecksum(pkt + kIpHdr, kTcpHdr + len,
                      pseudoSum(src_ip, dst_ip, kTcpHdr + len)));
-    return pkt;
+    return total;
 }
 
 } // namespace
@@ -498,36 +534,38 @@ TcpIpStack::pollOutput(
     }
     impl_->pendingRst.clear();
 
+    uint8_t *const frame = impl_->frame.data();
+    uint8_t *const payload = frame + kIpHdr + kTcpHdr;
     for (std::size_t fd = 0; fd < impl_->conns.size(); ++fd) {
         Conn &c = *impl_->conns[fd];
         if (!c.used || c.state == Conn::kClosed ||
             c.state == Conn::kListen) {
             continue;
         }
-        const uint16_t wnd = static_cast<uint16_t>(std::min<std::size_t>(
-            cfg_.rcvBuf > c.rcvQ.size() ? cfg_.rcvBuf - c.rcvQ.size() : 0,
-            65535));
-        auto emit = [&](uint32_t seq, uint8_t flags,
-                        const uint8_t *payload, std::size_t len) {
-            auto pkt = buildSegment(cfg_.ipAddr, c.remoteIp, c.localPort,
-                                    c.remotePort, seq, c.rcvNxt, flags,
-                                    wnd, payload, len);
+        const uint16_t wnd = static_cast<uint16_t>(
+            std::min<std::size_t>(cfg_.rcvBuf - c.rcvQ.size(), 65535));
+        // Sends a segment whose @p len payload bytes are already in
+        // the frame.
+        auto emit = [&](uint32_t seq, uint8_t flags, std::size_t len) {
+            const std::size_t n =
+                buildSegment(frame, cfg_.ipAddr, c.remoteIp, c.localPort,
+                             c.remotePort, seq, c.rcvNxt, flags, wnd, len);
             ++stats_.segsOut;
             stats_.bytesOut += len;
             c.lastSendNs = impl_->nowNs;
             c.ackPending = false;
-            tx(pkt.data(), pkt.size());
+            tx(frame, n);
         };
 
         // Handshake segments.
         if (c.state == Conn::kSynSent && !c.synOut) {
-            emit(c.sndNxt, kSyn, nullptr, 0);
+            emit(c.sndNxt, kSyn, 0);
             c.sndNxt = c.sndUna + 1; // SYN consumes one sequence number
             c.synOut = true;
             continue;
         }
         if (c.state == Conn::kSynRcvd && !c.synOut) {
-            emit(c.sndUna, kSyn | kAck, nullptr, 0);
+            emit(c.sndUna, kSyn | kAck, 0);
             c.sndNxt = c.sndUna + 1;
             c.synOut = true;
             continue;
@@ -546,36 +584,34 @@ TcpIpStack::pollOutput(
             const auto [ck, idx] = c.chunkAt(off);
             assert(ck != nullptr);
             if (ck->zc()) {
-                // Zero-copy chunk: build the segment straight from the
-                // borrowed span (the scatter-gather DMA analogue — the
-                // header-assembly memcpy inside buildSegment is what a
-                // NIC gather descriptor would do, not a payload copy).
-                // Truncate at the chunk boundary so a span never
-                // shares a segment with foreign bytes.
+                // Zero-copy chunk: the segment is built straight from
+                // the borrowed span (the scatter-gather DMA analogue —
+                // this memcpy is what a NIC gather descriptor would
+                // do, not a payload copy). Truncate at the chunk
+                // boundary so a span never shares a segment with
+                // foreign bytes.
                 len = std::min(len, ck->len - idx);
-                emit(c.sndNxt, kAck | kPsh, ck->bytes() + idx, len);
+                std::memcpy(payload, ck->bytes() + idx, len);
+                emit(c.sndNxt, kAck | kPsh, len);
                 ++stats_.zcSegsOut;
                 stats_.zcBytesOut += len;
             } else {
-                // Gather across consecutive owned chunks into one
-                // staging buffer, preserving the seed's MSS-sized
-                // segmentation; stop at a zero-copy chunk boundary.
-                std::vector<uint8_t> payload;
-                payload.reserve(len);
-                std::size_t gather_off = off;
-                while (payload.size() < len) {
-                    const auto [gck, gidx] = c.chunkAt(gather_off);
+                // Gather across consecutive owned chunks straight into
+                // the frame, preserving MSS-sized segmentation; stop
+                // at a zero-copy chunk boundary.
+                std::size_t got = 0;
+                while (got < len) {
+                    const auto [gck, gidx] = c.chunkAt(off + got);
                     if (!gck || gck->zc())
                         break;
-                    const std::size_t take = std::min(
-                        len - payload.size(), gck->len - gidx);
-                    payload.insert(payload.end(), gck->bytes() + gidx,
-                                   gck->bytes() + gidx + take);
-                    gather_off += take;
+                    const std::size_t take =
+                        std::min(len - got, gck->len - gidx);
+                    std::memcpy(payload + got, gck->bytes() + gidx, take);
+                    got += take;
                 }
-                len = payload.size();
-                countCopy(len); // send queue → segment staging
-                emit(c.sndNxt, kAck | kPsh, payload.data(), len);
+                len = got;
+                countCopy(len); // send queue → frame
+                emit(c.sndNxt, kAck | kPsh, len);
             }
             c.sndNxt += static_cast<uint32_t>(len);
         }
@@ -583,14 +619,14 @@ TcpIpStack::pollOutput(
         // FIN once every byte is out.
         if (c.finQueued && !c.finSent && c.unsent() == 0) {
             c.finSeq = c.sndNxt;
-            emit(c.sndNxt, kFin | kAck, nullptr, 0);
+            emit(c.sndNxt, kFin | kAck, 0);
             c.sndNxt += 1;
             c.finSent = true;
             continue;
         }
 
         if (c.ackPending)
-            emit(c.sndNxt, kAck, nullptr, 0);
+            emit(c.sndNxt, kAck, 0);
     }
 }
 
@@ -602,7 +638,9 @@ TcpIpStack::input(const uint8_t *pkt, std::size_t len)
     if (len < kIpHdr + kTcpHdr)
         return;
     const auto *ip = reinterpret_cast<const IpHeader *>(pkt);
-    if ((ip->verIhl >> 4) != 4 || ip->proto != 6)
+    // IPv4 with a 5-word header: the stack neither emits nor parses
+    // IP options, so the TCP header must start at kIpHdr.
+    if (ip->verIhl != 0x45 || ip->proto != 6)
         return;
     if (hton32(ip->dst) != cfg_.ipAddr)
         return; // not ours
@@ -610,11 +648,16 @@ TcpIpStack::input(const uint8_t *pkt, std::size_t len)
         return;
 
     const uint32_t src_ip = hton32(ip->src);
+    // Check every length the packet claims before using it: the
+    // lengths below are unsigned and would wrap.
     const std::size_t total = hton16(ip->totalLen);
-    if (total > len)
+    if (total > len || total < kIpHdr + kTcpHdr)
         return;
     const auto *tcp = reinterpret_cast<const TcpHeader *>(pkt + kIpHdr);
     const std::size_t tcp_len = total - kIpHdr;
+    const std::size_t hdr = (tcp->dataOff >> 4) * 4u;
+    if (hdr < kTcpHdr || hdr > tcp_len)
+        return;
     if (inetChecksum(pkt + kIpHdr, tcp_len,
                      pseudoSum(src_ip, cfg_.ipAddr, tcp_len)) != 0) {
         ++stats_.checksumDrops;
@@ -627,7 +670,6 @@ TcpIpStack::input(const uint8_t *pkt, std::size_t len)
     const uint32_t ack = hton32(tcp->ack);
     const uint8_t flags = tcp->flags;
     const uint16_t wnd = hton16(tcp->window);
-    const std::size_t hdr = (tcp->dataOff >> 4) * 4u;
     const uint8_t *payload = pkt + kIpHdr + hdr;
     const std::size_t plen = tcp_len - hdr;
 
@@ -668,9 +710,10 @@ TcpIpStack::input(const uint8_t *pkt, std::size_t len)
     if (!c) {
         if (!(flags & kRst)) {
             // No matching endpoint: owe the peer a RST.
-            impl_->pendingRst.push_back(buildSegment(
-                cfg_.ipAddr, src_ip, dst_port, src_port, ack, seq + 1,
-                kRst | kAck, 0, nullptr, 0));
+            std::vector<uint8_t> rst(kIpHdr + kTcpHdr);
+            buildSegment(rst.data(), cfg_.ipAddr, src_ip, dst_port,
+                         src_port, ack, seq + 1, kRst | kAck, 0, 0);
+            impl_->pendingRst.push_back(std::move(rst));
         }
         return;
     }
@@ -700,6 +743,12 @@ TcpIpStack::input(const uint8_t *pkt, std::size_t len)
         c->sndUna = ack;
         c->state = Conn::kEstablished;
         // fall through: the ACK may carry data
+    }
+    // A SYN on a synchronised connection is the peer retransmitting its
+    // handshake: our ACK of it was lost, so acknowledge again.
+    if ((flags & kSyn) && c->state != Conn::kSynSent &&
+        c->state != Conn::kSynRcvd) {
+        c->ackPending = true;
     }
 
     // ACK processing.
@@ -744,22 +793,22 @@ TcpIpStack::input(const uint8_t *pkt, std::size_t len)
 
     // In-order payload.
     if (plen > 0) {
-        if (seq == c->rcvNxt &&
-            c->rcvQ.size() + plen <= cfg_.rcvBuf) {
-            c->rcvQ.insert(c->rcvQ.end(), payload, payload + plen);
+        if (seq == c->rcvNxt && plen <= cfg_.rcvBuf - c->rcvQ.size()) {
+            c->rcvQ.push(payload, plen, cfg_.rcvBuf);
             c->rcvNxt += static_cast<uint32_t>(plen);
             stats_.bytesIn += plen;
         }
         c->ackPending = true; // ack (or dup-ack) either way
     }
 
-    // Peer FIN.
+    // Peer FIN. A duplicate or early one is acknowledged too: the peer
+    // retransmits its FIN until it sees our ACK.
     if (flags & kFin) {
+        c->ackPending = true;
         const uint32_t fin_seq = seq + static_cast<uint32_t>(plen);
         if (fin_seq == c->rcvNxt && !c->finRcvd) {
             c->rcvNxt += 1;
             c->finRcvd = true;
-            c->ackPending = true;
             switch (c->state) {
               case Conn::kEstablished:
                 c->state = Conn::kCloseWait;
@@ -793,8 +842,17 @@ TcpIpStack::tick(uint64_t now_ns)
              c.synOut) ||
             (c.finSent && c.state != Conn::kClosed &&
              c.state != Conn::kFinWait2);
-        if (awaiting && now_ns > c.lastSendNs &&
-            now_ns - c.lastSendNs > cfg_.rtoNs) {
+        const bool expired =
+            now_ns > c.lastSendNs && now_ns - c.lastSendNs > cfg_.rtoNs;
+        if (!awaiting && expired && c.peerWnd == 0 && c.unsent() > 0) {
+            // Zero-window probe (RFC 1122 §4.2.2.17): the update that
+            // reopened the peer's window may have been lost, and with
+            // nothing in flight no timer would recover it. Let one
+            // byte through; the peer's ACK carries its current window.
+            c.peerWnd = 1;
+            c.lastSendNs = now_ns;
+        }
+        if (awaiting && expired) {
             // Go-back-N: rewind and let pollOutput resend.
             ++stats_.retransmits;
             c.sndNxt = c.sndUna;

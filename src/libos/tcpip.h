@@ -3,11 +3,16 @@
  * A compact TCP/IPv4 stack (LWIP stand-in).
  *
  * Implements enough of TCP for the paper's NGINX experiment: the
- * three-way handshake, cumulative ACKs, receiver flow control with a
- * bounded receive buffer (the 64 kB socket buffer whose exhaustion
- * produces the latency knee in Fig. 7), MSS segmentation, FIN
- * teardown and a coarse retransmission timer. Internet checksums are
- * computed and verified on every segment.
+ * three-way handshake, cumulative ACKs, receiver flow control, MSS
+ * segmentation, FIN teardown, a coarse retransmission timer and a
+ * zero-window probe. Internet checksums are computed and verified on
+ * every segment.
+ *
+ * Each connection's receive buffer is a fixed ring of
+ * TcpConfig::rcvBuf bytes (the 64 kB socket buffer whose exhaustion
+ * produces the latency knee in Fig. 7); its free space is the window
+ * the connection advertises. Payload moves in blocks: into and out of
+ * the ring, and from the send queue straight into the outgoing frame.
  *
  * The class is transport-only and driver-agnostic: input() consumes
  * raw IP packets, pollOutput() emits them. It is used both inside the
@@ -65,7 +70,7 @@ struct TcpStats {
     uint64_t bytesOut = 0;
     uint64_t retransmits = 0;
     uint64_t checksumDrops = 0;
-    /** Payload copies on the send path (app buf → queue, queue → seg). */
+    /** Payload copies on the send path (app buf → queue, queue → frame). */
     uint64_t payloadCopies = 0;
     uint64_t payloadCopyBytes = 0;
     /** Segments whose payload was taken straight from a borrowed span. */
@@ -120,12 +125,20 @@ class TcpIpStack {
     bool sendDrained(int fd) const;
 
     // --- driver interface ---
-    /** Delivers one raw IP packet from the wire. */
+    /**
+     * Delivers one raw IP packet from the wire. A packet whose header
+     * lengths do not fit its size, or that carries IP options, is
+     * dropped before any length it claims is used.
+     */
     void input(const uint8_t *pkt, std::size_t len);
-    /** Emits every currently sendable segment through @p tx. */
+    /**
+     * Emits every currently sendable segment through @p tx. The frame
+     * passed to @p tx is valid only during that call: the stack builds
+     * the next segment in the same buffer.
+     */
     void pollOutput(
         const std::function<void(const uint8_t *, std::size_t)> &tx);
-    /** Advances timers (retransmission). */
+    /** Advances timers (retransmission, zero-window probe). */
     void tick(uint64_t now_ns);
 
     const TcpStats &stats() const { return stats_; }

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "hw/prng.h"
@@ -20,11 +21,12 @@ namespace {
 
 class TcpPropertyRig {
   public:
-    explicit TcpPropertyRig(uint64_t seed) : prng(seed)
+    TcpPropertyRig(uint64_t seed, std::size_t rcv_buf) : prng(seed)
     {
         TcpConfig a, b;
         a.ipAddr = 0x0A000001;
         b.ipAddr = 0x0A000002;
+        a.rcvBuf = b.rcvBuf = rcv_buf;
         alice = std::make_unique<TcpIpStack>(a);
         bob = std::make_unique<TcpIpStack>(b);
     }
@@ -54,13 +56,29 @@ class TcpPropertyRig {
     uint64_t now = 0;
 };
 
-class TcpStreamProperty
-    : public ::testing::TestWithParam<std::pair<uint64_t, int>> {};
+/** One stream: PRNG seed, loss percentage and receive-buffer size. */
+struct StreamCase {
+    uint64_t seed;
+    int loss;
+    std::size_t rcvBuf = TcpConfig{}.rcvBuf;
+};
+
+/** Names a case "(seed, loss)", adding the buffer size when not default. */
+void
+PrintTo(const StreamCase &c, std::ostream *os)
+{
+    *os << '(' << c.seed << ", " << c.loss;
+    if (c.rcvBuf != TcpConfig{}.rcvBuf)
+        *os << ", rcvBuf " << c.rcvBuf;
+    *os << ')';
+}
+
+class TcpStreamProperty : public ::testing::TestWithParam<StreamCase> {};
 
 TEST_P(TcpStreamProperty, ByteStreamIsReliableAndOrdered)
 {
-    const auto [seed, loss] = GetParam();
-    TcpPropertyRig rig(seed);
+    const auto [seed, loss, rcv_buf] = GetParam();
+    TcpPropertyRig rig(seed, rcv_buf);
 
     const int lfd = rig.bob->socket();
     ASSERT_EQ(rig.bob->bind(lfd, 80), kNetOk);
@@ -120,13 +138,18 @@ TEST_P(TcpStreamProperty, ByteStreamIsReliableAndOrdered)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SeedsAndLoss, TcpStreamProperty,
-    ::testing::Values(std::make_pair(uint64_t{1}, 0),
-                      std::make_pair(uint64_t{2}, 0),
-                      std::make_pair(uint64_t{3}, 2),
-                      std::make_pair(uint64_t{4}, 5),
-                      std::make_pair(uint64_t{5}, 10)));
+INSTANTIATE_TEST_SUITE_P(SeedsAndLoss, TcpStreamProperty,
+                         ::testing::Values(StreamCase{1, 0},
+                                           StreamCase{2, 0},
+                                           StreamCase{3, 2},
+                                           StreamCase{4, 5},
+                                           StreamCase{5, 10}));
+
+// A small, odd receive buffer: most appends and reads straddle the
+// ring's wrap point (a 64 KiB ring wraps only a few times per stream).
+INSTANTIATE_TEST_SUITE_P(SmallRing, TcpStreamProperty,
+                         ::testing::Values(StreamCase{6, 0, 3001},
+                                           StreamCase{7, 5, 3001}));
 
 } // namespace
 } // namespace cubicleos::libos

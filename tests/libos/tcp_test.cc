@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "libos/inet_checksum.h"
 #include "libos/tcpip.h"
 
 namespace cubicleos::libos {
@@ -146,6 +147,16 @@ TEST_F(TcpPair, LargeTransferRespectsWindow)
     EXPECT_EQ(std::memcmp(in.data(), out.data(), kTotal), 0);
     // Segments must respect the MSS.
     EXPECT_GE(bob->stats().segsIn, kTotal / 1460);
+
+    // Pinned counts: the schedule is deterministic, so these move only
+    // when segmentation, window advertisement or copy accounting does.
+    // Bob's segments are its ACKs and window updates: a receive buffer
+    // advertising a different window changes that count.
+    EXPECT_EQ(alice->stats().segsOut, 738u);
+    EXPECT_EQ(alice->stats().payloadCopies, 752u);
+    EXPECT_EQ(alice->stats().payloadCopyBytes, 2 * kTotal);
+    EXPECT_EQ(bob->stats().segsIn, 738u);
+    EXPECT_EQ(bob->stats().segsOut, 48u);
 }
 
 TEST_F(TcpPair, SenderBlockedByFullSendBuffer)
@@ -220,6 +231,75 @@ TEST_F(TcpPair, LostSynIsRetransmitted)
     EXPECT_GE(alice->stats().retransmits, 1u);
 }
 
+TEST_F(TcpPair, LostHandshakeAckIsRepeated)
+{
+    const int lfd = bob->socket();
+    bob->bind(lfd, 80);
+    bob->listen(lfd, 8);
+    const int afd = alice->socket();
+    alice->connect(afd, 0x0A000002, 80);
+
+    // SYN and SYN-ACK arrive; alice's final ACK is lost.
+    alice->pollOutput(
+        [&](const uint8_t *p, std::size_t n) { bob->input(p, n); });
+    bob->pollOutput(
+        [&](const uint8_t *p, std::size_t n) { alice->input(p, n); });
+    ASSERT_TRUE(alice->isEstablished(afd));
+    alice->pollOutput([](const uint8_t *, std::size_t) {});
+
+    // Bob retransmits its SYN-ACK; alice must acknowledge it again.
+    now += 300'000'000; // beyond RTO
+    pump();
+    EXPECT_GE(bob->accept(lfd), 0);
+    EXPECT_GE(bob->stats().retransmits, 1u);
+}
+
+TEST_F(TcpPair, LostFinAckIsRepeated)
+{
+    int afd, bfd;
+    establish(80, &afd, &bfd);
+    alice->close(afd);
+    alice->pollOutput(
+        [&](const uint8_t *p, std::size_t n) { bob->input(p, n); });
+    bob->pollOutput([](const uint8_t *, std::size_t) {}); // ACK lost
+
+    // Alice retransmits the FIN once; bob's fresh ACK ends the timer.
+    now += 300'000'000;
+    pump();
+    EXPECT_EQ(alice->stats().retransmits, 1u);
+    now += 300'000'000;
+    pump();
+    EXPECT_EQ(alice->stats().retransmits, 1u);
+}
+
+TEST_F(TcpPair, LostWindowUpdateIsRecoveredByAProbe)
+{
+    int afd, bfd;
+    establish(80, &afd, &bfd);
+
+    // Fill bob's receive buffer, so bob advertises a zero window.
+    const std::size_t window = bob->config().rcvBuf;
+    std::vector<uint8_t> fill(window, 0x11);
+    ASSERT_EQ(alice->send(afd, fill.data(), fill.size()),
+              static_cast<int64_t>(window));
+    pump();
+    ASSERT_TRUE(alice->sendDrained(afd));
+    ASSERT_EQ(alice->send(afd, "tail", 4), 4);
+    pump(); // nothing can move
+
+    // Bob drains the buffer, but the update reopening it is lost.
+    ASSERT_EQ(bob->recv(bfd, fill.data(), fill.size()),
+              static_cast<int64_t>(window));
+    bob->pollOutput([](const uint8_t *, std::size_t) {});
+
+    // Alice's persist timer probes the window and the data follows.
+    now += 300'000'000;
+    pump();
+    char buf[8];
+    ASSERT_EQ(bob->recv(bfd, buf, sizeof(buf)), 4);
+    EXPECT_EQ(std::memcmp(buf, "tail", 4), 0);
+}
+
 TEST_F(TcpPair, MultipleConcurrentConnections)
 {
     const int lfd = bob->socket();
@@ -267,6 +347,30 @@ TEST_F(TcpPair, SendOnUnconnectedSocketFails)
     EXPECT_EQ(alice->send(999, "x", 1), kNetBadFd);
 }
 
+/** Rewrites the IP header checksum of @p pkt after an edit. */
+void
+resumIp(std::vector<uint8_t> &pkt)
+{
+    pkt[10] = pkt[11] = 0;
+    const uint16_t sum = inetChecksum(pkt.data(), 20);
+    pkt[10] = static_cast<uint8_t>(sum >> 8);
+    pkt[11] = static_cast<uint8_t>(sum & 0xFF);
+}
+
+/** Rewrites the TCP checksum of @p pkt (no IP options) after an edit. */
+void
+resumTcp(std::vector<uint8_t> &pkt)
+{
+    const std::size_t tcp_len = pkt.size() - 20;
+    uint64_t pseudo = 6 + tcp_len; // protocol + TCP length
+    for (std::size_t i = 12; i < 20; i += 2) // source and destination
+        pseudo += (static_cast<uint64_t>(pkt[i]) << 8) | pkt[i + 1];
+    pkt[36] = pkt[37] = 0;
+    const uint16_t sum = inetChecksum(pkt.data() + 20, tcp_len, pseudo);
+    pkt[36] = static_cast<uint8_t>(sum >> 8);
+    pkt[37] = static_cast<uint8_t>(sum & 0xFF);
+}
+
 TEST_F(TcpPair, GarbageInputIsIgnored)
 {
     std::vector<uint8_t> junk(64, 0xEE);
@@ -274,6 +378,55 @@ TEST_F(TcpPair, GarbageInputIsIgnored)
     alice->input(junk.data(), 3);
     const auto &st = alice->stats();
     EXPECT_EQ(st.segsIn, 0u);
+
+    // Packets whose IP checksum is valid but whose claimed lengths are
+    // not must be dropped before any length is used.
+    int afd, bfd;
+    establish(80, &afd, &bfd);
+    const std::string first = "first: 24 unread bytes..";
+    ASSERT_EQ(alice->send(afd, first.data(), first.size()),
+              static_cast<int64_t>(first.size()));
+    pump(); // bob now holds these bytes unread
+
+    // Capture alice's next data segment; it is in sequence for bob.
+    const std::string second = "second: twenty bytes";
+    ASSERT_EQ(alice->send(afd, second.data(), second.size()),
+              static_cast<int64_t>(second.size()));
+    std::vector<uint8_t> seg;
+    alice->pollOutput(
+        [&](const uint8_t *p, std::size_t n) { seg.assign(p, p + n); });
+    ASSERT_EQ(seg.size(), 40 + second.size());
+
+    std::vector<std::vector<uint8_t>> bad(5, seg);
+    // Total length 0 and 30: shorter than the IP and TCP headers.
+    bad[0][2] = bad[0][3] = 0;
+    bad[1][2] = 0;
+    bad[1][3] = 30;
+    // IHL 6: an IP option the stack cannot parse.
+    bad[2][0] = 0x46;
+    // Data offset 0, below the TCP header, and 60 bytes, past the 40
+    // the segment has.
+    bad[3][32] = 0x00;
+    bad[4][32] = 0xF0;
+    resumTcp(bad[3]);
+    resumTcp(bad[4]);
+
+    const uint64_t segs_in = bob->stats().segsIn;
+    for (auto &pkt : bad) {
+        resumIp(pkt);
+        bob->input(pkt.data(), pkt.size());
+    }
+    EXPECT_EQ(bob->stats().segsIn, segs_in);
+    EXPECT_EQ(bob->stats().checksumDrops, 0u);
+
+    // The real segment is retransmitted and the stream arrives intact.
+    now += 300'000'000;
+    pump();
+    char buf[128];
+    const int64_t n = bob->recv(bfd, buf, sizeof(buf));
+    ASSERT_GT(n, 0);
+    EXPECT_EQ(std::string(buf, static_cast<std::size_t>(n)),
+              first + second);
 }
 
 } // namespace

@@ -145,13 +145,11 @@ TEST_P(KeyOrderProperty, MemcmpMatchesCompare)
     for (int i = 0; i < 200; ++i) {
         switch (prng.nextBelow(3)) {
           case 0:
-            values.push_back(
-                Value(prng.nextInRange(-1'000'000, 1'000'000)));
+            values.emplace_back(prng.nextInRange(-1'000'000, 1'000'000));
             break;
           case 1:
-            values.push_back(Value(
-                static_cast<double>(prng.nextInRange(-1000, 1000)) /
-                7.0));
+            values.emplace_back(
+                static_cast<double>(prng.nextInRange(-1000, 1000)) / 7.0);
             break;
           default: {
             std::string s;
@@ -159,7 +157,7 @@ TEST_P(KeyOrderProperty, MemcmpMatchesCompare)
             for (uint64_t c = 0; c < len; ++c)
                 s.push_back(
                     static_cast<char>('a' + prng.nextBelow(26)));
-            values.push_back(Value(std::move(s)));
+            values.emplace_back(std::move(s));
           }
         }
     }
@@ -188,11 +186,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KeyOrderProperty,
 TEST(Record, RowRoundTrip)
 {
     Row row;
-    row.push_back(Value(int64_t{-42}));
-    row.push_back(Value(2.75));
-    row.push_back(Value(std::string("hello world")));
+    row.emplace_back(int64_t{-42});
+    row.emplace_back(2.75);
+    row.emplace_back(std::string("hello world"));
     row.push_back(Value::null());
-    row.push_back(Value(std::string("")));
+    row.emplace_back(std::string(""));
 
     const auto bytes = encodeRow(row);
     const Row back = decodeRow(bytes.data(), bytes.size());
