@@ -18,6 +18,7 @@
 #include <cstring>
 
 #include "bench/bench_util.h"
+#include "builder/image.h"
 #include "libos/app.h"
 #include "libos/stack.h"
 #include "libos/ukapi.h"
@@ -124,6 +125,8 @@ main()
             {
                 core::ComponentSpec s;
                 s.name = name_;
+                s.image =
+                    builder::componentImage(builder::ImageSeed::kApp);
                 s.stackPages = 2;
                 return s;
             }

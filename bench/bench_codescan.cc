@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "builder/image.h"
 #include "core/codescan.h"
 #include "core/verifier/ipcfg.h"
 #include "core/verifier/scanner.h"
@@ -69,7 +70,7 @@ main()
     for (const std::size_t size : sizes) {
         std::vector<std::size_t> entries;
         const auto image =
-            core::makeBenignImage(size, /*seed=*/size, &entries);
+            builder::makeBenignImage(size, /*seed=*/size, &entries);
 
         // Warm-up + correctness guard: benign images must pass all.
         if (core::scanCodeImage(image).has_value() ||

@@ -3,7 +3,8 @@
  * Lifecycle benchmark (DESIGN.md §15): what does it cost to kill and
  * hot-restart a cubicle, and does the rest of the deployment notice?
  *
- * Two sections, machine-readably mirrored in BENCH_lifecycle.json:
+ * Two sections, machine-readably mirrored in BENCH_lifecycle.json at
+ * the source root (whatever the working directory):
  *
  *  1. Micro cycles on a toy cubicle with a realistic CFI image:
  *     destroy latency (quiesce + revoke + reclaim) and restart
@@ -22,7 +23,7 @@
 
 #include "baselines/crashlab.h"
 #include "bench/bench_util.h"
-#include "core/codescan.h"
+#include "builder/image.h"
 #include "core/verifier/cache.h"
 #include "tests/core/toy_components.h"
 
@@ -48,7 +49,7 @@ runMicro(int cycles)
     core::testing::addToy(sys, "anchor");
     core::verifier::EntryTable table;
     core::testing::addToy(sys, "victim")
-        .withImage(core::makeCfiImage(262144, 0x11FEC1C5, &table))
+        .withImage(builder::makeCfiImage(262144, 0x11FEC1C5, &table))
         .withIndirectTables({table})
         .onExports([](core::Exporter &exp, auto &) {
             exp.fn<int(int)>("ping", [](int x) { return x + 1; });
@@ -176,9 +177,10 @@ main()
                 s.destroyMs, s.restartMs, s.reclaimedPages);
     bench::rule();
 
-    FILE *json = std::fopen("BENCH_lifecycle.json", "w");
+    const char *path = CUBICLEOS_SOURCE_DIR "/BENCH_lifecycle.json";
+    FILE *json = std::fopen(path, "w");
     if (!json) {
-        std::perror("BENCH_lifecycle.json");
+        std::perror(path);
         return 1;
     }
     std::fprintf(
@@ -206,7 +208,7 @@ main()
         s.rpsOutage, s.rpsAfterRestart, s.destroyMs, s.restartMs,
         s.reclaimedPages);
     std::fclose(json);
-    std::printf("wrote BENCH_lifecycle.json\n");
+    std::printf("wrote %s\n", path);
 
     // Acceptance gate: hot-restart must ride the verify cache — the
     // cold path re-decodes a 256 KiB image and must be visibly slower.

@@ -15,6 +15,7 @@
 
 #include "baselines/memfs.h"
 #include "baselines/microkernel.h"
+#include "builder/image.h"
 #include "core/system.h"
 #include "libos/app.h"
 #include "libos/grant.h"
@@ -37,6 +38,8 @@ struct CallRig {
             {
                 core::ComponentSpec s;
                 s.name = "srv";
+                s.image =
+                    builder::componentImage(builder::ImageSeed::kApp);
                 return s;
             }
             void registerExports(core::Exporter &exp) override

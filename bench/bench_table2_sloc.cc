@@ -9,8 +9,8 @@
  * comparison is inspectable on any checkout, then the size of the
  * whole trusted core: every source file of the TCB libraries
  * (src/core, src/hw, src/mem), by directory. The isolation linter and
- * auditor (src/audit) are not in the TCB; their line count follows
- * the TCB total, outside it.
+ * auditor (src/audit) and the image builder (src/builder) are not in
+ * the TCB; their line counts follow the TCB total, outside it.
  *
  * The TCB rows and their total are also the golden BENCH_table2_sloc.json
  * at the source root: the binary exits non-zero when they differ from
@@ -156,7 +156,7 @@ main()
           "hw/page_table.cc", "hw/page_table.h", "mem/arena.cc",
           "mem/suballoc.cc", "mem/page_meta.h"}},
         {"Builder (trampoline generation)", "640 Python",
-         {"core/component.h", "core/codescan.cc", "core/codescan.h"}},
+         {"core/component.h", "builder/image.cc", "builder/image.h"}},
         {"Unikraft window support", "600 C",
          {"libos/ukapi.cc", "libos/sockapi.cc"}},
         {"SQLite port", "620 C",
@@ -194,8 +194,11 @@ main()
     json += "\n  },\n  \"total\": " + std::to_string(tcb) + "\n}\n";
     std::printf("%-36s %27d\n", "TCB total", tcb);
     cubicleos::bench::rule('-', 64);
-    std::printf("src/%-32s %27d\n", "audit (outside the TCB)",
-                slocOfDir("audit"));
+    for (const char *dir : {"audit", "builder"}) {
+        std::printf("src/%-32s %27d\n",
+                    (std::string(dir) + " (outside the TCB)").c_str(),
+                    slocOfDir(dir));
+    }
     std::printf("\nnote: this reproduction implements every substrate "
                 "from scratch, so the\nline counts bound the same "
                 "responsibilities rather than matching exactly;\n"

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "core/codescan.h"
+#include "builder/image.h"
 #include "core/system.h"
 #include "libos/sockapi.h"
 #include "libos/ukapi.h"
@@ -29,18 +29,18 @@ namespace cubicleos::httpd {
 /**
  * Builds the code image a tenant cubicle ships: benign synthesised
  * text sealed by a builder-declared CFI entry table. Tenants load at
- * scale (dozens per deployment), so unlike the singleton deployments
- * they must pass the audit's per-cubicle unresolved-site gate for
- * every seed the load order hands them — the declared address-taken
- * table resolves the stream's residual naked indirect calls.
+ * scale (dozens per deployment), so their image is the hardened build
+ * that passes the audit's per-cubicle unresolved-site gate — the
+ * declared address-taken table resolves the stream's residual naked
+ * indirect calls.
  */
 inline void
 attachTenantImage(core::ComponentSpec &s)
 {
     core::verifier::EntryTable table;
     // Fixed seed: every tenant ships the same hardened build, so the
-    // verifier's image-hash memoisation kicks in across the fleet.
-    s.image = core::makeCfiImage(4096, 0x7e4a, &table);
+    // verifier's image memoisation kicks in across the fleet.
+    s.image = builder::makeCfiImage(4096, 0x7e4a, &table);
     s.indirectTables = {table};
 }
 
@@ -90,7 +90,9 @@ class NginxComponent : public core::Component {
         s.name = name_;
         s.kind = core::CubicleKind::kIsolated;
         s.stackPages = 32;
-        if (!docroot_.empty()) // multi-tenant instance
+        if (docroot_.empty())
+            s.image = builder::componentImage(builder::ImageSeed::kApp);
+        else // multi-tenant instance
             attachTenantImage(s);
         return s;
     }

@@ -26,6 +26,7 @@
 
 #include "apps/httpd/harness.h"
 #include "apps/minisql/db.h"
+#include "builder/image.h"
 #include "core/system.h"
 #include "libos/ukapi.h"
 
@@ -46,6 +47,7 @@ class SqlComponent : public core::Component {
         core::ComponentSpec s;
         s.name = "minisql";
         s.kind = core::CubicleKind::kIsolated;
+        s.image = builder::componentImage(builder::ImageSeed::kApp);
         s.stackPages = 32;
         return s;
     }

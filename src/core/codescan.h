@@ -29,8 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "core/verifier/report.h"
-
 namespace cubicleos::core {
 
 /** A forbidden instruction pattern found by the scanner. */
@@ -68,45 +66,6 @@ std::optional<ForbiddenInsn> scanCodeImage(std::span<const uint8_t> image);
  * sub-position.
  */
 std::vector<ForbiddenInsn> scanCodeImageAll(std::span<const uint8_t> image);
-
-/**
- * Generates a benign pseudo code image of @p size bytes, deterministic
- * in @p seed, guaranteed to contain no forbidden sequence. Components
- * in this reproduction are native C++, so their "binary image" — the
- * thing the loader scans and maps execute-only — is synthesised. The
- * image is a well-formed x86-64 instruction stream (fully decodable by
- * the verifier's linear sweep): 0F appears only before a benign
- * two-byte opcode and CD is never emitted, so no forbidden pattern can
- * arise even across instruction boundaries. The stream also carries
- * the indirect-dispatch idioms pass 3 resolves — bounded-switch
- * jump tables and rip-relative lea/call pairs, plus the occasional
- * naked indirect call that stays CFI-trusted — so loaded images
- * exercise the interprocedural auditor end to end.
- *
- * When @p entries is non-null it receives the function entry offsets
- * the generator knows by construction: offset 0 plus the offset after
- * every emitted ret. Feeding them to the reachability walk as entry
- * points makes the whole stream reachable, the way a real component's
- * export table covers its text section.
- */
-std::vector<uint8_t>
-makeBenignImage(std::size_t size, uint64_t seed,
-                std::vector<std::size_t> *entries = nullptr);
-
-/**
- * Like makeBenignImage, but finished the way a CFI-hardened build
- * ships: the stream is sealed with a terminal ret and followed by a
- * builder-declared entry table (one 4-byte slot naming offset 0, the
- * canonical address-taken entry). Declaring @p table in
- * ComponentSpec::indirectTables lets verifier pass 3 resolve the
- * stream's residual naked indirect calls entry-table-style instead of
- * reporting them opaque — the idiom for components loaded at scale,
- * where deployment audits bound the per-cubicle unresolved rate.
- */
-std::vector<uint8_t>
-makeCfiImage(std::size_t size, uint64_t seed,
-             verifier::EntryTable *table,
-             std::vector<std::size_t> *entries = nullptr);
 
 } // namespace cubicleos::core
 

@@ -4,14 +4,17 @@
  *
  * A Component is the unit of isolation — one Unikraft-style library (VFS,
  * RAMFS, the network stack, the application...). Components declare a
- * spec (name, cubicle kind, image/stack/heap sizes), register exported
- * functions with the trusted builder, and get an init() hook executed
- * inside their freshly loaded cubicle at boot.
+ * spec (name, cubicle kind, code image, global and stack sizes),
+ * register exported functions with the trusted builder, and get an
+ * init() hook executed inside their freshly loaded cubicle at boot.
  *
  * This mirrors the paper's §5.2 build flow: Unikraft's exportsyms.uk
  * becomes registerExports(); the builder generates one cross-cubicle
  * trampoline per exported symbol; callback tables are resolved as
- * dynamic symbols so the loader can interpose trampolines.
+ * dynamic symbols so the loader can interpose trampolines. The code
+ * image comes from the build-time image builder (src/builder, outside
+ * the trusted core); the loader verifies exactly the image the spec
+ * carries.
  */
 
 #ifndef CUBICLEOS_CORE_COMPONENT_H_
@@ -37,13 +40,13 @@ struct ComponentSpec {
     CubicleKind kind = CubicleKind::kIsolated;
 
     /**
-     * Binary code image scanned by the loader. Components in this
-     * reproduction are native C++, so when empty the loader synthesises
-     * a benign image of @c codePages pages; tests supply hostile images.
+     * Binary code image the loader verifies and maps execute-only. The
+     * builder (src/builder) produces it; the monitor never synthesises
+     * code and refuses an empty image. The default is one ret byte:
+     * the image of a component with no machine code of its own.
      */
-    std::vector<uint8_t> image;
+    std::vector<uint8_t> image = {0xC3};
 
-    std::size_t codePages = 2;
     std::size_t globalPages = 2;
     std::size_t stackPages = 0;     ///< 0: use system default
 

@@ -71,10 +71,11 @@ struct RevokedGrant {
 struct LifecycleRecord {
     /**
      * The static physical tag the cubicle held before death, or -1
-     * for dynamically-tagged cubicles. Physical keys can never be
-     * returned to hw::Mpk (the allocator is monotonic, mirroring how
-     * scarce real pkeys are), so a restart reuses the saved key
-     * instead of allocating a fresh one.
+     * for dynamically-tagged cubicles. Destroy keeps the key reserved
+     * instead of returning it to hw::Mpk, and the restart reuses it:
+     * a relaunch then never competes for one of the 16 scarce tags,
+     * so it cannot fail on key exhaustion or take a key that a later
+     * load or hot window was counting on.
      */
     int staticKey = -1;
     /** Completed destroy/restart cycles (trace + test introspection). */

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <thread>
 
-#include "core/codescan.h"
 #include "core/lifecycle.h"
 #include "core/trace.h"
 #include "core/verifier/cache.h"
@@ -105,13 +104,9 @@ Monitor::loadComponent(const ComponentSpec &spec)
     // in payload constants or provably dead code are recorded in the
     // report for audit. An unresolved reachable indirect jump or an
     // undecodable reachable byte proves nothing dead, so then every
-    // sequence blocks. The verdict is memoised by image content hash,
-    // so reloading an identical image skips the sweep + walk.
-    std::vector<uint8_t> image = spec.image.empty()
-        ? makeBenignImage(spec.codePages * hw::kPageSize,
-                          cubicles_.size() + 1)
-        : spec.image;
-    verifier::VerifierReport report = verifyImage(spec, image);
+    // sequence blocks. The verdict is memoised by image content, so
+    // reloading an identical image skips the sweep + walk.
+    verifier::VerifierReport report = verifyImage(spec);
 
     auto cub = std::make_unique<Cubicle>();
     cub->id = static_cast<Cid>(cubicles_.size());
@@ -156,7 +151,7 @@ Monitor::loadComponent(const ComponentSpec &spec)
     }
     const Cid cid = cub->id;
     try {
-        provisionCubicle(*cub, spec, image);
+        provisionCubicle(*cub, spec);
     } catch (...) {
         // A failed load returns its static tag, as it does its pages.
         if (spec.kind == CubicleKind::kIsolated && cub->lkey < 0)
@@ -182,9 +177,12 @@ Monitor::loadComponent(const ComponentSpec &spec)
 }
 
 verifier::VerifierReport
-Monitor::verifyImage(const ComponentSpec &spec,
-                     const std::vector<uint8_t> &image)
+Monitor::verifyImage(const ComponentSpec &spec)
 {
+    const std::vector<uint8_t> &image = spec.image;
+    if (image.empty())
+        throw VerifierError("component '" + spec.name +
+                            "' has an empty code image");
     for (const std::size_t e : spec.entryPoints) {
         if (e >= image.size()) {
             throw VerifierError(
@@ -229,9 +227,9 @@ Monitor::verifyImage(const ComponentSpec &spec,
 }
 
 void
-Monitor::provisionCubicle(Cubicle &cub, const ComponentSpec &spec,
-                          const std::vector<uint8_t> &image)
+Monitor::provisionCubicle(Cubicle &cub, const ComponentSpec &spec)
 {
+    const std::vector<uint8_t> &image = spec.image;
     const auto pkey = static_cast<uint8_t>(cub.pkey);
     const Cid cid = cub.id;
 
@@ -1098,8 +1096,9 @@ Monitor::destroyCubicle(Cid cid)
         bumpEpoch();
 
         // 4. Release the physical tag. A bound dynamic tag returns to
-        // the pool for other logical cubicles; a static tag is saved —
-        // hw::Mpk's allocator is monotonic, so restart must reuse it.
+        // the pool for other logical cubicles; a static tag is saved,
+        // not freed, so the restart reuses it and never competes for
+        // a key.
         {
             MutexLock keys(keyMutex_);
             if (cub.lkey >= 0) {
@@ -1170,19 +1169,13 @@ Monitor::restartCubicle(Cid cid, const ComponentSpec &spec)
 
     {
         MutexLock loader(loaderMutex_);
-        // Same image synthesis as the original load (the seed was this
-        // cubicle's table position), so an unchanged spec re-verifies
-        // as a content hit in the verify cache — the cheap path the
-        // restart benchmark measures.
-        std::vector<uint8_t> image = spec.image.empty()
-            ? makeBenignImage(spec.codePages * hw::kPageSize,
-                              static_cast<std::size_t>(cid) + 1)
-            : spec.image;
-        verifier::VerifierReport report = verifyImage(spec, image);
+        // An unchanged spec re-verifies as a hit in the verify cache:
+        // the cheap path the restart benchmark measures.
+        verifier::VerifierReport report = verifyImage(spec);
 
         // Tag restore: dynamically-tagged cubicles come back parked
         // and re-bind on first touch; statically-tagged ones reuse the
-        // key saved at destroy (the hardware allocator is monotonic).
+        // key destroy kept reserved, so a restart takes no key.
         if (cub.lkey >= 0) {
             cub.pkey = parkedKey_;
         } else {
@@ -1190,7 +1183,7 @@ Monitor::restartCubicle(Cid cid, const ComponentSpec &spec)
                    "static cubicle died without a saved key");
             cub.pkey = rec.staticKey;
         }
-        provisionCubicle(cub, spec, image);
+        provisionCubicle(cub, spec);
         loadReports_[cid] = std::move(report);
     }
 

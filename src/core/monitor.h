@@ -190,20 +190,22 @@ class Monitor {
     /**
      * Loads a component into a fresh cubicle.
      *
-     * Runs the verifier over the code image (linear sweep, then one
-     * reachability walk that resolves jump-table, lea/call and
-     * entry-table indirect flow; see core/verifier/ipcfg.h) through
-     * the process-wide image-hash cache (core/verifier/cache.h),
-     * allocates an MPK key (isolated cubicles), maps code pages
-     * execute-only, and sets up globals, the stack arena and the heap
-     * sub-allocator. A load that then runs out of pages returns its
-     * key and pages before throwing.
+     * Runs the verifier over exactly the code image the spec carries
+     * (linear sweep, then one reachability walk that resolves
+     * jump-table, lea/call and entry-table indirect flow; see
+     * core/verifier/ipcfg.h) through the process-wide verify cache
+     * (core/verifier/cache.h), allocates an MPK key (isolated
+     * cubicles), maps code pages execute-only, and sets up globals,
+     * the stack arena and the heap sub-allocator. A load that then
+     * runs out of pages returns its key and pages before throwing.
      *
-     * @throws VerifierError when a forbidden sequence is reachable
-     *         from an entry point, when unresolved indirect jump flow
-     *         (or an undecodable reachable byte) leaves forbidden
-     *         bytes possibly live, when an entry point or declared
-     *         indirect-target table lies outside the image;
+     * @throws VerifierError when the image is empty, when a forbidden
+     *         sequence is reachable from an entry point, when
+     *         unresolved indirect jump flow (or an undecodable
+     *         reachable byte) leaves forbidden bytes possibly live,
+     *         when an entry point or declared indirect-target table
+     *         lies outside the image — all before any key or page is
+     *         taken;
      *         LoaderError on key or table exhaustion; OutOfMemory
      *         when the code, global or stack pages do not fit.
      */
@@ -232,9 +234,10 @@ class Monitor {
      *      bump the revocation epoch so no grant cache or prestage
      *      hint can touch the reclaimed pages;
      *   4. release its physical tag: a bound dynamic tag returns to
-     *      the key table's free pool, a static tag is saved for
-     *      restart (hw::Mpk cannot recycle physical keys); bump the
-     *      key epoch (the PKRU-refresh IPI analogue);
+     *      the key table's free pool; a static tag stays reserved for
+     *      the restart, which then cannot fail for want of a key nor
+     *      take one a later load needed; bump the key epoch (the
+     *      PKRU-refresh IPI analogue);
      *   5. return its heap chunks and code/global/stack pages to the
      *      page allocator; mark kDead.
      *
@@ -439,12 +442,10 @@ class Monitor {
     void destroyWindowLocked(Cid owner, Wid wid) REQUIRES(windowMutex_);
 
     /** Image validation + verify-cache run shared by load and restart. */
-    verifier::VerifierReport verifyImage(const ComponentSpec &spec,
-                                         const std::vector<uint8_t> &image);
+    verifier::VerifierReport verifyImage(const ComponentSpec &spec);
 
     /** Allocates code/global/stack + heap for @p cub (load/restart). */
-    void provisionCubicle(Cubicle &cub, const ComponentSpec &spec,
-                          const std::vector<uint8_t> &image);
+    void provisionCubicle(Cubicle &cub, const ComponentSpec &spec);
     void bumpEpoch() REQUIRES(windowMutex_)
     {
         windowEpoch_.fetch_add(1, std::memory_order_seq_cst);

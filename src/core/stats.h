@@ -62,7 +62,7 @@
     C(verifierRejected) C(verifierReported) /* findings */                \
     P(countLintRun, lintRuns, lintFindings)                               \
     P(countAuditRun, auditRuns, auditFindings)                            \
-    C(verifyCacheHits) C(verifyCacheMisses)   /* image-hash cache */      \
+    C(verifyCacheHits) C(verifyCacheMisses)   /* verify cache */          \
     P(countDataCopy, dataCopies, dataCopyBytes) /* payload memcpys */     \
     C(zeroCopySends) C(zeroCopyBytes)   /* segments from borrowed spans */
 

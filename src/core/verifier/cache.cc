@@ -1,5 +1,7 @@
 #include "core/verifier/cache.h"
 
+#include <algorithm>
+
 #include "core/verifier/ipcfg.h"
 
 namespace cubicleos::core::verifier {
@@ -40,6 +42,22 @@ VerifyCache::hashImage(std::span<const uint8_t> image,
     return h;
 }
 
+const VerifierReport *
+VerifyCache::find(uint64_t key, std::span<const uint8_t> image,
+                  std::span<const std::size_t> entryPoints,
+                  std::span<const EntryTable> tables) const
+{
+    auto [it, end] = entries_.equal_range(key);
+    for (; it != end; ++it) {
+        const Entry &e = it->second;
+        if (std::ranges::equal(e.image, image) &&
+            std::ranges::equal(e.entryPoints, entryPoints) &&
+            std::ranges::equal(e.tables, tables))
+            return &e.report;
+    }
+    return nullptr;
+}
+
 VerifierReport
 VerifyCache::verify(std::span<const uint8_t> image,
                     std::span<const std::size_t> entryPoints,
@@ -48,11 +66,11 @@ VerifyCache::verify(std::span<const uint8_t> image,
     const uint64_t key = hashImage(image, entryPoints, tables);
     {
         ReaderLock lock(mu_);
-        auto it = entries_.find(key);
-        if (it != entries_.end()) {
+        if (const VerifierReport *cached =
+                find(key, image, entryPoints, tables)) {
             if (hit)
                 *hit = true;
-            return it->second;
+            return *cached;
         }
     }
     if (hit)
@@ -60,9 +78,15 @@ VerifyCache::verify(std::span<const uint8_t> image,
     VerifierReport report = verifyImageInter(image, entryPoints, tables);
     {
         WriterLock lock(mu_);
-        if (entries_.size() >= kMaxEntries)
-            entries_.clear();
-        entries_.emplace(key, report);
+        if (find(key, image, entryPoints, tables) == nullptr) {
+            if (entries_.size() >= kMaxEntries)
+                entries_.clear();
+            entries_.emplace(
+                key, Entry{{image.begin(), image.end()},
+                           {entryPoints.begin(), entryPoints.end()},
+                           {tables.begin(), tables.end()},
+                           report});
+        }
     }
     return report;
 }

@@ -1,20 +1,24 @@
 /**
  * @file
- * Verification cache keyed by image content (verifier follow-up,
- * ROADMAP "cache sweep results by image hash").
+ * Verification cache keyed by the verifier's inputs: image content,
+ * entry points and declared indirect-target tables.
  *
  * The linear sweep + reachability walk is deterministic in the image
  * bytes and the entry-point set, so verifying the same image twice is
  * pure waste — and common: every System in a test binary reloads the
- * same generated components, and a deployment restarting a component
+ * same built components, and a deployment restarting a component
  * reloads an identical file. The cache memoises the full
- * VerifierReport under a 64-bit FNV-1a hash of (image bytes, image
- * size, entry points).
+ * VerifierReport together with its inputs (image bytes, entry points,
+ * declared tables). A 64-bit FNV-1a hash of the inputs only picks the
+ * bucket: a hit requires all three inputs to be equal, so neither a
+ * hash collision nor an input that hashes like another replays a
+ * verdict it did not earn.
  *
  * The cache is process-global (images are immutable inputs, not System
  * state) and thread-safe: lookups take a shared lock, inserts an
- * exclusive one. Two threads missing on the same image both verify and
- * both insert — the results are identical, so the race is benign.
+ * exclusive one. Two threads missing on the same inputs both verify;
+ * the second finds the first's entry and does not insert again — the
+ * results are identical, so the race is benign.
  */
 
 #ifndef CUBICLEOS_CORE_VERIFIER_CACHE_H_
@@ -24,6 +28,7 @@
 #include <cstdint>
 #include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "core/locking.h"
 #include "core/verifier/report.h"
@@ -57,19 +62,31 @@ class VerifyCache {
     std::size_t size() const;
 
     /**
-     * Content hash: FNV-1a 64 over the image bytes, then the image
+     * Bucket hash: FNV-1a 64 over the image bytes, then the image
      * size, each entry-point offset and each declared table's
-     * (offset, count), so images differing only in their export set
-     * or target tables hash apart. (A 64-bit digest can collide in
-     * principle; a collision would replay another image's verdict.
-     * For the simulator's image population this is accepted — a
-     * deployment-grade cache would key on a cryptographic digest.)
+     * (offset, count). Inputs that differ can share it; the cache
+     * tells them apart by comparing the stored inputs.
      */
     static uint64_t hashImage(std::span<const uint8_t> image,
                               std::span<const std::size_t> entryPoints,
                               std::span<const EntryTable> tables = {});
 
   private:
+    /** One memoised verdict and the exact inputs that earned it. */
+    struct Entry {
+        std::vector<uint8_t> image;
+        std::vector<std::size_t> entryPoints;
+        std::vector<EntryTable> tables;
+        VerifierReport report;
+    };
+
+    /** The report stored for exactly these inputs under @p key, or null. */
+    const VerifierReport *find(uint64_t key,
+                               std::span<const uint8_t> image,
+                               std::span<const std::size_t> entryPoints,
+                               std::span<const EntryTable> tables) const
+        REQUIRES_SHARED(mu_);
+
     /** Eviction bound: clearing at the cap keeps the map O(1)-ish
      *  without LRU bookkeeping on the (rare) insert path. */
     static constexpr std::size_t kMaxEntries = 256;
@@ -77,7 +94,7 @@ class VerifyCache {
     // Rank kVerifyCache: taken while the loader holds loaderMutex_
     // (rank kLoader) and before any lower level.
     mutable SharedMutex mu_{LockRank::kVerifyCache, "verifier.cache"};
-    std::unordered_map<uint64_t, VerifierReport> entries_ GUARDED_BY(mu_);
+    std::unordered_multimap<uint64_t, Entry> entries_ GUARDED_BY(mu_);
 };
 
 } // namespace cubicleos::core::verifier

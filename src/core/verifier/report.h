@@ -72,6 +72,8 @@ struct CodeFinding {
 struct EntryTable {
     std::size_t offset = 0; ///< byte offset of the table in the image
     std::size_t count = 0;  ///< number of 4-byte entries
+
+    bool operator==(const EntryTable &) const = default;
 };
 
 /**

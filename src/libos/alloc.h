@@ -12,6 +12,7 @@
 #ifndef CUBICLEOS_LIBOS_ALLOC_H_
 #define CUBICLEOS_LIBOS_ALLOC_H_
 
+#include "builder/image.h"
 #include "core/system.h"
 
 namespace cubicleos::libos {
@@ -24,6 +25,7 @@ class AllocComponent : public core::Component {
         core::ComponentSpec s;
         s.name = "alloc";
         s.kind = core::CubicleKind::kIsolated;
+        s.image = builder::componentImage(builder::ImageSeed::kAlloc);
         return s;
     }
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <utility>
 
+#include "builder/image.h"
 #include "core/system.h"
 
 namespace cubicleos::libos {
@@ -29,6 +30,7 @@ class AppComponent : public core::Component {
         core::ComponentSpec s;
         s.name = name_;
         s.kind = core::CubicleKind::kIsolated;
+        s.image = builder::componentImage(builder::ImageSeed::kApp);
         return s;
     }
 

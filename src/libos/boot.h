@@ -13,6 +13,7 @@
 
 #include <string>
 
+#include "builder/image.h"
 #include "core/system.h"
 #include "libos/alloc.h"
 #include "libos/ukapi.h"
@@ -36,6 +37,7 @@ class BootComponent : public core::Component {
         core::ComponentSpec s;
         s.name = "boot";
         s.kind = core::CubicleKind::kIsolated;
+        s.image = builder::componentImage(builder::ImageSeed::kBoot);
         return s;
     }
 

@@ -12,6 +12,7 @@
 #ifndef CUBICLEOS_LIBOS_LIBC_H_
 #define CUBICLEOS_LIBOS_LIBC_H_
 
+#include "builder/image.h"
 #include "core/system.h"
 
 namespace cubicleos::libos {
@@ -24,6 +25,7 @@ class LibcComponent : public core::Component {
         core::ComponentSpec s;
         s.name = "libc";
         s.kind = core::CubicleKind::kShared;
+        s.image = builder::componentImage(builder::ImageSeed::kLibc);
         return s;
     }
 

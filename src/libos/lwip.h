@@ -11,6 +11,7 @@
 #ifndef CUBICLEOS_LIBOS_LWIP_H_
 #define CUBICLEOS_LIBOS_LWIP_H_
 
+#include "builder/image.h"
 #include "core/system.h"
 #include "libos/grant.h"
 #include "libos/netdev.h"
@@ -28,6 +29,7 @@ class LwipComponent : public core::Component {
         core::ComponentSpec s;
         s.name = "lwip";
         s.kind = core::CubicleKind::kIsolated;
+        s.image = builder::componentImage(builder::ImageSeed::kLwip);
         return s;
     }
 

@@ -17,6 +17,7 @@
 #include <optional>
 #include <vector>
 
+#include "builder/image.h"
 #include "core/system.h"
 
 namespace cubicleos::libos {
@@ -122,6 +123,7 @@ class NetdevComponent : public core::Component {
         core::ComponentSpec s;
         s.name = "netdev";
         s.kind = core::CubicleKind::kIsolated;
+        s.image = builder::componentImage(builder::ImageSeed::kNetdev);
         return s;
     }
 

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <string>
 
+#include "builder/image.h"
 #include "core/system.h"
 
 namespace cubicleos::libos {
@@ -32,6 +33,7 @@ class PlatComponent : public core::Component {
         core::ComponentSpec s;
         s.name = "plat";
         s.kind = core::CubicleKind::kIsolated;
+        s.image = builder::componentImage(builder::ImageSeed::kPlat);
         return s;
     }
 

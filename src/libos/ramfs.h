@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "builder/image.h"
 #include "core/system.h"
 #include "libos/grant.h"
 #include "libos/libc.h"
@@ -35,6 +36,7 @@ class RamfsComponent : public core::Component {
         core::ComponentSpec s;
         s.name = "ramfs";
         s.kind = core::CubicleKind::kIsolated;
+        s.image = builder::componentImage(builder::ImageSeed::kRamfs);
         return s;
     }
 

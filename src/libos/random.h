@@ -10,6 +10,7 @@
 #ifndef CUBICLEOS_LIBOS_RANDOM_H_
 #define CUBICLEOS_LIBOS_RANDOM_H_
 
+#include "builder/image.h"
 #include "core/system.h"
 #include "hw/prng.h"
 
@@ -25,6 +26,7 @@ class RandomComponent : public core::Component {
         core::ComponentSpec s;
         s.name = "random";
         s.kind = core::CubicleKind::kShared;
+        s.image = builder::componentImage(builder::ImageSeed::kRandom);
         return s;
     }
 

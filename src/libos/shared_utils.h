@@ -15,6 +15,7 @@
 #include <cctype>
 #include <cmath>
 
+#include "builder/image.h"
 #include "core/system.h"
 
 namespace cubicleos::libos {
@@ -27,6 +28,7 @@ class CtypeComponent : public core::Component {
         core::ComponentSpec s;
         s.name = "ctype";
         s.kind = core::CubicleKind::kShared;
+        s.image = builder::componentImage(builder::ImageSeed::kCtype);
         return s;
     }
 
@@ -58,6 +60,7 @@ class UkmathComponent : public core::Component {
         core::ComponentSpec s;
         s.name = "ukmath";
         s.kind = core::CubicleKind::kShared;
+        s.image = builder::componentImage(builder::ImageSeed::kUkmath);
         return s;
     }
 

@@ -10,6 +10,7 @@
 #ifndef CUBICLEOS_LIBOS_TIME_H_
 #define CUBICLEOS_LIBOS_TIME_H_
 
+#include "builder/image.h"
 #include "core/system.h"
 
 namespace cubicleos::libos {
@@ -22,6 +23,7 @@ class TimeComponent : public core::Component {
         core::ComponentSpec s;
         s.name = "time";
         s.kind = core::CubicleKind::kIsolated;
+        s.image = builder::componentImage(builder::ImageSeed::kTime);
         return s;
     }
 

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "builder/image.h"
 #include "core/system.h"
 #include "libos/libc.h"
 #include "libos/vfs_types.h"
@@ -33,6 +34,7 @@ class VfsComponent : public core::Component {
         core::ComponentSpec s;
         s.name = "vfscore";
         s.kind = core::CubicleKind::kIsolated;
+        s.image = builder::componentImage(builder::ImageSeed::kVfscore);
         return s;
     }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "builder/image.h"
 #include "core/codescan.h"
 
 namespace cubicleos::core {
@@ -184,7 +185,7 @@ TEST(CodeScan, EmptyImageIsClean)
 TEST(CodeScan, BenignImagesAreAlwaysClean)
 {
     for (uint64_t seed = 1; seed <= 32; ++seed) {
-        auto image = makeBenignImage(16384, seed);
+        auto image = builder::makeBenignImage(16384, seed);
         EXPECT_EQ(image.size(), 16384u);
         EXPECT_FALSE(scanCodeImage(image).has_value()) << seed;
     }

@@ -104,6 +104,37 @@ TEST(LifecycleTest, FailedLoadOrRestartReturnsItsPages)
     EXPECT_LT(mon.freePageCount(), free1);
 }
 
+TEST(LifecycleTest, EmptyImageIsRefusedBeforeAnythingIsTaken)
+{
+    System sys(fullConfig());
+    Monitor &mon = sys.monitor();
+    ComponentSpec empty;
+    empty.name = "empty";
+    empty.image.clear();
+
+    // The loader maps exactly the image it is handed and synthesises
+    // none: an empty one is refused before a key or a page is taken.
+    const std::size_t free0 = mon.freePageCount();
+    const int keys0 = mon.mpk().remainingKeys();
+    EXPECT_THROW(mon.loadComponent(empty), VerifierError);
+    EXPECT_EQ(mon.freePageCount(), free0);
+    EXPECT_EQ(mon.mpk().remainingKeys(), keys0);
+    EXPECT_EQ(sys.cubicleCount(), 0u);
+
+    // A spec left at its default image (one ret) takes one code page.
+    ComponentSpec plain;
+    plain.name = "plain";
+    const Cid cid = mon.loadComponent(plain);
+    EXPECT_EQ(mon.cubicle(cid).codeRange.count, 1u);
+
+    // A restart refuses it too, and the cubicle stays dead.
+    mon.destroyCubicle(cid);
+    const std::size_t free1 = mon.freePageCount();
+    EXPECT_THROW(mon.restartCubicle(cid, empty), VerifierError);
+    EXPECT_EQ(mon.freePageCount(), free1);
+    EXPECT_EQ(mon.lifeState(cid), LifeState::kDead);
+}
+
 TEST(LifecycleTest, SelfDestroyRefused)
 {
     System sys(fullConfig());

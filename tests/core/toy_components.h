@@ -10,12 +10,15 @@
 #include <string>
 #include <utility>
 
+#include "builder/image.h"
 #include "core/system.h"
 
 namespace cubicleos::core::testing {
 
 /**
  * A component whose spec, exports and init are supplied by the test.
+ * Unless the test supplies an image, it ships the builder's
+ * application image.
  */
 class ToyComponent : public Component {
   public:
@@ -82,7 +85,8 @@ class ToyComponent : public Component {
   private:
     std::string name_;
     CubicleKind kind_;
-    std::vector<uint8_t> image_;
+    std::vector<uint8_t> image_ =
+        builder::componentImage(builder::ImageSeed::kApp);
     std::vector<std::size_t> entryPoints_;
     std::vector<verifier::EntryTable> indirectTables_;
     std::function<void(Exporter &, ToyComponent &)> exportsFn_;

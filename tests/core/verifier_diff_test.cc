@@ -22,6 +22,7 @@
 
 #include <algorithm>
 
+#include "builder/image.h"
 #include "core/codescan.h"
 #include "core/verifier/ipcfg.h"
 #include "core/verifier/scanner.h"
@@ -79,7 +80,7 @@ TEST(VerifierDiff, RandomByteImages)
 TEST(VerifierDiff, BenignStreamImages)
 {
     for (uint64_t seed = 1; seed <= 64; ++seed) {
-        auto image = makeBenignImage(4096, seed);
+        auto image = builder::makeBenignImage(4096, seed);
         checkDifferential(image, seed);
         // Benign streams must sail through both scanners.
         EXPECT_FALSE(scanCodeImage(image).has_value()) << seed;
@@ -97,7 +98,7 @@ TEST(VerifierDiff, BenignStreamsWithSplicedForbiddenSequences)
     };
     hw::Prng prng(0xD1FFu);
     for (uint64_t seed = 1; seed <= 64; ++seed) {
-        auto image = makeBenignImage(4096, seed);
+        auto image = builder::makeBenignImage(4096, seed);
         const auto &seq = sequences[prng.nextBelow(4)];
         const auto at = static_cast<std::size_t>(
             prng.nextBelow(image.size() - 3));
@@ -161,7 +162,7 @@ TEST(VerifierDiff, ReachabilityMonotoneOnRandomBytes)
 TEST(VerifierDiff, ReachabilityMonotoneOnBenignStreams)
 {
     for (uint64_t seed = 1; seed <= 64; ++seed) {
-        auto image = makeBenignImage(4096, seed);
+        auto image = builder::makeBenignImage(4096, seed);
         checkReachabilityMonotone(image, seed);
         EXPECT_TRUE(verifyImageInter(image, {}, {}).accepted()) << seed;
     }
@@ -177,7 +178,7 @@ TEST(VerifierDiff, ReachabilityMonotoneOnSplicedStreams)
     };
     hw::Prng prng(0xCF6u);
     for (uint64_t seed = 1; seed <= 128; ++seed) {
-        auto image = makeBenignImage(4096, seed);
+        auto image = builder::makeBenignImage(4096, seed);
         const auto &seq = sequences[prng.nextBelow(4)];
         const auto at = static_cast<std::size_t>(
             prng.nextBelow(image.size() - 3));
@@ -212,7 +213,7 @@ TEST(VerifierDiff, RealComponentSnapshotsAcceptedWithFullDecodeCoverage)
     // every byte.
     for (uint64_t seed = 1; seed <= 16; ++seed) {
         for (std::size_t pages = 1; pages <= 4; ++pages) {
-            auto image = makeBenignImage(pages * 4096, seed);
+            auto image = builder::makeBenignImage(pages * 4096, seed);
             const VerifierReport r = verifyImageInter(image, {}, {});
             EXPECT_TRUE(r.accepted()) << seed;
             EXPECT_FALSE(r.cfg.opaque) << seed;

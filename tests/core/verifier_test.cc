@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/codescan.h"
+#include "builder/image.h"
 #include "core/system.h"
 #include "core/verifier/cache.h"
 #include "core/verifier/insn.h"
@@ -521,7 +521,7 @@ TEST(InsnDecode, FlowKinds)
 
 TEST(Verifier, CleanImageAccepted)
 {
-    auto image = makeBenignImage(4096, 7);
+    auto image = builder::makeBenignImage(4096, 7);
     VerifierReport report = verifyImage(image);
     EXPECT_TRUE(report.accepted());
     EXPECT_TRUE(report.findings.empty());
@@ -638,7 +638,7 @@ TEST(Verifier, EmptyImageAccepted)
 
 TEST(Verifier, CoverageCountsAreConsistent)
 {
-    auto image = makeBenignImage(16384, 3);
+    auto image = builder::makeBenignImage(16384, 3);
     // Splice an undecodable byte run into the middle.
     for (std::size_t i = 8000; i < 8016; ++i)
         image[i] = 0x06;
@@ -1094,6 +1094,66 @@ TEST(VerifyCache, EntryPointsArePartOfTheKey)
     verifier::VerifyCache::instance().verify(image, e0, {}, &hit);
     EXPECT_TRUE(hit);
     EXPECT_EQ(verifier::VerifyCache::instance().size(), 2u);
+}
+
+TEST(VerifyCache, EntryPointsAndTablesDoNotAlias)
+{
+    verifier::VerifyCache::instance().clear();
+
+    // ret, then a declared one-slot table whose bytes hold a wrpkru.
+    // Entry points {0} plus table {4, 1} and entry points {0, 4, 1}
+    // feed the bucket hash the same byte stream, so exporting offset
+    // 4 (the wrpkru) must not replay the table's verdict.
+    const std::vector<uint8_t> image =
+        bytes({0xC3, 0x90, 0x90, 0x90, 0x0F, 0x01, 0xEF, 0x00});
+    const std::size_t entry[] = {0};
+    const std::size_t exported[] = {0, 4, 1};
+    const verifier::EntryTable table[] = {{4, 1}};
+    ASSERT_EQ(verifier::VerifyCache::hashImage(image, entry, table),
+              verifier::VerifyCache::hashImage(image, exported));
+
+    {
+        System sys;
+        testing::addToy(sys, "table")
+            .withImage(image)
+            .withEntryPoints({0})
+            .withIndirectTables({{4, 1}});
+        sys.boot();
+    }
+    System sys;
+    testing::addToy(sys, "exported")
+        .withImage(image)
+        .withEntryPoints({0, 4, 1});
+    EXPECT_THROW(sys.boot(), VerifierError);
+    EXPECT_EQ(sys.stats().verifyCacheHits(), 0u);
+}
+
+TEST(VerifyCache, HashCollisionDoesNotReplayAVerdict)
+{
+    verifier::VerifyCache::instance().clear();
+
+    // Two 17-byte images with one FNV-1a key: a jmp over payload, and
+    // a wrpkru at the entry point.
+    const std::vector<uint8_t> benign =
+        bytes({0xEB, 0x0E, 0x2D, 0x52, 0x97, 0x86, 0x01, 0x96, 0x1D,
+               0x77, 0x90, 0x90, 0x90, 0x90, 0x90, 0x90, 0xC3});
+    const std::vector<uint8_t> hostile =
+        bytes({0x0F, 0x01, 0xEF, 0x88, 0x56, 0x08, 0x33, 0x0E, 0x6A,
+               0x7C, 0x0E, 0x90, 0x90, 0x90, 0x90, 0x90, 0xC3});
+    ASSERT_EQ(verifier::VerifyCache::hashImage(benign, {}),
+              0x796d3816a0de03c7ull);
+    ASSERT_EQ(verifier::VerifyCache::hashImage(hostile, {}),
+              0x796d3816a0de03c7ull);
+
+    {
+        System sys;
+        testing::addToy(sys, "benign").withImage(benign);
+        sys.boot();
+    }
+    System sys;
+    testing::addToy(sys, "hostile").withImage(hostile);
+    EXPECT_THROW(sys.boot(), VerifierError);
+    EXPECT_EQ(sys.stats().verifyCacheHits(), 0u);
 }
 
 TEST(VerifyCache, RejectingImageRejectsAgainOnHit)

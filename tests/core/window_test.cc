@@ -61,12 +61,14 @@ TEST(AclMask, OldSixtyFourCubicleBoundaryIsNoLongerACeiling)
 
 TEST(WindowRange, ContainsIsHalfOpen)
 {
-    char buf[64];
-    WindowRange r{buf, 64, 1};
-    EXPECT_TRUE(r.contains(buf));
-    EXPECT_TRUE(r.contains(buf + 63));
-    EXPECT_FALSE(r.contains(buf + 64));
-    EXPECT_FALSE(r.contains(buf - 1));
+    // The range sits inside a larger buffer, so both neighbours are
+    // valid pointers into it.
+    char buf[66];
+    WindowRange r{buf + 1, 64, 1};
+    EXPECT_TRUE(r.contains(buf + 1));
+    EXPECT_TRUE(r.contains(buf + 64));
+    EXPECT_FALSE(r.contains(buf + 65));
+    EXPECT_FALSE(r.contains(buf));
 }
 
 class WindowTableTest : public ::testing::Test {

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "builder/image.h"
 #include "libos/app.h"
 #include "libos/grant.h"
 #include "libos/sockapi.h"
@@ -229,6 +230,7 @@ class ThrowingLwip : public core::Component {
         core::ComponentSpec s;
         s.name = "lwip";
         s.kind = core::CubicleKind::kIsolated;
+        s.image = builder::componentImage(builder::ImageSeed::kLwip);
         return s;
     }
 
