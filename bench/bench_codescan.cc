@@ -1,22 +1,20 @@
 /**
  * @file
- * Load-time verification throughput: the conservative byte-grep, the
- * instruction-aware linear-sweep verifier (pass 1), and the loader's
- * full verdict, the reachability walk from every function entry with
- * jump-table/lea-call/entry-table resolution of indirect flow
- * (verifyImageInter), over synthesized component images from 64 KiB
- * to 16 MiB.
+ * Load-time verification throughput: the conservative byte-grep, and
+ * the loader's whole verdict, the reachability walk from every
+ * function entry with jump-table/lea-call/entry-table resolution of
+ * indirect flow (verifyImageInter), over synthesized component images
+ * from 64 KiB to 16 MiB.
  *
- * The sweep runs the grep *and* a full linear-sweep disassembly; the
- * walk re-decodes the reachable subset and resolves indirect flow on
- * top of that. Their throughputs bound how much load-time latency
- * each adds on top of the original scan. All are one-shot load-time
- * costs, not steady-state costs.
+ * The walk runs the grep, decodes the reachable code, resolves
+ * indirect flow, labels each grep match, and ends with one linear
+ * decode of the whole image for coverage. Both throughputs are
+ * one-shot load-time costs, not steady-state costs.
  *
  * The benign generator plants indirect sites on purpose (bounded
  * switches, lea/call singletons, and a fraction of naked register
  * calls): the "unres" / "rate" columns report how much indirect flow
- * pass 3 fails to resolve. The rate is a hard gate — above 20% the
+ * the walk fails to resolve. The rate is a hard gate — above 20% the
  * benchmark fails, because at that point the auditor is rubber-
  * stamping opacity. Set CODESCAN_LIST_UNRESOLVED=1 to dump every
  * unresolved site (offset and kind); the per-deployment audit JSON
@@ -31,7 +29,6 @@
 #include "builder/image.h"
 #include "core/codescan.h"
 #include "core/verifier/ipcfg.h"
-#include "core/verifier/scanner.h"
 
 namespace {
 
@@ -51,7 +48,7 @@ int
 main()
 {
     bench::header("Load-time code verification throughput",
-                  "loader rule 2 (paper §5.4) — grep vs sweep vs "
+                  "loader rule 2 (paper §5.4) — grep vs "
                   "interprocedural walk");
 
     const int reps = bench::intFromEnv("CODESCAN_REPS", 8);
@@ -60,9 +57,8 @@ main()
     const std::size_t sizes[] = {64u << 10, 256u << 10, 1u << 20,
                                  4u << 20, 16u << 20};
 
-    std::printf("%10s %6s %11s %11s %11s %8s %8s %6s\n", "image",
-                "reps", "grep MB/s", "verify MB/s", "inter MB/s",
-                "indirect", "unres", "rate%");
+    std::printf("%10s %6s %11s %11s %8s %8s %6s\n", "image", "reps",
+                "grep MB/s", "inter MB/s", "indirect", "unres", "rate%");
     bench::rule();
 
     hw::CycleClock clock; // unused by any scanner; wall time only
@@ -72,9 +68,8 @@ main()
         const auto image =
             builder::makeBenignImage(size, /*seed=*/size, &entries);
 
-        // Warm-up + correctness guard: benign images must pass all.
+        // Warm-up + correctness guard: benign images must pass both.
         if (core::scanCodeImage(image).has_value() ||
-            !core::verifier::verifyImage(image).accepted() ||
             !core::verifier::verifyImageInter(image, entries, {})
                  .accepted()) {
             std::printf("BUG: benign image flagged at size %zu\n", size);
@@ -86,11 +81,6 @@ main()
                 if (core::scanCodeImage(image).has_value())
                     return;
             }
-        });
-
-        auto verify = bench::measure(clock, [&] {
-            for (int r = 0; r < reps; ++r)
-                (void)core::verifier::verifyImage(image).insnCount;
         });
 
         core::verifier::VerifierReport interReport;
@@ -107,11 +97,10 @@ main()
             rateOk = false;
 
         const std::size_t total = size * static_cast<std::size_t>(reps);
-        std::printf(
-            "%8zuK %6d %11.1f %11.1f %11.1f %8zu %8zu %6.2f\n",
-            size >> 10, reps, mbPerSec(total, grep.wallMs),
-            mbPerSec(total, verify.wallMs), mbPerSec(total, inter.wallMs),
-            resolved + unresolved, unresolved, 100.0 * rate);
+        std::printf("%8zuK %6d %11.1f %11.1f %8zu %8zu %6.2f\n",
+                    size >> 10, reps, mbPerSec(total, grep.wallMs),
+                    mbPerSec(total, inter.wallMs), resolved + unresolved,
+                    unresolved, 100.0 * rate);
 
         if (listUnresolved) {
             for (const core::verifier::IndirectSiteRecord &site :
@@ -126,14 +115,13 @@ main()
         }
     }
     bench::rule();
-    std::printf("verify = grep + instruction-length decode of every "
-                "byte; inter = verify + reachability\nwalk from every "
-                "function entry with jump-table/lea-call resolution "
-                "(all one-shot,\nat load). unres counts residual "
-                "CFI-trusted indirect calls.\n");
+    std::printf("inter = grep + reachability walk from every function "
+                "entry with\njump-table/lea-call resolution + one "
+                "coverage decode of every byte\n(all one-shot, at load). "
+                "unres counts residual CFI-trusted indirect calls.\n");
     if (!rateOk) {
         std::printf("BUG: unresolved-indirect rate reached 20%% — "
-                    "pass 3 lost its resolution power\n");
+                    "the walk lost its resolution power\n");
         return 1;
     }
     return 0;

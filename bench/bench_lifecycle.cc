@@ -9,8 +9,8 @@
  *  1. Micro cycles on a toy cubicle with a realistic CFI image:
  *     destroy latency (quiesce + revoke + reclaim) and restart
  *     latency with the verify cache warm (the image re-verifies from
- *     its memoised report) vs cold (cache cleared, full decoder sweep
- *     + CFG walks — what a cold load pays). The acceptance story is
+ *     its memoised report) vs cold (cache cleared, the full grep and
+ *     CFG walk — what a cold load pays). The acceptance story is
  *     hit ≪ miss: hot-restart rides the cache.
  *
  *  2. The crash lab under service: HTTP req/s through the networked
@@ -75,7 +75,7 @@ runMicro(int cycles)
     }
 
     // Cold cycles: clearing the process-wide verify cache forces the
-    // full sweep + CFG walks — the cold-load cost a restart avoids.
+    // full grep + CFG walk — the cold-load cost a restart avoids.
     for (int i = 0; i < cycles; ++i) {
         sys.destroyComponent("victim");
         core::verifier::VerifyCache::instance().clear();

@@ -129,7 +129,7 @@ class Lexer {
         for (const char *op : {"<>", "<=", ">=", "!=", "=="}) {
             if (s_.compare(pos_, 2, op) == 0) {
                 t.kind = Tok::kSymbol;
-                t.text = op;
+                t.text = std::string(op, 2);
                 pos_ += 2;
                 return t;
             }

@@ -356,8 +356,11 @@ Speedtest::run(int id)
             for (int j = 0; j < 10; ++j) {
                 if (j)
                     sql += ",";
-                sql += "(" + std::to_string(i * 10 + j) + ",'" +
-                       randomText(20) + "')";
+                sql += "(";
+                sql += std::to_string(i * 10 + j);
+                sql += ",'";
+                sql += randomText(20);
+                sql += "')";
             }
             db_->exec(sql);
             res.rowsTouched += 10;

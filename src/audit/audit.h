@@ -113,11 +113,11 @@ std::vector<LintFinding> audit(core::System &sys);
 
 /**
  * The combined machine-readable audit: per-image verifier records
- * (sweep counts, the walk's CfgSummary in the "pass2" block and its
- * ImageAudit in "pass3"), the window usage matrix, and audit(sys)'s
- * findings, as deterministic JSON (schema cubicleos-audit-v1: fixed
- * key order, integers only, no addresses or timestamps). Safe to diff
- * against a committed baseline.
+ * (decode-coverage and finding counts, the walk's CfgSummary in the
+ * "pass2" block and its ImageAudit in "pass3"), the window usage
+ * matrix, and audit(sys)'s findings, as deterministic JSON (schema
+ * cubicleos-audit-v1: fixed key order, integers only, no addresses or
+ * timestamps). Safe to diff against a committed baseline.
  */
 std::string auditJson(core::System &sys);
 

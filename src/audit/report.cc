@@ -116,7 +116,7 @@ appendImage(std::string &out, const std::string &component,
     out += ",\"findings\":{\"rejecting\":";
     appendNum(out, r.rejectingCount());
     out += ",\"reported\":";
-    appendNum(out, r.embeddedCount());
+    appendNum(out, r.reportedCount());
     out += "},\"pass2\":{\"ran\":";
     appendBool(out, r.cfg.ran);
     out += ",\"reachableInsns\":";

@@ -24,10 +24,10 @@ namespace cubicleos::builder {
  * Generates a benign pseudo code image of @p size bytes, deterministic
  * in @p seed, guaranteed to contain no forbidden sequence. The image
  * is a well-formed x86-64 instruction stream (fully decodable by the
- * verifier's linear sweep): 0F appears only before a benign two-byte
+ * verifier's coverage sweep): 0F appears only before a benign two-byte
  * opcode and CD is never emitted, so no forbidden pattern can arise
  * even across instruction boundaries. The stream also carries the
- * indirect-dispatch idioms pass 3 resolves — bounded-switch jump
+ * indirect-dispatch idioms the walk resolves — bounded-switch jump
  * tables and rip-relative lea/call pairs, plus the occasional naked
  * indirect call that stays CFI-trusted — so loaded images exercise
  * the interprocedural auditor end to end.
@@ -50,7 +50,7 @@ makeBenignImage(std::size_t size, uint64_t seed,
  * ships: the stream is sealed with a terminal ret and followed by a
  * builder-declared entry table (one 4-byte slot naming offset 0, the
  * canonical address-taken entry). Declaring @p table in
- * ComponentSpec::indirectTables lets verifier pass 3 resolve the
+ * ComponentSpec::indirectTables lets the verifier's walk resolve the
  * stream's residual naked indirect calls entry-table-style instead of
  * reporting them opaque — the idiom for components loaded at scale,
  * where deployment audits bound the per-cubicle unresolved rate.

@@ -5,6 +5,17 @@ namespace cubicleos::core {
 namespace {
 
 /**
+ * One forbidden encoding: up to three bytes, each compared under a
+ * mask (mask 0xFF = exact byte, 0x38 = ModRM reg field, 0 = unused).
+ */
+struct ForbiddenPattern {
+    const char *mnemonic;
+    uint8_t bytes[3];
+    uint8_t mask[3];
+    std::size_t len;
+};
+
+/**
  * Forbidden encodings. wrpkru changes MPK permissions directly; xsetbv
  * and xrstor (/5 selects the state component that restores PKRU) can
  * smuggle a PKRU change through XSAVE state; the syscall family could
@@ -34,12 +45,6 @@ matchAt(std::span<const uint8_t> image, std::size_t pos,
 }
 
 } // namespace
-
-std::span<const ForbiddenPattern>
-forbiddenPatterns()
-{
-    return kForbidden;
-}
 
 std::optional<ForbiddenInsn>
 scanCodeImage(std::span<const uint8_t> image)

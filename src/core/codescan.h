@@ -13,8 +13,8 @@
  * This byte-grep is deliberately conservative: it reports every
  * occurrence of the patterns, including bytes buried inside a longer
  * instruction's immediate and benign aliases of the masked xrstor
- * pattern (lfence shares its reg field). The instruction-aware
- * verifier in core/verifier classifies each match before the loader
+ * pattern (lfence shares its reg field). The verifier's reachability
+ * walk (core/verifier/ipcfg.h) labels each match before the loader
  * decides; the grep's verdict is therefore always at least as strict
  * as the verifier's.
  */
@@ -39,20 +39,6 @@ struct ForbiddenInsn {
 };
 
 /**
- * One forbidden encoding: up to three bytes, each compared under a
- * mask (mask 0xFF = exact byte, 0x38 = ModRM reg field, 0 = unused).
- */
-struct ForbiddenPattern {
-    const char *mnemonic;
-    uint8_t bytes[3];
-    uint8_t mask[3];
-    std::size_t len;
-};
-
-/** The forbidden-pattern table (shared with the verifier). */
-std::span<const ForbiddenPattern> forbiddenPatterns();
-
-/**
  * Scans @p image for forbidden instruction encodings.
  *
  * @return the first match, or no value if the image is clean.
@@ -60,7 +46,7 @@ std::span<const ForbiddenPattern> forbiddenPatterns();
 std::optional<ForbiddenInsn> scanCodeImage(std::span<const uint8_t> image);
 
 /**
- * Scans and collects every match (diagnostics / verifier input).
+ * Scans and collects every match (the verifier's findings).
  * Matches are non-overlapping: after a match the scan resumes past the
  * matched bytes, so a sequence is reported once, not at every
  * sub-position.

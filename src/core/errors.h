@@ -38,10 +38,11 @@ class LoaderError : public std::runtime_error {
 };
 
 /**
- * The load-time verifier rejected an image: a forbidden instruction
- * sequence is reachable (instruction-aligned or misaligned-reachable;
- * see core/verifier). A LoaderError subtype so callers treating every
- * load refusal uniformly keep working.
+ * The load-time verifier rejected an image: a path from an entry point
+ * executes a forbidden instruction, or the reachability walk cannot
+ * prove a forbidden byte sequence dead (see core/verifier/ipcfg.h).
+ * A LoaderError subtype so callers treating every load refusal
+ * uniformly keep working.
  */
 class VerifierError : public LoaderError {
   public:

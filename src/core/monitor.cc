@@ -101,11 +101,11 @@ Monitor::loadComponent(const ComponentSpec &spec)
     // verifier walks the CFG from every exported entry point, through
     // direct branches and the indirect flow it can resolve; forbidden
     // sequences an entry path executes block the load, while sequences
-    // in payload constants or provably dead code are recorded in the
-    // report for audit. An unresolved reachable indirect jump or an
-    // undecodable reachable byte proves nothing dead, so then every
-    // sequence blocks. The verdict is memoised by image content, so
-    // reloading an identical image skips the sweep + walk.
+    // no entry path executes (payload constants, dead code) are
+    // recorded in the report for audit. An unresolved reachable
+    // indirect jump or an undecodable reachable byte proves nothing
+    // dead, so then every sequence blocks. The verdict is memoised by
+    // its inputs, so reloading an identical image skips the walk.
     verifier::VerifierReport report = verifyImage(spec);
 
     auto cub = std::make_unique<Cubicle>();
@@ -215,7 +215,7 @@ Monitor::verifyImage(const ComponentSpec &spec)
     stats_->add(Stat::verifierBytesDecoded, report.decodedBytes);
     stats_->add(Stat::verifierInsns, report.insnCount);
     stats_->add(Stat::verifierRejected, report.rejectingCount());
-    stats_->add(Stat::verifierReported, report.embeddedCount());
+    stats_->add(Stat::verifierReported, report.reportedCount());
     if (const verifier::CodeFinding *f = report.firstRejecting()) {
         throw VerifierError(
             "component '" + spec.name +

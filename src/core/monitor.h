@@ -191,9 +191,10 @@ class Monitor {
      * Loads a component into a fresh cubicle.
      *
      * Runs the verifier over exactly the code image the spec carries
-     * (linear sweep, then one reachability walk that resolves
-     * jump-table, lea/call and entry-table indirect flow; see
-     * core/verifier/ipcfg.h) through the process-wide verify cache
+     * (one reachability walk that resolves jump-table, lea/call and
+     * entry-table indirect flow and labels every forbidden byte
+     * sequence; see core/verifier/ipcfg.h) through the process-wide
+     * verify cache
      * (core/verifier/cache.h), allocates an MPK key (isolated
      * cubicles), maps code pages execute-only, and sets up globals,
      * the stack arena and the heap sub-allocator. A load that then
@@ -253,7 +254,7 @@ class Monitor {
     /**
      * Relaunches a destroyed cubicle in place: re-verifies the image
      * through the process-wide verify cache (a content-identical image
-     * hits and skips the sweep + CFG walk, which is what makes restart
+     * hits and skips the CFG walk, which is what makes restart
      * cheap), reallocates code/global/stack/heap under the saved
      * static tag (or re-parks a dynamically-tagged cubicle until first
      * touch), and replays the grants recorded at destroy time —
@@ -291,8 +292,8 @@ class Monitor {
 
     /**
      * The verifier report for @p cid's image, recorded at load time
-     * (including report-only embedded findings that did not block the
-     * load).
+     * (including report-only findings, the forbidden byte sequences no
+     * entry path executes, which did not block the load).
      */
     const verifier::VerifierReport &verifierReport(Cid cid) const;
 

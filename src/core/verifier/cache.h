@@ -3,8 +3,8 @@
  * Verification cache keyed by the verifier's inputs: image content,
  * entry points and declared indirect-target tables.
  *
- * The linear sweep + reachability walk is deterministic in the image
- * bytes and the entry-point set, so verifying the same image twice is
+ * The reachability walk is deterministic in the image bytes, the entry
+ * points and the declared tables, so verifying the same image twice is
  * pure waste — and common: every System in a test binary reloads the
  * same built components, and a deployment restarting a component
  * reloads an identical file. The cache memoises the full
@@ -48,7 +48,7 @@ class VerifyCache {
      * the same bytes under different tables verify apart).
      *
      * @param hit if non-null, set to true when the report came from
-     *        the cache without re-running the sweep + CFG walks.
+     *        the cache without re-running the walk.
      */
     VerifierReport verify(std::span<const uint8_t> image,
                           std::span<const std::size_t> entryPoints,

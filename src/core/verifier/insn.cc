@@ -381,7 +381,8 @@ decodeAt(std::span<const uint8_t> image, std::size_t pos)
         return std::nullopt;
     // Vendor-divergent length: Intel ignores 0x66 on a near rel32
     // call/jmp/jcc, AMD (which also ships MPK) reads a rel16. Opaque,
-    // so the sweep verdict decides.
+    // so a reachable one is a hole in the walk and every finding
+    // rejects.
     if (opsize16 && spec.branch && spec.branchBytes == 4)
         return std::nullopt;
 
@@ -444,7 +445,6 @@ decodeAt(std::span<const uint8_t> image, std::size_t pos)
     }
 
     if (spec.branch) {
-        insn.isDirectBranch = true;
         insn.branchRel = readRel(
             image, pos + len - static_cast<std::size_t>(spec.branchBytes),
             static_cast<unsigned>(spec.branchBytes));

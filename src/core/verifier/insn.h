@@ -24,13 +24,12 @@
  * ModRM.reg != 0 (XOP on AMD, #UD on Intel).
  *
  * The decoder answers four questions per instruction:
- *   - how long is it (so a sweep or walk can find the next boundary)?
- *   - where do its data bytes (displacement + immediate) start, so a
- *     forbidden byte pattern can be classified as embedded-in-constant
- *     versus overlapping structural opcode bytes?
+ *   - how long is it (so the walk can find the next boundary)?
+ *   - where do its data bytes (displacement + immediate) start, after
+ *     the structural opcode/ModRM/SIB bytes?
  *   - is it itself a forbidden, isolation-subverting instruction?
  *   - how does control leave it (fall through, direct branch, indirect
- *     sink), so the reachability pass can build a branch graph?
+ *     sink), so the reachability walk can build a branch graph?
  */
 
 #ifndef CUBICLEOS_CORE_VERIFIER_INSN_H_
@@ -70,9 +69,8 @@ struct Insn {
     uint8_t payloadOff = 0;
     /** Decodes to an isolation-subverting instruction (wrpkru, ...). */
     bool forbidden = false;
-    /** rel8/rel32 direct jump, call or jcc. */
-    bool isDirectBranch = false;
-    /** Sign-extended branch displacement (valid iff isDirectBranch). */
+    /** Sign-extended rel8/rel32 displacement of a direct jcc, jmp or
+     *  call (flow kBranch, kJump or kCall; 0 otherwise). */
     int32_t branchRel = 0;
     /** Successor shape for the reachability walk. */
     FlowKind flow = FlowKind::kSequential;

@@ -4,8 +4,8 @@
 #include <deque>
 #include <unordered_map>
 
+#include "core/codescan.h"
 #include "core/verifier/insn.h"
-#include "core/verifier/scanner.h"
 
 namespace cubicleos::core::verifier {
 
@@ -38,6 +38,17 @@ overlaps(const CodeFinding &f, const ForbiddenSpan &s)
 }
 
 } // namespace
+
+const char *
+findingClassName(FindingClass cls)
+{
+    switch (cls) {
+      case FindingClass::kAligned: return "instruction-aligned";
+      case FindingClass::kUnreachable: return "unreachable-code";
+      case FindingClass::kIndirectReachable: return "indirect-reachable";
+    }
+    return "unknown";
+}
 
 JumpTableMatch
 matchJumpTable(std::span<const uint8_t> image, std::size_t pos)
@@ -189,12 +200,13 @@ verifyImageInter(std::span<const uint8_t> image,
                  std::span<const std::size_t> entryPoints,
                  std::span<const EntryTable> tables)
 {
-    VerifierReport report = verifyImage(image);
+    VerifierReport report;
     CfgSummary &cfg = report.cfg;
     ImageAudit &audit = report.audit;
     cfg.ran = true;
     audit.ran = true;
     const std::size_t n = image.size();
+    report.imageBytes = n;
     cfg.firstOpaque = n;
 
     // An image that names no entry points exports its base offset.
@@ -233,9 +245,9 @@ verifyImageInter(std::span<const uint8_t> image,
         callUniverse.end());
 
     // ---- Idiom scan: probe every byte offset (cheap first-byte
-    // filter), so tables in code the linear sweep misparses are still
-    // found; matching is byte-exact, so context cannot change what a
-    // matched dispatch does.
+    // filter), so a dispatch is found wherever the walk meets it;
+    // matching is byte-exact, so context cannot change what a matched
+    // dispatch does.
     std::vector<JumpTableMatch> jumpTables;
     std::unordered_map<std::size_t, std::size_t> jtByJmp;
     std::unordered_map<std::size_t, LeaCallMatch> lcByCall;
@@ -286,8 +298,8 @@ verifyImageInter(std::span<const uint8_t> image,
 
     // Sorted idiom interiors, for the guard-bypass check: a resolved
     // dispatch is only bounded when control enters through its cmp/ja
-    // guard, so any edge into the interior from outside voids the
-    // resolution.
+    // guard and falls through the idiom's own instructions, so any
+    // other way in that lands strictly inside voids the resolution.
     struct Interior {
         std::size_t start, end, idx;
     };
@@ -300,7 +312,10 @@ verifyImageInter(std::span<const uint8_t> image,
               [](const Interior &a, const Interior &b) {
                   return a.start < b.start;
               });
-    auto checkInterior = [&](std::size_t from, std::size_t to) {
+    // `fellFrom` is the source of a fall-through edge into `to`, or n
+    // for any other way in: a branch (the idiom's own ja included), a
+    // call, a resolved indirect target or an entry point.
+    auto checkInterior = [&](std::size_t to, std::size_t fellFrom) {
         // First interior starting after `to`, then step back once:
         // idiom interiors never nest (each is one straight-line code
         // run), so one predecessor candidate suffices.
@@ -311,25 +326,26 @@ verifyImageInter(std::span<const uint8_t> image,
             return;
         --it;
         if (to < it->end && to != it->start &&
-            (from < it->start || from >= it->end))
+            (fellFrom < it->start || fellFrom >= it->end))
             jtCompromised[it->idx] = 1;
     };
 
-    // callTarget: the edge opens a function (direct or resolved call
-    // target); otherwise the successor inherits `func`.
+    // How an edge enters its target: kCall opens a function there
+    // (direct or resolved call target); the others inherit `func`.
+    enum class Edge { kFallThrough, kBranch, kCall };
     auto pushEdge = [&](std::size_t from, int64_t target, int32_t func,
-                        bool callTarget = false) {
+                        Edge edge) {
         if (target < 0 || static_cast<std::size_t>(target) >= n) {
             cfg.externalTargets++; // import stubs / image end
             return;
         }
         const auto t = static_cast<std::size_t>(target);
         if (!interiors.empty())
-            checkInterior(from, t);
+            checkInterior(t, edge == Edge::kFallThrough ? from : n);
         if (parent[t] != kUnvisited)
             return;
         parent[t] = static_cast<int32_t>(from);
-        funcOf[t] = callTarget ? functionFor(t) : func;
+        funcOf[t] = edge == Edge::kCall ? functionFor(t) : func;
         queue.push_back(t);
     };
 
@@ -339,6 +355,8 @@ verifyImageInter(std::span<const uint8_t> image,
             cfg.opaque = true;
             continue;
         }
+        if (!interiors.empty())
+            checkInterior(e, n);
         if (parent[e] != kUnvisited)
             continue;
         parent[e] = kRoot;
@@ -374,25 +392,25 @@ verifyImageInter(std::span<const uint8_t> image,
             continue;
         }
 
-        const int64_t target =
-            static_cast<int64_t>(end) + insn->branchRel;
+        const auto next = static_cast<int64_t>(end);
+        const int64_t target = next + insn->branchRel;
         switch (insn->flow) {
           case FlowKind::kSequential:
-            pushEdge(pos, static_cast<int64_t>(end), func);
+            pushEdge(pos, next, func, Edge::kFallThrough);
             break;
           case FlowKind::kBranch:
             cfg.directBranches++;
-            pushEdge(pos, target, func);
-            pushEdge(pos, static_cast<int64_t>(end), func);
+            pushEdge(pos, target, func, Edge::kBranch);
+            pushEdge(pos, next, func, Edge::kFallThrough);
             break;
           case FlowKind::kJump:
             cfg.directBranches++;
-            pushEdge(pos, target, func);
+            pushEdge(pos, target, func, Edge::kBranch);
             break;
           case FlowKind::kCall:
             cfg.directBranches++;
-            pushEdge(pos, target, func, /*callTarget=*/true);
-            pushEdge(pos, static_cast<int64_t>(end), func);
+            pushEdge(pos, target, func, Edge::kCall);
+            pushEdge(pos, next, func, Edge::kFallThrough);
             break;
           case FlowKind::kIndirectCall: {
             cfg.indirectSites++;
@@ -405,7 +423,7 @@ verifyImageInter(std::span<const uint8_t> image,
                 rec.how = "lea-call";
                 rec.targets.push_back(it->second.target);
                 pushEdge(pos, static_cast<int64_t>(it->second.target),
-                         func, /*callTarget=*/true);
+                         func, Edge::kCall);
             } else if (!callUniverse.empty()) {
                 // CFI-style: an indirect call goes somewhere in the
                 // declared address-taken set.
@@ -414,10 +432,10 @@ verifyImageInter(std::span<const uint8_t> image,
                 rec.targets = callUniverse;
                 for (const std::size_t t : callUniverse)
                     pushEdge(pos, static_cast<int64_t>(t), func,
-                             /*callTarget=*/true);
+                             Edge::kCall);
             }
             audit.indirectSites.push_back(std::move(rec));
-            pushEdge(pos, static_cast<int64_t>(end), func);
+            pushEdge(pos, next, func, Edge::kFallThrough);
             break;
           }
           case FlowKind::kIndirectJump: {
@@ -437,7 +455,8 @@ verifyImageInter(std::span<const uint8_t> image,
                                               rec.targets.end()),
                                   rec.targets.end());
                 for (const std::size_t t : jm.targets)
-                    pushEdge(pos, static_cast<int64_t>(t), func);
+                    pushEdge(pos, static_cast<int64_t>(t), func,
+                             Edge::kBranch);
             }
             audit.indirectSites.push_back(std::move(rec));
             break;
@@ -486,26 +505,24 @@ verifyImageInter(std::span<const uint8_t> image,
               });
     audit.functionCount = audit.functions.size();
 
-    // ---- Finding refinement. A finding that overlaps a reachable
-    // forbidden instruction is executed from an entry point: kAligned.
-    // Any other non-embedded finding sits in code the walk never
-    // reaches: kUnreachable, unless the walk is opaque, when the
-    // sweep's classes stand. A missed reachable forbidden instruction
-    // is added as a finding. Then the unresolved-jump policy: while
-    // any reachable indirect *jump* stays unresolved (or the walk is
-    // opaque), no forbidden byte sequence in the image is provably
-    // dead, so every non-rejecting finding escalates to
-    // kIndirectReachable.
-    for (CodeFinding &f : report.findings) {
-        const bool hit =
-            std::any_of(spans.begin(), spans.end(),
+    // ---- Label each grep match once. A match that overlaps a
+    // reachable forbidden instruction is executed from an entry point:
+    // kAligned. Any other match is dead when the walk is sound (no
+    // hole, every reachable indirect jump resolved): kUnreachable,
+    // report-only. An unsound walk proves nothing dead:
+    // kIndirectReachable. A reachable forbidden instruction the grep
+    // missed is added as a kAligned finding.
+    const bool sound = !cfg.opaque && firstUnresolvedJump == n;
+    for (const ForbiddenInsn &m : scanCodeImageAll(image)) {
+        CodeFinding f{m.offset, m.length, m.mnemonic,
+                      sound ? FindingClass::kUnreachable
+                            : FindingClass::kIndirectReachable};
+        if (std::any_of(spans.begin(), spans.end(),
                         [&](const ForbiddenSpan &s) {
                             return overlaps(f, s);
-                        });
-        if (hit)
+                        }))
             f.cls = FindingClass::kAligned;
-        else if (!cfg.opaque && f.cls != FindingClass::kEmbedded)
-            f.cls = FindingClass::kUnreachable;
+        report.findings.push_back(std::move(f));
     }
     for (const ForbiddenSpan &s : spans) {
         bool reported = false;
@@ -518,12 +535,6 @@ verifyImageInter(std::span<const uint8_t> image,
         if (!reported) {
             report.findings.push_back(CodeFinding{
                 s.start, s.length, s.mnemonic, FindingClass::kAligned});
-        }
-    }
-    if (cfg.opaque || firstUnresolvedJump < n) {
-        for (CodeFinding &f : report.findings) {
-            if (!f.rejecting())
-                f.cls = FindingClass::kIndirectReachable;
         }
     }
     std::sort(report.findings.begin(), report.findings.end(),
@@ -574,8 +585,9 @@ verifyImageInter(std::span<const uint8_t> image,
             audit.witnessPaths.push_back(std::move(w));
     }
 
-    // ---- Coverage re-sweep with the identified table bytes excluded:
-    // table data is *covered* (we know exactly what it is), so decode
+    // ---- Coverage sweep, the verifier's one linear decode of the
+    // whole image, with the identified table bytes excluded: table
+    // data is *covered* (we know exactly what it is), so decode
     // coverage reflects genuinely unexplained bytes only.
     std::size_t decoded = 0;
     std::size_t undecodable = 0;

@@ -1,14 +1,13 @@
 /**
  * @file
- * The load-time verifier's reachability walk (pass 3): the loader's
- * verdict on a code image.
+ * The load-time verifier: one reachability walk, the loader's verdict
+ * on a code image.
  *
- * Pass 1 (scanner.h) classifies forbidden byte sequences against a
- * blind linear sweep, which presumes every boundary it visits is
- * executable. That over-rejects: a `0f 01 ef` misaligned inside data
- * after a `ret`, or inside dead code, never executes. The walk runs
- * the sweep, then builds one control-flow graph over the image and
- * walks it breadth-first from every exported entry point:
+ * The conservative byte-grep (core/codescan.h) locates every forbidden
+ * byte sequence; a position in the image is not a path the machine
+ * runs, so the walk decides which of them execute. It builds one
+ * control-flow graph over the image and walks it breadth-first from
+ * every exported entry point:
  *
  *   - fall-through edges from every sequential instruction;
  *   - `jcc rel8/rel32`: target + fall-through;
@@ -22,7 +21,11 @@
  *     (cmp/ja guard, rip-relative lea of the table base, movsxd of a
  *     scaled 32-bit entry, add, jmp reg) resolves to the exact target
  *     set the table encodes, and those edges are followed; any other
- *     indirect jump is an unresolved sink;
+ *     indirect jump is an unresolved sink. The resolution holds only
+ *     while the idiom is entered through its guard: an entry point,
+ *     or any edge other than the idiom's own fall-through, that lands
+ *     strictly inside it (its own ja and its own table included)
+ *     leaves the jump unresolved;
  *   - `call r/m`: fall-through, plus the one target of a rip-relative
  *     `lea reg, [rip+disp]` immediately followed by `call reg`, or
  *     else every entry of the builder-declared tables
@@ -32,30 +35,25 @@
  *     to published entry slots by the cross-call trampoline) and is
  *     counted and listed in the audit record.
  *
- * The walk is *opaque* when it reaches a byte it cannot decode or an
- * entry point lies outside the image: the CFG has a hole, so it
- * proves nothing dead. Findings are then refined in one pass:
+ * The walk is *sound* when it has no hole (every reachable byte
+ * decodes and every entry point lies in the image; otherwise it is
+ * *opaque*) and every reachable indirect jump is resolved. Each grep
+ * match is then labelled once:
  *
- *   1. a finding that overlaps a reachable forbidden instruction
- *      becomes kAligned (and a reachable forbidden instruction the
- *      byte-grep missed is added as one);
- *   2. any other non-embedded finding becomes kUnreachable
- *      (report-only), unless the walk is opaque; then the sweep's
- *      classes stand;
- *   3. while a reachable indirect jump stays unresolved, or the walk
- *      is opaque, every remaining report-only finding becomes
- *      kIndirectReachable and rejects.
- *
- * So an opaque walk rejects every finding, and otherwise a rejecting
- * finding is either executed from an entry point (kAligned) or not
- * provably dead because an unresolved jump could reach it.
+ *   - kAligned if it overlaps a reachable forbidden instruction (and a
+ *     reachable forbidden instruction the grep missed is added as
+ *     one) — rejects;
+ *   - otherwise kUnreachable if the walk is sound — report-only: no
+ *     path from an entry point executes it;
+ *   - otherwise kIndirectReachable — rejects: the walk cannot prove
+ *     the bytes dead.
  *
  * The walk also fills CfgSummary and the per-image ImageAudit
  * (report.h): the function partition, every indirect site with its
- * resolution, the bytes identified as jump-table data (so decode
- * coverage accounts them as data, not undecodable gaps), and a
- * shortest witness path from an entry point for every rejecting
- * finding.
+ * resolution, the bytes identified as jump-table data, and a shortest
+ * witness path from an entry point for every rejecting finding (to
+ * the forbidden instruction, or to the hole). A final linear sweep
+ * over the image, with table data excluded, measures decode coverage.
  */
 
 #ifndef CUBICLEOS_CORE_VERIFIER_IPCFG_H_
@@ -125,8 +123,8 @@ LeaCallMatch matchLeaCall(std::span<const uint8_t> image,
                           std::size_t pos);
 
 /**
- * Verifies @p image: the pass-1 sweep, then the walk from
- * @p entryPoints and the refinement described in the file header.
+ * Verifies @p image: the byte-grep, the walk from @p entryPoints and
+ * the labelling described in the file header.
  *
  * @param entryPoints exported entry offsets; an empty span seeds the
  *        walk at offset 0. An out-of-range entry makes the walk

@@ -15,32 +15,25 @@
 namespace cubicleos::core::verifier {
 
 /**
- * Classification of one forbidden byte sequence found in an image.
+ * Label of one forbidden byte sequence found in an image, set once by
+ * the reachability walk (ipcfg.h; DESIGN.md §"Load-time
+ * verification"):
  *
- * The classes encode the reject/report policy (DESIGN.md §"Load-time
- * verification"): aligned and misaligned-reachable sequences are
- * executable by the component and must be rejected; a sequence wholly
- * inside one instruction's displacement/immediate payload is a
- * compiler constant no in-image control flow reaches, and is recorded
- * for audit instead.
- *
- * kUnreachable and kIndirectReachable are produced only by the
- * reachability walk (ipcfg.h). kUnreachable: a sequence the linear
- * sweep would reject but that no path the walk follows from an
- * exported entry point executes — e.g. bytes after an unconditional
- * ret, or a misaligned overlap in dead code; never assigned when the
- * walk is opaque. Like kEmbedded it is report-only.
- * kIndirectReachable: a reachable indirect jump stays *unresolved* (or
- * the walk is opaque), so the walk cannot prove the forbidden bytes
- * dead — the finding rejects even though no followed path lands on
- * it.
+ *   - kAligned: the sequence overlaps a forbidden instruction some
+ *     path from an entry point executes → reject;
+ *   - kUnreachable: the walk is sound (no hole, every reachable
+ *     indirect jump resolved) and no path executes it — bytes after
+ *     a ret, a payload constant, a misaligned overlap in dead code →
+ *     report-only, recorded for audit;
+ *   - kIndirectReachable: the walk is not sound (an unresolved
+ *     reachable indirect jump, an undecodable reachable byte, an
+ *     entry point outside the image), so it proves nothing dead →
+ *     reject, even though no followed path lands on it.
  */
 enum class FindingClass : uint8_t {
-    kAligned,             ///< starts on an instruction boundary
-    kMisalignedReachable, ///< overlaps structural bytes / undecoded region
-    kEmbedded,            ///< wholly inside one instruction's payload
-    kUnreachable,         ///< walk: no path from any entry point
-    kIndirectReachable,   ///< walk: unresolved indirect flow nearby
+    kAligned,           ///< a reachable forbidden instruction
+    kUnreachable,       ///< sound walk: no path from any entry point
+    kIndirectReachable, ///< unsound walk: not provably dead
 };
 
 /** Human-readable class name. */
@@ -51,20 +44,15 @@ struct CodeFinding {
     std::size_t offset = 0;     ///< byte offset in the image
     std::size_t length = 0;     ///< matched pattern length
     std::string mnemonic;       ///< e.g. "wrpkru"
-    FindingClass cls = FindingClass::kMisalignedReachable;
+    FindingClass cls = FindingClass::kAligned;
 
-    bool rejecting() const
-    {
-        return cls == FindingClass::kAligned ||
-               cls == FindingClass::kMisalignedReachable ||
-               cls == FindingClass::kIndirectReachable;
-    }
+    bool rejecting() const { return cls != FindingClass::kUnreachable; }
 };
 
 /**
  * One relocation-like indirect-call target table supplied by the
  * builder in @c ComponentSpec::indirectTables: @c count 4-byte
- * little-endian image offsets starting at @c offset. Pass 3 treats
+ * little-endian image offsets starting at @c offset. The walk treats
  * the union of all table entries as the target set of every indirect
  * *call* site (calls are CFI-confined to published entry slots), and
  * treats the table bytes themselves as data, not code.
@@ -77,18 +65,17 @@ struct EntryTable {
 };
 
 /**
- * Summary of the reachability walk (ipcfg.h; zeroed when only the
- * linear sweep ran). Counts cover everything the walk reached,
+ * Summary of the reachability walk (ipcfg.h; zeroed in a report the
+ * verifier did not produce). Counts cover everything the walk reached,
  * including code reached through resolved indirect edges.
  *
  * When @c opaque is true the walk hit a reachable byte it could not
  * decode (or an entry point outside the image): it proves nothing
- * dead, so the report keeps the conservative pass-1 classes and every
- * finding rejects.
+ * dead, so every finding rejects.
  */
 struct CfgSummary {
     bool ran = false;            ///< verifyImageInter was used
-    bool opaque = false;         ///< walk has a hole, pass-1 classes kept
+    bool opaque = false;         ///< walk has a hole: every finding rejects
     std::size_t firstOpaque = 0; ///< first undecodable reachable offset
     std::size_t entryCount = 0;
     std::size_t reachableInsns = 0;
@@ -100,7 +87,7 @@ struct CfgSummary {
     std::size_t externalTargets = 0; ///< direct edges leaving the image
 };
 
-/** How pass 3 resolved (or failed to resolve) one indirect site. */
+/** How the walk resolved (or failed to resolve) one indirect site. */
 struct IndirectSiteRecord {
     std::size_t offset = 0;   ///< offset of the jmp/call r/m instruction
     bool isJump = false;      ///< jmp r/m (true) vs call r/m (false)
@@ -113,7 +100,7 @@ struct IndirectSiteRecord {
     const char *how = "";
 };
 
-/** One per-function summary from the pass-3 call-graph walk. */
+/** One per-function summary from the walk's call graph. */
 struct FunctionAudit {
     std::size_t entry = 0;        ///< function entry offset
     bool reachable = false;       ///< reachable from an image entry point
@@ -121,14 +108,19 @@ struct FunctionAudit {
     std::size_t unresolvedSites = 0; ///< unresolved indirect sites inside
 };
 
-/** Shortest entry→forbidden-instruction path for one rejecting finding. */
+/**
+ * Shortest path from an entry point to what makes one finding reject:
+ * the forbidden instruction it overlaps (kAligned), or the walk's
+ * first hole, an unresolved indirect jump or undecodable byte
+ * (kIndirectReachable).
+ */
 struct WitnessPath {
     std::size_t findingOffset = 0;      ///< offset of the finding reached
     std::vector<std::size_t> steps;     ///< insn offsets, entry first
 };
 
 /**
- * Pass-3 (interprocedural) audit record for one image. Zeroed unless
+ * The walk's interprocedural audit record for one image. Zeroed unless
  * @c ran is set (verifyImageInter was used).
  */
 struct ImageAudit {
@@ -157,12 +149,12 @@ struct VerifierReport {
     std::size_t imageBytes = 0;
     std::size_t decodedBytes = 0;      ///< bytes covered by decoded insns
     std::size_t insnCount = 0;
-    std::size_t undecodableBytes = 0;  ///< gap bytes skipped by the sweep
+    std::size_t undecodableBytes = 0;  ///< gaps the coverage sweep skips
     /** Offset of the first undecodable byte, or imageBytes if none. */
     std::size_t firstUndecodable = 0;
     std::vector<CodeFinding> findings;
     CfgSummary cfg;
-    ImageAudit audit; ///< pass-3 record (audit.ran false unless pass 3 ran)
+    ImageAudit audit; ///< the walk's record (audit.ran false unless it ran)
 
     /** True when no finding forces a reject. */
     bool accepted() const
@@ -184,8 +176,8 @@ struct VerifierReport {
         return nullptr;
     }
 
-    /** Report-only (embedded) findings. */
-    std::size_t embeddedCount() const
+    /** Report-only (kUnreachable) findings. */
+    std::size_t reportedCount() const
     {
         std::size_t n = 0;
         for (const CodeFinding &f : findings)
@@ -196,7 +188,7 @@ struct VerifierReport {
     /** Rejecting findings. */
     std::size_t rejectingCount() const
     {
-        return findings.size() - embeddedCount();
+        return findings.size() - reportedCount();
     }
 
     /** Fraction of image bytes covered by decoded instructions. */

@@ -163,18 +163,29 @@ TEST(CodeScan, ReportsMatchLengths)
     EXPECT_EQ(hits[1].length, 3u);
 }
 
-TEST(CodeScan, PatternTableIsExposed)
+TEST(CodeScan, DetectsEveryForbiddenEncoding)
 {
-    auto patterns = forbiddenPatterns();
-    ASSERT_EQ(patterns.size(), 6u);
-    bool sawXrstor = false;
-    for (const auto &p : patterns) {
-        if (std::string(p.mnemonic) == "xrstor") {
-            sawXrstor = true;
-            EXPECT_EQ(p.mask[2], 0x38); // ModRM reg-field mask
-        }
+    struct Case {
+        std::vector<uint8_t> encoding;
+        const char *mnemonic;
+    };
+    const Case cases[] = {
+        {bytes({0x0F, 0x01, 0xEF}), "wrpkru"},
+        {bytes({0x0F, 0x01, 0xD1}), "xsetbv"},
+        {bytes({0x0F, 0xAE, 0x28}), "xrstor"},
+        {bytes({0x0F, 0x05}), "syscall"},
+        {bytes({0x0F, 0x34}), "sysenter"},
+        {bytes({0xCD, 0x80}), "int80"},
+    };
+    for (const Case &c : cases) {
+        auto image = bytes({0x90}); // nop, then the encoding
+        image.insert(image.end(), c.encoding.begin(), c.encoding.end());
+        auto hits = scanCodeImageAll(image);
+        ASSERT_EQ(hits.size(), 1u) << c.mnemonic;
+        EXPECT_EQ(hits[0].offset, 1u) << c.mnemonic;
+        EXPECT_EQ(hits[0].mnemonic, c.mnemonic);
+        EXPECT_EQ(hits[0].length, c.encoding.size()) << c.mnemonic;
     }
-    EXPECT_TRUE(sawXrstor);
 }
 
 TEST(CodeScan, EmptyImageIsClean)

@@ -1,11 +1,11 @@
 /**
  * @file
- * Differential properties: byte-grep verdicts versus the instruction-
- * aware verifier, over many seeded random images.
+ * Differential properties: byte-grep verdicts versus the verifier's
+ * reachability walk (from offset 0), over many seeded random images.
  *
- * The load-time contract is that the old conservative grep is always
- * at least as strict as the new verifier: every verifier finding is
- * located by the grep, so
+ * The load-time contract is that the conservative grep is always at
+ * least as strict as the verifier: every verifier finding is located
+ * by the grep, so
  *
  *   - grep clean            ⟹ verifier accepts (no findings at all);
  *   - verifier rejects      ⟹ grep finds something;
@@ -25,7 +25,6 @@
 #include "builder/image.h"
 #include "core/codescan.h"
 #include "core/verifier/ipcfg.h"
-#include "core/verifier/scanner.h"
 #include "hw/prng.h"
 
 namespace cubicleos::core {
@@ -33,7 +32,6 @@ namespace {
 
 using verifier::FindingClass;
 using verifier::VerifierReport;
-using verifier::verifyImage;
 using verifier::verifyImageInter;
 
 std::vector<uint8_t>
@@ -51,9 +49,9 @@ void
 checkDifferential(const std::vector<uint8_t> &image, uint64_t seed)
 {
     const auto grepHits = scanCodeImageAll(image);
-    const VerifierReport report = verifyImage(image);
+    const VerifierReport report = verifyImageInter(image, {}, {});
 
-    // Every grep match is classified; nothing invented, nothing lost.
+    // Every grep match is labelled; nothing invented, nothing lost.
     ASSERT_EQ(report.findings.size(), grepHits.size()) << seed;
     for (std::size_t i = 0; i < grepHits.size(); ++i) {
         EXPECT_EQ(report.findings[i].offset, grepHits[i].offset) << seed;
@@ -82,9 +80,9 @@ TEST(VerifierDiff, BenignStreamImages)
     for (uint64_t seed = 1; seed <= 64; ++seed) {
         auto image = builder::makeBenignImage(4096, seed);
         checkDifferential(image, seed);
-        // Benign streams must sail through both scanners.
+        // Benign streams must sail through the grep and the walk.
         EXPECT_FALSE(scanCodeImage(image).has_value()) << seed;
-        EXPECT_TRUE(verifyImage(image).accepted()) << seed;
+        EXPECT_TRUE(verifyImageInter(image, {}, {}).accepted()) << seed;
     }
 }
 
@@ -104,9 +102,9 @@ TEST(VerifierDiff, BenignStreamsWithSplicedForbiddenSequences)
             prng.nextBelow(image.size() - 3));
         std::copy(seq, seq + 3, image.begin() + at);
 
-        // The splice may land on a boundary (aligned), mid-instruction
-        // (misaligned or embedded) — in every case the differential
-        // contract must hold.
+        // The splice may land on a boundary or mid-instruction, in
+        // live or dead code — in every case the differential contract
+        // must hold.
         checkDifferential(image, seed);
         EXPECT_TRUE(scanCodeImage(image).has_value()) << seed;
     }
@@ -122,8 +120,10 @@ TEST(VerifierDiff, BenignStreamsWithSplicedForbiddenSequences)
  *     finding: it proves nothing dead;
  *   - otherwise every rejecting finding is kAligned (a reachable
  *     forbidden instruction) or kIndirectReachable;
- *   - and kIndirectReachable appears only when an unresolved indirect
- *     jump exists.
+ *   - kIndirectReachable appears only when an unresolved indirect
+ *     jump exists;
+ *   - and kUnreachable (report-only) appears only when the walk is
+ *     sound: not opaque, and no unresolved indirect jump.
  */
 void
 checkReachabilityMonotone(const std::vector<uint8_t> &image, uint64_t seed)
@@ -140,6 +140,9 @@ checkReachabilityMonotone(const std::vector<uint8_t> &image, uint64_t seed)
             return s.isJump && !s.resolved;
         });
     for (const verifier::CodeFinding &f : r.findings) {
+        if (f.cls == FindingClass::kUnreachable) {
+            EXPECT_FALSE(unresolvedJump) << seed;
+        }
         if (!f.rejecting())
             continue;
         EXPECT_TRUE(f.cls == FindingClass::kAligned ||
@@ -190,8 +193,8 @@ TEST(VerifierDiff, ReachabilityMonotoneOnSplicedStreams)
 TEST(VerifierDiff, NopSledSpliceRejectsUnderBothPasses)
 {
     // Inside a nop sled every byte is a reachable boundary: a spliced
-    // forbidden sequence must fail the sweep AND the walk wherever it
-    // lands before the first ret.
+    // forbidden sequence must fail the walk wherever it lands before
+    // the first ret.
     hw::Prng prng(0xABCDu);
     for (int round = 0; round < 32; ++round) {
         std::vector<uint8_t> image(2048, 0x90);
@@ -201,16 +204,15 @@ TEST(VerifierDiff, NopSledSpliceRejectsUnderBothPasses)
         image[at] = 0x0F;
         image[at + 1] = 0x01;
         image[at + 2] = 0xEF;
-        EXPECT_FALSE(verifyImage(image).accepted()) << at;
         EXPECT_FALSE(verifyImageInter(image, {}, {}).accepted()) << at;
     }
 }
 
 TEST(VerifierDiff, RealComponentSnapshotsAcceptedWithFullDecodeCoverage)
 {
-    // The loader's synthesized component images, at every size the
-    // in-tree deployments use: the walk accepts, and the sweep decodes
-    // every byte.
+    // The builder's component images, at every size the in-tree
+    // deployments use: the walk accepts, and the coverage sweep
+    // decodes every byte.
     for (uint64_t seed = 1; seed <= 16; ++seed) {
         for (std::size_t pages = 1; pages <= 4; ++pages) {
             auto image = builder::makeBenignImage(pages * 4096, seed);
@@ -238,7 +240,7 @@ TEST(VerifierDiff, PageStraddlingSequencesAreAlwaysCaught)
         ASSERT_TRUE(hit.has_value()) << lead;
         EXPECT_EQ(hit->offset, at);
 
-        VerifierReport report = verifyImage(image);
+        VerifierReport report = verifyImageInter(image, {}, {});
         EXPECT_FALSE(report.accepted()) << lead;
         ASSERT_EQ(report.findings.size(), 1u);
         EXPECT_EQ(report.findings[0].offset, at);

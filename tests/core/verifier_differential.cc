@@ -12,8 +12,8 @@
  * wrpkru inside an immediate the verifier misreads.
  * Two kinds of disagreement are counted, not failed:
  *
- *   - opaque: decodeAt refuses the bytes, so the verifier falls back
- *     to the conservative sweep verdict;
+ *   - opaque: decodeAt refuses the bytes, so a reachable one is a
+ *     hole in the walk and every finding rejects;
  *   - objdump "(bad)": c6/c7/fe/ff with an invalid ModRM.reg and 8d
  *     with mod=3, which decodeAt sizes but the CPU raises #UD on, so
  *     no instruction starts after them.

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the load-time verifier: the x86-64 length decoder, the
- * linear-sweep classification of forbidden sequences, the reachability
- * walk from the entry points, and the loader integration (reject vs
+ * labels the reachability walk gives forbidden sequences, the walk
+ * from the entry points, and the loader integration (reject vs
  * report-only, reports and stats).
  */
 
@@ -13,7 +13,6 @@
 #include "core/verifier/cache.h"
 #include "core/verifier/insn.h"
 #include "core/verifier/ipcfg.h"
-#include "core/verifier/scanner.h"
 #include "tests/core/toy_components.h"
 
 namespace cubicleos::core {
@@ -24,7 +23,6 @@ using verifier::FlowKind;
 using verifier::Insn;
 using verifier::VerifierReport;
 using verifier::decodeAt;
-using verifier::verifyImage;
 using verifier::verifyImageInter;
 
 std::vector<uint8_t>
@@ -147,20 +145,20 @@ TEST(InsnDecode, DirectBranches)
     auto jmp8 = bytes({0xEB, 0x05});
     auto insn = decodeAt(jmp8, 0);
     ASSERT_TRUE(insn.has_value());
-    EXPECT_TRUE(insn->isDirectBranch);
+    EXPECT_EQ(insn->flow, FlowKind::kJump);
     EXPECT_EQ(insn->branchRel, 5);
 
     auto jcc8 = bytes({0x74, 0xFE}); // je -2
     insn = decodeAt(jcc8, 0);
     ASSERT_TRUE(insn.has_value());
-    EXPECT_TRUE(insn->isDirectBranch);
+    EXPECT_EQ(insn->flow, FlowKind::kBranch);
     EXPECT_EQ(insn->branchRel, -2);
 
     auto call = bytes({0xE8, 0x10, 0x00, 0x00, 0x00});
     insn = decodeAt(call, 0);
     ASSERT_TRUE(insn.has_value());
     EXPECT_EQ(insn->length, 5u);
-    EXPECT_TRUE(insn->isDirectBranch);
+    EXPECT_EQ(insn->flow, FlowKind::kCall);
     EXPECT_EQ(insn->branchRel, 16);
 
     auto jcc32 = bytes({0x0F, 0x84, 0x00, 0x01, 0x00, 0x00});
@@ -516,13 +514,13 @@ TEST(InsnDecode, FlowKinds)
 }
 
 // ----------------------------------------------------------------------
-// Linear-sweep classification
+// Finding labels (walked from offset 0 unless a test says otherwise)
 // ----------------------------------------------------------------------
 
 TEST(Verifier, CleanImageAccepted)
 {
     auto image = builder::makeBenignImage(4096, 7);
-    VerifierReport report = verifyImage(image);
+    VerifierReport report = verifyImageInter(image, {}, {});
     EXPECT_TRUE(report.accepted());
     EXPECT_TRUE(report.findings.empty());
     EXPECT_EQ(report.undecodableBytes, 0u);
@@ -533,7 +531,7 @@ TEST(Verifier, CleanImageAccepted)
 TEST(Verifier, AlignedWrpkruRejected)
 {
     auto image = bytes({0x90, 0x0F, 0x01, 0xEF, 0x90});
-    VerifierReport report = verifyImage(image);
+    VerifierReport report = verifyImageInter(image, {}, {});
     ASSERT_EQ(report.findings.size(), 1u);
     EXPECT_EQ(report.findings[0].cls, FindingClass::kAligned);
     EXPECT_EQ(report.findings[0].offset, 1u);
@@ -547,11 +545,11 @@ TEST(Verifier, EmbeddedInImmediateIsReportOnly)
     // mov eax, 0x90EF010F: the wrpkru bytes live entirely inside the
     // imm32 payload — a compiler constant, not reachable code.
     auto image = bytes({0xB8, 0x0F, 0x01, 0xEF, 0x90, 0xC3});
-    VerifierReport report = verifyImage(image);
+    VerifierReport report = verifyImageInter(image, {}, {});
     ASSERT_EQ(report.findings.size(), 1u);
-    EXPECT_EQ(report.findings[0].cls, FindingClass::kEmbedded);
+    EXPECT_EQ(report.findings[0].cls, FindingClass::kUnreachable);
     EXPECT_TRUE(report.accepted());
-    EXPECT_EQ(report.embeddedCount(), 1u);
+    EXPECT_EQ(report.reportedCount(), 1u);
     EXPECT_EQ(report.rejectingCount(), 0u);
 }
 
@@ -559,24 +557,26 @@ TEST(Verifier, MisalignedSpanningInstructionsRejected)
 {
     // mov al, 0x0F ; add eax, imm32 — the grep's "0F 05" spans the
     // first instruction's immediate and the second's opcode byte, so
-    // jumping one byte in executes syscall.
+    // an entry point one byte in executes syscall.
     auto image = bytes({0xB0, 0x0F, 0x05, 0x11, 0x22, 0x33, 0x44});
-    VerifierReport report = verifyImage(image);
+    const std::size_t entries[] = {0, 1};
+    VerifierReport report = verifyImageInter(image, entries, {});
     ASSERT_EQ(report.findings.size(), 1u);
     EXPECT_EQ(report.findings[0].offset, 1u);
-    EXPECT_EQ(report.findings[0].cls, FindingClass::kMisalignedReachable);
+    EXPECT_EQ(report.findings[0].mnemonic, "syscall");
+    EXPECT_EQ(report.findings[0].cls, FindingClass::kAligned);
     EXPECT_FALSE(report.accepted());
 }
 
 TEST(Verifier, MatchInUndecodableRegionRejected)
 {
     // Truncated xrstor memory form (mod 2 needs a disp32 that is not
-    // there): the grep matches, the decoder cannot prove anything, so
-    // the match is conservatively rejected.
+    // there): the grep matches, the walk reaches bytes it cannot
+    // decode and proves nothing, so the match is rejected.
     auto image = bytes({0x90, 0x0F, 0xAE, 0xA8});
-    VerifierReport report = verifyImage(image);
+    VerifierReport report = verifyImageInter(image, {}, {});
     ASSERT_EQ(report.findings.size(), 1u);
-    EXPECT_EQ(report.findings[0].cls, FindingClass::kMisalignedReachable);
+    EXPECT_EQ(report.findings[0].cls, FindingClass::kIndirectReachable);
     EXPECT_FALSE(report.accepted());
     EXPECT_GT(report.undecodableBytes, 0u);
     EXPECT_LT(report.decodeCoverage(), 1.0);
@@ -587,9 +587,9 @@ TEST(Verifier, BenignAliasOfMaskedPatternIsReportOnly)
     // lfence matches the masked xrstor grep pattern but decodes to a
     // benign instruction at the match offset.
     auto image = bytes({0x0F, 0xAE, 0xE8, 0xC3});
-    VerifierReport report = verifyImage(image);
+    VerifierReport report = verifyImageInter(image, {}, {});
     ASSERT_EQ(report.findings.size(), 1u);
-    EXPECT_EQ(report.findings[0].cls, FindingClass::kEmbedded);
+    EXPECT_EQ(report.findings[0].cls, FindingClass::kUnreachable);
     EXPECT_TRUE(report.accepted());
 }
 
@@ -601,17 +601,17 @@ TEST(Verifier, BranchTargetingEmbeddedMatchUpgradesToReject)
                           0xB8, 0x00, 0x00, 0x00, 0x00,  // mov eax, 0
                           0xB8, 0x0F, 0x01, 0xEF, 0x90,  // imm32 hides wrpkru
                           0xC3});
-    VerifierReport report = verifyImage(hostile);
+    VerifierReport report = verifyImageInter(hostile, {}, {});
     ASSERT_EQ(report.findings.size(), 1u);
     EXPECT_EQ(report.findings[0].offset, 8u);
-    EXPECT_EQ(report.findings[0].cls, FindingClass::kMisalignedReachable);
+    EXPECT_EQ(report.findings[0].cls, FindingClass::kAligned);
     EXPECT_FALSE(report.accepted());
 
     // Without the jump the same bytes stay report-only.
     auto benign = std::vector<uint8_t>(hostile.begin() + 2, hostile.end());
-    report = verifyImage(benign);
+    report = verifyImageInter(benign, {}, {});
     ASSERT_EQ(report.findings.size(), 1u);
-    EXPECT_EQ(report.findings[0].cls, FindingClass::kEmbedded);
+    EXPECT_EQ(report.findings[0].cls, FindingClass::kUnreachable);
     EXPECT_TRUE(report.accepted());
 }
 
@@ -621,7 +621,7 @@ TEST(Verifier, SequenceSpanningPageBoundaryStillRejected)
     image[4095] = 0x0F;
     image[4096] = 0x01;
     image[4097] = 0xEF;
-    VerifierReport report = verifyImage(image);
+    VerifierReport report = verifyImageInter(image, {}, {});
     ASSERT_EQ(report.findings.size(), 1u);
     EXPECT_EQ(report.findings[0].offset, 4095u);
     EXPECT_EQ(report.findings[0].cls, FindingClass::kAligned);
@@ -630,7 +630,7 @@ TEST(Verifier, SequenceSpanningPageBoundaryStillRejected)
 
 TEST(Verifier, EmptyImageAccepted)
 {
-    VerifierReport report = verifyImage({});
+    VerifierReport report = verifyImageInter({}, {}, {});
     EXPECT_TRUE(report.accepted());
     EXPECT_EQ(report.imageBytes, 0u);
     EXPECT_DOUBLE_EQ(report.decodeCoverage(), 1.0);
@@ -642,7 +642,7 @@ TEST(Verifier, CoverageCountsAreConsistent)
     // Splice an undecodable byte run into the middle.
     for (std::size_t i = 8000; i < 8016; ++i)
         image[i] = 0x06;
-    VerifierReport report = verifyImage(image);
+    VerifierReport report = verifyImageInter(image, {}, {});
     EXPECT_EQ(report.imageBytes, image.size());
     EXPECT_GT(report.undecodableBytes, 0u);
     EXPECT_LE(report.decodedBytes + report.undecodableBytes, image.size());
@@ -655,20 +655,17 @@ TEST(Verifier, CoverageCountsAreConsistent)
 
 TEST(Cfg, DataAfterRetIsUnreachable)
 {
-    // ret ; wrpkru — the linear sweep rejects, the walk proves the
-    // forbidden bytes sit beyond the function's only exit.
+    // ret ; wrpkru — the wrpkru sits on an instruction boundary, but
+    // beyond the function's only exit.
     auto image = bytes({0xC3, 0x0F, 0x01, 0xEF});
-    VerifierReport r1 = verifyImage(image);
-    EXPECT_FALSE(r1.accepted());
-
-    VerifierReport r2 = verifyImageInter(image, {}, {});
-    EXPECT_TRUE(r2.accepted());
-    ASSERT_EQ(r2.findings.size(), 1u);
-    EXPECT_EQ(r2.findings[0].cls, FindingClass::kUnreachable);
-    EXPECT_TRUE(r2.cfg.ran);
-    EXPECT_FALSE(r2.cfg.opaque);
-    EXPECT_EQ(r2.cfg.reachableInsns, 1u);
-    EXPECT_EQ(r2.cfg.terminals, 1u);
+    VerifierReport r = verifyImageInter(image, {}, {});
+    EXPECT_TRUE(r.accepted());
+    ASSERT_EQ(r.findings.size(), 1u);
+    EXPECT_EQ(r.findings[0].cls, FindingClass::kUnreachable);
+    EXPECT_TRUE(r.cfg.ran);
+    EXPECT_FALSE(r.cfg.opaque);
+    EXPECT_EQ(r.cfg.reachableInsns, 1u);
+    EXPECT_EQ(r.cfg.terminals, 1u);
 }
 
 TEST(Cfg, JumpOverDataSkipsForbiddenBytes)
@@ -677,8 +674,6 @@ TEST(Cfg, JumpOverDataSkipsForbiddenBytes)
     auto image = bytes({0xEB, 0x03,             // jmp → 5
                         0x0F, 0x01, 0xEF,       // dead wrpkru
                         0x90, 0xC3});
-    EXPECT_FALSE(verifyImage(image).accepted());
-
     VerifierReport r = verifyImageInter(image, {}, {});
     EXPECT_TRUE(r.accepted());
     ASSERT_EQ(r.findings.size(), 1u);
@@ -738,10 +733,10 @@ TEST(Cfg, EntryPointsSeedTheWalk)
 
 TEST(Cfg, EntryPointOnEmbeddedConstantUpgradesToReject)
 {
-    // Pass 1 calls the wrpkru bytes an immediate constant; an export
-    // table handing out offset 1 makes them an entry point.
+    // From offset 0 the wrpkru bytes are an immediate constant; an
+    // export table handing out offset 1 makes them an entry point.
     auto image = bytes({0xB8, 0x0F, 0x01, 0xEF, 0x90, 0xC3});
-    EXPECT_TRUE(verifyImage(image).accepted());
+    EXPECT_TRUE(verifyImageInter(image, {}, {}).accepted());
     const std::size_t entries[] = {1};
     VerifierReport r = verifyImageInter(image, entries, {});
     EXPECT_FALSE(r.accepted());
@@ -773,15 +768,18 @@ TEST(Cfg, IndirectCallFallsThrough)
 
 TEST(Cfg, ReachableUndecodableByteFallsBackToSweepVerdict)
 {
-    // 0x06 is undecodable; the walk cannot see past it, so the
-    // conservative pass-1 classes stand (here: reject).
+    // 0x06 is undecodable; the walk cannot see past it, so it proves
+    // nothing dead and the finding rejects, with a witness path to
+    // the hole.
     auto image = bytes({0x06, 0x0F, 0x01, 0xEF});
     VerifierReport r = verifyImageInter(image, {}, {});
     EXPECT_TRUE(r.cfg.opaque);
     EXPECT_EQ(r.cfg.firstOpaque, 0u);
     EXPECT_FALSE(r.accepted());
     ASSERT_EQ(r.findings.size(), 1u);
-    EXPECT_EQ(r.findings[0].cls, FindingClass::kAligned);
+    EXPECT_EQ(r.findings[0].cls, FindingClass::kIndirectReachable);
+    ASSERT_EQ(r.audit.witnessPaths.size(), 1u);
+    EXPECT_EQ(r.audit.witnessPaths[0].steps, std::vector<std::size_t>{0});
 }
 
 TEST(Cfg, OutOfRangeEntryPointIsOpaque)
@@ -790,7 +788,7 @@ TEST(Cfg, OutOfRangeEntryPointIsOpaque)
     const std::size_t entries[] = {100};
     VerifierReport r = verifyImageInter(image, entries, {});
     EXPECT_TRUE(r.cfg.opaque);
-    EXPECT_FALSE(r.accepted()); // pass-1 verdict kept
+    EXPECT_FALSE(r.accepted()); // an opaque walk proves nothing dead
 }
 
 TEST(Cfg, EdgesLeavingTheImageAreExternalSinks)
@@ -818,8 +816,6 @@ TEST(Cfg, ReachableCoverageGauge)
     EXPECT_EQ(r.cfg.reachableBytes, 3u); // jmp (2) + ret (1)
     EXPECT_GT(r.reachableCoverage(), 0.0);
     EXPECT_LT(r.reachableCoverage(), 1.0);
-    // Pass 1 alone reports zero reachable coverage.
-    EXPECT_DOUBLE_EQ(verifyImage(image).reachableCoverage(), 0.0);
 }
 
 TEST(Cfg, EmptyImageIsTriviallyAccepted)
@@ -911,16 +907,111 @@ TEST(VerifierLoader, RejectsBranchesWhoseLengthDependsOnTheVendor)
     }
 }
 
+TEST(VerifierLoader, RejectsJumpTableEnteredPastItsGuard)
+{
+    // A bounded-switch dispatch (cmp rax, N; ja; lea rcx, [rip+T];
+    // movsxd rdx, [rcx+rax*4]; add rcx, rdx; jmp rcx) reaches only its
+    // table's targets when control enters through the cmp/ja guard and
+    // falls through. Each image below gets past the guard another way,
+    // and the jmp then reaches a wrpkru hidden in a mov eax, imm32.
+    const std::vector<uint8_t> guarded = bytes({
+        0x48, 0x83, 0xF8, 0x01,                   // 0: cmp rax, 1
+        0x77, 0x1C,                               // 4: ja → 34
+        0x48, 0x8D, 0x0D, 0x09, 0x00, 0x00, 0x00, // 6: lea rcx, [22]
+        0x48, 0x63, 0x14, 0x81,                   // 13: movsxd rdx, ...
+        0x48, 0x01, 0xD1,                         // 17: add rcx, rdx
+        0xFF, 0xE1,                               // 20: jmp rcx
+        0x0D, 0x00, 0x00, 0x00, 0x0C, 0x00, 0x00, 0x00, // table: 35, 34
+        0x0E, 0x00, 0x00, 0x00,                   // 30: a third dword
+        0xC3,                                     // 34: ret
+        0xB8, 0x0F, 0x01, 0xEF, 0x90,             // 35: mov eax, imm32
+        0xC3});
+    // The idiom's own ja targets its movsxd: rax = 7, rcx = 10 reads
+    // the dword at 38 and jumps to 32.
+    const std::vector<uint8_t> ownJa = bytes({
+        0x48, 0x83, 0xF8, 0x01, 0x77, 0x07,       // ja → 13
+        0x48, 0x8D, 0x0D, 0x09, 0x00, 0x00, 0x00, 0x48, 0x63, 0x14,
+        0x81, 0x48, 0x01, 0xD1, 0xFF, 0xE1,
+        0x08, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, // table: 30, 31
+        0xC3,                                     // 30: ret
+        0xB8, 0x0F, 0x01, 0xEF, 0x90, 0xC3,       // 31: wrpkru at 32
+        0xB8, 0x16, 0x00, 0x00, 0x00, 0xC3});     // 37: imm 22 at 38
+    // Table entry 3 targets the idiom's own movsxd (57): rax = 3
+    // dispatches twice and lands on 75.
+    std::vector<uint8_t> ownTable = bytes({
+        0x43, 0x00, 0x00, 0x00, 0x42, 0x00, 0x00, 0x00, // 67, 66
+        0x42, 0x00, 0x00, 0x00, 0x39, 0x00, 0x00, 0x00}); // 66, 57
+    for (int k = 0; k < 7; ++k)
+        ownTable.insert(ownTable.end(), {0x42, 0x00, 0x00, 0x00});
+    const std::vector<uint8_t> dispatch = bytes({
+        0x48, 0x83, 0xF8, 0x0A, 0x77, 0x10,       // 44: cmp rax, 10; ja
+        0x48, 0x8D, 0x0D, 0xC7, 0xFF, 0xFF, 0xFF, // 50: lea rcx, [0]
+        0x48, 0x63, 0x14, 0x81, 0x48, 0x01, 0xD1, 0xFF, 0xE1,
+        0xC3, 0x90,                               // 66: ret; 67: nop
+        0xB8, 0x12, 0x00, 0x00, 0x00, 0xC3,       // 68: imm 18 at 69
+        0xB8, 0x0F, 0x01, 0xEF, 0x90, 0xC3});     // 74: wrpkru at 75
+    ownTable.insert(ownTable.end(), dispatch.begin(), dispatch.end());
+    // A direct jmp from outside lands on the idiom's lea: rax = 2
+    // reads the third dword and jumps to 38.
+    std::vector<uint8_t> jumpIn = bytes({0xEB, 0x06}); // jmp → 8
+    jumpIn.insert(jumpIn.end(), guarded.begin(), guarded.end());
+
+    struct Case {
+        const char *what;
+        std::vector<uint8_t> image;
+        std::vector<std::size_t> entries;
+        const char *finding;
+    };
+    const Case cases[] = {
+        {"entry point on the lea", guarded, {0, 6}, "'wrpkru' at offset 36"},
+        {"own ja into the idiom", ownJa, {0}, "'wrpkru' at offset 32"},
+        {"own table into the idiom", ownTable, {44},
+         "'wrpkru' at offset 75"},
+        {"jmp onto the lea", jumpIn, {0}, "'wrpkru' at offset 38"},
+    };
+    for (const Case &c : cases) {
+        System sys;
+        ComponentSpec spec;
+        spec.name = "dispatch";
+        spec.image = c.image;
+        spec.entryPoints = c.entries;
+        try {
+            sys.monitor().loadComponent(spec);
+            ADD_FAILURE() << c.what << ": image was loaded";
+        } catch (const VerifierError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.finding),
+                      std::string::npos)
+                << c.what << ": " << e.what();
+        }
+        EXPECT_EQ(sys.monitor().cubicleCount(), 0u);
+    }
+
+    // Entered only through its guard, the dispatch resolves and the
+    // wrpkru bytes stay a report-only constant.
+    System sys;
+    ComponentSpec spec;
+    spec.name = "dispatch";
+    spec.image = guarded;
+    spec.entryPoints = {0};
+    const Cid cid = sys.monitor().loadComponent(spec);
+    const VerifierReport &report = sys.monitor().verifierReport(cid);
+    EXPECT_TRUE(report.accepted());
+    EXPECT_EQ(report.audit.resolvedSites, 1u);
+    EXPECT_EQ(report.audit.unresolvedSites, 0u);
+    ASSERT_EQ(report.findings.size(), 1u);
+    EXPECT_EQ(report.findings[0].offset, 36u);
+    EXPECT_EQ(report.findings[0].cls, FindingClass::kUnreachable);
+}
+
 TEST(VerifierLoader, AcceptsMisalignedSpanOnlyTheSweepWouldReject)
 {
     // mov al, 0x0F ; add eax, imm32 ; ret — the grep's "0F 05" spans
-    // two instructions, and no entry path executes at offset 1. Pass 1
-    // alone rejected this shape (a false reject the reachability walk
-    // exists to fix); the loader now accepts and keeps the downgraded
-    // finding in the report.
+    // two instructions, and no entry path executes at offset 1. A
+    // linear sweep would reject this shape (a false reject the
+    // reachability walk exists to avoid); the loader accepts and keeps
+    // the report-only finding in the report.
     System sys;
     auto image = bytes({0xB0, 0x0F, 0x05, 0x11, 0x22, 0x33, 0x44, 0xC3});
-    EXPECT_FALSE(verifyImage(image).accepted());
     testing::addToy(sys, "spanner").withImage(image);
     sys.boot();
 
@@ -1011,7 +1102,7 @@ TEST(VerifierLoader, AcceptsEmbeddedConstantAndRecordsReport)
     const verifier::VerifierReport &report =
         sys.monitor().verifierReport(cid);
     ASSERT_EQ(report.findings.size(), 1u);
-    EXPECT_EQ(report.findings[0].cls, FindingClass::kEmbedded);
+    EXPECT_EQ(report.findings[0].cls, FindingClass::kUnreachable);
     EXPECT_EQ(report.findings[0].mnemonic, "wrpkru");
     EXPECT_TRUE(report.accepted());
     EXPECT_EQ(report.imageBytes, 128u);
@@ -1058,7 +1149,7 @@ TEST(VerifyCache, IdenticalImagesLoadFromCache)
     sys.boot();
 
     const Stats &stats = sys.stats();
-    // Every load is a verified image; only two ran the sweep + walk.
+    // Every load is a verified image; only two ran the walk.
     EXPECT_EQ(stats.imagesVerified(), 3u);
     EXPECT_EQ(stats.verifyCacheMisses(), 2u);
     EXPECT_EQ(stats.verifyCacheHits(), 1u);
