@@ -10,6 +10,10 @@
  * queries: up to ≈8x, dominated by MPK trap-and-map. Average 1.7–8x
  * vs the non-isolated baseline.
  *
+ * Beside each min-of-R time it prints the traps and pkey_mprotect
+ * calls of that run, and each configuration's geometric mean, which
+ * should order unikraft <= no-mpk <= no-acl <= cubicleos.
+ *
  * Scale via CUBICLE_BENCH_SCALE (default 400 rows).
  */
 
@@ -28,10 +32,17 @@ using bench::Measurement;
 
 namespace {
 
+/** One query's run: its time and the protection work it did. */
+struct QueryRun {
+    Measurement m;
+    uint64_t traps = 0;
+    uint64_t mprotects = 0;
+};
+
 struct ModeRun {
     core::IsolationMode mode;
     const char *label;
-    std::map<int, Measurement> perQuery;
+    std::map<int, QueryRun> perQuery;
 };
 
 } // namespace
@@ -64,19 +75,24 @@ main()
         for (ModeRun &run : runs) {
             auto dep = SqliteDeployment::makeCubicles(7, run.mode, cache);
             minisql::Speedtest bench_suite(&dep->database(), scale);
-            auto &clock = dep->system()->clock();
+            core::System &sys = *dep->system();
             for (int id : minisql::Speedtest::queryIds()) {
-                Measurement m;
+                QueryRun q;
+                const uint64_t traps0 = sys.stats().traps();
+                const uint64_t mprotects0 =
+                    sys.monitor().space().retagCount();
                 dep->enter([&] {
-                    m = bench::measure(clock,
-                                       [&] { bench_suite.run(id); });
+                    q.m = bench::measure(sys.clock(),
+                                         [&] { bench_suite.run(id); });
                 });
+                q.traps = sys.stats().traps() - traps0;
+                q.mprotects = sys.monitor().space().retagCount() - mprotects0;
                 if (rep < 0)
                     continue; // warm-up pass
                 auto it = run.perQuery.find(id);
                 if (it == run.perQuery.end() ||
-                    m.totalMs() < it->second.totalMs()) {
-                    run.perQuery[id] = m;
+                    q.m.totalMs() < it->second.m.totalMs()) {
+                    run.perQuery[id] = q;
                 }
             }
         }
@@ -89,21 +105,53 @@ main()
     bench::rule('-', 98);
     double geo_sum = 0;
     int geo_n = 0;
+    double mode_log_sum[4] = {};
     std::vector<double> slowdowns;
     for (int id : minisql::Speedtest::queryIds()) {
-        const double base = runs[0].perQuery[id].totalMs();
-        const double full = runs[3].perQuery[id].totalMs();
+        const double base = runs[0].perQuery[id].m.totalMs();
+        const double full = runs[3].perQuery[id].m.totalMs();
         const double slow = base > 0 ? full / base : 0;
         slowdowns.push_back(slow);
         std::printf("%-6d %-38s %9.2fms %9.2fms %9.2fms %9.2fms %7.2fx\n",
-                    id, minisql::Speedtest::labelOf(id),
-                    runs[0].perQuery[id].totalMs(),
-                    runs[1].perQuery[id].totalMs(),
-                    runs[2].perQuery[id].totalMs(), full, slow);
+                    id, minisql::Speedtest::labelOf(id), base,
+                    runs[1].perQuery[id].m.totalMs(),
+                    runs[2].perQuery[id].m.totalMs(), full, slow);
         if (base > 0) {
             geo_sum += std::log(slow);
             ++geo_n;
         }
+        for (int k = 0; k < 4; ++k)
+            mode_log_sum[k] += std::log(runs[k].perQuery[id].m.totalMs());
+    }
+    bench::rule('-', 98);
+    const double n_queries =
+        static_cast<double>(minisql::Speedtest::queryIds().size());
+    double geo[4];
+    for (int k = 0; k < 4; ++k)
+        geo[k] = std::exp(mode_log_sum[k] / n_queries);
+    std::printf("%-45s %9.3fms %9.3fms %9.3fms %9.3fms\n",
+                "geometric mean", geo[0], geo[1], geo[2], geo[3]);
+    const bool ordered = geo[0] <= geo[1] && geo[1] <= geo[2] &&
+                         geo[2] <= geo[3];
+    std::printf("geometric means order unikraft <= no-mpk <= no-acl <= "
+                "cubicleos: %s\n",
+                ordered ? "yes" : "NO");
+
+    // Protection work of the same min-of-R runs: traps / pkey_mprotect
+    // calls per query and configuration.
+    std::printf("\n%-6s %-38s %12s %12s %12s %12s\n", "query",
+                "traps / pkey_mprotect calls", "unikraft", "no-mpk",
+                "no-acl", "cubicleos");
+    bench::rule('-', 98);
+    for (int id : minisql::Speedtest::queryIds()) {
+        std::printf("%-6d %-38s", id, minisql::Speedtest::labelOf(id));
+        for (const ModeRun &run : runs) {
+            const QueryRun &q = run.perQuery.at(id);
+            std::printf(" %5llu/%-6llu",
+                        static_cast<unsigned long long>(q.traps),
+                        static_cast<unsigned long long>(q.mprotects));
+        }
+        std::printf("\n");
     }
     bench::rule('-', 98);
 

@@ -13,8 +13,8 @@
  * body path against the grant-layer sendfile path (vfs_borrow +
  * sendZero), which serves file bodies from RAMFS blocks in place —
  * zero payload copies between the block and the TCP segment. Results
- * go to stdout and, machine-readably, to BENCH_fig7_nginx.json
- * (see EXPERIMENTS.md).
+ * go to stdout and, machine-readably, to BENCH_fig7_nginx.json at the
+ * source root, whatever the working directory (see EXPERIMENTS.md).
  */
 
 #include <cstdio>
@@ -188,9 +188,10 @@ main()
                 "copies/request drops to the\nheader-only residue and "
                 "every body byte leaves as a zero-copy segment.\n");
 
-    FILE *json = std::fopen("BENCH_fig7_nginx.json", "w");
+    const char *path = CUBICLEOS_SOURCE_DIR "/BENCH_fig7_nginx.json";
+    FILE *json = std::fopen(path, "w");
     if (!json) {
-        std::perror("BENCH_fig7_nginx.json");
+        std::perror(path);
         return 1;
     }
     std::fprintf(json,
@@ -231,6 +232,6 @@ main()
     }
     std::fprintf(json, "  ]\n}\n");
     std::fclose(json);
-    std::printf("\nwrote BENCH_fig7_nginx.json\n");
+    std::printf("\nwrote %s\n", path);
     return 0;
 }

@@ -76,7 +76,7 @@ run(int threads, int iters)
             });
     });
     for (int t = 0; t < threads; ++t)
-        addToy(sys, "w" + std::to_string(t));
+        addToy(sys, bench::numbered("w", t));
     sys.boot();
     auto sum = sys.resolve<long(const char *, std::size_t)>("srv", "sum");
     const Cid srv = sys.cidOf("srv");
@@ -90,7 +90,7 @@ run(int threads, int iters)
         std::vector<std::thread> pool;
         for (int t = 0; t < threads; ++t) {
             pool.emplace_back([&, t] {
-                const Cid me = sys.cidOf("w" + std::to_string(t));
+                const Cid me = sys.cidOf(bench::numbered("w", t));
                 sys.runAs(me, [&] {
                     auto *buf = reinterpret_cast<char *>(
                         sys.monitor()

@@ -18,6 +18,7 @@
 #include <functional>
 #include <string>
 
+#include "core/locking.h"
 #include "hw/cycles.h"
 
 namespace cubicleos::bench {
@@ -55,7 +56,12 @@ rule(char c = '-', int width = 72)
     std::putchar('\n');
 }
 
-/** Prints a benchmark header box. */
+/**
+ * Prints a benchmark header box, then a warning line when the build
+ * carries a checker that inflates wall-clock time: lockdep takes a
+ * backtrace on every lock acquisition, and ASan and TSan instrument
+ * every memory access (figures come from `cmake --preset bench`).
+ */
 inline void
 header(const std::string &title, const std::string &paper_ref)
 {
@@ -63,6 +69,31 @@ header(const std::string &title, const std::string &paper_ref)
     std::printf("%s\n", title.c_str());
     std::printf("reproduces: %s\n", paper_ref.c_str());
     rule('=');
+    std::string slow = core::lockdep::kEnabled ? " lockdep" : "";
+#if defined(__SANITIZE_ADDRESS__)
+    slow += " asan";
+#endif
+#if defined(__SANITIZE_THREAD__)
+    slow += " tsan";
+#endif
+    if (!slow.empty()) {
+        std::printf("warning: built with%s; wall-clock figures are "
+                    "inflated (configure with: cmake --preset bench)\n",
+                    slow.c_str());
+    }
+}
+
+/**
+ * @p prefix followed by @p i, e.g. "w3". Built by appending: GCC 12
+ * reports a false -Wrestrict overlap on `"w" + std::to_string(i)` in
+ * optimised builds, which prepends into the temporary.
+ */
+inline std::string
+numbered(const char *prefix, int i)
+{
+    std::string name(prefix);
+    name += std::to_string(i);
+    return name;
 }
 
 /** Environment-variable integer override. */

@@ -610,6 +610,27 @@ Monitor::windowPrestage(Cid caller, Wid wid, Cid peer,
 }
 
 std::size_t
+Monitor::windowReclaim(Cid caller, Wid wid)
+{
+    // The running owner's next touch would re-bind it anyway; binding
+    // it first hands the pages to its own tag, not the parked one.
+    ensureResident(caller);
+    WriterLock lock(windowMutex_);
+    stats_->add(Stat::windowOps);
+    if (windowChecked(caller, wid, "window_reclaim").hotKey >= 0)
+        return 0; // hot windows keep their dedicated key
+    // Under the exclusive lock no eviction interleaves: an owner
+    // evicted since the bind above gets its pages parked, which its
+    // fault-in restores, exactly as the eviction would have.
+    const std::size_t total = prestageSweep(
+        caller, wid, static_cast<uint8_t>(cubicles_[caller]->pkey),
+        /*only_parked=*/false);
+    if (total > 0)
+        stats_->countHandBack(total);
+    return total;
+}
+
+std::size_t
 Monitor::prestageSweep(Cid owner, Wid wid, uint8_t peer_key,
                        bool only_parked)
 {
@@ -688,28 +709,35 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
             static_cast<unsigned>(fault.pkey));
     }
 
+    return resolveFault(fault, accessor, mode, /*commit=*/true) != 0;
+}
+
+std::size_t
+Monitor::resolveFault(const hw::Fault &fault, Cid accessor,
+                      IsolationMode mode, bool commit)
+{
     // Only MPK faults are resolvable; page-permission and not-present
     // faults are genuine errors.
     if (fault.reason != hw::FaultReason::kPkuRead &&
         fault.reason != hw::FaultReason::kPkuWrite) {
-        return false;
+        return 0;
     }
     if (!space_.contains(fault.addr) || accessor >= cubicleCount())
-        return false;
+        return 0;
 
     // ❷ page metadata: owner and type in O(1). Atomic reads — no lock.
     const std::size_t page = space_.pageIndexOf(fault.addr);
     const mem::PageMeta &pm = meta_.at(page);
     const Cid page_owner = pm.owner;
     if (page_owner == kNoCubicle || page_owner >= cubicleCount())
-        return false;
+        return 0;
 
     // Tag virtualisation: a parked accessor must be re-bound before
     // any grant can be committed with its tag (retagging to the parked
     // tag would hand the page to every parked cubicle). Lock-free when
     // the accessor is statically tagged or already bound.
     int accessor_key_i = cubicles_[accessor]->pkey;
-    if (parkedKey_ >= 0 && accessor_key_i == parkedKey_)
+    if (commit && parkedKey_ >= 0 && accessor_key_i == parkedKey_)
         accessor_key_i = ensureResident(accessor);
     const auto accessor_key = static_cast<uint8_t>(accessor_key_i);
 
@@ -724,6 +752,8 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
     // "CubicleOS w/o ACLs" takes the same path: MPK enforced, windows
     // open for any access.
     if (page_owner == accessor || mode == IsolationMode::kNoAcl) {
+        if (!commit)
+            return page + 1;
         const std::size_t limit =
             std::min(space_.numPages(), page + kRetagChunkPages);
         std::size_t end = page + 1;
@@ -742,7 +772,7 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
             space_.setKeyRange(page, end - page,
                                static_cast<uint8_t>(parkedKey_));
         }
-        return true;
+        return end;
     }
 
     // ❸ interval lookup in the owner's window-descriptor array and
@@ -753,14 +783,15 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
     const Cubicle &owner = *cubicles_[page_owner];
     const Wid wid = owner.windows.findWindowFor(pm.type, fault.addr);
     if (wid == kInvalidWindow)
-        return false;
+        return 0;
 
     const Window &w = windows_[wid];
     if (!w.live || (w.acl & aclBit(accessor)) == 0)
-        return false;
+        return 0;
 
     // Record the exercised grant for the least-privilege audit: this
-    // is the one point where a peer demonstrably used its ACL bit.
+    // is the one point where a peer demonstrably used its ACL bit
+    // (a trap, or a check that admitted it in place).
     // Relaxed fetch-or under the shared lock — the audit only reads
     // the masks after quiescing through snapshotWiring's locks.
     const UsageKind used =
@@ -794,16 +825,18 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
                meta_.at(lo - 1).owner == page_owner)
             --lo;
     }
+    if (!commit)
+        return hi;
     if (parkedKey_ >= 0 && cubicles_[accessor]->pkey != accessor_key_i) {
         // An eviction completed between ensureResident and this
         // ReaderLock (evictions hold the lock exclusively, so none is
         // concurrent with us): the tag we were about to grant now
         // backs another cubicle. Retry; the next round re-binds.
-        return true;
+        return hi;
     }
     space_.setKeyRange(lo, hi - lo, accessor_key);
     stats_->countRetag(hi - lo);
-    return true;
+    return hi;
 }
 
 // ----------------------------------------------------------------------

@@ -17,7 +17,11 @@
  *
  * Closing a window does not retag pages (causal tag consistency, §5.6):
  * the page keeps its tag until a cubicle with access — including the
- * owner — touches it again and traps.
+ * owner — touches it again and traps. Two eager paths share steps
+ * ❷–❹ and skip the trap: admit() decides a fault without retagging
+ * (System::checkAccess), and the owner-side windowReclaim() hands a
+ * window's pages home in one retag, as windowPrestage hands them to a
+ * peer.
  *
  * # Lock hierarchy
  *
@@ -353,6 +357,16 @@ class Monitor {
     std::size_t windowPrestage(Cid caller, Wid wid, Cid peer,
                                hw::Access expected);
 
+    /**
+     * Hand-back, the owner-side mirror of windowPrestage: retags the
+     * owner's pages in @p wid's ranges that carry another tag back to
+     * the owner's current key in one sweep (re-binding a parked owner
+     * first), where the owner's next touch would fault them home. No
+     * effect on hot windows. Counted in Stats::handBacks, not retags.
+     * @return the number of pages retagged.
+     */
+    std::size_t windowReclaim(Cid caller, Wid wid);
+
     /** Returns the ACL of a window (introspection for tests/tools). */
     AclMask windowAcl(Wid wid) const;
 
@@ -384,6 +398,19 @@ class Monitor {
      */
     bool handleFault(const hw::Fault &fault, Cid accessor,
                      IsolationMode mode);
+
+    /**
+     * Admission without the trap: decides @p fault exactly as
+     * handleFault would (and records the same exercised usage), but
+     * charges no trap and moves no tag.
+     * @return one past the last page the decision admits, or 0 when
+     *         handleFault would refuse.
+     */
+    std::size_t admit(const hw::Fault &fault, Cid accessor,
+                      IsolationMode mode)
+    {
+        return resolveFault(fault, accessor, mode, /*commit=*/false);
+    }
 
     // ------------------------------------------------------------------
     // Memory management for cubicles
@@ -434,6 +461,17 @@ class Monitor {
 
     Window &windowChecked(Cid caller, Wid wid, const char *op)
         REQUIRES(windowMutex_);
+
+    /**
+     * Trap-and-map steps ❷–❹, the decision handleFault and admit
+     * share: the faulting page's owner, the owner's window covering
+     * it, the ACL check and the usage record. With @p commit it also
+     * takes step ❺ and retags the admitted run to @p accessor.
+     * @return one past the last page of the admitted run, or 0 when
+     *         the fault is a genuine isolation violation.
+     */
+    std::size_t resolveFault(const hw::Fault &fault, Cid accessor,
+                             IsolationMode mode, bool commit);
 
     /**
      * windowDestroy's body without the lock: hot-key sweep back to the
@@ -492,8 +530,9 @@ class Monitor {
 
     /**
      * Eagerly retags window @p wid's ranges (owner ∩ not-peer-tagged,
-     * chunked) to @p peer_key. With @p only_parked, restricted to
-     * currently parked pages — the fault-in prestage replay.
+     * chunked) to @p peer_key: a peer's for a prestage, the owner's
+     * for a hand-back. With @p only_parked, restricted to currently
+     * parked pages — the fault-in prestage replay.
      * @return pages retagged.
      */
     std::size_t prestageSweep(Cid owner, Wid wid, uint8_t peer_key,

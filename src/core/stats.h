@@ -45,6 +45,7 @@
     C(traps)                            /* trap-and-map entries */        \
     P(countRetag, retags, retagPages)   /* pkey_mprotect calls, pages */  \
     P(countPrestage, prestages, prestagePages) /* eager retags */         \
+    P(countHandBack, handBacks, handBackPages) /* owner's eager reclaim */ \
     C(ringFlushes) C(ringCalls)         /* no writer, see above */        \
     C(wrpkrus)                          /* PKRU register writes */        \
     C(windowOps)                        /* window API calls */            \

@@ -311,7 +311,7 @@ System::findSlot(std::string_view comp_name, std::string_view fn_name,
 
 void
 System::touchSlow(ThreadCtx &ctx, const void *ptr, std::size_t len,
-                  hw::Access access)
+                  hw::Access access, bool commit)
 {
     for (;;) {
         // Lifecycle: a destroy may have marked this thread's own
@@ -362,42 +362,42 @@ System::touchSlow(ThreadCtx &ctx, const void *ptr, std::size_t len,
         const std::size_t page =
             in_space ? monitor_.space().pageIndexOf(fault->addr) : 0;
 
-        if (pku_fault && in_space) {
-            // Grant cache (simulated TLB): this thread already took a
-            // full trap-and-map on this page as this cubicle, and no
-            // revocation happened since. Absorb the fault — skip past
-            // the page without retagging, so two cubicles alternating
-            // accesses through one window stop ping-ponging the tag.
-            if (ctx.grants.hit(page, ctx.current,
-                               monitor_.windowEpoch())) {
-                stats_.add(Stat::grantCacheHits);
-                const auto *addr =
-                    static_cast<const std::byte *>(fault->addr);
-                const std::size_t in_page = hw::kPageSize -
-                    (reinterpret_cast<uintptr_t>(addr) &
-                     (hw::kPageSize - 1));
-                const std::size_t consumed = static_cast<std::size_t>(
-                    addr - static_cast<const std::byte *>(ptr)) + in_page;
-                if (consumed >= len)
-                    return;
-                ptr = addr + in_page;
-                len -= consumed;
+        // Pages from the faulting one up to `next` go through without
+        // a trap. A grant-cache hit (simulated TLB: this thread already
+        // took a full trap-and-map on this page as this cubicle, and no
+        // revocation happened since) absorbs the fault, so two cubicles
+        // alternating accesses through one window stop ping-ponging the
+        // tag; checkAccess admits the fault in place.
+        std::size_t next = 0;
+        if (pku_fault && in_space &&
+            ctx.grants.hit(page, ctx.current, monitor_.windowEpoch())) {
+            stats_.add(Stat::grantCacheHits);
+            next = page + 1;
+        } else if (!commit) {
+            next = monitor_.admit(*fault, ctx.current, mode_);
+        } else {
+            // Capture the revocation epoch BEFORE the fault walk: if a
+            // close races between the walk and the insert, the cached
+            // entry carries the pre-close epoch and can never hit.
+            const uint64_t epoch = monitor_.windowEpoch();
+            if (monitor_.handleFault(*fault, ctx.current, mode_)) {
+                if (pku_fault && in_space)
+                    ctx.grants.insert(page, ctx.current, epoch);
+                // handleFault retagged the faulting page; re-check
+                // continues with the next page, guaranteeing progress.
                 continue;
             }
         }
-
-        // Capture the revocation epoch BEFORE the fault walk: if a
-        // close races between the walk and the insert, the cached
-        // entry carries the pre-close epoch and can never hit.
-        const uint64_t epoch = monitor_.windowEpoch();
-        if (!monitor_.handleFault(*fault, ctx.current, mode_)) {
+        if (next == 0) {
             stats_.add(Stat::violations);
             throw hw::CubicleFault(*fault);
         }
-        if (pku_fault && in_space)
-            ctx.grants.insert(page, ctx.current, epoch);
-        // handleFault retagged the faulting page; re-check continues
-        // with the next page, guaranteeing progress.
+        const auto *end = static_cast<const std::byte *>(ptr) + len;
+        const std::byte *resume = monitor_.space().pageAt(next);
+        if (resume >= end)
+            return;
+        len = static_cast<std::size_t>(end - resume);
+        ptr = resume;
     }
 }
 

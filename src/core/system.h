@@ -256,10 +256,27 @@ class System {
      */
     void touch(const void *ptr, std::size_t len, hw::Access access)
     {
+        if (mode_ >= IsolationMode::kNoAcl)
+            touchSlow(currentCtx(), ptr, len, access, /*commit=*/true);
+    }
+
+    /**
+     * Validates an access to [ptr, ptr+len) without making it: refuses
+     * (hw::CubicleFault, counted in violations) exactly what touch()
+     * refuses, but a fault the monitor would resolve is admitted in
+     * place (Monitor::admit) — no trap, no retag, no grant-cache
+     * entry — so a page staged for another cubicle keeps its tag. For
+     * a cubicle that checks a buffer it never reads (vfscore).
+     * Priced as one monitor round trip.
+     */
+    void checkAccess(const void *ptr, std::size_t len, hw::Access access)
+    {
         if (mode_ < IsolationMode::kNoAcl)
             return;
-        ThreadCtx &ctx = currentCtx();
-        touchSlow(ctx, ptr, len, access);
+        clock().charge(2 * (hw::cost::kTrampoline + hw::cost::kStackSwitch) +
+                       4 * hw::cost::kWrpkru);
+        stats_.add(Stat::wrpkrus, 4);
+        touchSlow(currentCtx(), ptr, len, access, /*commit=*/false);
     }
 
     /** Checked memcpy: the shared LIBC cubicle's copy primitive. */
@@ -353,6 +370,19 @@ class System {
         return monitor_.windowPrestage(currentCtx().current, wid, peer,
                                        expected);
     }
+    /**
+     * Hand-back: retags @p wid's ranges home to the current cubicle,
+     * its owner, now instead of at its next touch (Monitor::
+     * windowReclaim). @return pages retagged (0 without MPK checks).
+     */
+    std::size_t windowReclaim(Wid wid)
+    {
+        // Below kNoAcl no access is checked, so the owner's next touch
+        // takes nothing back either.
+        if (mode_ < IsolationMode::kNoAcl)
+            return 0;
+        return monitor_.windowReclaim(currentCtx().current, wid);
+    }
 
     // ------------------------------------------------------------------
     // Per-cubicle memory
@@ -413,8 +443,13 @@ class System {
   private:
     friend class CrossCallGuard;
 
+    /**
+     * The checked-access page loop. With @p commit (touch) a resolvable
+     * fault traps and retags; without (checkAccess) it is admitted in
+     * place and the loop moves past the admitted pages.
+     */
     void touchSlow(ThreadCtx &ctx, const void *ptr, std::size_t len,
-                   hw::Access access);
+                   hw::Access access, bool commit);
 
     /**
      * The running cubicle, for heap operation @p op.

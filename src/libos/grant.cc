@@ -67,6 +67,12 @@ GrantWindow::closeAll()
 }
 
 void
+GrantWindow::reclaim()
+{
+    sys_->windowReclaim(wid_);
+}
+
+void
 GrantWindow::prestageNow()
 {
     // Persistent windows that stage per transfer (e.g. the RAMFS
@@ -123,9 +129,9 @@ GrantWindow::destroy() noexcept
 // --- Grant ------------------------------------------------------------
 
 Grant::Grant(core::System &sys, GrantWindow &win, const PeerSet &peers,
-             const void *buf, std::size_t n, hw::Access reclaim_access,
-             Prestage prestage, const PeerSet &prestage_peers)
-    : sys_(&sys), win_(&win), n_(n), reclaim_(reclaim_access)
+             const void *buf, std::size_t n, Prestage prestage,
+             const PeerSet &prestage_peers)
+    : win_(&win)
 {
     // Host-private buffers (outside the simulated machine) need no
     // window: they are unsimulated thread-private memory, consistent
@@ -161,25 +167,24 @@ Grant::release() noexcept
     const void *buf = buf_;
     buf_ = nullptr;
     try {
-        win_->unstage(buf);
+        // Close first, so no peer can fault the pages back, then hand
+        // them home in one retag while the range is still staged: the
+        // owner's next touch would trap for exactly these pages.
         win_->closeAll();
-        // Model the caller's next direct access to its buffer:
-        // trap-and-map lazily retags the pages back to the owner.
-        sys_->touch(buf, n_, reclaim_);
+        win_->reclaim();
+        win_->unstage(buf);
     } catch (...) {
-        // Reclaim must not throw out of a destructor; a failed undo
-        // surfaces later as an isolation fault on the real access.
+        // Release must not throw out of a destructor. A destroyed
+        // owner's window is already revoked; a skipped hand-back only
+        // leaves the owner's next touch to trap the pages home.
     }
 }
 
 void
 Grant::moveFrom(Grant &other) noexcept
 {
-    sys_ = other.sys_;
     win_ = other.win_;
     buf_ = other.buf_;
-    n_ = other.n_;
-    reclaim_ = other.reclaim_;
     other.buf_ = nullptr;
 }
 

@@ -17,9 +17,9 @@
  *                   staging state for pooled reuse across calls.
  *  - Grant        — RAII bracket of one cross-call: stages the buffer,
  *                   opens the ACL, and on destruction (including via
- *                   exceptions thrown by the callee) removes the range,
- *                   closes the ACL and reclaims the pages with one
- *                   modelled touch.
+ *                   exceptions thrown by the callee) closes the ACL,
+ *                   hands the pages back to the owner in one retag
+ *                   and removes the range.
  *  - XferArena    — page-aligned staging pages behind a persistent
  *                   multi-peer window, for paths and small
  *                   out-structures that must never share a page with
@@ -176,6 +176,11 @@ class GrantWindow {
     void open(const PeerSet &peers);
     /** Closes the ACL for everyone (lazy revocation: no retag, §5.6). */
     void closeAll();
+    /**
+     * Hands the staged ranges back to the owner in one retag
+     * (System::windowReclaim) instead of at its next touch.
+     */
+    void reclaim();
 
     /**
      * Hot-window re-staging: keeps exactly one staged range and swaps
@@ -227,9 +232,10 @@ class GrantWindow {
  *
  * Construction stages the caller's buffer in @p win and opens it for
  * @p peers; destruction — on every path out of the call, including an
- * exception thrown by the callee — removes the range, closes the ACL,
- * and models the caller's next direct access with one touch (the
- * trap-and-map reclaim at the heart of the Fig. 6 overhead).
+ * exception thrown by the callee — closes the ACL, hands the buffer's
+ * pages back to the owner's tag in one retag (System::windowReclaim)
+ * and removes the range, so the owner's next access to its buffer
+ * takes no trap.
  *
  * Host-private buffers (outside the simulated machine) are skipped
  * entirely, consistent with System::touch's policy. On a hot window
@@ -253,7 +259,7 @@ class Grant {
      * least-privilege audit.
      */
     Grant(core::System &sys, GrantWindow &win, const PeerSet &peers,
-          const void *buf, std::size_t n, hw::Access reclaim_access,
+          const void *buf, std::size_t n,
           Prestage prestage = Prestage::kNone,
           const PeerSet &prestage_peers = {});
     ~Grant() { release(); }
@@ -279,11 +285,8 @@ class Grant {
   private:
     void moveFrom(Grant &other) noexcept;
 
-    core::System *sys_ = nullptr;
     GrantWindow *win_ = nullptr;
     const void *buf_ = nullptr;
-    std::size_t n_ = 0;
-    hw::Access reclaim_ = hw::Access::kRead;
 };
 
 /**

@@ -31,15 +31,14 @@ CubicleSockApi::CubicleSockApi(core::System &sys)
 int64_t
 CubicleSockApi::send(int fd, const void *buf, std::size_t n)
 {
-    // The Grant un-stages, closes and reclaims on every exit path —
+    // The Grant closes, hands back and un-stages on every exit path —
     // including an exception thrown by the resolved callee (the old
     // inline add/open…remove/closeAll sequence leaked an open window
     // whenever the callee threw). LWIP always copies the buffer into
     // its send queue, so declare the read up front: the prestage retag
     // replaces the guaranteed first-touch fault.
     return catchPeerFault<int64_t>([&] {
-        Grant grant(sys_, window_, lwipPeer_, buf, n, hw::Access::kRead,
-                    Prestage::kRead);
+        Grant grant(sys_, window_, lwipPeer_, buf, n, Prestage::kRead);
         return send_(fd, buf, n);
     });
 }
@@ -50,8 +49,7 @@ CubicleSockApi::recv(int fd, void *buf, std::size_t n)
     // LWIP writes received bytes into the buffer (when data is
     // pending); declare the write so the delivery path never faults.
     return catchPeerFault<int64_t>([&] {
-        Grant grant(sys_, window_, lwipPeer_, buf, n, hw::Access::kRead,
-                    Prestage::kWrite);
+        Grant grant(sys_, window_, lwipPeer_, buf, n, Prestage::kWrite);
         return recv_(fd, buf, n);
     });
 }

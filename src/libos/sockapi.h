@@ -4,7 +4,7 @@
  *
  * The socket-API half of the NGINX porting effort (paper: 390 SLOC):
  * brackets every lwip_send/lwip_recv with grant-layer window grants
- * over the application's buffers and reclaims them afterwards,
+ * over the application's buffers and hands them back afterwards,
  * mirroring CubicleFileApi for the file path. The RAII Grant makes the
  * bracket exception-safe: a throwing callee can no longer leak an open
  * window.

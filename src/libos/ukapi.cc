@@ -52,10 +52,12 @@ CubicleFileApi::CubicleFileApi(core::System &sys,
     // revocation bumps the grant epoch.
     xfer_ = XferArena(sys_, 1, peers_, /*hot=*/true);
 
-    // Per-I/O window, managed by a Grant around each call. In
-    // hot-window mode it gets a dedicated MPK key (paper §8), its ACL
-    // stays open, and per-call work reduces to re-staging the range
-    // when the buffer changes.
+    // Per-I/O window, managed by a Grant around each call: the buffer
+    // is prestaged for the backend and handed back to the app after
+    // the call, one retag each way and no trap. In hot-window mode it
+    // gets a dedicated MPK key (paper §8), its ACL stays open, and
+    // per-call work reduces to re-staging the range when the buffer
+    // changes.
     ioWin_ = GrantWindow(sys_, peers_, hotWindows_);
 }
 
@@ -84,12 +86,13 @@ CubicleFileApi::close(int fd)
 int64_t
 CubicleFileApi::read(int fd, void *buf, std::size_t n)
 {
-    // Only the backend touches the data buffer (VFSCORE forwards the
-    // pointer), and on a read it always writes into it: declare that
-    // so the backend's first store is a prestaged retag, not a trap.
+    // Only the backend touches the data buffer (VFSCORE checks its
+    // window without taking the page), and on a read it always writes
+    // into it: declare that so the backend's first store is a
+    // prestaged retag, not a trap.
     return catchPeerFault<int64_t>([&] {
-        Grant grant(sys_, ioWin_, peers_, buf, n, hw::Access::kRead,
-                    Prestage::kWrite, PeerSet{backendCid_});
+        Grant grant(sys_, ioWin_, peers_, buf, n, Prestage::kWrite,
+                    PeerSet{backendCid_});
         return read_(fd, buf, n);
     });
 }
@@ -98,8 +101,8 @@ int64_t
 CubicleFileApi::write(int fd, const void *buf, std::size_t n)
 {
     return catchPeerFault<int64_t>([&] {
-        Grant grant(sys_, ioWin_, peers_, buf, n, hw::Access::kRead,
-                    Prestage::kRead, PeerSet{backendCid_});
+        Grant grant(sys_, ioWin_, peers_, buf, n, Prestage::kRead,
+                    PeerSet{backendCid_});
         return write_(fd, buf, n);
     });
 }
@@ -108,8 +111,8 @@ int64_t
 CubicleFileApi::pread(int fd, void *buf, std::size_t n, uint64_t off)
 {
     return catchPeerFault<int64_t>([&] {
-        Grant grant(sys_, ioWin_, peers_, buf, n, hw::Access::kRead,
-                    Prestage::kWrite, PeerSet{backendCid_});
+        Grant grant(sys_, ioWin_, peers_, buf, n, Prestage::kWrite,
+                    PeerSet{backendCid_});
         return pread_(fd, buf, n, off);
     });
 }
@@ -119,8 +122,8 @@ CubicleFileApi::pwrite(int fd, const void *buf, std::size_t n,
                        uint64_t off)
 {
     return catchPeerFault<int64_t>([&] {
-        Grant grant(sys_, ioWin_, peers_, buf, n, hw::Access::kRead,
-                    Prestage::kRead, PeerSet{backendCid_});
+        Grant grant(sys_, ioWin_, peers_, buf, n, Prestage::kRead,
+                    PeerSet{backendCid_});
         return pwrite_(fd, buf, n, off);
     });
 }
@@ -236,8 +239,7 @@ mountRoot(core::System &sys, const std::string &backend)
     GrantWindow win(sys, peers);
     int rc;
     {
-        Grant grant(sys, win, peers, staged, kMaxPath,
-                    hw::Access::kRead);
+        Grant grant(sys, win, peers, staged, kMaxPath);
         rc = vfs_mount(staged);
     }
     return rc;

@@ -14,10 +14,13 @@
  * stack — so unrelated caller data never shares a windowed page (the
  * alignment discipline of §5.3).
  *
- * After each call the buffer is touched once, modelling the caller's
- * next direct access: on hardware that access would trap and lazily
- * retag the page back — the cost at the heart of the Fig. 6 MPK
- * overhead.
+ * Each data buffer is prestaged for the backend, which is the only
+ * cubicle that reads or writes it; VFSCORE validates it without
+ * touching it (System::checkAccess), so the page stays on the
+ * backend's tag. After the call the grant hands the buffer back to
+ * the caller's tag in one retag, so a per-call round trip takes no
+ * trap: the paper's three traps per call (VFSCORE's access, the
+ * backend's, the caller's reclaim) are the Fig. 6 MPK overhead.
  */
 
 #ifndef CUBICLEOS_LIBOS_UKAPI_H_
@@ -39,12 +42,11 @@ class CubicleFileApi : public FileApi {
      * @param backend_name the mounted backend whose cubicle also needs
      *        window access (nested-call rule), e.g. "ramfs".
      * @param hot_windows keep buffer windows open across calls and
-     *        skip the post-call reclaim, implementing the paper's
-     *        proposed optimisation for frequently-used windows (§8:
-     *        "window-specific tags that reduce overhead for
+     *        skip the per-call prestage and hand-back, implementing the
+     *        paper's proposed optimisation for frequently-used windows
+     *        (§8: "window-specific tags that reduce overhead for
      *        frequently-used windows"). Trades temporal-isolation
-     *        granularity for fewer traps; measured by
-     *        bench_ablation_hotwindow.
+     *        granularity for fewer retags; measured by bench_ablation.
      */
     CubicleFileApi(core::System &sys, const std::string &backend_name,
                    bool hot_windows = false);

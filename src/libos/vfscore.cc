@@ -134,10 +134,11 @@ VfsComponent::doRead(int fd, void *buf, std::size_t n)
     FileDesc *f = fdAt(fd);
     if (!f)
         return kErrBadF;
-    // The VFS validates the destination before dispatching (Fig. 2:
-    // VFS accesses BUF itself); with a separated backend this access
-    // and the backend's copy carry different tags.
-    sys()->touch(buf, n, hw::Access::kWrite);
+    // The VFS validates the destination before dispatching (Fig. 2's
+    // VFS checks BUF before passing it on), but never reads or writes
+    // it: only the backend copies. So it checks the window without
+    // taking the page, which stays on the backend's prestaged tag.
+    sys()->checkAccess(buf, n, hw::Access::kWrite);
     const int64_t got = backend_.read(f->node, f->offset, buf, n);
     if (got > 0)
         f->offset += static_cast<uint64_t>(got);
@@ -150,7 +151,7 @@ VfsComponent::doWrite(int fd, const void *buf, std::size_t n)
     FileDesc *f = fdAt(fd);
     if (!f)
         return kErrBadF;
-    sys()->touch(buf, n, hw::Access::kRead);
+    sys()->checkAccess(buf, n, hw::Access::kRead);
     const int64_t put = backend_.write(f->node, f->offset, buf, n);
     if (put > 0)
         f->offset += static_cast<uint64_t>(put);
@@ -163,7 +164,7 @@ VfsComponent::doPread(int fd, void *buf, std::size_t n, uint64_t off)
     FileDesc *f = fdAt(fd);
     if (!f)
         return kErrBadF;
-    sys()->touch(buf, n, hw::Access::kWrite);
+    sys()->checkAccess(buf, n, hw::Access::kWrite);
     return backend_.read(f->node, off, buf, n);
 }
 
@@ -174,7 +175,7 @@ VfsComponent::doPwrite(int fd, const void *buf, std::size_t n,
     FileDesc *f = fdAt(fd);
     if (!f)
         return kErrBadF;
-    sys()->touch(buf, n, hw::Access::kRead);
+    sys()->checkAccess(buf, n, hw::Access::kRead);
     return backend_.write(f->node, off, buf, n);
 }
 

@@ -627,5 +627,110 @@ TEST(Prestage, HintSurvivesEvictionAndReplaysOnFaultIn)
     EXPECT_GT(sys.stats().faultIns(), faultins0);
 }
 
+/** An owner's 2-page buffer, staged and opened for @p peers. */
+struct StagedBuffer {
+    System sys{smallCfg()};
+    Cid owner = kNoCubicle;
+    char *buf = nullptr;
+    Wid wid = kInvalidWindow;
+
+    explicit StagedBuffer(std::initializer_list<const char *> peers)
+    {
+        addToy(sys, "owner");
+        for (const char *name : peers)
+            addToy(sys, name);
+        addToy(sys, "stranger");
+        sys.boot();
+        owner = sys.cidOf("owner");
+        sys.runAs(owner, [&] {
+            buf = reinterpret_cast<char *>(
+                sys.monitor()
+                    .allocPagesFor(owner, 2, mem::PageType::kHeap)
+                    .ptr);
+            wid = sys.windowInit();
+            sys.windowAdd(wid, buf, 2 * hw::kPageSize);
+            for (const char *name : peers)
+                sys.windowOpen(wid, sys.cidOf(name));
+        });
+    }
+
+    std::vector<uint8_t> tags()
+    {
+        std::vector<uint8_t> t;
+        for (std::size_t p = 0; p < sys.monitor().space().numPages(); ++p)
+            t.push_back(sys.monitor().space().entryAt(p).pkey);
+        return t;
+    }
+
+    uint8_t tagOfBuf()
+    {
+        const auto &space = sys.monitor().space();
+        return space.entryAt(space.pageIndexOf(buf)).pkey;
+    }
+};
+
+TEST(CheckAccess, RefusesOutsideEveryWindowAndMovesNoTag)
+{
+    StagedBuffer s({"peer"});
+    const Cid stranger = s.sys.cidOf("stranger");
+    const std::vector<uint8_t> before = s.tags();
+    const uint64_t violations0 = s.sys.stats().violations();
+    const uint64_t traps0 = s.sys.stats().traps();
+    s.sys.runAs(stranger, [&] {
+        EXPECT_THROW(s.sys.checkAccess(s.buf, 2 * hw::kPageSize,
+                                       hw::Access::kRead),
+                     hw::CubicleFault);
+    });
+    EXPECT_EQ(s.sys.stats().violations(), violations0 + 1);
+    EXPECT_EQ(s.sys.stats().traps(), traps0);
+    EXPECT_EQ(s.tags(), before);
+    // A touch refuses the same access.
+    s.sys.runAs(stranger, [&] {
+        EXPECT_THROW(s.sys.touch(s.buf, 1, hw::Access::kRead),
+                     hw::CubicleFault);
+    });
+}
+
+TEST(CheckAccess, AdmitsInPlaceAndLeavesThePrestagedPeersTag)
+{
+    StagedBuffer s({"checker", "peer"});
+    const Cid checker = s.sys.cidOf("checker");
+    const Cid peer = s.sys.cidOf("peer");
+    s.sys.runAs(s.owner, [&] {
+        s.sys.windowPrestage(s.wid, peer, hw::Access::kWrite);
+    });
+    const uint8_t peer_tag = s.tagOfBuf();
+    ASSERT_EQ(peer_tag, s.sys.monitor().cubicle(peer).pkey);
+
+    const uint64_t traps0 = s.sys.stats().traps();
+    const uint64_t hits0 = s.sys.stats().grantCacheHits();
+    const uint64_t wrpkrus0 = s.sys.stats().wrpkrus();
+    s.sys.runAs(checker, [&] {
+        EXPECT_NO_THROW(s.sys.checkAccess(s.buf, 2 * hw::kPageSize,
+                                          hw::Access::kWrite));
+    });
+    EXPECT_EQ(s.sys.stats().traps(), traps0);
+    EXPECT_EQ(s.tagOfBuf(), peer_tag);
+    // One monitor round trip on top of the runAs switch in and out.
+    EXPECT_EQ(s.sys.stats().wrpkrus(), wrpkrus0 + 4 + 4);
+    // The admission counts as exercised usage for the audit.
+    for (const WindowWiring &w : s.sys.wiringSnapshot().windows) {
+        if (w.wid == s.wid) {
+            EXPECT_TRUE(w.usedWrite & aclBit(checker));
+        }
+    }
+    // The peer writes without a trap; the checker's own touch still
+    // traps, because the check cached no grant.
+    s.sys.runAs(peer, [&] {
+        s.sys.touch(s.buf, 2 * hw::kPageSize, hw::Access::kWrite);
+    });
+    EXPECT_EQ(s.sys.stats().traps(), traps0);
+    s.sys.runAs(checker, [&] {
+        s.sys.touch(s.buf, 1, hw::Access::kRead);
+    });
+    EXPECT_EQ(s.sys.stats().traps(), traps0 + 1);
+    EXPECT_EQ(s.sys.stats().grantCacheHits(), hits0);
+}
+
 } // namespace
 } // namespace cubicleos::core

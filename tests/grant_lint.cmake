@@ -1,12 +1,12 @@
 # Source-level wiring lint: every port goes through the grant layer.
 #
 # Raw System::window* management calls — including the prestaging
-# hint, windowPrestage — are forbidden in src/libos, src/apps and
-# bench outside grant.cc: that file is the single place the window
-# discipline (stage/open/close/reclaim, hot re-staging, prestage
-# hints) is implemented. There are no whitelisted exemptions; even the
-# window microbenchmarks measure the grant-layer wrappers, which is
-# what every port actually pays.
+# hint, windowPrestage, and its hand-back mirror, windowReclaim — are
+# forbidden in src/libos, src/apps and bench outside grant.cc: that
+# file is the single place the window discipline (stage/open/close/
+# reclaim, hot re-staging, prestage hints) is implemented. There are
+# no whitelisted exemptions; even the window microbenchmarks measure
+# the grant-layer wrappers, which is what every port actually pays.
 #
 # Usage: cmake -DSRC_DIR=<repo>/src [-DBENCH_DIR=<repo>/bench] -P grant_lint.cmake
 
@@ -33,7 +33,7 @@ foreach(f IN LISTS lint_files)
     foreach(line IN LISTS lines)
         math(EXPR lineno "${lineno} + 1")
         if(line MATCHES
-           "window(Init|Add|Remove|Open|Close|CloseAll|Destroy|SetHot|Prestage)[ \t]*\\(")
+           "window(Init|Add|Remove|Open|Close|CloseAll|Destroy|SetHot|Prestage|Reclaim)[ \t]*\\(")
             string(APPEND violations "${f}:${lineno}: ${line}\n")
         endif()
     endforeach()

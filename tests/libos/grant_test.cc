@@ -8,6 +8,8 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "builder/image.h"
 #include "libos/app.h"
@@ -86,7 +88,7 @@ TEST_F(GrantTest, NestedCallPeerSetOpensForEveryTraversedCubicle)
         std::memset(buf, 0x5a, 256);
         const PeerSet peers{vfsCid, ramfsCid};
         win = GrantWindow(*sys, peers);
-        grant = Grant(*sys, win, peers, buf, 256, hw::Access::kRead);
+        grant = Grant(*sys, win, peers, buf, 256);
     });
     // §5.6: the call traverses VFSCORE and RAMFS; both may fault the
     // buffer in. A third party stays excluded.
@@ -112,18 +114,18 @@ TEST_F(GrantTest, HotWindowPoolingReusesStagedRange)
         const PeerSet peers{vfsCid};
         win = GrantWindow(*sys, peers, /*hot=*/true);
 
-        { Grant g(*sys, win, peers, a, 4096, hw::Access::kRead); }
+        { Grant g(*sys, win, peers, a, 4096); }
         EXPECT_EQ(win.staged(), a);
 
         // Steady state on the same buffer: zero window operations.
         const uint64_t ops = sys->stats().windowOps();
         for (int i = 0; i < 10; ++i) {
-            Grant g(*sys, win, peers, a, 4096, hw::Access::kRead);
+            Grant g(*sys, win, peers, a, 4096);
         }
         EXPECT_EQ(sys->stats().windowOps(), ops);
 
         // Buffer changed: exactly one remove + one add.
-        { Grant g(*sys, win, peers, b, 4096, hw::Access::kRead); }
+        { Grant g(*sys, win, peers, b, 4096); }
         EXPECT_EQ(win.staged(), b);
         EXPECT_EQ(sys->stats().windowOps(), ops + 2);
     });
@@ -142,8 +144,7 @@ TEST_F(GrantTest, GrantSkipsHostPrivateBuffers)
         char host_buf[64]; // lives outside the simulated machine
         const uint64_t ops = sys->stats().windowOps();
         {
-            Grant g(*sys, win, peers, host_buf, sizeof(host_buf),
-                    hw::Access::kRead);
+            Grant g(*sys, win, peers, host_buf, sizeof(host_buf));
             EXPECT_FALSE(g.active());
         }
         EXPECT_EQ(sys->stats().windowOps(), ops);
@@ -158,7 +159,7 @@ TEST_F(GrantTest, ThrowingCalleeLeavesNoOpenWindow)
         const PeerSet peers{vfsCid};
         GrantWindow win(*sys, peers);
         try {
-            Grant g(*sys, win, peers, buf, 128, hw::Access::kRead);
+            Grant g(*sys, win, peers, buf, 128);
             throw std::runtime_error("callee failed mid-call");
         } catch (const std::runtime_error &) {
         }
@@ -167,6 +168,52 @@ TEST_F(GrantTest, ThrowingCalleeLeavesNoOpenWindow)
     });
     EXPECT_TRUE(faults(vfsCid, buf, 128));
     EXPECT_TRUE(faults(spyCid, buf, 128));
+}
+
+TEST_F(GrantTest, ReleaseHandsTheBufferHomeWithoutATrap)
+{
+    const core::Cid appCid = sys->cidOf("app");
+    const mem::PageRange mine =
+        sys->monitor().allocPagesFor(appCid, 1, mem::PageType::kHeap);
+    const mem::PageRange theirs =
+        sys->monitor().allocPagesFor(spyCid, 1, mem::PageType::kHeap);
+    ASSERT_EQ(theirs.first, mine.first + 1) << "pages must be adjacent";
+    const auto tagOf = [&](std::size_t page) {
+        return sys->monitor().space().entryAt(page).pkey.load();
+    };
+    const auto keyOf = [&](core::Cid cid) {
+        return static_cast<uint8_t>(sys->monitor().cubicle(cid).pkey);
+    };
+
+    GrantWindow win;
+    Grant grant;
+    app->run([&] {
+        const PeerSet peers{vfsCid};
+        win = GrantWindow(*sys, peers);
+        // windowAdd validates only the first page: the staged range
+        // runs on from the app's page into the spy's.
+        grant = Grant(*sys, win, peers, mine.ptr, 2 * hw::kPageSize,
+                      Prestage::kWrite);
+    });
+    EXPECT_EQ(tagOf(mine.first), keyOf(vfsCid));
+    EXPECT_FALSE(faults(vfsCid, mine.ptr, hw::kPageSize));
+
+    const uint64_t traps0 = sys->stats().traps();
+    const uint64_t handBacks0 = sys->stats().handBacks();
+    const uint64_t handBackPages0 = sys->stats().handBackPages();
+    app->run([&] { grant.release(); });
+    EXPECT_EQ(tagOf(mine.first), keyOf(appCid));
+    EXPECT_EQ(tagOf(theirs.first), keyOf(spyCid));
+    EXPECT_EQ(sys->stats().handBacks(), handBacks0 + 1);
+    EXPECT_EQ(sys->stats().handBackPages(), handBackPages0 + 1);
+    // The owner's next access takes no trap...
+    app->run([&] {
+        sys->touch(mine.ptr, hw::kPageSize, hw::Access::kWrite);
+    });
+    EXPECT_EQ(sys->stats().traps(), traps0);
+    // ...and the callee's next touch faults.
+    EXPECT_TRUE(faults(vfsCid, mine.ptr, hw::kPageSize));
+    app->run([&] { win.destroy(); });
 }
 
 TEST_F(GrantTest, ArenaStagingIsPageAlignedAndBounded)
@@ -212,6 +259,94 @@ TEST_F(GrantTest, ArenaWindowAdmitsPeersForItsLifetime)
     EXPECT_FALSE(faults(ramfsCid, base, 64));
     EXPECT_TRUE(faults(spyCid, base, 64));
     app->run([&] { arena = XferArena(); }); // destroys window + pages
+}
+
+// --- grant round trip under tag virtualisation ------------------------
+
+/** A cubicle exporting "<name>_fill", which writes a granted buffer. */
+class Writer : public core::Component {
+  public:
+    explicit Writer(std::string name) : name_(std::move(name)) {}
+
+    core::ComponentSpec spec() const override
+    {
+        core::ComponentSpec s;
+        s.name = name_;
+        s.kind = core::CubicleKind::kIsolated;
+        s.image = builder::componentImage(builder::ImageSeed::kApp);
+        return s;
+    }
+
+    void registerExports(core::Exporter &exp) override
+    {
+        exp.fn<int64_t(char *, int64_t)>(
+            name_ + "_fill", [this](char *p, int64_t n) {
+                const auto len = static_cast<std::size_t>(n);
+                sys()->touch(p, len, hw::Access::kWrite);
+                std::memset(p, 0x5a, len);
+                return n;
+            });
+    }
+
+  private:
+    std::string name_;
+};
+
+TEST(GrantVirtualTags, RoundTripLeavesNoPageOnAnotherCubiclesTag)
+{
+    // Every isolated cubicle shares a 3-tag dynamic pool (monitor,
+    // shared and parked tags take the other three), so the calls
+    // during the grant evict both the owner and the peer.
+    core::SystemConfig cfg;
+    cfg.numPages = 1024;
+    cfg.virtualizeTags = true;
+    cfg.physTagBudget = 6;
+    cfg.dynamicTags = 3;
+    core::System sys(cfg);
+    auto &app = static_cast<AppComponent &>(
+        sys.addComponent(std::make_unique<AppComponent>()));
+    const char *names[] = {"peer", "f0", "f1", "f2"};
+    for (const char *name : names)
+        sys.addComponent(std::make_unique<Writer>(name));
+    sys.boot();
+    const core::Cid appCid = sys.cidOf("app");
+    const core::Cid peer = sys.cidOf("peer");
+    ASSERT_GE(sys.monitor().cubicle(appCid).lkey, 0)
+        << "the owner must be dynamically tagged";
+
+    constexpr std::size_t kBytes = 2 * hw::kPageSize;
+    const mem::PageRange buf =
+        sys.monitor().allocPagesFor(appCid, 2, mem::PageType::kHeap);
+    char *p = reinterpret_cast<char *>(buf.ptr);
+    std::vector<core::CrossFn<int64_t(char *, int64_t)>> fill;
+    for (const char *name : names) {
+        fill.push_back(sys.resolve<int64_t(char *, int64_t)>(
+            name, std::string(name) + "_fill"));
+    }
+    char host_buf[8]; // outside the simulated machine
+    app.run([&] {
+        GrantWindow win(sys, PeerSet{peer});
+        {
+            Grant grant(sys, win, PeerSet{peer}, p, kBytes,
+                        Prestage::kWrite);
+            EXPECT_EQ(fill[0](p, kBytes), static_cast<int64_t>(kBytes));
+            for (std::size_t i = 1; i < fill.size(); ++i)
+                fill[i](host_buf, sizeof(host_buf));
+        }
+        const auto parked = static_cast<uint8_t>(sys.monitor().parkedKey());
+        const auto key =
+            static_cast<uint8_t>(sys.monitor().cubicle(appCid).pkey);
+        EXPECT_NE(key, parked) << "the hand-back re-binds the owner";
+        for (std::size_t pg = buf.first; pg < buf.first + 2; ++pg)
+            EXPECT_EQ(sys.monitor().space().entryAt(pg).pkey, key);
+        const uint64_t traps0 = sys.stats().traps();
+        sys.touch(p, kBytes, hw::Access::kRead);
+        EXPECT_EQ(sys.stats().traps(), traps0);
+        EXPECT_EQ(static_cast<unsigned char>(p[kBytes - 1]), 0x5au);
+    });
+    sys.runAs(peer, [&] {
+        EXPECT_THROW(sys.touch(p, 1, hw::Access::kRead), hw::CubicleFault);
+    });
 }
 
 // --- socket-API window-leak regression --------------------------------
