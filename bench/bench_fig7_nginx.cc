@@ -36,6 +36,7 @@ struct XferRow {
     double reqPerSec = 0;
     double trapsPerReq = 0;
     double copiesPerReq = 0;
+    double framesPerReq = 0;
     uint64_t bytesCopied = 0;
     uint64_t zcBytes = 0;
 };
@@ -55,6 +56,7 @@ runXfer(std::size_t size, bool sendfile, int requests)
     const uint64_t copies0 = st.dataCopies();
     const uint64_t bytes0 = st.dataCopyBytes();
     const uint64_t zc0 = st.zeroCopyBytes();
+    const uint64_t frames0 = h.wire().framesCarried();
 
     XferRow row;
     row.size = size;
@@ -72,6 +74,8 @@ runXfer(std::size_t size, bool sendfile, int requests)
     row.reqPerSec = requests / (total_ms / 1e3);
     row.trapsPerReq = double(st.traps() - traps0) / requests;
     row.copiesPerReq = double(st.dataCopies() - copies0) / requests;
+    row.framesPerReq =
+        double(h.wire().framesCarried() - frames0) / requests;
     row.bytesCopied = st.dataCopyBytes() - bytes0;
     row.zcBytes = st.zeroCopyBytes() - zc0;
     return row;
@@ -97,9 +101,12 @@ main()
         // Isolation work of the min-latency CubicleOS request: every
         // row carries its trap and copy counts, so a latency
         // regression is attributable at a glance (traps x 3,500
-        // modelled cycles is the trap-and-map share of the gap).
+        // modelled cycles is the trap-and-map share of the gap), and
+        // its wire frames (8,800 modelled cycles each, plus 1.76 per
+        // byte).
         double traps = 0;
         double copies = 0;
+        double frames = 0;
     };
     std::vector<Point> points(sizes.size());
 
@@ -120,6 +127,7 @@ main()
             auto &st = cubicle.sys().stats();
             const uint64_t traps0 = st.traps();
             const uint64_t copies0 = st.dataCopies();
+            const uint64_t frames0 = cubicle.wire().framesCarried();
             const auto c = cubicle.fetch(path);
             if (b.status != 200 || c.status != 200 ||
                 b.bodyBytes != sizes[i] || c.bodyBytes != sizes[i]) {
@@ -132,25 +140,27 @@ main()
                 points[i].cubicle = c.latencyMs();
                 points[i].traps = double(st.traps() - traps0);
                 points[i].copies = double(st.dataCopies() - copies0);
+                points[i].frames =
+                    double(cubicle.wire().framesCarried() - frames0);
             }
         }
     }
 
-    std::printf("%-12s %14s %14s %10s %10s %10s\n", "size",
+    std::printf("%-12s %14s %14s %10s %10s %10s %10s\n", "size",
                 "unikraft(ms)", "cubicleos(ms)", "overhead",
-                "traps/req", "copies/req");
-    bench::rule('-', 78);
+                "traps/req", "copies/req", "frames/req");
+    bench::rule('-', 89);
     for (std::size_t i = 0; i < sizes.size(); ++i) {
         const char *unit = sizes[i] >= (1 << 20) ? "MB" : "kB";
         const double disp = sizes[i] >= (1 << 20)
                                 ? sizes[i] / double(1 << 20)
                                 : sizes[i] / double(1 << 10);
-        std::printf("%7.0f %-4s %14.2f %14.2f %9.2fx %10.0f %10.0f\n",
+        std::printf("%7.0f %-4s %14.2f %14.2f %9.2fx %10.0f %10.0f %10.0f\n",
                     disp, unit, points[i].base, points[i].cubicle,
                     points[i].cubicle / points[i].base,
-                    points[i].traps, points[i].copies);
+                    points[i].traps, points[i].copies, points[i].frames);
     }
-    bench::rule('-', 78);
+    bench::rule('-', 89);
     std::printf("\nexpected shape: flat until the 64 kB socket-buffer "
                 "knee, then linear;\noverhead ~1.15x for small files "
                 "rising towards ~2x for large ones.\n");
@@ -163,10 +173,10 @@ main()
     std::printf("\ncopy path vs zero-copy sendfile (CubicleOS, %d "
                 "requests each):\n",
                 requests);
-    std::printf("%-10s %-9s %10s %12s %12s %14s %14s\n", "size",
-                "path", "req/s", "traps/req", "copies/req",
+    std::printf("%-10s %-9s %10s %12s %12s %12s %14s %14s\n", "size",
+                "path", "req/s", "traps/req", "copies/req", "frames/req",
                 "bytes copied", "zc bytes");
-    bench::rule('-', 88);
+    bench::rule('-', 101);
     for (std::size_t size : sf_sizes) {
         for (bool sendfile : {false, true}) {
             const XferRow r = runXfer(size, sendfile, requests);
@@ -176,14 +186,15 @@ main()
                                     ? size / double(1 << 20)
                                     : size / double(1 << 10);
             std::printf(
-                "%5.0f %-4s %-9s %10.1f %12.1f %12.1f %14llu %14llu\n",
+                "%5.0f %-4s %-9s %10.1f %12.1f %12.1f %12.1f %14llu "
+                "%14llu\n",
                 disp, unit, sendfile ? "sendfile" : "copy", r.reqPerSec,
-                r.trapsPerReq, r.copiesPerReq,
+                r.trapsPerReq, r.copiesPerReq, r.framesPerReq,
                 static_cast<unsigned long long>(r.bytesCopied),
                 static_cast<unsigned long long>(r.zcBytes));
         }
     }
-    bench::rule('-', 88);
+    bench::rule('-', 101);
     std::printf("sendfile serves bodies from borrowed RAMFS blocks: "
                 "copies/request drops to the\nheader-only residue and "
                 "every body byte leaves as a zero-copy segment.\n");
@@ -205,10 +216,11 @@ main()
                      "    {\"size_bytes\": %zu, \"unikraft\": %.3f, "
                      "\"cubicleos\": %.3f, \"overhead\": %.3f, "
                      "\"traps_per_request\": %.0f, "
-                     "\"copies_per_request\": %.0f}%s\n",
+                     "\"copies_per_request\": %.0f, "
+                     "\"frames_per_request\": %.0f}%s\n",
                      sizes[i], points[i].base, points[i].cubicle,
                      points[i].cubicle / points[i].base,
-                     points[i].traps, points[i].copies,
+                     points[i].traps, points[i].copies, points[i].frames,
                      i + 1 < sizes.size() ? "," : "");
     }
     std::fprintf(json,
@@ -222,10 +234,10 @@ main()
             json,
             "    {\"size_bytes\": %zu, \"path\": \"%s\", "
             "\"req_per_sec\": %.1f, \"traps_per_request\": %.1f, "
-            "\"copies_per_request\": %.1f, \"bytes_copied\": %llu, "
-            "\"zero_copy_bytes\": %llu}%s\n",
+            "\"copies_per_request\": %.1f, \"frames_per_request\": %.1f, "
+            "\"bytes_copied\": %llu, \"zero_copy_bytes\": %llu}%s\n",
             r.size, r.sendfile ? "sendfile" : "copy", r.reqPerSec,
-            r.trapsPerReq, r.copiesPerReq,
+            r.trapsPerReq, r.copiesPerReq, r.framesPerReq,
             static_cast<unsigned long long>(r.bytesCopied),
             static_cast<unsigned long long>(r.zcBytes),
             i + 1 < rows.size() ? "," : "");

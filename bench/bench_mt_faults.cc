@@ -15,8 +15,9 @@
  * monitor's single mutex; now the only shared write point is the
  * atomic tag store, and the per-crossing counters are per-thread
  * shards (DESIGN.md §9). Results go to stdout and, machine-readably,
- * to BENCH_mt_faults.json (see EXPERIMENTS.md), which records
- * hardware_concurrency and whether lockdep is built in.
+ * to BENCH_mt_faults.json at the source root, whatever the working
+ * directory (see EXPERIMENTS.md), which records hardware_concurrency
+ * and whether lockdep is built in.
  *
  * Scale via CUBICLE_BENCH_MT_ITERS (iterations per thread, default
  * 200000).
@@ -162,9 +163,10 @@ main()
         results.push_back(r);
     }
 
-    FILE *json = std::fopen("BENCH_mt_faults.json", "w");
+    const char *path = CUBICLEOS_SOURCE_DIR "/BENCH_mt_faults.json";
+    FILE *json = std::fopen(path, "w");
     if (!json) {
-        std::perror("BENCH_mt_faults.json");
+        std::perror(path);
         return 1;
     }
     std::fprintf(json,
@@ -199,6 +201,6 @@ main()
     }
     std::fprintf(json, "  ]\n}\n");
     std::fclose(json);
-    std::printf("\nwrote BENCH_mt_faults.json\n");
+    std::printf("\nwrote %s\n", path);
     return 0;
 }

@@ -3,7 +3,8 @@
  * Tag-virtualisation benchmark (DESIGN.md §14): what does it cost to
  * run more logical cubicles than the 16 MPK keys the hardware has?
  *
- * Two sections, machine-readably mirrored in BENCH_tag_pressure.json:
+ * Two sections, machine-readably mirrored in BENCH_tag_pressure.json
+ * at the source root, whatever the working directory:
  *
  *  1. Micro sweep, 8 -> 128 logical cubicles on toy components:
  *     per-eviction cost and fault-back-in latency (modelled cycles),
@@ -305,9 +306,10 @@ main()
         serve.push_back(r);
     }
 
-    FILE *json = std::fopen("BENCH_tag_pressure.json", "w");
+    const char *path = CUBICLEOS_SOURCE_DIR "/BENCH_tag_pressure.json";
+    FILE *json = std::fopen(path, "w");
     if (!json) {
-        std::perror("BENCH_tag_pressure.json");
+        std::perror(path);
         return 1;
     }
     // One run with its provenance; a before/after comparison keeps two
@@ -363,7 +365,7 @@ main()
     }
     std::fprintf(json, "    ]\n  }]\n}\n");
     std::fclose(json);
-    std::printf("\nwrote BENCH_tag_pressure.json\n");
+    std::printf("\nwrote %s\n", path);
 
     // Acceptance gate mirrored here (the tier-1 ctest enforces it):
     // >= 90%% steady-state hit rate at 64 cubicles.

@@ -132,6 +132,10 @@ HttpHarness::fetch(int t, const std::string &path, int max_rounds)
                         std::strtoull(response.c_str() + cl + 16,
                                       nullptr, 10));
                 }
+                // One buffer for the whole response: growing it by
+                // doubling allocates up to twice the response size in
+                // fresh pages, whose faults would count as latency.
+                response.reserve(header_end + 4 + content_length);
             }
         }
         if (header_end != std::string::npos &&

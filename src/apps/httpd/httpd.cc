@@ -157,37 +157,44 @@ NginxComponent::handleRequest(Conn &conn)
 void
 NginxComponent::progress(Conn &conn)
 {
-    switch (conn.state) {
-      case Conn::kReadRequest: {
-        const int64_t n = sock_->recv(conn.fd, conn.buf, kIoChunk);
-        if (n > 0) {
-            conn.request.append(conn.buf, static_cast<std::size_t>(n));
-            if (conn.request.find("\r\n\r\n") != std::string::npos)
-                handleRequest(conn);
-        } else if (n == 0 || (n < 0 && n != NetErr::kNetAgain)) {
-            sock_->close(conn.fd);
-            sys()->heapFree(conn.buf);
-            conn.buf = nullptr;
-            conn.fd = -1;
-        }
-        break;
-      }
-      case Conn::kSendHeader: {
-        // Stage the header in the cubicle buffer and push it out.
-        const std::size_t remaining =
-            conn.header.size() - conn.headerSent;
-        const std::size_t chunk = std::min(remaining, kIoChunk);
-        std::memcpy(conn.buf, conn.header.data() + conn.headerSent,
-                    chunk);
-        sys()->stats().countDataCopy(chunk); // header → staging buffer
-        const int64_t n = sock_->send(conn.fd, conn.buf, chunk);
-        if (n == NetErr::kNetPeerFault) {
-            dropConn(conn);
-            break;
-        }
-        if (n > 0)
-            conn.headerSent += static_cast<std::size_t>(n);
-        if (conn.headerSent == conn.header.size()) {
+    // One round takes the connection through every state change it can
+    // make now: the request parsed, the header queued, the first body
+    // chunk queued and, at end of file, the close.
+    while (conn.fd >= 0) {
+        switch (conn.state) {
+          case Conn::kReadRequest: {
+            const int64_t n = sock_->recv(conn.fd, conn.buf, kIoChunk);
+            if (n > 0) {
+                conn.request.append(conn.buf, static_cast<std::size_t>(n));
+                if (conn.request.find("\r\n\r\n") != std::string::npos) {
+                    handleRequest(conn);
+                    continue;
+                }
+            } else if (n == 0 || (n < 0 && n != NetErr::kNetAgain)) {
+                sock_->close(conn.fd);
+                sys()->heapFree(conn.buf);
+                conn.buf = nullptr;
+                conn.fd = -1;
+            }
+            return;
+          }
+          case Conn::kSendHeader: {
+            // Stage the header in the cubicle buffer and push it out.
+            const std::size_t remaining =
+                conn.header.size() - conn.headerSent;
+            const std::size_t chunk = std::min(remaining, kIoChunk);
+            std::memcpy(conn.buf, conn.header.data() + conn.headerSent,
+                        chunk);
+            sys()->stats().countDataCopy(chunk); // header → staging buffer
+            const int64_t n = sock_->send(conn.fd, conn.buf, chunk);
+            if (n == NetErr::kNetPeerFault) {
+                dropConn(conn);
+                return;
+            }
+            if (n > 0)
+                conn.headerSent += static_cast<std::size_t>(n);
+            if (conn.headerSent < conn.header.size())
+                return;
             ++stats_.requests;
             if (conn.fileFd >= 0) {
                 conn.state = Conn::kSendBody;
@@ -196,96 +203,39 @@ NginxComponent::progress(Conn &conn)
             } else {
                 conn.state = Conn::kClosing;
             }
-        }
-        break;
-      }
-      case Conn::kSendBody: {
-        if (sendfile_) {
-            if (!conn.spanPending) {
-                if (conn.fileOff >= conn.fileSize) {
-                    // Keep fileFd open: outstanding spans are released
-                    // through it once the stack acknowledges them.
-                    conn.state = Conn::kClosing;
-                    break;
-                }
-                const int rc =
-                    fs_->borrow(conn.fileFd, conn.fileOff, lwipCid_,
-                                kSendSpan, &conn.span);
-                if (rc != 0 || conn.span.len == 0) {
-                    conn.state = Conn::kClosing;
-                    break;
-                }
-                conn.spanPending = true;
-            }
-            // Reap completions first, so tokens the stack has freed are
-            // released this round, then queue the span. All or nothing:
-            // on kNetAgain the same borrowed span is retried next poll
-            // without re-borrowing.
-            releaseCompleted(conn);
-            const int64_t n =
-                sock_->sendZero(conn.fd, conn.span.ptr, conn.span.len);
-            if (n > 0) {
-                conn.fileOff += conn.span.len;
-                stats_.bytesSent += conn.span.len;
-                conn.zcTokens.push_back(conn.span.token);
-                conn.spanPending = false;
-            } else if (n == NetErr::kNetPeerFault) {
+            continue;
+          }
+          case Conn::kSendBody:
+            // One body send per round: a send that comes up short
+            // still costs a grant.
+            if (sendfile_)
+                sendSpan(conn);
+            else
+                sendChunk(conn);
+            if (conn.state != Conn::kClosing)
+                return;
+            continue;
+          case Conn::kClosing: {
+            // A dead network stack can never acknowledge outstanding
+            // spans: the orderly close would spin forever. Drop the
+            // connection instead.
+            if (!sys()->monitor().cubicleAlive(lwipCid_)) {
                 dropConn(conn);
-            } else if (n != NetErr::kNetAgain) {
-                conn.state = Conn::kClosing;
+                return;
             }
-            break;
-        }
-        if (conn.chunkSent == conn.chunkLen) {
-            // Refill from the file system.
-            if (conn.fileOff >= conn.fileSize) {
-                fs_->close(conn.fileFd);
-                conn.fileFd = -1;
-                conn.state = Conn::kClosing;
-                break;
+            if (conn.spanPending && conn.fileFd >= 0) {
+                // Borrowed but never queued (connection died first):
+                // give it straight back.
+                fs_->release(conn.fileFd, conn.span.token);
+                conn.spanPending = false;
             }
-            const int64_t got = fs_->pread(conn.fileFd, conn.buf,
-                                           kIoChunk, conn.fileOff);
-            if (got <= 0) {
-                fs_->close(conn.fileFd);
-                conn.fileFd = -1;
-                conn.state = Conn::kClosing;
-                break;
-            }
-            conn.chunkLen = static_cast<std::size_t>(got);
-            conn.chunkSent = 0;
-            conn.fileOff += static_cast<uint64_t>(got);
-        }
-        // memmove-free partial sends: send from the staged chunk.
-        const int64_t n = sock_->send(conn.fd,
-                                      conn.buf + conn.chunkSent,
-                                      conn.chunkLen - conn.chunkSent);
-        if (n == NetErr::kNetPeerFault) {
-            dropConn(conn);
-            break;
-        }
-        if (n > 0) {
-            conn.chunkSent += static_cast<std::size_t>(n);
-            stats_.bytesSent += static_cast<uint64_t>(n);
-        }
-        break;
-      }
-      case Conn::kClosing: {
-        // A dead network stack can never drain its send queue or
-        // acknowledge outstanding spans: the orderly close would spin
-        // forever. Drop the connection instead.
-        if (!sys()->monitor().cubicleAlive(lwipCid_)) {
-            dropConn(conn);
-            break;
-        }
-        if (conn.spanPending && conn.fileFd >= 0) {
-            // Borrowed but never queued (connection died first): give
-            // it straight back.
-            fs_->release(conn.fileFd, conn.span.token);
-            conn.spanPending = false;
-        }
-        releaseCompleted(conn);
-        if (sock_->sendDrained(conn.fd) && conn.zcTokens.empty()) {
+            // Copied bytes belong to the stack once queued, and it
+            // sends them before its FIN. A borrowed span stays granted
+            // until acknowledged, and zeroCopyDone needs the live
+            // connection to report it.
+            releaseCompleted(conn);
+            if (!conn.zcTokens.empty())
+                return;
             if (conn.fileFd >= 0) {
                 fs_->close(conn.fileFd);
                 conn.fileFd = -1;
@@ -294,9 +244,84 @@ NginxComponent::progress(Conn &conn)
             sys()->heapFree(conn.buf);
             conn.buf = nullptr;
             conn.fd = -1;
+            return;
+          }
         }
-        break;
-      }
+    }
+}
+
+void
+NginxComponent::sendChunk(Conn &conn)
+{
+    if (conn.chunkSent == conn.chunkLen) {
+        // Refill from the file system.
+        const int64_t got =
+            conn.fileOff < conn.fileSize
+                ? fs_->pread(conn.fileFd, conn.buf, kIoChunk, conn.fileOff)
+                : 0;
+        if (got <= 0) {
+            fs_->close(conn.fileFd);
+            conn.fileFd = -1;
+            conn.state = Conn::kClosing;
+            return;
+        }
+        conn.chunkLen = static_cast<std::size_t>(got);
+        conn.chunkSent = 0;
+        conn.fileOff += static_cast<uint64_t>(got);
+    }
+    // memmove-free partial sends: send from the staged chunk.
+    const int64_t n = sock_->send(conn.fd, conn.buf + conn.chunkSent,
+                                  conn.chunkLen - conn.chunkSent);
+    if (n == NetErr::kNetPeerFault) {
+        dropConn(conn);
+        return;
+    }
+    if (n > 0) {
+        conn.chunkSent += static_cast<std::size_t>(n);
+        stats_.bytesSent += static_cast<uint64_t>(n);
+    }
+    if (conn.chunkSent == conn.chunkLen && conn.fileOff >= conn.fileSize) {
+        // The last byte is queued: close now.
+        fs_->close(conn.fileFd);
+        conn.fileFd = -1;
+        conn.state = Conn::kClosing;
+    }
+}
+
+void
+NginxComponent::sendSpan(Conn &conn)
+{
+    if (!conn.spanPending) {
+        const int rc =
+            conn.fileOff < conn.fileSize
+                ? fs_->borrow(conn.fileFd, conn.fileOff, lwipCid_,
+                              kSendSpan, &conn.span)
+                : -1;
+        if (rc != 0 || conn.span.len == 0) {
+            // Keep fileFd open: outstanding spans are released through
+            // it once the stack acknowledges them.
+            conn.state = Conn::kClosing;
+            return;
+        }
+        conn.spanPending = true;
+    }
+    // Reap completions first, so tokens the stack has freed are
+    // released this round, then queue the span. All or nothing: on
+    // kNetAgain the same borrowed span is retried next poll without
+    // re-borrowing.
+    releaseCompleted(conn);
+    const int64_t n = sock_->sendZero(conn.fd, conn.span.ptr, conn.span.len);
+    if (n > 0) {
+        conn.fileOff += conn.span.len;
+        stats_.bytesSent += conn.span.len;
+        conn.zcTokens.push_back(conn.span.token);
+        conn.spanPending = false;
+        if (conn.fileOff >= conn.fileSize)
+            conn.state = Conn::kClosing;
+    } else if (n == NetErr::kNetPeerFault) {
+        dropConn(conn);
+    } else if (n != NetErr::kNetAgain) {
+        conn.state = Conn::kClosing;
     }
 }
 

@@ -7,8 +7,11 @@
  * serves files from RAMFS through VFSCORE (CubicleFileApi), with all
  * buffers in its own cubicle memory and window-managed per call.
  *
- * Non-blocking design: nginx_poll() advances every connection's state
- * machine one step, exactly like an event-loop web server.
+ * Non-blocking design: nginx_poll() drives the network stack once,
+ * then takes each connection through every state change it can make
+ * without blocking (request parsed, header queued, first body chunk
+ * queued, close at end of file), with one body send per connection
+ * per round, like an event-loop web server.
  */
 
 #ifndef CUBICLEOS_APPS_HTTPD_HTTPD_H_
@@ -146,8 +149,21 @@ class NginxComponent : public core::Component {
     };
 
     int64_t poll(uint64_t now_ns);
+    /** Runs every state change @p conn can make this round. */
     void progress(Conn &conn);
     void handleRequest(Conn &conn);
+    /**
+     * The copy path's one body send of a round: refills the staging
+     * chunk from the file when it is spent, queues what the stack
+     * takes, and moves to kClosing once the last byte is queued.
+     */
+    void sendChunk(Conn &conn);
+    /**
+     * The sendfile path's one body send of a round: borrows the next
+     * span unless one is pending, reaps completions, queues the span,
+     * and moves to kClosing once the last span is queued.
+     */
+    void sendSpan(Conn &conn);
     /**
      * Drops a connection whose peer cubicle died mid-request
      * (kNetPeerFault / kErrPeerFault): releases whatever this side

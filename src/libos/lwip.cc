@@ -48,6 +48,11 @@ LwipComponent::doPoll(uint64_t now_ns)
 {
     int64_t processed = 0;
 
+    // Timers first: an ACK delayed by the last round falls due now,
+    // while one for a segment drained below waits a round for the
+    // reply the application may queue in between.
+    stack_.tick(now_ns);
+
     // Drain the device's receive queue into the stack.
     for (;;) {
         const int64_t n = netdevRx_(rxBuf_, kMtu);
@@ -59,8 +64,6 @@ LwipComponent::doPoll(uint64_t now_ns)
         stack_.input(rxBuf_, static_cast<std::size_t>(n));
         ++processed;
     }
-
-    stack_.tick(now_ns);
 
     // Emit every sendable segment through the driver.
     stack_.pollOutput([&](const uint8_t *pkt, std::size_t len) {

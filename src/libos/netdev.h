@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -36,6 +37,11 @@ inline constexpr std::size_t kMtu = 1500;
 class FrameChannel {
   public:
     using Frame = std::vector<uint8_t>;
+    /**
+     * Observer of every frame the wire carries: the frame, and whether
+     * it travels towards the device.
+     */
+    using Tap = std::function<void(bool to_device, const Frame &)>;
 
     /**
      * @param clock clock charged for wire latency; may be null.
@@ -55,6 +61,8 @@ class FrameChannel {
     void hostSend(Frame frame)
     {
         chargeWire(frame.size());
+        if (tap_)
+            tap_(true, frame);
         toDevice_.push_back(std::move(frame));
     }
 
@@ -72,6 +80,8 @@ class FrameChannel {
     void devTx(Frame frame)
     {
         chargeWire(frame.size());
+        if (tap_)
+            tap_(false, frame);
         fromDevice_.push_back(std::move(frame));
     }
 
@@ -90,6 +100,9 @@ class FrameChannel {
 
     uint64_t framesCarried() const { return frames_; }
     uint64_t bytesCarried() const { return bytes_; }
+
+    /** Installs @p tap (empty to remove it). */
+    void setTap(Tap tap) { tap_ = std::move(tap); }
 
   private:
     void chargeWire(std::size_t len)
@@ -110,6 +123,7 @@ class FrameChannel {
     std::deque<Frame> fromDevice_;
     uint64_t frames_ = 0;
     uint64_t bytes_ = 0;
+    Tap tap_;
 };
 
 /** The isolated network-device component. */

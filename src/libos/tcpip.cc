@@ -179,12 +179,19 @@ struct TcpIpStack::Conn {
     bool finSent = false;
     uint32_t finSeq = 0;
     uint32_t peerWnd = 65535;
+    uint32_t maxPeerWnd = 0; ///< largest window the peer advertised
+    /**
+     * The persist timer fired: the next data segment may be cut to the
+     * usable window, one byte if that window is zero.
+     */
+    bool probe = false;
 
     // Receive side.
     uint32_t rcvNxt = 0;
     RecvRing rcvQ;
     bool finRcvd = false;
-    bool ackPending = false;
+    bool ackPending = false; ///< a bare ACK is owed now
+    bool ackDelayed = false; ///< a bare ACK is owed at the next tick()
 
     // Listener state.
     int backlog = 0;
@@ -207,6 +214,40 @@ struct TcpIpStack::Conn {
     std::size_t unsent() const { return sndQBytes - dataInflight(); }
 
     /**
+     * Payload length of the next data segment: a full one (up to
+     * @p mss, or all that is unsent) when the usable window takes it.
+     * Sender silly-window avoidance (RFC 1122 §4.2.3.4): a segment is
+     * cut to fit a smaller window only when that window is at least
+     * half the largest the peer advertised, or when the persist timer
+     * fired. @return 0 when the window holds the segment back.
+     */
+    std::size_t nextSegmentLen(std::size_t mss) const
+    {
+        const std::size_t want = std::min(mss, unsent());
+        const std::size_t usable =
+            peerWnd > inflight() ? peerWnd - inflight() : 0;
+        if (want <= usable)
+            return want;
+        if (probe || 2 * usable >= maxPeerWnd)
+            return usable;
+        return 0;
+    }
+
+    /** The window to advertise: the receive ring's free space. */
+    uint16_t window(std::size_t rcv_buf) const
+    {
+        return static_cast<uint16_t>(
+            std::min<std::size_t>(rcv_buf - rcvQ.size(), 65535));
+    }
+
+    /** Records the window the peer advertised in its latest segment. */
+    void notePeerWindow(uint16_t wnd)
+    {
+        peerWnd = wnd;
+        maxPeerWnd = std::max<uint32_t>(maxPeerWnd, wnd);
+    }
+
+    /**
      * Locates the byte at logical offset @p off into the un-popped
      * queue contents. @return the chunk and the index within its
      * bytes() (popped bytes included), or {nullptr, 0} past the end.
@@ -227,8 +268,12 @@ struct TcpIpStack::Impl {
     uint16_t nextEphemeral = 49152;
     uint32_t nextIss = 1000;
     uint64_t nowNs = 0;
-    /** RSTs owed to peers with no matching connection. */
-    std::vector<std::vector<uint8_t>> pendingRst;
+    /**
+     * Segments owed to peers that have no live connection here: a RST
+     * to a segment nothing matched, and the ACK of a FIN that closed
+     * its connection (there is no TIME_WAIT to send it from).
+     */
+    std::vector<std::vector<uint8_t>> owed;
     /**
      * The frame pollOutput builds every connection segment in, payload
      * first; tx consumes it before the next segment overwrites it.
@@ -428,8 +473,9 @@ TcpIpStack::recv(int fd, void *buf, std::size_t n)
         return kNetAgain;
     }
     const std::size_t take = c->rcvQ.pop(static_cast<uint8_t *>(buf), n);
-    // The window opened: let the peer know promptly.
-    c->ackPending = true;
+    // The window opened: tell the peer by the next tick, unless a data
+    // segment carries the update first.
+    c->ackDelayed = true;
     return static_cast<int64_t>(take);
 }
 
@@ -527,12 +573,12 @@ void
 TcpIpStack::pollOutput(
     const std::function<void(const uint8_t *, std::size_t)> &tx)
 {
-    // Owed RSTs first.
-    for (auto &rst : impl_->pendingRst) {
+    // Owed segments first.
+    for (auto &seg : impl_->owed) {
         ++stats_.segsOut;
-        tx(rst.data(), rst.size());
+        tx(seg.data(), seg.size());
     }
-    impl_->pendingRst.clear();
+    impl_->owed.clear();
 
     uint8_t *const frame = impl_->frame.data();
     uint8_t *const payload = frame + kIpHdr + kTcpHdr;
@@ -542,10 +588,10 @@ TcpIpStack::pollOutput(
             c.state == Conn::kListen) {
             continue;
         }
-        const uint16_t wnd = static_cast<uint16_t>(
-            std::min<std::size_t>(cfg_.rcvBuf - c.rcvQ.size(), 65535));
+        const uint16_t wnd = c.window(cfg_.rcvBuf);
         // Sends a segment whose @p len payload bytes are already in
-        // the frame.
+        // the frame. Every segment but the SYN acknowledges, so it
+        // settles any bare ACK the connection owes.
         auto emit = [&](uint32_t seq, uint8_t flags, std::size_t len) {
             const std::size_t n =
                 buildSegment(frame, cfg_.ipAddr, c.remoteIp, c.localPort,
@@ -553,7 +599,7 @@ TcpIpStack::pollOutput(
             ++stats_.segsOut;
             stats_.bytesOut += len;
             c.lastSendNs = impl_->nowNs;
-            c.ackPending = false;
+            c.ackPending = c.ackDelayed = false;
             tx(frame, n);
         };
 
@@ -573,14 +619,14 @@ TcpIpStack::pollOutput(
         if (c.state == Conn::kSynSent || c.state == Conn::kSynRcvd)
             continue; // awaiting handshake completion
 
-        // Data segments, limited by the peer's advertised window.
-        while (!c.finSent && c.unsent() > 0 && c.inflight() < c.peerWnd) {
+        // Data segments, limited by the peer's advertised window. The
+        // segment that drains the queue after close() carries the FIN.
+        while (!c.finSent) {
+            std::size_t len = c.nextSegmentLen(cfg_.mss);
+            if (len == 0)
+                break;
+            c.probe = false;
             const std::size_t off = c.dataInflight();
-            std::size_t len =
-                std::min({static_cast<std::size_t>(cfg_.mss),
-                          c.unsent(),
-                          static_cast<std::size_t>(c.peerWnd) -
-                              c.inflight()});
             const auto [ck, idx] = c.chunkAt(off);
             assert(ck != nullptr);
             if (ck->zc()) {
@@ -592,7 +638,6 @@ TcpIpStack::pollOutput(
                 // foreign bytes.
                 len = std::min(len, ck->len - idx);
                 std::memcpy(payload, ck->bytes() + idx, len);
-                emit(c.sndNxt, kAck | kPsh, len);
                 ++stats_.zcSegsOut;
                 stats_.zcBytesOut += len;
             } else {
@@ -611,12 +656,18 @@ TcpIpStack::pollOutput(
                 }
                 len = got;
                 countCopy(len); // send queue → frame
-                emit(c.sndNxt, kAck | kPsh, len);
             }
+            const bool fin = c.finQueued && len == c.unsent();
+            emit(c.sndNxt, kAck | kPsh | (fin ? kFin : 0), len);
             c.sndNxt += static_cast<uint32_t>(len);
+            if (fin) {
+                c.finSeq = c.sndNxt;
+                c.sndNxt += 1;
+                c.finSent = true;
+            }
         }
 
-        // FIN once every byte is out.
+        // A FIN with no data left to carry it.
         if (c.finQueued && !c.finSent && c.unsent() == 0) {
             c.finSeq = c.sndNxt;
             emit(c.sndNxt, kFin | kAck, 0);
@@ -702,7 +753,7 @@ TcpIpStack::input(const uint8_t *pkt, std::size_t len)
         cc.rcvNxt = seq + 1;
         cc.sndUna = cc.sndNxt = impl_->nextIss;
         impl_->nextIss += 0x10000;
-        cc.peerWnd = wnd;
+        cc.notePeerWindow(wnd);
         cc.state = Conn::kSynRcvd;
         listener->acceptQ.push_back(child_fd);
         return;
@@ -713,7 +764,7 @@ TcpIpStack::input(const uint8_t *pkt, std::size_t len)
             std::vector<uint8_t> rst(kIpHdr + kTcpHdr);
             buildSegment(rst.data(), cfg_.ipAddr, src_ip, dst_port,
                          src_port, ack, seq + 1, kRst | kAck, 0, 0);
-            impl_->pendingRst.push_back(std::move(rst));
+            impl_->owed.push_back(std::move(rst));
         }
         return;
     }
@@ -726,7 +777,7 @@ TcpIpStack::input(const uint8_t *pkt, std::size_t len)
         return;
     }
 
-    c->peerWnd = wnd;
+    c->notePeerWindow(wnd);
 
     // Handshake progress.
     if (c->state == Conn::kSynSent && (flags & kSyn) && (flags & kAck)) {
@@ -791,14 +842,18 @@ TcpIpStack::input(const uint8_t *pkt, std::size_t len)
         }
     }
 
-    // In-order payload.
+    // In-order payload. Its ACK waits for the next tick, so a reply
+    // sent meanwhile carries it; anything else is acknowledged at once
+    // (a duplicate ACK), telling the peer what did arrive.
     if (plen > 0) {
         if (seq == c->rcvNxt && plen <= cfg_.rcvBuf - c->rcvQ.size()) {
             c->rcvQ.push(payload, plen, cfg_.rcvBuf);
             c->rcvNxt += static_cast<uint32_t>(plen);
             stats_.bytesIn += plen;
+            c->ackDelayed = true;
+        } else {
+            c->ackPending = true;
         }
-        c->ackPending = true; // ack (or dup-ack) either way
     }
 
     // Peer FIN. A duplicate or early one is acknowledged too: the peer
@@ -816,11 +871,20 @@ TcpIpStack::input(const uint8_t *pkt, std::size_t len)
               case Conn::kFinWait1:
                 c->state = Conn::kClosing;
                 break;
-              case Conn::kFinWait2:
+              case Conn::kFinWait2: {
+                // With no TIME_WAIT the slot goes now, so the ACK of
+                // this FIN is owed like a RST: without it the peer
+                // would retransmit its FIN and draw a RST.
+                std::vector<uint8_t> last(kIpHdr + kTcpHdr);
+                buildSegment(last.data(), cfg_.ipAddr, src_ip, dst_port,
+                             src_port, c->sndNxt, c->rcvNxt, kAck,
+                             c->window(cfg_.rcvBuf), 0);
+                impl_->owed.push_back(std::move(last));
                 c->state = Conn::kClosed;
                 if (c->appClosed)
                     c->used = false;
                 break;
+              }
               default:
                 break;
             }
@@ -836,6 +900,11 @@ TcpIpStack::tick(uint64_t now_ns)
         Conn &c = *cp;
         if (!c.used)
             continue;
+        if (c.ackDelayed) {
+            // The delayed ACK is due: no reply carried it this round.
+            c.ackDelayed = false;
+            c.ackPending = true;
+        }
         const bool awaiting =
             c.inflight() > 0 ||
             ((c.state == Conn::kSynSent || c.state == Conn::kSynRcvd) &&
@@ -844,12 +913,16 @@ TcpIpStack::tick(uint64_t now_ns)
              c.state != Conn::kFinWait2);
         const bool expired =
             now_ns > c.lastSendNs && now_ns - c.lastSendNs > cfg_.rtoNs;
-        if (!awaiting && expired && c.peerWnd == 0 && c.unsent() > 0) {
-            // Zero-window probe (RFC 1122 §4.2.2.17): the update that
-            // reopened the peer's window may have been lost, and with
-            // nothing in flight no timer would recover it. Let one
-            // byte through; the peer's ACK carries its current window.
-            c.peerWnd = 1;
+        if (!awaiting && expired && c.unsent() > 0 &&
+            c.nextSegmentLen(cfg_.mss) == 0) {
+            // Persist timer (RFC 1122 §4.2.2.17 and §4.2.3.4): the
+            // window holds data back with nothing in flight, so no
+            // other timer runs, and the update that reopened the
+            // window may have been lost. Let one segment through, cut
+            // to the window (one byte if it is zero); the peer's ACK
+            // carries its current window.
+            c.peerWnd = std::max<uint32_t>(c.peerWnd, 1);
+            c.probe = true;
             c.lastSendNs = now_ns;
         }
         if (awaiting && expired) {

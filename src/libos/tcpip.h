@@ -5,8 +5,20 @@
  * Implements enough of TCP for the paper's NGINX experiment: the
  * three-way handshake, cumulative ACKs, receiver flow control, MSS
  * segmentation, FIN teardown, a coarse retransmission timer and a
- * zero-window probe. Internet checksums are computed and verified on
- * every segment.
+ * persist timer. Internet checksums are computed and verified on every
+ * segment.
+ *
+ * Like lwIP, the stack spends few frames per exchange. The ACK of
+ * in-order data, and the window update a recv() makes, wait for the
+ * connection's next tick() unless a data or FIN segment carries them
+ * first; a SYN-ACK, a FIN, a retransmitted SYN and out-of-order or
+ * duplicate data are acknowledged at once. After close(), the segment
+ * that drains the send queue carries the FIN. The sender never cuts a
+ * segment short to fit the usable window unless that window is at
+ * least half the largest the peer advertised (RFC 1122 §4.2.3.4); the
+ * persist timer lets one cut segment through when the window holds
+ * data back with nothing in flight. There is no TIME_WAIT: the ACK of
+ * the FIN that closes a connection is sent like an owed RST.
  *
  * Each connection's receive buffer is a fixed ring of
  * TcpConfig::rcvBuf bytes (the 64 kB socket buffer whose exhaustion
@@ -138,7 +150,10 @@ class TcpIpStack {
      */
     void pollOutput(
         const std::function<void(const uint8_t *, std::size_t)> &tx);
-    /** Advances timers (retransmission, zero-window probe). */
+    /**
+     * Advances timers: a delayed ACK falls due, and the retransmission
+     * and persist timers fire.
+     */
     void tick(uint64_t now_ns);
 
     const TcpStats &stats() const { return stats_; }

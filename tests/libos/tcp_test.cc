@@ -8,6 +8,8 @@
 
 #include <cstring>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "libos/inet_checksum.h"
@@ -15,6 +17,32 @@
 
 namespace cubicleos::libos {
 namespace {
+
+constexpr uint8_t kFinFlag = 0x01;
+constexpr uint8_t kRstFlag = 0x04;
+constexpr uint8_t kAckFlag = 0x10;
+
+/** Big-endian 32-bit field at @p p. */
+uint32_t
+be32(const uint8_t *p)
+{
+    return (uint32_t{p[0]} << 24) | (uint32_t{p[1]} << 16) |
+           (uint32_t{p[2]} << 8) | p[3];
+}
+
+/** The fields of one segment (no IP or TCP options) a test checks. */
+struct Seg {
+    uint8_t flags = 0;
+    uint32_t seq = 0;
+    uint32_t ack = 0;
+    std::size_t len = 0; ///< payload bytes
+};
+
+Seg
+parseSeg(const uint8_t *p, std::size_t n)
+{
+    return Seg{p[33], be32(p + 24), be32(p + 28), n - 40};
+}
 
 /** Two stacks wired back-to-back with manual pumping. */
 class TcpPair : public ::testing::Test {
@@ -38,10 +66,12 @@ class TcpPair : public ::testing::Test {
             alice->tick(now);
             bob->tick(now);
             alice->pollOutput([&](const uint8_t *p, std::size_t n) {
+                rsts += (p[33] & kRstFlag) != 0;
                 bob->input(p, n);
                 moved = true;
             });
             bob->pollOutput([&](const uint8_t *p, std::size_t n) {
+                rsts += (p[33] & kRstFlag) != 0;
                 alice->input(p, n);
                 moved = true;
             });
@@ -49,6 +79,27 @@ class TcpPair : public ::testing::Test {
             ++rounds;
         }
         return rounds;
+    }
+
+    /**
+     * One pump round, as pump() runs it (both tick, then alice sends,
+     * then bob): @return the segments each side sent.
+     */
+    std::pair<std::vector<Seg>, std::vector<Seg>> step()
+    {
+        std::pair<std::vector<Seg>, std::vector<Seg>> out;
+        alice->tick(now);
+        bob->tick(now);
+        alice->pollOutput([&](const uint8_t *p, std::size_t n) {
+            out.first.push_back(parseSeg(p, n));
+            bob->input(p, n);
+        });
+        bob->pollOutput([&](const uint8_t *p, std::size_t n) {
+            out.second.push_back(parseSeg(p, n));
+            alice->input(p, n);
+        });
+        now += 1'000'000;
+        return out;
     }
 
     /** Establishes bob:port listener and a connection from alice. */
@@ -67,6 +118,7 @@ class TcpPair : public ::testing::Test {
 
     std::unique_ptr<TcpIpStack> alice, bob;
     uint64_t now = 0;
+    int rsts = 0; ///< RST segments pump() carried
 };
 
 TEST_F(TcpPair, HandshakeEstablishesBothEnds)
@@ -152,11 +204,188 @@ TEST_F(TcpPair, LargeTransferRespectsWindow)
     // when segmentation, window advertisement or copy accounting does.
     // Bob's segments are its ACKs and window updates: a receive buffer
     // advertising a different window changes that count.
-    EXPECT_EQ(alice->stats().segsOut, 738u);
-    EXPECT_EQ(alice->stats().payloadCopies, 752u);
+    EXPECT_EQ(alice->stats().segsOut, 722u);
+    EXPECT_EQ(alice->stats().payloadCopies, 737u);
     EXPECT_EQ(alice->stats().payloadCopyBytes, 2 * kTotal);
-    EXPECT_EQ(bob->stats().segsIn, 738u);
-    EXPECT_EQ(bob->stats().segsOut, 48u);
+    EXPECT_EQ(bob->stats().segsIn, 722u);
+    EXPECT_EQ(bob->stats().segsOut, 35u);
+}
+
+TEST_F(TcpPair, InOrderDataIsAckedInTheNextRound)
+{
+    int afd, bfd;
+    establish(80, &afd, &bfd);
+
+    // The round the data arrives in, bob holds its ACK back.
+    ASSERT_EQ(alice->send(afd, "ping", 4), 4);
+    auto [a_out, b_out] = step();
+    ASSERT_EQ(a_out.size(), 1u);
+    EXPECT_EQ(a_out[0].len, 4u);
+    EXPECT_TRUE(b_out.empty());
+
+    // No reply came, so the next round sends the bare ACK.
+    std::tie(a_out, b_out) = step();
+    EXPECT_TRUE(a_out.empty());
+    ASSERT_EQ(b_out.size(), 1u);
+    EXPECT_EQ(b_out[0].flags, kAckFlag);
+    EXPECT_EQ(b_out[0].len, 0u);
+    EXPECT_TRUE(alice->sendDrained(afd));
+
+    // A reply queued in between carries the ACK instead.
+    ASSERT_EQ(alice->send(afd, "ping", 4), 4);
+    std::tie(a_out, b_out) = step();
+    EXPECT_TRUE(b_out.empty());
+    ASSERT_EQ(bob->send(bfd, "pong", 4), 4);
+    std::tie(a_out, b_out) = step();
+    ASSERT_EQ(b_out.size(), 1u);
+    EXPECT_EQ(b_out[0].len, 4u);
+    EXPECT_TRUE(alice->sendDrained(afd));
+
+    // Draining the ring is a window update, due at the next round too.
+    char buf[8];
+    ASSERT_EQ(bob->recv(bfd, buf, sizeof(buf)), 8);
+    bob->pollOutput([](const uint8_t *, std::size_t) {
+        ADD_FAILURE() << "window update sent before the next tick";
+    });
+    std::tie(a_out, b_out) = step();
+    ASSERT_EQ(b_out.size(), 1u);
+    EXPECT_EQ(b_out[0].len, 0u);
+}
+
+TEST_F(TcpPair, FinRidesTheLastDataSegment)
+{
+    int afd, bfd;
+    establish(80, &afd, &bfd);
+    const std::vector<uint8_t> data(3000, 0x5a);
+    ASSERT_EQ(alice->send(afd, data.data(), data.size()), 3000);
+    ASSERT_EQ(alice->close(afd), kNetOk);
+
+    // Drop the first flight: the go-back-N resend must rebuild it the
+    // same way, FIN on the last data segment.
+    alice->tick(now);
+    std::vector<Seg> lost;
+    alice->pollOutput([&](const uint8_t *p, std::size_t n) {
+        lost.push_back(parseSeg(p, n));
+    });
+    now += 300'000'000;
+    const auto [a_out, b_out] = step();
+    for (const auto &flight : {lost, a_out}) {
+        ASSERT_EQ(flight.size(), 3u);
+        EXPECT_EQ(flight[0].len + flight[1].len + flight[2].len, 3000u);
+        EXPECT_FALSE(flight[0].flags & kFinFlag);
+        EXPECT_FALSE(flight[1].flags & kFinFlag);
+        EXPECT_TRUE(flight[2].flags & kFinFlag);
+    }
+    EXPECT_EQ(alice->stats().retransmits, 1u);
+
+    pump();
+    char buf[4096];
+    EXPECT_EQ(bob->recv(bfd, buf, sizeof(buf)), 3000);
+    EXPECT_EQ(bob->recv(bfd, buf, sizeof(buf)), 0) << "EOF after FIN";
+}
+
+TEST_F(TcpPair, OutOfOrderDuplicateAndFinAreAckedAtOnce)
+{
+    int afd, bfd;
+    establish(80, &afd, &bfd);
+    const std::vector<uint8_t> data(2000, 0x33);
+    ASSERT_EQ(alice->send(afd, data.data(), data.size()), 2000);
+    std::vector<std::vector<uint8_t>> segs;
+    alice->tick(now);
+    alice->pollOutput([&](const uint8_t *p, std::size_t n) {
+        segs.emplace_back(p, p + n);
+    });
+    ASSERT_EQ(segs.size(), 2u);
+    const uint32_t seq0 = parseSeg(segs[0].data(), segs[0].size()).seq;
+
+    // Delivers @p pkt to bob, then collects what bob sends in the same
+    // round (no tick in between).
+    auto deliver = [&](const std::vector<uint8_t> &pkt) {
+        bob->input(pkt.data(), pkt.size());
+        std::vector<Seg> out;
+        bob->pollOutput([&](const uint8_t *p, std::size_t n) {
+            out.push_back(parseSeg(p, n));
+        });
+        return out;
+    };
+
+    // In-order segments go in between; when their ACK goes out is
+    // InOrderDataIsAckedInTheNextRound's business.
+    auto out = deliver(segs[1]); // out of order: a duplicate ACK
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].ack, seq0);
+    deliver(segs[0]);
+    out = deliver(segs[0]); // duplicate
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].ack, seq0 + 1460);
+    deliver(segs[1]);
+
+    ASSERT_EQ(alice->close(afd), kNetOk);
+    std::vector<uint8_t> fin;
+    alice->pollOutput(
+        [&](const uint8_t *p, std::size_t n) { fin.assign(p, p + n); });
+    ASSERT_TRUE(parseSeg(fin.data(), fin.size()).flags & kFinFlag);
+    out = deliver(fin);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].ack, seq0 + 2000 + 1);
+}
+
+TEST_F(TcpPair, TransferToASubMssReceiveBufferCompletes)
+{
+    // Bob's whole buffer is smaller than one segment, so every window
+    // it offers is less than an MSS.
+    TcpConfig small;
+    small.ipAddr = 0x0A000002;
+    small.rcvBuf = 1000;
+    bob = std::make_unique<TcpIpStack>(small);
+    int afd, bfd;
+    establish(80, &afd, &bfd);
+
+    constexpr std::size_t kTotal = 50'000;
+    std::vector<uint8_t> out(kTotal);
+    for (std::size_t i = 0; i < kTotal; ++i)
+        out[i] = static_cast<uint8_t>(i * 7);
+    std::vector<uint8_t> in(kTotal);
+    std::size_t sent = 0, rcvd = 0;
+    for (int i = 0; rcvd < kTotal && i < 1000; ++i) {
+        if (sent < kTotal) {
+            const int64_t n =
+                alice->send(afd, out.data() + sent, kTotal - sent);
+            if (n > 0)
+                sent += static_cast<std::size_t>(n);
+        }
+        pump(4);
+        // Uneven reads leave windows both above and below half the
+        // buffer.
+        const std::size_t want = i % 2 ? 300 : 700;
+        const int64_t n = bob->recv(bfd, in.data() + rcvd,
+                                    std::min(want, kTotal - rcvd));
+        if (n > 0)
+            rcvd += static_cast<std::size_t>(n);
+    }
+    ASSERT_EQ(rcvd, kTotal);
+    EXPECT_EQ(std::memcmp(in.data(), out.data(), kTotal), 0);
+    EXPECT_GE(bob->stats().segsIn, kTotal / small.rcvBuf);
+}
+
+TEST_F(TcpPair, ActiveCloserAcksThePeersFin)
+{
+    int afd, bfd;
+    establish(80, &afd, &bfd);
+    ASSERT_EQ(alice->close(afd), kNetOk);
+    pump();
+    char c;
+    ASSERT_EQ(bob->recv(bfd, &c, 1), 0);
+    ASSERT_EQ(bob->close(bfd), kNetOk);
+    pump();
+
+    // Past the RTO: an unacknowledged FIN would be retransmitted now,
+    // and draw a RST from the side that has forgotten the connection.
+    now += 300'000'000;
+    pump();
+    EXPECT_EQ(alice->stats().retransmits, 0u);
+    EXPECT_EQ(bob->stats().retransmits, 0u);
+    EXPECT_EQ(rsts, 0);
 }
 
 TEST_F(TcpPair, SenderBlockedByFullSendBuffer)
@@ -298,6 +527,48 @@ TEST_F(TcpPair, LostWindowUpdateIsRecoveredByAProbe)
     char buf[8];
     ASSERT_EQ(bob->recv(bfd, buf, sizeof(buf)), 4);
     EXPECT_EQ(std::memcmp(buf, "tail", 4), 0);
+}
+
+TEST_F(TcpPair, LostWindowUpdateAfterTheTickIsRecovered)
+{
+    // Bob's update is lost after his tick made it due, so only alice's
+    // persist timer can recover: for a zero window, and for a 100-byte
+    // one too small for alice to cut a segment to.
+    for (const std::size_t left : {std::size_t{0}, std::size_t{100}}) {
+        SCOPED_TRACE(left);
+        alice = std::make_unique<TcpIpStack>(alice->config());
+        bob = std::make_unique<TcpIpStack>(bob->config());
+        int afd, bfd;
+        establish(80, &afd, &bfd);
+
+        // Leave bob @p left bytes of window; alice holds the next
+        // 1,000 bytes back.
+        const std::size_t fill = bob->config().rcvBuf - left;
+        std::vector<uint8_t> bytes(fill, 0x22);
+        ASSERT_EQ(alice->send(afd, bytes.data(), fill),
+                  static_cast<int64_t>(fill));
+        pump();
+        ASSERT_TRUE(alice->sendDrained(afd));
+        const std::vector<uint8_t> tail(1000, 0x44);
+        ASSERT_EQ(alice->send(afd, tail.data(), tail.size()), 1000);
+        pump();
+        EXPECT_FALSE(alice->sendDrained(afd));
+
+        ASSERT_EQ(bob->recv(bfd, bytes.data(), fill),
+                  static_cast<int64_t>(fill));
+        bob->tick(now);
+        bob->pollOutput([](const uint8_t *, std::size_t) {});
+
+        // Alice's persist timer lets one segment through, cut to the
+        // window (one byte if it is zero); bob's ACK of it carries the
+        // open window.
+        now += 300'000'000;
+        pump();
+        std::vector<uint8_t> got(2000);
+        ASSERT_EQ(bob->recv(bfd, got.data(), got.size()), 1000);
+        got.resize(1000);
+        EXPECT_EQ(got, tail);
+    }
 }
 
 TEST_F(TcpPair, MultipleConcurrentConnections)
