@@ -10,7 +10,7 @@
  *     retags and modelled time.
  *
  *  2. MPK tag virtualisation (>16 compartments): overflow cubicles
- *     hold logical keys and time-multiplex a dynamic pool of physical
+ *     are dynamically tagged and time-multiplex a pool of physical
  *     tags (DESIGN.md §14); this bench shows a 20-isolated-cubicle
  *     system boots and runs, and reports its tag hit rate.
  */
@@ -177,23 +177,23 @@ main()
         });
         std::printf("20 isolated cubicles on 16 hardware keys: boot OK, "
                     "%d calls in %.2f ms\n", v, m.totalMs());
-        int parked = 0, logical = 0;
+        int parked = 0, dynamic = 0;
         for (core::Cid cid = 0;
              cid < static_cast<core::Cid>(sys.cubicleCount()); ++cid) {
             const auto &cub = sys.monitor().cubicle(cid);
-            if (cub.lkey >= hw::kFirstLogicalKey)
-                ++logical;
+            if (cub.dynamicTag)
+                ++dynamic;
             if (cub.pkey == sys.monitor().parkedKey())
                 ++parked;
         }
         const uint64_t hits = sys.stats().tagHits();
         const uint64_t misses = sys.stats().tagMisses();
-        std::printf("logical-key cubicles: %d (%d currently parked); "
-                    "physical-tag hit rate %.1f%% over %llu switches — "
-                    "evicted cubicles keep full isolation behind the "
-                    "parked tag and fault back in on demand "
+        std::printf("dynamically tagged cubicles: %d (%d currently "
+                    "parked); physical-tag hit rate %.1f%% over %llu "
+                    "switches — evicted cubicles keep full isolation "
+                    "behind the parked tag and fault back in on demand "
                     "(evictions: %llu)\n",
-                    logical, parked,
+                    dynamic, parked,
                     hits + misses
                         ? 100.0 * static_cast<double>(hits) /
                               static_cast<double>(hits + misses)

@@ -207,7 +207,9 @@ main()
     }
     std::fprintf(json,
                  "{\n"
-                 "  \"bench\": \"fig7_nginx\",\n"
+                 "  \"bench\": \"fig7_nginx\",\n");
+    bench::writeProvenance(json, "  ");
+    std::fprintf(json,
                  "  \"reps\": %d,\n"
                  "  \"latency_ms\": [\n",
                  reps);

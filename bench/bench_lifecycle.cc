@@ -183,9 +183,12 @@ main()
         std::perror(path);
         return 1;
     }
+    std::fprintf(json,
+                 "{\n"
+                 "  \"bench\": \"lifecycle\",\n");
+    bench::writeProvenance(json, "  ");
     std::fprintf(
         json,
-        "{\n"
         "  \"micro\": {\n"
         "    \"cycles\": %d,\n"
         "    \"destroy_ms\": %.4f,\n"

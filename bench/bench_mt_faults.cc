@@ -16,8 +16,8 @@
  * atomic tag store, and the per-crossing counters are per-thread
  * shards (DESIGN.md §9). Results go to stdout and, machine-readably,
  * to BENCH_mt_faults.json at the source root, whatever the working
- * directory (see EXPERIMENTS.md), which records hardware_concurrency
- * and whether lockdep is built in.
+ * directory (see EXPERIMENTS.md), under the provenance stamp every
+ * BENCH_*.json carries (bench::writeProvenance).
  *
  * Scale via CUBICLE_BENCH_MT_ITERS (iterations per thread, default
  * 200000).
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/locking.h"
 #include "core/system.h"
 #include "libos/grant.h"
 #include "tests/core/toy_components.h"
@@ -171,12 +170,9 @@ main()
     }
     std::fprintf(json,
                  "{\n"
-                 "  \"bench\": \"mt_faults\",\n"
-                 "  \"iters_per_thread\": %d,\n"
-                 "  \"hardware_concurrency\": %u,\n"
-                 "  \"lockdep\": %s,\n",
-                 iters, hw_threads,
-                 core::lockdep::kEnabled ? "true" : "false");
+                 "  \"bench\": \"mt_faults\",\n");
+    bench::writeProvenance(json, "  ");
+    std::fprintf(json, "  \"iters_per_thread\": %d,\n", iters);
     if (hw_threads == 1) {
         std::fprintf(json, "  \"note\": \"1-core host: wall-clock "
                            "columns show serialisation overhead only\",\n");

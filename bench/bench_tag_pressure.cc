@@ -28,7 +28,6 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/httpd/harness.h"
@@ -120,7 +119,7 @@ timeTransitions(int n, MicroResult &r)
         const int parked = mon.parkedKey();
         std::vector<core::Cid> dynamic;
         for (core::Cid cid = 0; cid < mon.cubicleCount(); ++cid) {
-            if (mon.cubicle(cid).lkey >= 0)
+            if (mon.cubicle(cid).dynamicTag)
                 dynamic.push_back(cid);
         }
         if (dynamic.size() <= mon.config().dynamicTags)
@@ -317,19 +316,14 @@ main()
     std::fprintf(json,
                  "{\n"
                  "  \"bench\": \"tag_pressure\",\n"
-                 "  \"runs\": [{\n"
-                 "    \"git_sha\": \"%s\",\n"
-                 "    \"build_type\": \"%s\",\n"
-                 "    \"lockdep\": %s,\n"
-                 "    \"hardware_concurrency\": %u,\n"
+                 "  \"runs\": [{\n");
+    bench::writeProvenance(json, "    ");
+    std::fprintf(json,
                  "    \"timing_reps\": %d,\n"
                  "    \"physical_tags\": %d,\n"
                  "    \"dynamic_pool\": 4,\n"
                  "    \"micro_sweep\": [\n",
-                 CUBICLEOS_GIT_SHA, CUBICLEOS_BUILD_TYPE,
-                 core::lockdep::kEnabled ? "true" : "false",
-                 std::thread::hardware_concurrency(), kTimingReps,
-                 hw::kNumPhysPkeys);
+                 kTimingReps, hw::kNumPhysPkeys);
     for (std::size_t i = 0; i < micro.size(); ++i) {
         const MicroResult &r = micro[i];
         std::fprintf(

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <thread>
 
 #include "core/locking.h"
 #include "hw/cycles.h"
@@ -95,6 +96,28 @@ numbered(const char *prefix, int i)
     name += std::to_string(i);
     return name;
 }
+
+#if defined(CUBICLEOS_GIT_SHA) && defined(CUBICLEOS_BUILD_TYPE)
+/**
+ * Writes the provenance fields every committed BENCH_*.json carries,
+ * one per line at @p indent, each followed by a comma: the commit
+ * (`git describe --dirty` at configure time), the build type, whether
+ * lockdep is compiled in, and the host's core count. The two macros
+ * come from bench/CMakeLists.txt.
+ */
+inline void
+writeProvenance(std::FILE *json, const char *indent)
+{
+    std::fprintf(json,
+                 "%s\"git_sha\": \"%s\",\n"
+                 "%s\"build_type\": \"%s\",\n"
+                 "%s\"lockdep\": %s,\n"
+                 "%s\"hardware_concurrency\": %u,\n",
+                 indent, CUBICLEOS_GIT_SHA, indent, CUBICLEOS_BUILD_TYPE,
+                 indent, core::lockdep::kEnabled ? "true" : "false", indent,
+                 std::thread::hardware_concurrency());
+}
+#endif
 
 /** Environment-variable integer override. */
 inline int

@@ -144,8 +144,14 @@ HttpHarness::fetch(int t, const std::string &path, int max_rounds)
         }
     }
     client_->close(fd);
-    for (int i = 0; i < 5 && lwip_alive(); ++i)
-        pumpOnce(s); // drain FIN exchange
+    // Drain the FIN exchange: it ends at the first round that moves no
+    // frame (at most five).
+    for (int i = 0; i < 5 && lwip_alive(); ++i) {
+        const uint64_t frames = wire_->framesCarried();
+        pumpOnce(s);
+        if (wire_->framesCarried() == frames)
+            break;
+    }
 
     if (response.compare(0, 9, "HTTP/1.1 ") == 0)
         res.status = std::atoi(response.c_str() + 9);

@@ -34,14 +34,14 @@ namespace cubicleos::core {
  * Created by the loader; owned by the monitor. Untrusted code never holds
  * a Cubicle pointer — it interacts through the System facade.
  *
- * Concurrency: id/name/kind/lkey and the page ranges are immutable after
- * loadComponent publishes the cubicle, so any thread may read them
- * without locking. pkey is immutable too for statically-tagged
- * cubicles, but under tag virtualisation a parked cubicle's pkey is
- * rewritten by eviction/re-binding (Monitor::ensureResident), so it is
- * a relaxed atomic — readers racing a rebind see either the old or the
- * new tag, and both are safe (the stale one merely faults and retries;
- * see DESIGN.md §14). Remaining mutable state is split per concern so
+ * Concurrency: id/name/kind/dynamicTag and the page ranges are
+ * immutable after loadComponent publishes the cubicle, so any thread
+ * may read them without locking. pkey is immutable too for
+ * statically-tagged cubicles, but under tag virtualisation a parked
+ * cubicle's pkey is rewritten by eviction/re-binding
+ * (Monitor::ensureResident), so it is a relaxed atomic — readers
+ * racing a rebind see either the old or the new tag, and both are safe
+ * (the stale one merely faults and retries; see DESIGN.md §14). Remaining mutable state is split per concern so
  * cubicles never contend with each other: the stack arena cursor under
  * stackMu, the heap sub-allocator under heapMu, the window-descriptor
  * arrays under the monitor's window lock, and extraAllow as an atomic
@@ -61,11 +61,11 @@ struct Cubicle {
     hw::RelaxedAtomic<int> pkey{-1};
 
     /**
-     * Logical key (≥ hw::kFirstLogicalKey) when this cubicle is
-     * dynamically tagged under virtualisation, or -1 for statically
-     * tagged cubicles. Immutable after load.
+     * True when the loader found the physical tags exhausted under
+     * tag virtualisation: the cubicle then shares the key table's
+     * dynamic pool and may be evicted. Immutable after load.
      */
-    int lkey = -1;
+    bool dynamicTag = false;
 
     /**
      * Lifecycle state (DESIGN.md §15). kLive from publication until

@@ -1,14 +1,14 @@
 /**
  * @file
- * The logical→physical key table: tag virtualisation bookkeeping.
+ * The dynamic key table: tag virtualisation bookkeeping.
  *
- * With SystemConfig::virtualizeTags the loader hands every isolated
- * cubicle a *logical* key (unbounded, hw::Mpk::allocLogicalKey) once
- * the static physical tags run out. This table records which of the
- * reserved *dynamic* physical tags currently backs which logical
- * cubicle; the monitor multiplexes the rest BULKHEAD-style — LRU
- * eviction parks a victim's pages under the reserved parked tag, the
- * next touch faults the cubicle back in through Monitor::handleFault.
+ * With SystemConfig::virtualizeTags the loader tags every isolated
+ * cubicle dynamically (Cubicle::dynamicTag) once the static physical
+ * tags run out. This table records which of the reserved *dynamic*
+ * physical tags currently backs which such cubicle; the monitor
+ * multiplexes the rest BULKHEAD-style — LRU eviction parks a victim's
+ * pages under the reserved parked tag, the next touch faults the
+ * cubicle back in through Monitor::handleFault.
  *
  * The table is bookkeeping only: it never touches page tables or PKRU
  * state itself (the monitor owns the retag sweeps, see

@@ -15,10 +15,14 @@
  * entries with core::PeerFault, and threads already inside are unwound
  * by the next checked access (System::touchSlow / heapAlloc) throwing
  * the same. Once no thread's in-flight count for the cubicle
- * (Monitor::inFlightSlot) is non-zero, the monitor reclaims
- * windows, grants, pages and the logical key, then marks the cubicle
- * kDead. restartCubicle reloads the image through the verify cache and
- * replays the grants recorded at destroy time (RevokedGrant).
+ * (Monitor::inFlightSlot) is non-zero, the monitor destroys the
+ * windows the cubicle owns, sweeps its tag off other owners' pages,
+ * reclaims its pages and physical tag, then marks it kDead.
+ * restartCubicle reloads the image through the verify cache. No grant
+ * is recorded or replayed: the cubicle's bits in its peers' window
+ * ACLs stay through its death (a dead cubicle executes nothing, so
+ * they authorise nothing), and the restart inherits them as the owners
+ * last set them.
  *
  * Tracing: CUBICLEOS_TRACE=lifecycle logs destroy/restart/unwind events
  * to stderr (core/trace.h; combine with faults,evictions or use all).
@@ -28,9 +32,6 @@
 #define CUBICLEOS_CORE_LIFECYCLE_H_
 
 #include <cstdint>
-#include <vector>
-
-#include "core/ids.h"
 
 namespace cubicleos::core {
 
@@ -43,24 +44,6 @@ enum class LifeState : uint8_t {
 
 /** Human-readable state name for traces and errors. */
 const char *lifeStateName(LifeState state);
-
-/**
- * One grant a dying cubicle held on somebody else's window, recorded
- * by destroyCubicle so restartCubicle can replay it. Destroy clears
- * the victim's ACL bit (plus its usage/prestage mask bits — the audit
- * must not credit a dead peer) from every live window of every other
- * owner; restart re-opens exactly the recorded set, restores the
- * recorded masks, and re-runs the prestage sweep for windows that had
- * a standing hint. Windows *owned* by the victim are not recorded:
- * they are destroyed outright and the component's init() re-creates
- * them, exactly as at first boot.
- */
-struct RevokedGrant {
-    Wid wid = kInvalidWindow;
-    Cid owner = kNoCubicle; ///< window owner (sanity check at replay)
-    /** Bit k set: the victim held usage record UsageKind k at destroy. */
-    uint8_t usage = 0;
-};
 
 /**
  * Per-cubicle lifecycle bookkeeping, owned by the monitor and guarded
@@ -80,8 +63,6 @@ struct LifecycleRecord {
     int staticKey = -1;
     /** Completed destroy/restart cycles (trace + test introspection). */
     uint64_t generation = 0;
-    /** Grants on other owners' windows to replay at restart. */
-    std::vector<RevokedGrant> revoked;
 };
 
 } // namespace cubicleos::core

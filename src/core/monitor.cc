@@ -139,7 +139,7 @@ Monitor::loadComponent(const ComponentSpec &spec)
             // Physical tags exhausted: dynamically tagged. The cubicle
             // starts parked; its first cross-call or touch binds a
             // pool tag through ensureResident.
-            cub->lkey = mpk_.allocLogicalKey();
+            cub->dynamicTag = true;
             cub->pkey = parkedKey_;
         } else {
             throw LoaderError(
@@ -154,7 +154,7 @@ Monitor::loadComponent(const ComponentSpec &spec)
         provisionCubicle(*cub, spec);
     } catch (...) {
         // A failed load returns its static tag, as it does its pages.
-        if (spec.kind == CubicleKind::kIsolated && cub->lkey < 0)
+        if (spec.kind == CubicleKind::kIsolated && !cub->dynamicTag)
             mpk_.freeKey(cub->pkey);
         throw;
     }
@@ -313,8 +313,8 @@ Monitor::snapshotWiring() const
             continue;
         snap.windows.push_back(WindowWiring{
             wid, w.owner, w.acl, w.rangeCount, w.hotKey,
-            w.rangesEverAdded, windowUsage_[wid][kUsedRead].load(),
-            windowUsage_[wid][kUsedWrite].load()});
+            w.rangesEverAdded, windowUsage_[wid].read.load(),
+            windowUsage_[wid].write.load()});
     }
     return snap;
 }
@@ -443,9 +443,8 @@ Monitor::windowAdd(Cid caller, Wid wid, const void *ptr, std::size_t size)
         // sweep, which retags only the caller's own pages and clamps
         // at the end of the space: only the range's first page was
         // validated above.
-        const std::size_t pages = prestageSweep(
-            caller, wid, static_cast<uint8_t>(w.hotKey),
-            /*only_parked=*/false);
+        const std::size_t pages =
+            prestageSweep(caller, wid, static_cast<uint8_t>(w.hotKey));
         if (pages > 0)
             stats_->countRetag(pages);
     }
@@ -579,31 +578,28 @@ Monitor::windowPrestage(Cid caller, Wid wid, Cid peer,
                           " is not in the ACL of window " +
                           std::to_string(wid));
     }
-    if (w.hotKey >= 0)
-        return 0; // hot windows are already eagerly tagged
+    // Hot windows are already eagerly tagged. A peer that is not live
+    // executes nothing and holds no tag of its own (a dead static
+    // cubicle's pkey is -1): there is nothing to hand it.
+    if (w.hotKey >= 0 || !cubicleAlive(peer))
+        return 0;
 
     // The hint is a usage declaration: the audit would otherwise never
     // see a fault from a peer whose first touch was prestaged away.
     WindowUsage &usage = windowUsage_[wid];
-    const bool write = expected == hw::Access::kWrite;
-    if (write)
-        usage[kUsedWrite].fetchOr(aclBit(peer));
-    usage[kUsedRead].fetchOr(aclBit(peer));
-    // Remember the standing hint so an eviction of the peer does not
-    // erase it: fault-in replays the prestage (DESIGN.md §14).
-    usage[write ? kPrestagedWrite : kPrestagedRead].fetchOr(aclBit(peer));
+    if (expected == hw::Access::kWrite)
+        usage.write.fetchOr(aclBit(peer));
+    usage.read.fetchOr(aclBit(peer));
 
+    // A parked peer's first touch faults it in and then traps the
+    // pages over: retagging them to the parked tag would park the
+    // owner's pages instead.
     const int peer_pkey = cubicles_[peer]->pkey;
-    if (parkedKey_ >= 0 && peer_pkey == parkedKey_) {
-        // Parked peer: retagging to the parked tag would park the
-        // owner's pages. The hint is recorded above; fault-in replays
-        // the physical sweep when the peer re-binds.
+    if (peer_pkey == parkedKey_)
         return 0;
-    }
 
     const std::size_t total =
-        prestageSweep(caller, wid, static_cast<uint8_t>(peer_pkey),
-                      /*only_parked=*/false);
+        prestageSweep(caller, wid, static_cast<uint8_t>(peer_pkey));
     if (total > 0)
         stats_->countPrestage(total);
     return total;
@@ -623,16 +619,14 @@ Monitor::windowReclaim(Cid caller, Wid wid)
     // evicted since the bind above gets its pages parked, which its
     // fault-in restores, exactly as the eviction would have.
     const std::size_t total = prestageSweep(
-        caller, wid, static_cast<uint8_t>(cubicles_[caller]->pkey),
-        /*only_parked=*/false);
+        caller, wid, static_cast<uint8_t>(cubicles_[caller]->pkey));
     if (total > 0)
         stats_->countHandBack(total);
     return total;
 }
 
 std::size_t
-Monitor::prestageSweep(Cid owner, Wid wid, uint8_t peer_key,
-                       bool only_parked)
+Monitor::prestageSweep(Cid owner, Wid wid, uint8_t peer_key)
 {
     std::size_t total = 0;
     // Owner intersection, exactly as in handleFault: windowAdd
@@ -640,21 +634,10 @@ Monitor::prestageSweep(Cid owner, Wid wid, uint8_t peer_key,
     // are skipped, never granted. Pages already carrying the peer's
     // tag are skipped too, so re-prestaging a window after each new
     // staged range (the grant layer does this) only pays for the
-    // pages that actually changed hands. With @p only_parked (the
-    // fault-in replay) the sweep reclaims only pages the eviction
-    // parked, plus pages the window's owner pulled back under its own
-    // tag when it faulted in first — pages a third party currently
-    // holds keep their tag.
-    const uint8_t owner_key = static_cast<uint8_t>(cubicles_[owner]->pkey);
+    // pages that actually changed hands.
     auto eligible = [&](std::size_t i) {
-        if (meta_.at(i).owner != owner ||
-            space_.entryAt(i).pkey == peer_key)
-            return false;
-        if (only_parked &&
-            space_.entryAt(i).pkey != static_cast<uint8_t>(parkedKey_) &&
-            space_.entryAt(i).pkey != owner_key)
-            return false;
-        return true;
+        return meta_.at(i).owner == owner &&
+               space_.entryAt(i).pkey != peer_key;
     };
     for (const WindowRange &r : cubicles_[owner]->windows.rangesOf(wid)) {
         const auto *p = static_cast<const std::byte *>(r.ptr);
@@ -794,9 +777,9 @@ Monitor::resolveFault(const hw::Fault &fault, Cid accessor,
     // (a trap, or a check that admitted it in place).
     // Relaxed fetch-or under the shared lock — the audit only reads
     // the masks after quiescing through snapshotWiring's locks.
-    const UsageKind used =
-        fault.reason == hw::FaultReason::kPkuWrite ? kUsedWrite : kUsedRead;
-    windowUsage_[wid][used].fetchOr(aclBit(accessor));
+    WindowUsage &usage = windowUsage_[wid];
+    (fault.reason == hw::FaultReason::kPkuWrite ? usage.write : usage.read)
+        .fetchOr(aclBit(accessor));
 
     // ❺ grant: range-granular. The ACL covers the whole window, not
     // one page, so one fault may retag the entire merged coverage of
@@ -850,7 +833,7 @@ Monitor::ensureResident(Cid cid)
         return -1;
     Cubicle &cub = *cubicles_[cid];
     // Lock-free fast path: statically tagged, or already bound.
-    if (cub.lkey < 0)
+    if (!cub.dynamicTag)
         return cub.pkey;
     if (cub.pkey != parkedKey_)
         return cub.pkey;
@@ -884,7 +867,7 @@ Monitor::noteSwitch(Cid callee)
     if (parkedKey_ < 0 || callee >= cubicleCount())
         return;
     Cubicle &cub = *cubicles_[callee];
-    if (cub.lkey < 0)
+    if (!cub.dynamicTag)
         return; // statically tagged: never evicted
     cub.lastUse = useClock_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (cub.pkey == parkedKey_) {
@@ -964,28 +947,6 @@ Monitor::faultInLocked(Cid cid, int tag)
         });
     stats_->add(Stat::residencyScanPages, examined);
 
-    // Replay standing prestage hints: every live window that prestaged
-    // for this cubicle (and still lists it in the ACL) gets its parked
-    // range pages restored to the new tag, so a grant-layer Prestage
-    // declaration survives eviction instead of decaying to first-touch
-    // faults.
-    const AclMask bit = aclBit(cid);
-    for (Wid wid = 0; wid < windows_.size(); ++wid) {
-        const Window &w = windows_[wid];
-        if (!w.live || !(w.acl & bit))
-            continue;
-        const WindowUsage &usage = windowUsage_[wid];
-        if (!((usage[kPrestagedRead].load() |
-               usage[kPrestagedWrite].load()) & bit))
-            continue;
-        const std::size_t replayed =
-            prestageSweep(w.owner, wid, to, /*only_parked=*/true);
-        if (replayed > 0) {
-            stats_->countPrestage(replayed);
-            total += replayed;
-        }
-    }
-
     cubicles_[cid]->faultIns.fetchAdd(1);
     stats_->countFaultIn(total);
     return total;
@@ -1057,40 +1018,22 @@ Monitor::destroyCubicle(Cid cid)
     // Everything the cubicle owns right now is what destroy reclaims.
     const std::size_t reclaimed = meta_.countOwnedBy(cid);
     LifecycleRecord &rec = lifeRecords_[cid];
-    rec.revoked.clear();
 
     {
         WriterLock windows(windowMutex_);
 
         // 3a. Windows the victim owns die outright (init re-creates
-        // them at restart, exactly as at first boot).
+        // them at restart, exactly as at first boot). Its bits in
+        // other owners' ACLs, and the hot-window keys that mirror them
+        // in its extraAllow, stay as their owners set them: a dead
+        // cubicle executes nothing, so they authorise nothing until a
+        // restart, which then sees exactly what each owner last said.
         for (Wid wid = 0; wid < windows_.size(); ++wid) {
             if (windows_[wid].live && windows_[wid].owner == cid)
                 destroyWindowLocked(cid, wid);
         }
 
-        // 3b. Revoke the victim's grants on every other owner's
-        // window, recording them for restart replay. The usage and
-        // prestage masks are scrubbed too: the least-privilege audit
-        // must not credit a dead peer with exercised access.
-        const AclMask bit = aclBit(cid);
-        const AclMask keep = ~bit;
-        for (Wid wid = 0; wid < windows_.size(); ++wid) {
-            Window &w = windows_[wid];
-            if (!w.live || (w.acl & bit) == AclMask{})
-                continue;
-            RevokedGrant g{wid, w.owner};
-            for (int k = 0; k < kUsageKinds; ++k) {
-                AtomicAclMask &mask = windowUsage_[wid][k];
-                if (mask.load() & bit)
-                    g.usage |= 1u << k;
-                mask.store(mask.load() & keep);
-            }
-            rec.revoked.push_back(g);
-            w.acl &= keep;
-        }
-
-        // 3c. Pages of OTHER owners still carrying the victim's tag
+        // 3b. Pages of OTHER owners still carrying the victim's tag
         // (granted through windows; §5.6 laziness let the tag outlive
         // the grant) go back to their owner's current tag, so a
         // recycled dynamic tag cannot leak foreign pages to its next
@@ -1122,19 +1065,16 @@ Monitor::destroyCubicle(Cid cid)
                 });
         }
 
-        // 3d. Hot-window keys granted TO the victim die with it.
-        cub.extraAllow.reset();
-
-        // 3e. Cached grants over anything revoked above are now stale.
+        // 3c. Cached grants over the pages swept above are now stale.
         bumpEpoch();
 
         // 4. Release the physical tag. A bound dynamic tag returns to
-        // the pool for other logical cubicles; a static tag is saved,
-        // not freed, so the restart reuses it and never competes for
-        // a key.
+        // the pool for other dynamically tagged cubicles; a static tag
+        // is saved, not freed, so the restart reuses it and never
+        // competes for a key.
         {
             MutexLock keys(keyMutex_);
-            if (cub.lkey >= 0) {
+            if (cub.dynamicTag) {
                 rec.staticKey = -1;
                 if (victim_tag >= 0 && victim_tag != parkedKey_)
                     keys_.release(victim_tag);
@@ -1178,9 +1118,8 @@ Monitor::destroyCubicle(Cid cid)
     cub.life.store(static_cast<uint8_t>(LifeState::kDead));
     stats_->countDestroy(reclaimed);
     trace(TraceCategory::kLifecycle,
-          "destroy %s: %zu pages reclaimed, %zu grants revoked, static "
-          "key %d saved",
-          cub.name.c_str(), reclaimed, rec.revoked.size(), rec.staticKey);
+          "destroy %s: %zu pages reclaimed, static key %d saved",
+          cub.name.c_str(), reclaimed, rec.staticKey);
     return reclaimed;
 }
 
@@ -1209,7 +1148,7 @@ Monitor::restartCubicle(Cid cid, const ComponentSpec &spec)
         // Tag restore: dynamically-tagged cubicles come back parked
         // and re-bind on first touch; statically-tagged ones reuse the
         // key destroy kept reserved, so a restart takes no key.
-        if (cub.lkey >= 0) {
+        if (cub.dynamicTag) {
             cub.pkey = parkedKey_;
         } else {
             assert(rec.staticKey >= 0 &&
@@ -1220,47 +1159,10 @@ Monitor::restartCubicle(Cid cid, const ComponentSpec &spec)
         loadReports_[cid] = std::move(report);
     }
 
-    // Replay the grants peers had given the dying cubicle, so wiring
-    // that survived the crash (the peers' windows) does not need the
-    // peers' cooperation to resume. Windows that died or were recycled
-    // since are skipped — their owner re-opens on its own schedule.
-    {
-        WriterLock windows(windowMutex_);
-        const AclMask bit = aclBit(cid);
-        const int pk = cub.pkey;
-        constexpr unsigned hinted =
-            (1u << kPrestagedRead) | (1u << kPrestagedWrite);
-        std::size_t replayed = 0;
-        for (const RevokedGrant &g : rec.revoked) {
-            if (g.wid >= windows_.size())
-                continue;
-            Window &w = windows_[g.wid];
-            if (!w.live || w.owner != g.owner)
-                continue;
-            w.acl |= bit;
-            for (int k = 0; k < kUsageKinds; ++k) {
-                if (g.usage & (1u << k))
-                    windowUsage_[g.wid][k].fetchOr(bit);
-            }
-            if (w.hotKey >= 0)
-                cub.extraAllow.allow(w.hotKey);
-            if ((g.usage & hinted) && pk != parkedKey_) {
-                // Resident restart: replay the eager sweep now. A
-                // parked restart leaves it to fault-in (as after an
-                // eviction).
-                replayed += prestageSweep(g.owner, g.wid,
-                                          static_cast<uint8_t>(pk),
-                                          /*only_parked=*/false);
-            }
-        }
-        if (replayed > 0)
-            stats_->countPrestage(replayed);
-        rec.revoked.clear();
-        // No epoch bump needed: a restart only widens grants.
-    }
-
     // New tag binding (parked or restored static key): cached PKRUs
-    // must recompute, same as after an eviction.
+    // must recompute, same as after an eviction. Grants need no
+    // replay: destroy left the cubicle's bits in its peers' ACLs, so
+    // the restart sees each window as its owner last set it.
     keyEpoch_.fetch_add(1, std::memory_order_seq_cst);
 
     cub.life.store(static_cast<uint8_t>(LifeState::kLive));

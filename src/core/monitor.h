@@ -101,10 +101,10 @@ struct SystemConfig {
     IsolationMode mode = IsolationMode::kFull;
     /**
      * Tag virtualisation (DESIGN.md §14): when the 16 physical MPK
-     * tags run out, give further isolated cubicles *logical* keys and
-     * multiplex them onto a reserved pool of dynamic physical tags
-     * with LRU eviction — evicted cubicles' pages are parked under a
-     * reserved tag and fault back in on next touch. Off by default:
+     * tags run out, tag further isolated cubicles dynamically: they
+     * share a reserved pool of physical tags with LRU eviction —
+     * evicted cubicles' pages are parked under a reserved tag and
+     * fault back in on next touch. Off by default:
      * loading past the hardware limit then fails exactly as before.
      */
     bool virtualizeTags = false;
@@ -232,12 +232,13 @@ class Monitor {
      *      thread already inside throws PeerFault, unwinding it;
      *   2. quiesce: wait until every shard's in-flight count for the
      *      cubicle (inFlightSlot) reads zero;
-     *   3. close every window it owns and revoke its ACL bit (plus
-     *      usage/prestage mask bits) from every other live window,
-     *      recording the revoked set for restart replay; sweep every
-     *      page still carrying its tag back to the page owner's tag;
-     *      bump the revocation epoch so no grant cache or prestage
-     *      hint can touch the reclaimed pages;
+     *   3. destroy every window it owns; sweep every page of another
+     *      owner still carrying its tag back to that owner's tag; bump
+     *      the revocation epoch so no grant cache can touch the
+     *      reclaimed pages. Its bits in other owners' ACLs (and the
+     *      hot-window keys in its extraAllow that mirror them) stay:
+     *      the ACL is the only grant record, and a dead cubicle
+     *      executes nothing for them to authorise;
      *   4. release its physical tag: a bound dynamic tag returns to
      *      the key table's free pool; a static tag stays reserved for
      *      the restart, which then cannot fail for want of a key nor
@@ -261,9 +262,11 @@ class Monitor {
      * hits and skips the CFG walk, which is what makes restart
      * cheap), reallocates code/global/stack/heap under the saved
      * static tag (or re-parks a dynamically-tagged cubicle until first
-     * touch), and replays the grants recorded at destroy time —
-     * including standing prestage hints. The caller is responsible for
-     * re-running the component's init() (see System::restartComponent).
+     * touch). Nothing is replayed: the cubicle regains exactly the
+     * grants its peers' window ACLs name now, which destroy left in
+     * place and the owners may have changed since. The caller is
+     * responsible for re-running the component's init() (see
+     * System::restartComponent).
      * @throws LoaderError unless the cubicle is kDead; VerifierError
      *         as in loadComponent.
      */
@@ -352,7 +355,12 @@ class Monitor {
      * expected access *is* the usage declaration (same contract as
      * hot windows, which never fault either).
      *
-     * @return the number of pages retagged.
+     * One-shot: nothing is recorded for later. A peer that is parked
+     * (or evicted afterwards) takes the pages by trap-and-map on its
+     * next touch; a peer that is not live gets nothing, and no usage.
+     *
+     * @return the number of pages retagged (0 for a hot window, a
+     *         parked peer or a peer that is not live).
      */
     std::size_t windowPrestage(Cid caller, Wid wid, Cid peer,
                                hw::Access expected);
@@ -501,8 +509,9 @@ class Monitor {
     int evictLocked() REQUIRES(windowMutex_, keyMutex_);
 
     /**
-     * Restores @p cid's pages from the parked tag to @p tag and
-     * replays standing prestage hints on its live windows.
+     * Restores @p cid's own pages from the parked tag to @p tag. Pages
+     * of other owners that its eviction parked stay parked until it
+     * touches them, which traps them over through its windows' ACLs.
      * @return pages restored.
      */
     std::size_t faultInLocked(Cid cid, int tag)
@@ -531,12 +540,11 @@ class Monitor {
     /**
      * Eagerly retags window @p wid's ranges (owner ∩ not-peer-tagged,
      * chunked) to @p peer_key: a peer's for a prestage, the owner's
-     * for a hand-back. With @p only_parked, restricted to currently
-     * parked pages — the fault-in prestage replay.
+     * for a hand-back, the window's own for a hot-window add.
      * @return pages retagged.
      */
-    std::size_t prestageSweep(Cid owner, Wid wid, uint8_t peer_key,
-                              bool only_parked) REQUIRES(windowMutex_);
+    std::size_t prestageSweep(Cid owner, Wid wid, uint8_t peer_key)
+        REQUIRES(windowMutex_);
 
     SystemConfig cfg_;
     Stats *stats_;
@@ -598,20 +606,18 @@ class Monitor {
     std::atomic<uint64_t> windowEpoch_{0};
 
     /**
-     * Per-window peer masks, indexed by UsageKind. kUsedRead/kUsedWrite
-     * are the dataflow history for the least-privilege audit
-     * (audit::auditWiring): which peers actually faulted a read or
-     * a write through the window; hot windows never fault and therefore
-     * stay blank (the audit's documented blind spot). kPrestagedRead/
-     * kPrestagedWrite are the peers with a standing prestage hint,
-     * recorded by windowPrestage; fault-in replays these so a hint
-     * survives its pages being parked by an eviction (the grant layer
-     * declared the access once; the monitor keeps the declaration,
-     * DESIGN.md §14). Parallel to windows_; slots are reset when
+     * Per-window dataflow history for the least-privilege audit
+     * (audit::auditWiring): the peers that faulted, were admitted or
+     * were prestaged for a read or a write through the window. Hot
+     * windows never fault and therefore stay blank (the audit's
+     * documented blind spot). Parallel to windows_; reset when
      * windowInit recycles a descriptor. The masks are relaxed atomics
      * so the fault path can record usage under the shared window lock.
      */
-    using WindowUsage = std::array<AtomicAclMask, kUsageKinds>;
+    struct WindowUsage {
+        AtomicAclMask read;
+        AtomicAclMask write;
+    };
     std::vector<WindowUsage> windowUsage_ GUARDED_BY(windowMutex_);
 
     /** Load-time verifier reports, parallel to cubicles_ (same
@@ -619,9 +625,9 @@ class Monitor {
     std::vector<verifier::VerifierReport> loadReports_;
 
     /**
-     * Per-cubicle lifecycle bookkeeping (saved static key, revoked
-     * grants to replay, generation), parallel to cubicles_. Grown at
-     * load under loaderMutex_; the record contents are only touched by
+     * Per-cubicle lifecycle bookkeeping (saved static key,
+     * generation), parallel to cubicles_. Grown at load under
+     * loaderMutex_; the record contents are only touched by
      * destroy/restart under lifecycleMutex_.
      */
     std::vector<LifecycleRecord> lifeRecords_;

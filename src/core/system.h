@@ -195,7 +195,7 @@ class System {
     /**
      * Kills @p name's cubicle with crash semantics — no teardown hook
      * runs; the component is treated exactly like a crashed process —
-     * and reclaims its pages, windows, grants and key
+     * and reclaims its pages, the windows it owns and its key
      * (Monitor::destroyCubicle). In-flight cross-calls into it unwind
      * with PeerFault; the rest of the deployment keeps serving.
      * @return pages reclaimed.
@@ -206,9 +206,10 @@ class System {
 
     /**
      * Relaunches a destroyed component in place: the monitor reloads
-     * the image through the verify cache and replays recorded grants
-     * (Monitor::restartCubicle), then teardown() releases pre-crash
-     * handles and init() re-runs — both inside the fresh cubicle.
+     * the image through the verify cache, and the cubicle holds the
+     * grants its peers' window ACLs name (Monitor::restartCubicle);
+     * then teardown() releases pre-crash handles and init() re-runs —
+     * both inside the fresh cubicle.
      */
     void restartComponent(std::string_view name);
 

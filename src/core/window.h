@@ -6,6 +6,9 @@
  * bitmask of the cubicles allowed to access those ranges. Windows are
  * discretionary ACLs consulted lazily by the monitor's trap-and-map
  * handler; opening or closing a window never touches page tables.
+ * The ACL is the only record of a grant: only the owner changes it,
+ * and a peer's destroy and restart leave it as the owner last set it
+ * (DESIGN.md §15).
  *
  * Each cubicle keeps three window-descriptor arrays — for global, stack
  * and heap data — so the trap handler can locate candidate ranges from
@@ -87,8 +90,8 @@ struct AclMask {
 
 /**
  * An AclMask updated atomically word-by-word (relaxed). Used for the
- * monitor's lock-free usage/prestage tracking; OR-only accumulation
- * means per-word atomicity is sufficient — a torn read can only miss a
+ * monitor's lock-free usage tracking; OR-only accumulation means
+ * per-word atomicity is sufficient — a torn read can only miss a
  * concurrent grant, never invent one.
  */
 class AtomicAclMask {
@@ -101,29 +104,10 @@ class AtomicAclMask {
         if (m.hi != 0)
             hi_.fetchOr(m.hi);
     }
-    void store(AclMask m)
-    {
-        lo_.store(m.lo);
-        hi_.store(m.hi);
-    }
 
   private:
     hw::RelaxedAtomic<uint64_t> lo_{0};
     hw::RelaxedAtomic<uint64_t> hi_{0};
-};
-
-/**
- * The per-window, per-peer usage records the monitor keeps: accesses
- * seen in faults (for the least-privilege audit), then standing
- * prestage hints (replayed at fault-in). Indexes the monitor's usage
- * masks and RevokedGrant::usage.
- */
-enum UsageKind : uint8_t {
-    kUsedRead,
-    kUsedWrite,
-    kPrestagedRead,
-    kPrestagedWrite,
-    kUsageKinds
 };
 
 /**

@@ -30,14 +30,6 @@ namespace cubicleos::hw {
 inline constexpr int kNumPhysPkeys = 16;
 
 /**
- * First logical key id. Logical keys form a separate, unbounded id
- * space handed out by Mpk::allocLogicalKey(); they never reach the
- * PKRU (whose bit layout only covers the 16 physical tags) — the
- * monitor's key table maps them onto physical tags on demand.
- */
-inline constexpr int kFirstLogicalKey = kNumPhysPkeys;
-
-/**
  * The per-thread PKRU register.
  *
  * Value semantics; the runtime stores one per thread context and "writes"
@@ -149,15 +141,6 @@ class AtomicPkru {
         update([key](Pkru &p) { p.deny(key); });
     }
 
-    /**
-     * Resets the image to deny-all (cubicle teardown: every hot-window
-     * grant this cubicle held dies with it).
-     */
-    void reset()
-    {
-        raw_.store(Pkru::denyAll().raw(), std::memory_order_relaxed);
-    }
-
   private:
     template <typename F>
     void update(F fn)
@@ -180,10 +163,9 @@ class AtomicPkru {
  *
  * Hands out the 16 hardware keys (key 0 is reserved for the trusted
  * monitor, mirroring the kernel's default-key convention) and evaluates
- * PKRU checks. Beyond the physical tags it also hands out *logical*
- * keys — an unbounded id space starting at kFirstLogicalKey that the
- * monitor's key table multiplexes onto physical tags with LRU eviction
- * (tag virtualisation, BULKHEAD-style; see DESIGN.md §14).
+ * PKRU checks. Cubicles loaded once the keys run out share a pool of
+ * them through the monitor's key table instead (tag virtualisation,
+ * BULKHEAD-style; see DESIGN.md §14).
  */
 class Mpk {
   public:
@@ -198,7 +180,7 @@ class Mpk {
      */
     explicit Mpk(bool modified_exec_semantics = true,
                  int phys_budget = kNumPhysPkeys)
-        : nextKey_(1), nextLogicalKey_(kFirstLogicalKey),
+        : nextKey_(1),
           physBudget_(phys_budget < 2 ? 2
                       : phys_budget > kNumPhysPkeys ? kNumPhysPkeys
                                                     : phys_budget),
@@ -236,22 +218,6 @@ class Mpk {
     }
 
     /**
-     * Allocates a fresh logical key (≥ kFirstLogicalKey, unbounded).
-     * Logical keys never appear in a PKRU or a page-table entry; they
-     * only identify a cubicle in the monitor's key table.
-     */
-    int allocLogicalKey()
-    {
-        return nextLogicalKey_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    /** True if @p key is a logical (virtualised) key id. */
-    static constexpr bool isLogicalKey(int key)
-    {
-        return key >= kFirstLogicalKey;
-    }
-
-    /**
      * Returns @p key, taken from allocKey and no longer tagging any
      * page, for reuse (a load that failed after taking it).
      */
@@ -266,13 +232,6 @@ class Mpk {
         const int next = nextKey_.load(std::memory_order_relaxed);
         return (next < physBudget_ ? physBudget_ - next : 0) +
                std::popcount(freedKeys_.load(std::memory_order_relaxed));
-    }
-
-    /** Logical keys handed out so far. */
-    int allocatedLogicalKeys() const
-    {
-        return nextLogicalKey_.load(std::memory_order_relaxed) -
-               kFirstLogicalKey;
     }
 
     /** The physical-tag budget this allocator enforces. */
@@ -307,7 +266,6 @@ class Mpk {
   private:
     std::atomic<int> nextKey_;
     std::atomic<uint32_t> freedKeys_{0}; ///< bit k: key k was freed
-    std::atomic<int> nextLogicalKey_;
     int physBudget_;
     bool modifiedExec_;
 };

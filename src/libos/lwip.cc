@@ -132,9 +132,6 @@ LwipComponent::registerExports(core::Exporter &exp)
     exp.fn<int(int)>("lwip_established", [this](int fd) {
         return stack_.isEstablished(fd) ? 1 : 0;
     });
-    exp.fn<int(int)>("lwip_send_drained", [this](int fd) {
-        return stack_.sendDrained(fd) ? 1 : 0;
-    });
     exp.fn<int64_t(uint64_t)>(
         "lwip_poll", [this](uint64_t now_ns) { return doPoll(now_ns); });
 }

@@ -20,7 +20,6 @@ CubicleSockApi::CubicleSockApi(core::System &sys)
                                                            "lwip_recv")),
       close_(sys.resolve<int(int)>("lwip", "lwip_close")),
       established_(sys.resolve<int(int)>("lwip", "lwip_established")),
-      sendDrained_(sys.resolve<int(int)>("lwip", "lwip_send_drained")),
       poll_(sys.resolve<int64_t(uint64_t)>("lwip", "lwip_poll")),
       sendz_(sys.resolve<int64_t(int, const void *, std::size_t)>(
           "lwip", "lwip_sendz")),

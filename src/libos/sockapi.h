@@ -67,10 +67,6 @@ class CubicleSockApi {
     {
         return core::catchPeerFault<int>([&] { return established_(fd); }) > 0;
     }
-    bool sendDrained(int fd)
-    {
-        return core::catchPeerFault<int>([&] { return sendDrained_(fd); }) > 0;
-    }
     /** Drives the stack. */
     int64_t poll(uint64_t now_ns)
     {
@@ -113,7 +109,6 @@ class CubicleSockApi {
     core::CrossFn<int64_t(int, void *, std::size_t)> recv_;
     core::CrossFn<int(int)> close_;
     core::CrossFn<int(int)> established_;
-    core::CrossFn<int(int)> sendDrained_;
     core::CrossFn<int64_t(uint64_t)> poll_;
     core::CrossFn<int64_t(int, const void *, std::size_t)> sendz_;
     core::CrossFn<int64_t(int)> zcDone_;

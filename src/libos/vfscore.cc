@@ -62,20 +62,13 @@ VfsComponent::doMount(const char *fsname)
             s.resolve<int(const char *, uint64_t, VfsDirent *)>(
                 fs, fs + "_readdir");
         backend_.sync = s.resolve<int(NodeId)>(fs, fs + "_sync");
-    } catch (const core::LinkError &) {
-        return kErrNoSys;
-    }
-    // Borrow/release is an optional backend capability: a backend
-    // without it still mounts, and vfs_borrow reports kErrNoSys.
-    try {
         backend_.borrow =
             s.resolve<int(NodeId, uint64_t, core::Cid, std::size_t,
                           VfsSpan *)>(fs, fs + "_borrow");
         backend_.release =
             s.resolve<int(NodeId, uint64_t)>(fs, fs + "_release");
-        backend_.canBorrow = true;
     } catch (const core::LinkError &) {
-        backend_.canBorrow = false;
+        return kErrNoSys;
     }
     backend_.fsname = fs;
     backend_.mounted = true;
@@ -280,8 +273,6 @@ VfsComponent::doBorrow(int fd, uint64_t off, core::Cid peer,
     FileDesc *f = fdAt(fd);
     if (!f)
         return kErrBadF;
-    if (!backend_.canBorrow)
-        return kErrNoSys;
     if (!out)
         return kErrInval;
     // Validate the out-struct like any other caller pointer before the
@@ -296,8 +287,6 @@ VfsComponent::doRelease(int fd, uint64_t token)
     FileDesc *f = fdAt(fd);
     if (!f)
         return kErrBadF;
-    if (!backend_.canBorrow)
-        return kErrNoSys;
     return backend_.release(f->node, token);
 }
 

@@ -57,14 +57,13 @@ class VfsComponent : public core::Component {
         core::CrossFn<int(NodeId, VfsStat *)> getattr;
         core::CrossFn<int(const char *, uint64_t, VfsDirent *)> readdir;
         core::CrossFn<int(NodeId)> sync;
-        /** Zero-copy span borrow/release (optional backend capability). */
+        /** Zero-copy span borrow/release. */
         core::CrossFn<int(NodeId, uint64_t, core::Cid, std::size_t,
                           VfsSpan *)>
             borrow;
         core::CrossFn<int(NodeId, uint64_t)> release;
         std::string fsname;
         bool mounted = false;
-        bool canBorrow = false;
     };
 
     /** Open file description. */

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -262,17 +263,17 @@ TEST(LifecycleTest, ParkedDestroyReclaimsInPlace)
 
     // Find two dynamically-tagged cubicles; with a single dynamic tag,
     // calling into the second parks the first.
-    std::vector<std::string> logical;
+    std::vector<std::string> dynamic;
     for (int i = 0; i < kToys; ++i) {
         const std::string name = "c" + std::to_string(i);
-        if (sys.monitor().cubicle(sys.cidOf(name)).lkey >= 0)
-            logical.push_back(name);
+        if (sys.monitor().cubicle(sys.cidOf(name)).dynamicTag)
+            dynamic.push_back(name);
     }
-    ASSERT_GE(logical.size(), 2u);
-    const Cid parked = sys.cidOf(logical[0]);
+    ASSERT_GE(dynamic.size(), 2u);
+    const Cid parked = sys.cidOf(dynamic[0]);
 
-    auto pingA = sys.resolve<int()>(logical[0], "ping");
-    auto pingB = sys.resolve<int()>(logical[1], "ping");
+    auto pingA = sys.resolve<int()>(dynamic[0], "ping");
+    auto pingB = sys.resolve<int()>(dynamic[1], "ping");
     sys.runAs(sys.cidOf("c0"), [&] {
         EXPECT_EQ(pingA(), 7);
         EXPECT_EQ(pingB(), 7); // evicts A onto the parked tag
@@ -285,7 +286,7 @@ TEST(LifecycleTest, ParkedDestroyReclaimsInPlace)
         sys.monitor().cubicle(parked).faultIns.load();
     const uint64_t epoch0 = sys.monitor().windowEpoch();
 
-    const std::size_t reclaimed = sys.destroyComponent(logical[0]);
+    const std::size_t reclaimed = sys.destroyComponent(dynamic[0]);
 
     EXPECT_GT(reclaimed, 0u);
     EXPECT_EQ(sys.monitor().lifeState(parked), LifeState::kDead);
@@ -296,8 +297,178 @@ TEST(LifecycleTest, ParkedDestroyReclaimsInPlace)
               cub_fault_ins0);
 
     // And a parked death is still restartable.
-    sys.restartComponent(logical[0]);
+    sys.restartComponent(dynamic[0]);
     sys.runAs(sys.cidOf("c0"), [&] { EXPECT_EQ(pingA(), 7); });
+}
+
+/** An owner "a" with one staged heap page, and peers "b" and "c". */
+struct OwnerAndPeers {
+    System sys{fullConfig()};
+    Cid a = kNoCubicle;
+    Cid b = kNoCubicle;
+    Cid c = kNoCubicle;
+    mem::PageRange page;
+
+    OwnerAndPeers()
+    {
+        addToy(sys, "a");
+        addToy(sys, "b");
+        addToy(sys, "c");
+        sys.boot();
+        a = sys.cidOf("a");
+        b = sys.cidOf("b");
+        c = sys.cidOf("c");
+        page = sys.monitor().allocPagesFor(a, 1, mem::PageType::kHeap);
+        sys.runAs(a, [&] {
+            sys.touch(page.ptr, hw::kPageSize, hw::Access::kWrite);
+            std::memset(page.ptr, 7, hw::kPageSize);
+        });
+    }
+
+    /** A window of a's over the page, opened for @p peer. */
+    Wid windowFor(Cid peer)
+    {
+        return sys.runAs(a, [&] {
+            const Wid wid = sys.windowInit();
+            sys.windowAdd(wid, page.ptr, hw::kPageSize);
+            sys.windowOpen(wid, peer);
+            return wid;
+        });
+    }
+
+    /** True when @p cid may read the page (trapping it over if need be). */
+    bool reads(Cid cid)
+    {
+        return sys.runAs(cid, [&] {
+            try {
+                sys.touch(page.ptr, 1, hw::Access::kRead);
+                return true;
+            } catch (const hw::CubicleFault &) {
+                return false;
+            }
+        });
+    }
+
+    bool inAcl(Wid wid, Cid cid)
+    {
+        return static_cast<bool>(sys.monitor().windowAcl(wid) &
+                                 aclBit(cid));
+    }
+};
+
+/**
+ * A window the owner destroyed while its peer was dead, and recreated
+ * in the same descriptor slot for someone else, grants the restarted
+ * peer nothing: the ACL, not a record of the peer's old grants, says
+ * who may touch it.
+ */
+TEST(LifecycleTest, RestartDoesNotRegainAGrantOnARecycledWindow)
+{
+    OwnerAndPeers t;
+    const Wid w = t.windowFor(t.b);
+    ASSERT_TRUE(t.reads(t.b));
+
+    t.sys.destroyComponent("b");
+    const Wid recycled = t.sys.runAs(t.a, [&] {
+        t.sys.windowDestroy(w);
+        return t.sys.windowInit();
+    });
+    ASSERT_EQ(recycled, w) << "the descriptor slot must be reused";
+    t.sys.runAs(t.a, [&] {
+        t.sys.windowAdd(recycled, t.page.ptr, hw::kPageSize);
+        t.sys.windowOpen(recycled, t.c);
+    });
+
+    t.sys.restartComponent("b");
+    EXPECT_FALSE(t.inAcl(recycled, t.b));
+    EXPECT_FALSE(t.reads(t.b));
+    EXPECT_TRUE(t.reads(t.c));
+}
+
+/**
+ * A grant the owner closed while its peer was dead stays closed after
+ * the restart, and one it left open is inherited without the owner
+ * doing anything.
+ */
+TEST(LifecycleTest, RestartHonoursAGrantClosedWhileDead)
+{
+    OwnerAndPeers t;
+    const Wid closed = t.windowFor(t.b);
+    ASSERT_TRUE(t.reads(t.b));
+
+    t.sys.destroyComponent("b");
+    // The bit outlives the death: the ACL is the only grant record.
+    EXPECT_TRUE(t.inAcl(closed, t.b));
+    t.sys.runAs(t.a, [&] { t.sys.windowCloseAll(closed); });
+    t.sys.restartComponent("b");
+    EXPECT_FALSE(t.inAcl(closed, t.b));
+    EXPECT_FALSE(t.reads(t.b));
+
+    // The same peer through a window left open across a second death.
+    t.sys.runAs(t.a, [&] { t.sys.windowDestroy(closed); });
+    const Wid open = t.windowFor(t.b);
+    t.sys.destroyComponent("b");
+    t.sys.restartComponent("b");
+    EXPECT_TRUE(t.inAcl(open, t.b));
+    EXPECT_TRUE(t.reads(t.b));
+}
+
+/**
+ * A peer in a hot window's ACL keeps the window's key in its extraAllow
+ * through destroy and restart, in step with its ACL bit: its first read
+ * of a hot page after the restart takes no trap.
+ */
+TEST(LifecycleTest, RestartInheritsHotWindowKey)
+{
+    System sys(fullConfig());
+    addToy(sys, "owner");
+    addToy(sys, "peer");
+    sys.boot();
+    const Cid owner = sys.cidOf("owner");
+    const Cid peer = sys.cidOf("peer");
+    char *buf = nullptr;
+    sys.runAs(owner, [&] {
+        buf = static_cast<char *>(sys.heapAlloc(64));
+        const Wid wid = sys.windowInit();
+        sys.windowSetHot(wid);
+        sys.windowAdd(wid, buf, 64);
+        sys.windowOpen(wid, peer);
+    });
+    const hw::AddressSpace &space = sys.monitor().space();
+    const int hot = space.entryAt(space.pageIndexOf(buf)).pkey.load();
+    ASSERT_NE(hot, sys.monitor().cubicle(owner).pkey.load());
+
+    sys.destroyComponent("peer");
+    sys.restartComponent("peer");
+
+    EXPECT_TRUE(sys.monitor().pkruFor(peer).canRead(hot));
+    const uint64_t traps0 = sys.stats().traps();
+    sys.runAs(peer, [&] { sys.touch(buf, 64, hw::Access::kRead); });
+    EXPECT_EQ(sys.stats().traps(), traps0);
+}
+
+/**
+ * A prestage toward a peer that is not live hands it nothing: the
+ * owner's page keeps the owner's tag and the call returns 0, whether
+ * the window named the peer before its death or after it. A dead
+ * static cubicle's pkey is -1, which as a page tag would be 255.
+ */
+TEST(Prestage, PeerThatIsNotLiveRetagsNothing)
+{
+    OwnerAndPeers t;
+    const Wid before = t.windowFor(t.b);
+    t.sys.destroyComponent("b");
+    const Wid after = t.windowFor(t.b);
+
+    const hw::AddressSpace &space = t.sys.monitor().space();
+    const int a_key = t.sys.monitor().cubicle(t.a).pkey.load();
+    t.sys.runAs(t.a, [&] {
+        EXPECT_EQ(t.sys.windowPrestage(after, t.b, hw::Access::kRead), 0u);
+        EXPECT_EQ(space.entryAt(t.page.first).pkey.load(), a_key);
+        EXPECT_EQ(t.sys.windowPrestage(before, t.b, hw::Access::kWrite),
+                  0u);
+        EXPECT_EQ(space.entryAt(t.page.first).pkey.load(), a_key);
+    });
 }
 
 /**

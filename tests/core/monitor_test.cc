@@ -415,8 +415,8 @@ TEST(MonitorTest, TagVirtualisationAllowsMoreCubicles)
     EXPECT_NO_THROW(sys.boot());
     const int parked = sys.monitor().parkedKey();
     ASSERT_GE(parked, 0);
-    // Overflow cubicles hold a logical key and boot parked; no cubicle
-    // ever owns a physical tag outside the hardware range.
+    // Overflow cubicles are dynamically tagged and boot parked; no
+    // cubicle ever owns a physical tag outside the hardware range.
     std::size_t n_parked = 0;
     for (int i = 0; i < 20; ++i) {
         const Cubicle &c = sys.monitor().cubicle(sys.cidOf(
@@ -424,7 +424,7 @@ TEST(MonitorTest, TagVirtualisationAllowsMoreCubicles)
         EXPECT_LT(c.pkey.load(), hw::kNumPhysPkeys);
         if (c.pkey == parked) {
             ++n_parked;
-            EXPECT_GE(c.lkey, hw::kFirstLogicalKey);
+            EXPECT_TRUE(c.dynamicTag);
         }
     }
     EXPECT_GT(n_parked, 0u) << "20 cubicles must overflow 16 tags";

@@ -541,13 +541,13 @@ TEST(Prestage, EagerlyRetagsStagedRangeAndSkipsTaggedPages)
     EXPECT_EQ(sys.stats().traps(), traps0);
 }
 
-TEST(Prestage, HintSurvivesEvictionAndReplaysOnFaultIn)
+TEST(Prestage, IsOneShotAcrossEviction)
 {
-    // A Prestage declaration is standing state, not a one-shot retag:
-    // evicting the peer parks the prestaged pages, and the peer's
-    // fault-back-in must replay the sweep (DESIGN.md §14) so its next
-    // access is still trap-free instead of decaying to first-touch
-    // faults.
+    // A Prestage declaration is a one-shot retag, not standing state:
+    // evicting the peer parks the prestaged pages, and its fault-back-in
+    // restores only its own. The window's ACL still names the peer, so
+    // its next read of the staged range traps the range over once
+    // (DESIGN.md §14), and the read after that is trap-free.
     SystemConfig cfg;
     cfg.numPages = 1024;
     cfg.virtualizeTags = true;
@@ -596,8 +596,7 @@ TEST(Prestage, HintSurvivesEvictionAndReplaysOnFaultIn)
         sys.windowOpen(wid, peer);
         sum(buf, 1); // bind the peer so the prestage sweeps for real
         // The range fault above already granted the staged range, so
-        // the eager sweep may find nothing left to retag — what this
-        // test needs is the *standing hint* the call records.
+        // the eager sweep may find nothing left to retag.
         sys.windowPrestage(wid, peer, hw::Access::kRead);
     });
 
@@ -613,18 +612,22 @@ TEST(Prestage, HintSurvivesEvictionAndReplaysOnFaultIn)
     ASSERT_EQ(sys.monitor().space().entryAt(page).pkey,
               static_cast<uint8_t>(parked));
 
-    // Fault back in via the cross-call: noteSwitch re-binds the peer
-    // and the fault-in replays the standing hint, so the peer's read
-    // of the whole staged range costs zero traps.
+    // Fault back in via the cross-call: noteSwitch re-binds the peer,
+    // and its read of the whole staged range is one range-granular
+    // trap through the window.
     const uint64_t traps0 = sys.stats().traps();
     const uint64_t faultins0 = sys.stats().faultIns();
+    const auto bytes = static_cast<int64_t>(kPages * hw::kPageSize);
     int64_t got = 0;
-    sys.runAs(owner, [&] {
-        got = sum(buf, static_cast<int64_t>(kPages * hw::kPageSize));
-    });
-    EXPECT_EQ(got, static_cast<int64_t>(kPages * hw::kPageSize));
-    EXPECT_EQ(sys.stats().traps(), traps0);
+    sys.runAs(owner, [&] { got = sum(buf, bytes); });
+    EXPECT_EQ(got, bytes);
     EXPECT_GT(sys.stats().faultIns(), faultins0);
+    EXPECT_EQ(sys.stats().traps(), traps0 + 1);
+
+    const uint64_t traps1 = sys.stats().traps();
+    sys.runAs(owner, [&] { got = sum(buf, bytes); });
+    EXPECT_EQ(got, bytes);
+    EXPECT_EQ(sys.stats().traps(), traps1);
 }
 
 /** An owner's 2-page buffer, staged and opened for @p peers. */

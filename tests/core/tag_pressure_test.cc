@@ -2,7 +2,7 @@
  * @file
  * Randomized property test for MPK tag virtualisation (DESIGN.md §14):
  * a program must not be able to tell whether its cubicle holds a real
- * physical tag or a logical key that is being multiplexed. The same
+ * physical tag or a dynamic one that is being multiplexed. The same
  * seeded operation sequence runs once on plain hardware tags and once
  * under severe artificial tag pressure (physical tags forced to 4, so
  * a single dynamic tag serves every cubicle); the observable outputs

@@ -86,21 +86,6 @@ TEST(Mpk, AllocatesFifteenKeysAfterMonitorKey)
     EXPECT_EQ(mpk.allocKey(), -1) << "16th allocation must fail";
 }
 
-TEST(Mpk, LogicalKeysAreUnboundedAndDisjointFromPhysical)
-{
-    Mpk mpk;
-    for (int i = 1; i < kNumPhysPkeys; ++i)
-        mpk.allocKey();
-    EXPECT_EQ(mpk.allocKey(), -1) << "physical pool is exhausted";
-    // Logical keys come from a separate, unbounded namespace that
-    // never reaches PKRU.
-    EXPECT_EQ(mpk.allocLogicalKey(), kFirstLogicalKey);
-    EXPECT_EQ(mpk.allocLogicalKey(), kFirstLogicalKey + 1);
-    EXPECT_TRUE(Mpk::isLogicalKey(kFirstLogicalKey));
-    EXPECT_FALSE(Mpk::isLogicalKey(kNumPhysPkeys - 1));
-    EXPECT_EQ(mpk.allocatedLogicalKeys(), 2u);
-}
-
 TEST(Mpk, PhysBudgetCapsAllocation)
 {
     Mpk mpk(/*modified_exec_semantics=*/true, /*phys_budget=*/4);
