@@ -10,8 +10,6 @@
  *
  * Syntactic rules (lintWiring) check what the wiring *declares*:
  *   - window ACL bits granting cubicle IDs that do not exist;
- *   - ACL grants to shared cubicles (they execute with the caller's
- *     privileges, so the grant is dead weight that widens the ACL);
  *   - self-grants (the owner has implicit access; a self bit hides
  *     missing-peer bugs);
  *   - isolated components mapped with the shared MPK key (their state
@@ -64,7 +62,6 @@ namespace cubicleos::audit {
 enum class LintRule : uint8_t {
     kIsolatedUsesSharedKey, ///< isolated cubicle tagged with shared key
     kAclGhostPeer,          ///< ACL bit for a cubicle that doesn't exist
-    kAclSharedPeer,         ///< ACL grants a shared cubicle
     kAclSelfGrant,          ///< ACL grants the window's own owner
     kPointerExportNoWindow, ///< pointer export, no window grants callee
     kOpenWindowNoRanges,    ///< non-empty ACL over an empty window
@@ -98,16 +95,13 @@ std::vector<LintFinding> auditWiring(const core::WiringSnapshot &snapshot);
 bool lintClean(const std::vector<LintFinding> &findings,
                LintSeverity threshold = LintSeverity::kWarning);
 
-/**
- * The syntactic rules over @p sys's live wiring, counted in its Stats
- * as one lint run.
- */
+/** The syntactic rules over @p sys's live wiring. */
 std::vector<LintFinding> lint(core::System &sys);
 
 /**
  * The syntactic plus dataflow rules over one snapshot of @p sys's
- * wiring, counted as one lint run and one audit run. Run it after
- * traffic: on a fresh boot every grant looks over-broad.
+ * wiring. Run it after traffic: on a fresh boot every grant looks
+ * over-broad.
  */
 std::vector<LintFinding> audit(core::System &sys);
 

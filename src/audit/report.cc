@@ -17,23 +17,14 @@ using core::verifier::WitnessPath;
 
 namespace {
 
-/**
- * The one findings path: the syntactic rules, plus the dataflow rules
- * when @p dataflow, over @p snap — counted in @p sys's Stats the same
- * way for every caller.
- */
+/** The syntactic rules, then the dataflow rules, over @p snap. */
 std::vector<LintFinding>
-collect(core::System &sys, const WiringSnapshot &snap, bool dataflow)
+collect(const WiringSnapshot &snap)
 {
     std::vector<LintFinding> findings = lintWiring(snap);
-    sys.stats().countLintRun(findings.size());
-    if (dataflow) {
-        std::vector<LintFinding> used = auditWiring(snap);
-        sys.stats().countAuditRun(used.size());
-        findings.insert(findings.end(),
-                        std::make_move_iterator(used.begin()),
-                        std::make_move_iterator(used.end()));
-    }
+    std::vector<LintFinding> used = auditWiring(snap);
+    findings.insert(findings.end(), std::make_move_iterator(used.begin()),
+                    std::make_move_iterator(used.end()));
     return findings;
 }
 
@@ -196,21 +187,20 @@ appendImage(std::string &out, const std::string &component,
 std::vector<LintFinding>
 lint(core::System &sys)
 {
-    return collect(sys, sys.wiringSnapshot(), /*dataflow=*/false);
+    return lintWiring(sys.wiringSnapshot());
 }
 
 std::vector<LintFinding>
 audit(core::System &sys)
 {
-    return collect(sys, sys.wiringSnapshot(), /*dataflow=*/true);
+    return collect(sys.wiringSnapshot());
 }
 
 std::string
 auditJson(core::System &sys)
 {
     const WiringSnapshot snap = sys.wiringSnapshot();
-    const std::vector<LintFinding> findings =
-        collect(sys, snap, /*dataflow=*/true);
+    const std::vector<LintFinding> findings = collect(snap);
     core::Monitor &monitor = sys.monitor();
 
     std::string out;

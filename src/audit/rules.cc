@@ -25,16 +25,6 @@ cubicleName(const WiringSnapshot &snapshot, Cid cid)
     return "cubicle " + std::to_string(cid);
 }
 
-bool
-isShared(const WiringSnapshot &snapshot, Cid cid)
-{
-    for (const CubicleWiring &c : snapshot.cubicles) {
-        if (c.id == cid)
-            return c.kind == CubicleKind::kShared;
-    }
-    return false;
-}
-
 /** "window <wid> of '<owner>'", the subject of every window finding. */
 std::string
 windowOf(const WiringSnapshot &snapshot, const WindowWiring &w)
@@ -51,7 +41,6 @@ lintRuleName(LintRule rule)
     switch (rule) {
       case LintRule::kIsolatedUsesSharedKey: return "isolated-uses-shared-key";
       case LintRule::kAclGhostPeer: return "acl-ghost-peer";
-      case LintRule::kAclSharedPeer: return "acl-shared-peer";
       case LintRule::kAclSelfGrant: return "acl-self-grant";
       case LintRule::kPointerExportNoWindow: return "pointer-export-no-window";
       case LintRule::kOpenWindowNoRanges: return "open-window-no-ranges";
@@ -118,17 +107,6 @@ lintWiring(const WiringSnapshot &snapshot)
                     windowOf(snapshot, w) +
                         " grants its own owner; owners have implicit "
                         "access"});
-            } else if (isShared(snapshot, peer)) {
-                // Rule: shared cubicles execute with the caller's
-                // privileges and never trap on their own key; the
-                // grant only widens the ACL.
-                findings.push_back(LintFinding{
-                    LintRule::kAclSharedPeer, LintSeverity::kWarning,
-                    w.owner, w.wid,
-                    windowOf(snapshot, w) + " grants shared cubicle '" +
-                        cubicleName(snapshot, peer) +
-                        "', which executes with caller privileges and "
-                        "cannot use the grant"});
             }
         }
 
@@ -225,10 +203,11 @@ auditWiring(const WiringSnapshot &snapshot)
             const AclMask bit = aclBit(peer);
             if ((w.acl & bit) == 0)
                 continue;
-            // Self, ghost and shared grants are already flagged by the
+            // Self and ghost grants are already flagged by the
             // syntactic rules; repeating them as dataflow findings
-            // would double-report one wiring mistake.
-            if (peer == w.owner || peer >= count || isShared(snapshot, peer))
+            // would double-report one wiring mistake. (The monitor
+            // refuses to open a window to a shared cubicle.)
+            if (peer == w.owner || peer >= count)
                 continue;
             if ((used & bit) == 0) {
                 findings.push_back(LintFinding{

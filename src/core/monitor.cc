@@ -23,9 +23,6 @@ namespace {
  */
 constexpr int kHotKeyReserve = 2;
 
-/** Model the paper's modified-MPK execute semantics. */
-constexpr bool kModifiedExecSemantics = true;
-
 /** Heap growth granularity in pages. */
 constexpr std::size_t kHeapChunkPages = 16;
 
@@ -56,7 +53,7 @@ isolationModeName(IsolationMode mode)
 Monitor::Monitor(const SystemConfig &cfg, Stats *stats)
     : cfg_(cfg), stats_(stats), clock_(),
       space_(cfg.numPages, &clock_),
-      mpk_(kModifiedExecSemantics, cfg.physTagBudget),
+      mpk_(cfg.physTagBudget),
       meta_(cfg.numPages),
       pageAlloc_(&space_, &meta_, /*reserve_first=*/0)
 {
@@ -468,6 +465,12 @@ Monitor::windowOpen(Cid caller, Wid wid, Cid peer)
     WriterLock lock(windowMutex_);
     stats_->add(Stat::windowOps);
     Window &w = windowChecked(caller, wid, "window_open");
+    // A shared cubicle holds the shared key, which every PKRU allows:
+    // a page retagged to it (by its fault or a prestage) would be
+    // readable from every cubicle, not just the ACL's.
+    if (peer < cubicleCount() && !cubicles_[peer]->isolated())
+        throw WindowError("window_open: '" + cubicles_[peer]->name +
+                          "' is a shared cubicle");
     w.acl |= aclBit(peer);
     if (w.hotKey >= 0 && peer < cubicleCount())
         cubicles_[peer]->extraAllow.allow(w.hotKey);
@@ -535,14 +538,14 @@ Monitor::destroyWindowLocked(Cid owner, Wid wid)
     bumpEpoch();
 }
 
-void
+bool
 Monitor::windowSetHot(Cid caller, Wid wid)
 {
     WriterLock lock(windowMutex_);
     stats_->add(Stat::windowOps);
     Window &w = windowChecked(caller, wid, "window_set_hot");
     if (w.hotKey >= 0)
-        return;
+        return true;
     const int key = mpk_.allocKey();
     if (key < 0) {
         // Under virtualisation key exhaustion is an expected steady
@@ -550,7 +553,7 @@ Monitor::windowSetHot(Cid caller, Wid wid)
         // windows are a performance hint: degrade to an ordinary
         // trap-and-map window instead of failing the deployment.
         if (cfg_.virtualizeTags)
-            return;
+            return false;
         throw WindowError(
             "window_set_hot: MPK keys exhausted (hot windows use one "
             "dedicated hardware key each)");
@@ -561,6 +564,7 @@ Monitor::windowSetHot(Cid caller, Wid wid)
         if (w.acl & aclBit(cid))
             cubicles_[cid]->extraAllow.allow(key);
     }
+    return true;
 }
 
 std::size_t
@@ -580,8 +584,11 @@ Monitor::windowPrestage(Cid caller, Wid wid, Cid peer,
     }
     // Hot windows are already eagerly tagged. A peer that is not live
     // executes nothing and holds no tag of its own (a dead static
-    // cubicle's pkey is -1): there is nothing to hand it.
-    if (w.hotKey >= 0 || !cubicleAlive(peer))
+    // cubicle's pkey is -1): there is nothing to hand it. Nor to a
+    // shared peer (an ACL bit named before it loaded): its key is
+    // every cubicle's.
+    if (w.hotKey >= 0 || !cubicleAlive(peer) ||
+        !cubicles_[peer]->isolated())
         return 0;
 
     // The hint is a usage declaration: the audit would otherwise never
@@ -668,8 +675,7 @@ Monitor::windowAcl(Wid wid) const
 // ----------------------------------------------------------------------
 
 bool
-Monitor::handleFault(const hw::Fault &fault, Cid accessor,
-                     IsolationMode mode)
+Monitor::handleFault(const hw::Fault &fault, Cid accessor)
 {
     clock_.charge(hw::cost::kFaultTrap);
     stats_->add(Stat::traps);
@@ -692,12 +698,11 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
             static_cast<unsigned>(fault.pkey));
     }
 
-    return resolveFault(fault, accessor, mode, /*commit=*/true) != 0;
+    return resolveFault(fault, accessor, /*commit=*/true) != 0;
 }
 
 std::size_t
-Monitor::resolveFault(const hw::Fault &fault, Cid accessor,
-                      IsolationMode mode, bool commit)
+Monitor::resolveFault(const hw::Fault &fault, Cid accessor, bool commit)
 {
     // Only MPK faults are resolvable; page-permission and not-present
     // faults are genuine errors.
@@ -705,7 +710,10 @@ Monitor::resolveFault(const hw::Fault &fault, Cid accessor,
         fault.reason != hw::FaultReason::kPkuWrite) {
         return 0;
     }
-    if (!space_.contains(fault.addr) || accessor >= cubicleCount())
+    // A shared accessor holds the shared key every PKRU allows: a
+    // page retagged to it would reach every cubicle.
+    if (!space_.contains(fault.addr) || accessor >= cubicleCount() ||
+        !cubicles_[accessor]->isolated())
         return 0;
 
     // ❷ page metadata: owner and type in O(1). Atomic reads — no lock.
@@ -734,7 +742,7 @@ Monitor::resolveFault(const hw::Fault &fault, Cid accessor,
     // the atomic tag stores are the whole commit.
     // "CubicleOS w/o ACLs" takes the same path: MPK enforced, windows
     // open for any access.
-    if (page_owner == accessor || mode == IsolationMode::kNoAcl) {
+    if (page_owner == accessor || cfg_.mode == IsolationMode::kNoAcl) {
         if (!commit)
             return page + 1;
         const std::size_t limit =
@@ -1103,14 +1111,14 @@ Monitor::destroyCubicle(Cid cid)
             cub.heap.reset();
         }
     }
-    freePages(cub.codeRange);
-    cub.codeRange = mem::PageRange{};
-    freePages(cub.globalRange);
-    cub.globalRange = mem::PageRange{};
     {
         MutexLock stack(cub.stackMu);
-        freePages(cub.stackRange);
-        cub.stackRange = mem::PageRange{};
+        MutexLock pages(pageMutex_);
+        for (mem::PageRange *r :
+             {&cub.codeRange, &cub.globalRange, &cub.stackRange}) {
+            pageAlloc_.freePages(*r);
+            *r = mem::PageRange{};
+        }
         cub.stackUsed = 0;
     }
     assert(meta_.countOwnedBy(cid) == 0);
@@ -1207,11 +1215,16 @@ Monitor::allocPagesFor(Cid cid, std::size_t n, mem::PageType type,
     return r;
 }
 
-void
+bool
 Monitor::freePages(const mem::PageRange &range)
 {
     MutexLock lock(pageMutex_);
-    pageAlloc_.freePages(range);
+    // The allocator refuses a run outside the space or across owners
+    // or types; of the types, only heap pages come back this way.
+    if (range.first >= space_.numPages() ||
+        meta_.at(range.first).type != mem::PageType::kHeap)
+        return false;
+    return pageAlloc_.freePages(range);
 }
 
 std::byte *

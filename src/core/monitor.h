@@ -324,7 +324,12 @@ class Monitor {
     void windowAdd(Cid caller, Wid wid, const void *ptr, std::size_t size);
     /** cubicle_window_remove: removes the range starting at @p ptr. */
     void windowRemove(Cid caller, Wid wid, const void *ptr);
-    /** cubicle_window_open: allows @p peer to access @p wid's contents. */
+    /**
+     * cubicle_window_open: allows @p peer to access @p wid's contents.
+     * @throws WindowError when @p peer is a shared cubicle: its key is
+     *         in every cubicle's PKRU, so a page granted to it would be
+     *         readable by all of them.
+     */
     void windowOpen(Cid caller, Wid wid, Cid peer);
     /** cubicle_window_close: disallows @p peer. Lazy: no retagging. */
     void windowClose(Cid caller, Wid wid, Cid peer);
@@ -339,9 +344,13 @@ class Monitor {
      * pages with it, and folds the key into the PKRU of the owner and
      * every cubicle currently in the ACL. Subsequent opens/closes
      * update PKRU masks instead of relying on trap-and-map.
-     * @throws WindowError if the hardware keys are exhausted.
+     * @return whether the window has a dedicated key: false under tag
+     *         virtualisation once the keys are spent, where the window
+     *         stays an ordinary trap-and-map window.
+     * @throws WindowError if the hardware keys are exhausted without
+     *         tag virtualisation.
      */
-    void windowSetHot(Cid caller, Wid wid);
+    bool windowSetHot(Cid caller, Wid wid);
 
     /**
      * Prestaging hint (eager trap-and-map): retags @p wid's ranges to
@@ -404,8 +413,7 @@ class Monitor {
      * @return true if the page was retagged and the access may be
      *         retried; false if this is a genuine isolation violation.
      */
-    bool handleFault(const hw::Fault &fault, Cid accessor,
-                     IsolationMode mode);
+    bool handleFault(const hw::Fault &fault, Cid accessor);
 
     /**
      * Admission without the trap: decides @p fault exactly as
@@ -414,10 +422,9 @@ class Monitor {
      * @return one past the last page the decision admits, or 0 when
      *         handleFault would refuse.
      */
-    std::size_t admit(const hw::Fault &fault, Cid accessor,
-                      IsolationMode mode)
+    std::size_t admit(const hw::Fault &fault, Cid accessor)
     {
-        return resolveFault(fault, accessor, mode, /*commit=*/false);
+        return resolveFault(fault, accessor, /*commit=*/false);
     }
 
     // ------------------------------------------------------------------
@@ -433,8 +440,14 @@ class Monitor {
                                  uint8_t perms = hw::kPermRead |
                                                  hw::kPermWrite);
 
-    /** Returns pages to the pool. */
-    void freePages(const mem::PageRange &range);
+    /**
+     * Returns heap pages to the pool. Frees nothing unless every page
+     * of @p range lies in the space and is a heap page of one cubicle,
+     * so a caller cannot free code, stacks, free pages or pages past
+     * the end of the space through it.
+     * @return whether the range was freed.
+     */
+    bool freePages(const mem::PageRange &range);
 
     /** Bump-allocates @p size bytes from @p cid's stack arena. */
     std::byte *stackAlloc(Cid cid, std::size_t size, std::size_t align);
@@ -479,7 +492,7 @@ class Monitor {
      *         the fault is a genuine isolation violation.
      */
     std::size_t resolveFault(const hw::Fault &fault, Cid accessor,
-                             IsolationMode mode, bool commit);
+                             bool commit);
 
     /**
      * windowDestroy's body without the lock: hot-key sweep back to the

@@ -61,8 +61,6 @@
     C(imagesVerified)                   /* load-time verifier runs */     \
     C(verifierBytesScanned) C(verifierBytesDecoded) C(verifierInsns)      \
     C(verifierRejected) C(verifierReported) /* findings */                \
-    P(countLintRun, lintRuns, lintFindings)                               \
-    P(countAuditRun, auditRuns, auditFindings)                            \
     C(verifyCacheHits) C(verifyCacheMisses)   /* verify cache */          \
     P(countDataCopy, dataCopies, dataCopyBytes) /* payload memcpys */     \
     C(zeroCopySends) C(zeroCopyBytes)   /* segments from borrowed spans */

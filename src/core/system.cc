@@ -374,13 +374,13 @@ System::touchSlow(ThreadCtx &ctx, const void *ptr, std::size_t len,
             stats_.add(Stat::grantCacheHits);
             next = page + 1;
         } else if (!commit) {
-            next = monitor_.admit(*fault, ctx.current, mode_);
+            next = monitor_.admit(*fault, ctx.current);
         } else {
             // Capture the revocation epoch BEFORE the fault walk: if a
             // close races between the walk and the insert, the cached
             // entry carries the pre-close epoch and can never hit.
             const uint64_t epoch = monitor_.windowEpoch();
-            if (monitor_.handleFault(*fault, ctx.current, mode_)) {
+            if (monitor_.handleFault(*fault, ctx.current)) {
                 if (pku_fault && in_space)
                     ctx.grants.insert(page, ctx.current, epoch);
                 // handleFault retagged the faulting page; re-check

@@ -352,12 +352,16 @@ class System {
             return;
         monitor_.windowDestroy(currentCtx().current, wid);
     }
-    /** Promotes a window to a hot window (paper §8 proposal). */
-    void windowSetHot(Wid wid)
+    /**
+     * Promotes a window to a hot window (paper §8 proposal).
+     * @return whether it got a dedicated key (Monitor::windowSetHot;
+     *         false in Unikraft mode, which has no keys).
+     */
+    bool windowSetHot(Wid wid)
     {
         if (mode_ == IsolationMode::kUnikraft)
-            return;
-        monitor_.windowSetHot(currentCtx().current, wid);
+            return false;
+        return monitor_.windowSetHot(currentCtx().current, wid);
     }
     /**
      * Prestaging hint: eagerly retags @p wid's ranges to @p peer now

@@ -10,8 +10,7 @@
  * key has both read and write access disabled, execution on pages with
  * that key is disabled too. Stock MPK lacks tag-wide execute permissions;
  * CubicleOS's CFI argument relies on this "trivial" extension, so the
- * simulated hardware implements it (it can be switched off to model stock
- * MPK in tests).
+ * simulated hardware always implements it.
  */
 
 #ifndef CUBICLEOS_HW_MPK_H_
@@ -178,13 +177,11 @@ class Mpk {
      *        eviction with as few as 4 tags. Clamped to
      *        [2, kNumPhysPkeys] (monitor key + at least one more).
      */
-    explicit Mpk(bool modified_exec_semantics = true,
-                 int phys_budget = kNumPhysPkeys)
+    explicit Mpk(int phys_budget = kNumPhysPkeys)
         : nextKey_(1),
           physBudget_(phys_budget < 2 ? 2
                       : phys_budget > kNumPhysPkeys ? kNumPhysPkeys
-                                                    : phys_budget),
-          modifiedExec_(modified_exec_semantics)
+                                                    : phys_budget)
     {}
 
     /**
@@ -256,7 +253,7 @@ class Mpk {
                 return FaultReason::kPkuWrite;
             return std::nullopt;
           case Access::kExec:
-            if (modifiedExec_ && !pkru.canExecModified(pkey))
+            if (!pkru.canExecModified(pkey))
                 return FaultReason::kExecDenied;
             return std::nullopt;
         }
@@ -267,7 +264,6 @@ class Mpk {
     std::atomic<int> nextKey_;
     std::atomic<uint32_t> freedKeys_{0}; ///< bit k: key k was freed
     int physBudget_;
-    bool modifiedExec_;
 };
 
 } // namespace cubicleos::hw

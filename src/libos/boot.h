@@ -23,15 +23,6 @@ namespace cubicleos::libos {
 /** The isolated boot component. */
 class BootComponent : public core::Component {
   public:
-    /**
-     * @param rootfs backend to mount at "/", empty to skip mounting
-     * @param wire_heaps route heap chunk requests through ALLOC
-     */
-    explicit BootComponent(std::string rootfs = "ramfs",
-                           bool wire_heaps = true)
-        : rootfs_(std::move(rootfs)), wireHeaps_(wire_heaps)
-    {}
-
     core::ComponentSpec spec() const override
     {
         core::ComponentSpec s;
@@ -45,21 +36,13 @@ class BootComponent : public core::Component {
 
     void init() override
     {
-        if (wireHeaps_)
-            wireHeapsThroughAlloc(*sys());
-        if (!rootfs_.empty()) {
-            const int rc = mountRoot(*sys(), rootfs_);
-            if (rc != 0) {
-                throw core::LoaderError("boot: mounting '" + rootfs_ +
-                                        "' failed with " +
-                                        std::to_string(rc));
-            }
+        wireHeapsThroughAlloc(*sys());
+        const int rc = mountRoot(*sys(), "ramfs");
+        if (rc != 0) {
+            throw core::LoaderError("boot: mounting 'ramfs' failed with " +
+                                    std::to_string(rc));
         }
     }
-
-  private:
-    std::string rootfs_;
-    bool wireHeaps_;
 };
 
 } // namespace cubicleos::libos

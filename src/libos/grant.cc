@@ -5,15 +5,15 @@ namespace cubicleos::libos {
 // --- GrantWindow ------------------------------------------------------
 
 GrantWindow::GrantWindow(core::System &sys, const PeerSet &peers,
-                         bool hot, Prestage prestage)
-    : sys_(&sys), owner_(sys.currentCubicle()), hot_(hot),
-      prestage_(prestage), peers_(peers)
+                         bool hot)
+    : sys_(&sys), owner_(sys.currentCubicle()), peers_(peers)
 {
     wid_ = sys.windowInit();
-    if (hot_) {
-        sys.windowSetHot(wid_);
-        // Hot windows keep their ACL open across calls (§8): the
-        // dedicated key sits in every peer's PKRU permanently.
+    if (hot) {
+        hot_ = sys.windowSetHot(wid_);
+        // A hot window keeps its ACL open across calls (§8), its key
+        // in every peer's PKRU; without a key the open ACL still
+        // serves a persistent window such as XferArena's.
         open(peers_);
     }
 }
@@ -27,9 +27,7 @@ GrantWindow::moveFrom(GrantWindow &other) noexcept
     wid_ = other.wid_;
     owner_ = other.owner_;
     hot_ = other.hot_;
-    prestage_ = other.prestage_;
     peers_ = other.peers_;
-    opened_ = other.opened_;
     staged_ = other.staged_;
     other.sys_ = nullptr;
     other.wid_ = core::kInvalidWindow;
@@ -40,7 +38,6 @@ void
 GrantWindow::stage(const void *ptr, std::size_t n)
 {
     sys_->windowAdd(wid_, ptr, n);
-    prestageNow();
 }
 
 void
@@ -52,40 +49,31 @@ GrantWindow::unstage(const void *ptr)
 void
 GrantWindow::open(const PeerSet &peers)
 {
-    for (core::Cid peer : peers) {
+    for (core::Cid peer : peers)
         sys_->windowOpen(wid_, peer);
-        opened_.add(peer);
-    }
-    prestageNow();
+}
+
+void
+GrantWindow::prestage(const PeerSet &peers, Prestage access)
+{
+    if (access == Prestage::kNone)
+        return;
+    const hw::Access acc = access == Prestage::kWrite ? hw::Access::kWrite
+                                                      : hw::Access::kRead;
+    for (core::Cid peer : peers)
+        sys_->windowPrestage(wid_, peer, acc);
 }
 
 void
 GrantWindow::closeAll()
 {
     sys_->windowCloseAll(wid_);
-    opened_ = PeerSet{};
 }
 
 void
 GrantWindow::reclaim()
 {
     sys_->windowReclaim(wid_);
-}
-
-void
-GrantWindow::prestageNow()
-{
-    // Persistent windows that stage per transfer (e.g. the RAMFS
-    // per-peer block windows) re-enter here on every stage(); the
-    // monitor re-retags already-granted pages idempotently, so the
-    // cost stays one pkey_mprotect per staged run per peer.
-    if (prestage_ == Prestage::kNone || hot_)
-        return;
-    const hw::Access acc = prestage_ == Prestage::kWrite
-        ? hw::Access::kWrite
-        : hw::Access::kRead;
-    for (core::Cid peer : opened_)
-        sys_->windowPrestage(wid_, peer, acc);
 }
 
 void
@@ -97,7 +85,6 @@ GrantWindow::restage(const void *ptr, std::size_t n)
         sys_->windowRemove(wid_, staged_);
     sys_->windowAdd(wid_, ptr, n);
     staged_ = ptr;
-    prestageNow();
 }
 
 void
@@ -146,16 +133,16 @@ Grant::Grant(core::System &sys, GrantWindow &win, const PeerSet &peers,
         return;
     }
     win.stage(buf, n);
-    win.open(peers);
-    buf_ = buf; // armed: destructor must undo
-    if (prestage != Prestage::kNone) {
-        const hw::Access acc = prestage == Prestage::kWrite
-            ? hw::Access::kWrite
-            : hw::Access::kRead;
-        const PeerSet &targets =
-            prestage_peers.size() ? prestage_peers : peers;
-        for (core::Cid peer : targets)
-            sys.windowPrestage(win.id(), peer, acc);
+    buf_ = buf; // armed: release() undoes from here on
+    try {
+        win.open(peers);
+        win.prestage(prestage_peers.size() ? prestage_peers : peers,
+                     prestage);
+    } catch (...) {
+        // A refused peer: the destructor of a half-built Grant never
+        // runs, so undo the staging here.
+        release();
+        throw;
     }
 }
 
@@ -190,19 +177,15 @@ Grant::moveFrom(Grant &other) noexcept
 
 // --- XferArena --------------------------------------------------------
 
-XferArena::XferArena(core::System &sys, std::size_t pages,
-                     const PeerSet &peers, bool hot)
+XferArena::XferArena(core::System &sys, const PeerSet &peers)
     : sys_(&sys)
 {
-    const core::Cid self = sys.currentCubicle();
-    range_ = sys.monitor().allocPagesFor(self, pages,
+    range_ = sys.monitor().allocPagesFor(sys.currentCubicle(), 1,
                                          mem::PageType::kHeap);
     if (!range_.valid())
-        throw core::OutOfMemory("XferArena staging pages");
-    win_ = GrantWindow(sys, peers, hot);
+        throw core::OutOfMemory("XferArena staging page");
+    win_ = GrantWindow(sys, peers, /*hot=*/true);
     win_.stage(range_.ptr, range_.sizeBytes());
-    if (!hot)
-        win_.open(peers);
 }
 
 XferArena::~XferArena() { reset(); }
@@ -222,7 +205,6 @@ XferArena::reset() noexcept
     }
     range_ = {};
     sys_ = nullptr;
-    bump_ = 0;
 }
 
 void
@@ -231,10 +213,8 @@ XferArena::moveFrom(XferArena &other) noexcept
     sys_ = other.sys_;
     range_ = other.range_;
     win_ = std::move(other.win_);
-    bump_ = other.bump_;
     other.sys_ = nullptr;
     other.range_ = {};
-    other.bump_ = 0;
 }
 
 char *
@@ -244,16 +224,6 @@ XferArena::at(std::size_t off) const
         throw core::WindowError("XferArena: offset " +
                                 std::to_string(off) +
                                 " outside the arena");
-    return base() + off;
-}
-
-void *
-XferArena::alloc(std::size_t bytes, std::size_t align)
-{
-    const std::size_t off = (bump_ + align - 1) & ~(align - 1);
-    if (off + bytes > size())
-        throw core::OutOfMemory("XferArena slot");
-    bump_ = off + bytes;
     return base() + off;
 }
 

@@ -13,14 +13,17 @@
  *  - PeerSet      — the set of cubicles a call traverses (ACL set).
  *  - GrantWindow  — an owned window descriptor. Remembers the owner
  *                   cubicle at construction so it can be destroyed
- *                   from any context, and carries the hot-window
- *                   staging state for pooled reuse across calls.
+ *                   from any context, and the staged range of a hot
+ *                   window for pooled reuse across calls. The ACL
+ *                   lives in the monitor only; hot() is the monitor's
+ *                   answer to the hot request.
  *  - Grant        — RAII bracket of one cross-call: stages the buffer,
- *                   opens the ACL, and on destruction (including via
+ *                   opens the ACL, prestages it for the peers that
+ *                   will touch it, and on destruction (including via
  *                   exceptions thrown by the callee) closes the ACL,
  *                   hands the pages back to the owner in one retag
  *                   and removes the range.
- *  - XferArena    — page-aligned staging pages behind a persistent
+ *  - XferArena    — a page-aligned staging page behind a persistent
  *                   multi-peer window, for paths and small
  *                   out-structures that must never share a page with
  *                   unrelated caller data.
@@ -100,14 +103,13 @@ class PeerSet {
 /**
  * Expected-access declaration for window prestaging.
  *
- * A construction-time hint that the peers WILL touch the staged
- * ranges, and how: the grant layer then asks the monitor to retag
- * eagerly at stage/open time (System::windowPrestage) instead of
- * letting every peer pay a first-touch trap. kNone keeps the paper's
- * fully lazy trap-and-map. The hint never widens rights — prestaging
- * only runs for peers already opened in the ACL — and it counts as
- * declared usage for the least-privilege audit, so only hint access
- * that really happens.
+ * A hint that the peers WILL touch the staged ranges, and how: the
+ * grant layer then asks the monitor to retag eagerly
+ * (System::windowPrestage) instead of letting every peer pay a
+ * first-touch trap. kNone keeps the paper's fully lazy trap-and-map.
+ * The hint never widens rights — the monitor prestages only for peers
+ * already in the ACL — and it counts as declared usage for the
+ * least-privilege audit, so only hint access that really happens.
  */
 enum class Prestage : uint8_t {
     kNone,  ///< lazy: peers fault their first touch (paper default)
@@ -129,6 +131,9 @@ enum class Prestage : uint8_t {
  * re-staging the buffer range when it changes (restage()). This is the
  * grant layer's window pooling: one hot window is reused for every
  * call on the same edge instead of a fresh add/open/close cycle.
+ * hot() is the monitor's answer, not the request: under tag
+ * virtualisation a request made after the spare keys are spent gets
+ * no key, and the window then works as an ordinary one.
  */
 class GrantWindow {
   public:
@@ -136,17 +141,13 @@ class GrantWindow {
 
     /**
      * Creates a window owned by the current cubicle. When @p hot, the
-     * window is promoted to a hot window and the ACL for @p peers is
-     * opened immediately and kept open; otherwise @p peers is only
-     * remembered as the default ACL set for open().
-     *
-     * @p prestage declares the peers' expected access: every stage()
-     * or open() then eagerly retags the staged ranges to the opened
-     * peers (no effect on hot windows, which are already eager via
-     * their dedicated key).
+     * window asks the monitor for a dedicated key (hot() says whether
+     * it got one) and opens the ACL for @p peers now, to stay open;
+     * otherwise @p peers is only remembered as the default ACL set
+     * for open().
      */
     GrantWindow(core::System &sys, const PeerSet &peers = {},
-                bool hot = false, Prestage prestage = Prestage::kNone);
+                bool hot = false);
     ~GrantWindow();
 
     GrantWindow(const GrantWindow &) = delete;
@@ -161,12 +162,10 @@ class GrantWindow {
         return *this;
     }
 
-    bool valid() const { return sys_ != nullptr; }
+    /** Whether the monitor gave the window a dedicated key. */
     bool hot() const { return hot_; }
     core::Wid id() const { return wid_; }
-    core::Cid owner() const { return owner_; }
     const PeerSet &peers() const { return peers_; }
-    Prestage prestage() const { return prestage_; }
 
     /** Adds [ptr, ptr+n) to the window (owner-context only). */
     void stage(const void *ptr, std::size_t n);
@@ -174,6 +173,12 @@ class GrantWindow {
     void unstage(const void *ptr);
     /** Opens the ACL for every cubicle in @p peers. */
     void open(const PeerSet &peers);
+    /**
+     * Retags the staged ranges now to every cubicle in @p peers, which
+     * must be open, for the declared @p access (no-op for kNone): the
+     * peers' first touches then take no trap.
+     */
+    void prestage(const PeerSet &peers, Prestage access);
     /** Closes the ACL for everyone (lazy revocation: no retag, §5.6). */
     void closeAll();
     /**
@@ -214,28 +219,25 @@ class GrantWindow {
 
   private:
     void moveFrom(GrantWindow &other) noexcept;
-    /** Eager retag of the staged ranges to every opened peer. */
-    void prestageNow();
 
     core::System *sys_ = nullptr;
     core::Wid wid_ = core::kInvalidWindow;
     core::Cid owner_ = core::kNoCubicle;
     bool hot_ = false;
-    Prestage prestage_ = Prestage::kNone;
     PeerSet peers_;
-    PeerSet opened_;
     const void *staged_ = nullptr;
 };
 
 /**
  * RAII bracket of one buffer grant around a cross-cubicle call.
  *
- * Construction stages the caller's buffer in @p win and opens it for
- * @p peers; destruction — on every path out of the call, including an
- * exception thrown by the callee — closes the ACL, hands the buffer's
- * pages back to the owner's tag in one retag (System::windowReclaim)
- * and removes the range, so the owner's next access to its buffer
- * takes no trap.
+ * Construction stages the caller's buffer in @p win, opens it for
+ * @p peers and prestages it; destruction — on every path out of the
+ * call, including an exception thrown by the callee — closes the ACL,
+ * hands the buffer's pages back to the owner's tag in one retag
+ * (System::windowReclaim) and removes the range, so the owner's next
+ * access to its buffer takes no trap. A peer the monitor refuses to
+ * open makes the constructor undo the same way and rethrow.
  *
  * Host-private buffers (outside the simulated machine) are skipped
  * entirely, consistent with System::touch's policy. On a hot window
@@ -248,8 +250,8 @@ class Grant {
     /**
      * @p prestage optionally declares expected access for this one
      * call: the staged buffer is eagerly retagged right after the ACL
-     * opens, so the callee's first touch does not trap. Ignored on hot
-     * windows (already eager).
+     * opens (GrantWindow::prestage), so the callee's first touch does
+     * not trap. Ignored on hot windows (already eager).
      *
      * @p prestage_peers names the subset of @p peers that will really
      * touch the buffer (empty = all of them). Under the nested-call
@@ -290,20 +292,22 @@ class Grant {
 };
 
 /**
- * Page-aligned staging pages behind a persistent multi-peer window.
+ * A page-aligned staging page behind a persistent multi-peer window.
  *
  * Implements the §5.3 alignment discipline: data shared through a
- * window must not share its pages with unrelated caller state, so
- * paths and small out-structures are copied into dedicated pages that
- * stay windowed for the whole peer set of the call chain. The arena
- * owns its pages (allocated in the constructing cubicle) and frees
- * them — and destroys the window — on destruction.
+ * window must not share its page with unrelated caller state, so
+ * paths and small out-structures are copied into a dedicated page
+ * that stays windowed for the whole peer set of the call chain. The
+ * window is hot (§8) when the monitor has a key for it: the page
+ * changes hands on every call and holds no application data, so its
+ * temporal isolation costs nothing to give up. The arena owns its page
+ * (allocated in the constructing cubicle) and frees it — and destroys
+ * the window — on destruction.
  */
 class XferArena {
   public:
     XferArena() = default;
-    XferArena(core::System &sys, std::size_t pages, const PeerSet &peers,
-              bool hot = false);
+    XferArena(core::System &sys, const PeerSet &peers);
     ~XferArena();
 
     XferArena(const XferArena &) = delete;
@@ -321,34 +325,23 @@ class XferArena {
     bool valid() const { return range_.valid(); }
     char *base() const { return reinterpret_cast<char *>(range_.ptr); }
     std::size_t size() const { return range_.sizeBytes(); }
-    core::Cid owner() const { return win_.owner(); }
-    const GrantWindow &window() const { return win_; }
 
     /** Staging slot at byte offset @p off (bounds-checked). */
     char *at(std::size_t off) const;
-
-    /**
-     * Bump-allocates @p bytes aligned to @p align within the arena.
-     * Slots persist until rewind(); the arena does not free per-slot.
-     */
-    void *alloc(std::size_t bytes, std::size_t align = 8);
-    /** Drops every slot handed out by alloc(). */
-    void rewind() { bump_ = 0; }
 
     /** Touches [base+off, base+off+n) for write before staging data. */
     void touchForWrite(std::size_t off, std::size_t n);
 
     /**
-     * Forgets pages and window without releasing either — crash
+     * Forgets page and window without releasing either — crash
      * teardown only (see GrantWindow::abandon): the monitor already
-     * reclaimed the staging pages when the owner was destroyed.
+     * reclaimed the staging page when the owner was destroyed.
      */
     void abandon() noexcept
     {
         win_.abandon();
         range_ = {};
         sys_ = nullptr;
-        bump_ = 0;
     }
 
   private:
@@ -358,7 +351,6 @@ class XferArena {
     core::System *sys_ = nullptr;
     mem::PageRange range_{};
     GrantWindow win_;
-    std::size_t bump_ = 0;
 };
 
 } // namespace cubicleos::libos

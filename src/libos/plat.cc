@@ -1,7 +1,5 @@
 #include "libos/plat.h"
 
-#include <cstdio>
-
 namespace cubicleos::libos {
 
 uint64_t
@@ -23,8 +21,6 @@ PlatComponent::registerExports(core::Exporter &exp)
         "plat_console_write", [this](const char *s, std::size_t n) {
             sys()->touch(s, n, hw::Access::kRead);
             console_.append(s, n);
-            if (echo_)
-                std::fwrite(s, 1, n, stdout);
         });
 
     exp.fn<uint64_t()>("plat_ticks_ns", [this] { return nowNs(); });

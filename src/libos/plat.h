@@ -6,8 +6,8 @@
  * calls; in CubicleOS it is an isolated cubicle so a compromised driver
  * cannot reach the host interface of other components. In this
  * reproduction "the host" is the simulated machine: console output is
- * collected in-memory (or echoed), and ticks come from the virtual
- * cycle clock plus real time.
+ * collected in memory, and ticks come from the virtual cycle clock plus
+ * real time.
  */
 
 #ifndef CUBICLEOS_LIBOS_PLAT_H_
@@ -24,10 +24,6 @@ namespace cubicleos::libos {
 /** The isolated platform component. */
 class PlatComponent : public core::Component {
   public:
-    explicit PlatComponent(bool echo_console = false)
-        : echo_(echo_console)
-    {}
-
     core::ComponentSpec spec() const override
     {
         core::ComponentSpec s;
@@ -45,7 +41,6 @@ class PlatComponent : public core::Component {
   private:
     uint64_t nowNs() const;
 
-    bool echo_;
     std::string console_;
     std::chrono::steady_clock::time_point epoch_ =
         std::chrono::steady_clock::now();

@@ -337,7 +337,7 @@ RamfsComponent::doBorrow(NodeId id, uint64_t off, core::Cid peer,
         return kErrNoEnt;
     if (node->mode & kModeDir)
         return kErrIsDir;
-    if (!out)
+    if (!out || peer >= sys()->cubicleCount())
         return kErrInval;
 
     sys()->touch(out, sizeof(*out), hw::Access::kWrite);
@@ -382,19 +382,25 @@ RamfsComponent::doBorrow(NodeId id, uint64_t off, core::Cid peer,
 
     // One persistent RAMFS-owned window per borrowing peer; its ACL
     // opens once and stays open (lazy revocation, §5.6) while staged
-    // block runs come and go with the borrows. The window declares
-    // Prestage::kRead: staging a run eagerly retags it to the peer, so
-    // the peer's reads of borrowed data never fault at all.
+    // block runs come and go with the borrows. Each staged run is
+    // prestaged for reading, so the peer's reads of borrowed data
+    // never fault at all. The peer comes from the caller: one that
+    // is no cubicle (above) or that the monitor will not open a
+    // window to is an invalid argument.
     auto wit = peerWins_.find(peer);
     if (wit == peerWins_.end()) {
-        const PeerSet peers{peer};
-        GrantWindow win(*sys(), peers, /*hot=*/false, Prestage::kRead);
-        win.open(peers);
+        GrantWindow win(*sys(), PeerSet{peer});
+        try {
+            win.open(win.peers());
+        } catch (const core::WindowError &) {
+            return kErrInval;
+        }
         wit = peerWins_.emplace(peer, std::move(win)).first;
     }
     StagedRun &sr = stagedRefs_[{peer, block}];
     if (sr.refs == 0) {
         wit->second.stage(block, run * kBlockSize);
+        wit->second.prestage(wit->second.peers(), Prestage::kRead);
         sr.blocks = run;
     } else {
         // A same-start borrow reuses the staged range; the span must

@@ -3,8 +3,8 @@
  * The shared RANDOM cubicle: a deterministic pseudo-random device.
  *
  * Mirrors Unikraft's random device driver, which CubicleOS keeps in a
- * shared cubicle (paper §6.3). Deterministic by default so benchmark
- * workloads are reproducible.
+ * shared cubicle (paper §6.3). It starts from a fixed seed so
+ * benchmark workloads are reproducible; rand_seed reseeds it.
  */
 
 #ifndef CUBICLEOS_LIBOS_RANDOM_H_
@@ -19,8 +19,6 @@ namespace cubicleos::libos {
 /** The shared random-device component. */
 class RandomComponent : public core::Component {
   public:
-    explicit RandomComponent(uint64_t seed = 0xC0FFEE) : prng_(seed) {}
-
     core::ComponentSpec spec() const override
     {
         core::ComponentSpec s;
@@ -42,7 +40,7 @@ class RandomComponent : public core::Component {
     }
 
   private:
-    hw::Prng prng_;
+    hw::Prng prng_{0xC0FFEE};
 };
 
 } // namespace cubicleos::libos

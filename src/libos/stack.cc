@@ -19,7 +19,7 @@ addLibosComponents(core::System &sys, const StackOptions &opts)
 {
     // Registration order is dependency order (Unikraft link order):
     // platform and allocator first, stacks above them.
-    sys.addComponent(std::make_unique<PlatComponent>(opts.echoConsole));
+    sys.addComponent(std::make_unique<PlatComponent>());
     sys.addComponent(std::make_unique<AllocComponent>());
     sys.addComponent(std::make_unique<TimeComponent>());
     sys.addComponent(std::make_unique<VfsComponent>());
@@ -31,7 +31,7 @@ addLibosComponents(core::System &sys, const StackOptions &opts)
     // Shared cubicles (the paper's deployments use four: newlibc and
     // the random driver explicitly, plus stateless helpers).
     sys.addComponent(std::make_unique<LibcComponent>());
-    sys.addComponent(std::make_unique<RandomComponent>(opts.randomSeed));
+    sys.addComponent(std::make_unique<RandomComponent>());
     sys.addComponent(std::make_unique<CtypeComponent>());
     sys.addComponent(std::make_unique<UkmathComponent>());
 }

@@ -27,10 +27,6 @@ struct StackOptions {
     bool withNet = false;
     /** Wire connecting NETDEV to the outside world (required if net). */
     FrameChannel *wire = nullptr;
-    /** Seed for the shared RANDOM cubicle. */
-    uint64_t randomSeed = 0xC0FFEE;
-    /** Echo PLAT console output to stdout. */
-    bool echoConsole = false;
 };
 
 /**

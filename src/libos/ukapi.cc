@@ -13,7 +13,6 @@ CubicleFileApi::CubicleFileApi(core::System &sys,
       vfsCid_(sys.cidOf("vfscore")),
       backendCid_(sys.cidOf(backend_name)),
       peers_{vfsCid_, backendCid_},
-      hotWindows_(hot_windows),
       open_(sys.resolve<int(const char *, int)>("vfscore", "vfs_open")),
       close_(sys.resolve<int(int)>("vfscore", "vfs_close")),
       read_(sys.resolve<int64_t(int, void *, std::size_t)>("vfscore",
@@ -44,21 +43,21 @@ CubicleFileApi::CubicleFileApi(core::System &sys,
     // Persistent arena window over the transfer page, open for the
     // whole file stack; one window per peer set keeps the descriptor
     // arrays short (paper: <10 windows per cubicle). The arena owns
-    // the page and frees it on destruction. It is always hot (§8): the
-    // page ping-pongs between app, VFSCORE and backend on every call,
-    // and — unlike the I/O buffers — it holds no application data, so
-    // trading its temporal isolation for a dedicated key costs nothing
-    // and spares three-plus faults per call whenever an unrelated
-    // revocation bumps the grant epoch.
-    xfer_ = XferArena(sys_, 1, peers_, /*hot=*/true);
+    // the page and frees it on destruction. It asks to be hot (§8):
+    // the page ping-pongs between app, VFSCORE and backend on every
+    // call, and — unlike the I/O buffers — it holds no application
+    // data, so trading its temporal isolation for a dedicated key
+    // costs nothing and spares three-plus faults per call whenever an
+    // unrelated revocation bumps the grant epoch.
+    xfer_ = XferArena(sys_, peers_);
 
     // Per-I/O window, managed by a Grant around each call: the buffer
     // is prestaged for the backend and handed back to the app after
     // the call, one retag each way and no trap. In hot-window mode it
-    // gets a dedicated MPK key (paper §8), its ACL stays open, and
-    // per-call work reduces to re-staging the range when the buffer
-    // changes.
-    ioWin_ = GrantWindow(sys_, peers_, hotWindows_);
+    // gets a dedicated MPK key (paper §8) if the monitor has one, its
+    // ACL stays open, and per-call work reduces to re-staging the
+    // range when the buffer changes.
+    ioWin_ = GrantWindow(sys_, peers_, hot_windows);
 }
 
 const char *

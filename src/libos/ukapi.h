@@ -103,7 +103,6 @@ class CubicleFileApi : public FileApi {
     core::Cid vfsCid_;
     core::Cid backendCid_;
     PeerSet peers_;    ///< {VFSCORE, backend}: the nested-call ACL set
-    bool hotWindows_ = false;
     XferArena xfer_;   ///< staging page for paths and out-structs
     GrantWindow ioWin_; ///< per-I/O buffer window (hot-pooled if asked)
 

@@ -37,11 +37,20 @@ PageAllocator::allocPages(std::size_t n, Cid owner, PageType type,
     return {};
 }
 
-void
+bool
 PageAllocator::freePages(const PageRange &range)
 {
-    if (!range.valid())
-        return;
+    const std::size_t pages = space_->numPages();
+    if (!range.valid() || range.first >= pages ||
+        range.count > pages - range.first)
+        return false;
+    const PageMeta &head = meta_->at(range.first);
+    for (std::size_t i = range.first; i < range.first + range.count; ++i) {
+        const PageMeta &m = meta_->at(i);
+        if (head.owner == kNoCubicle || m.owner != head.owner ||
+            m.type != head.type)
+            return false;
+    }
     space_->unmap(range.first, range.count);
     meta_->release(range.first, range.count);
     used_ -= range.count;
@@ -62,6 +71,7 @@ PageAllocator::freePages(const PageRange &range)
         it->second += next->second;
         freeRuns_.erase(next);
     }
+    return true;
 }
 
 std::size_t

@@ -56,8 +56,14 @@ class PageAllocator {
     PageRange allocPages(std::size_t n, Cid owner, PageType type,
                          uint8_t perms, uint8_t pkey);
 
-    /** Returns a previously allocated range to the pool. */
-    void freePages(const PageRange &range);
+    /**
+     * Returns a previously allocated range to the pool. Frees nothing
+     * unless every page of @p range lies in the space and is allocated
+     * to one owner as one type, so an overrun, a second free or a run
+     * across two owners' pages leaves the pool untouched.
+     * @return whether the range was freed.
+     */
+    bool freePages(const PageRange &range);
 
     /** Pages currently available in the pool. */
     std::size_t freePageCount() const;

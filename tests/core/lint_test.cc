@@ -101,17 +101,6 @@ TEST(Lint, SelfGrantIsAWarning)
     EXPECT_TRUE(lintClean(findings, LintSeverity::kError));
 }
 
-TEST(Lint, SharedPeerGrantIsAWarning)
-{
-    WiringSnapshot snap = baseSnapshot();
-    snap.windows = {{0, 0, aclBit(2), 1, -1}}; // grants shared 'libc'
-    auto findings = lintWiring(snap);
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].rule, LintRule::kAclSharedPeer);
-    EXPECT_EQ(findings[0].severity, LintSeverity::kWarning);
-    EXPECT_NE(findings[0].message.find("libc"), std::string::npos);
-}
-
 TEST(Lint, OpenAclOverEmptyWindowIsInfo)
 {
     WiringSnapshot snap = baseSnapshot();
@@ -191,12 +180,11 @@ TEST(Lint, FindingsAccumulateAcrossRules)
 {
     WiringSnapshot snap = baseSnapshot();
     snap.cubicles[0].pkey = snap.sharedKey;
-    snap.windows = {{0, 0, aclBit(0) | aclBit(2) | aclBit(9), 0, -1}};
+    snap.windows = {{0, 0, aclBit(0) | aclBit(9), 0, -1}};
     auto findings = lintWiring(snap);
     EXPECT_TRUE(hasRule(findings, LintRule::kIsolatedUsesSharedKey));
     EXPECT_TRUE(hasRule(findings, LintRule::kAclGhostPeer));
     EXPECT_TRUE(hasRule(findings, LintRule::kAclSelfGrant));
-    EXPECT_TRUE(hasRule(findings, LintRule::kAclSharedPeer));
     EXPECT_TRUE(hasRule(findings, LintRule::kOpenWindowNoRanges));
     EXPECT_FALSE(lintClean(findings));
 }
@@ -250,31 +238,27 @@ TEST(LintSystem, WellWiredToySystemIsClean)
 
     auto findings = audit::lint(sys);
     EXPECT_TRUE(lintClean(findings));
-    EXPECT_EQ(sys.stats().lintRuns(), 1u);
-    EXPECT_EQ(sys.stats().lintFindings(), findings.size());
 }
 
 TEST(LintSystem, FlagsOverBroadAclAtRuntime)
 {
     System sys;
     auto &producer = testing::addToy(sys, "producer");
-    testing::addToy(sys, "util", CubicleKind::kShared);
     producer.onInit([](testing::ToyComponent &self) {
         System &s = *self.sys();
         void *buf = s.heapAlloc(64);
         const Wid wid = s.windowInit();
         s.windowAdd(wid, buf, 64);
-        // Over-broad: grants itself and a shared cubicle.
+        // Over-broad: grants itself and a cubicle that never loaded.
         s.windowOpen(wid, self.self());
-        s.windowOpen(wid, s.cidOf("util"));
+        s.windowOpen(wid, 9);
     });
     sys.boot();
 
     auto findings = audit::lint(sys);
     EXPECT_TRUE(hasRule(findings, LintRule::kAclSelfGrant));
-    EXPECT_TRUE(hasRule(findings, LintRule::kAclSharedPeer));
+    EXPECT_TRUE(hasRule(findings, LintRule::kAclGhostPeer));
     EXPECT_FALSE(lintClean(findings));
-    EXPECT_EQ(sys.stats().lintFindings(), findings.size());
 }
 
 TEST(LintSystem, StaleAclFlaggedAfterAddRemoveCycle)

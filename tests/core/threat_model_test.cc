@@ -170,6 +170,76 @@ TEST(ThreatModel, GranteeCannotReShareForeignMemory)
 }
 
 /** Scenario: hostile component ships wrpkru in its binary. */
+/**
+ * Scenario: an owner grants a window to a shared cubicle. Its key is
+ * in every cubicle's PKRU, so a page retagged to it (by its fault or a
+ * prestage) would be readable by a third cubicle without a trap.
+ */
+TEST(ThreatModel, SharedCubicleIsNeverGrantedAWindow)
+{
+    System sys(cfg());
+    addToy(sys, "owner");
+    addToy(sys, "util", CubicleKind::kShared);
+    addToy(sys, "third");
+    sys.boot();
+    const Cid util = sys.cidOf("util");
+    char *buf = nullptr;
+    Wid wid = kInvalidWindow;
+    sys.runAs(sys.cidOf("owner"), [&] {
+        buf = static_cast<char *>(sys.heapAlloc(64));
+        std::memcpy(buf, "owner-private", 14);
+        wid = sys.windowInit();
+        sys.windowAdd(wid, buf, 64);
+        EXPECT_THROW(sys.windowOpen(wid, util), WindowError);
+        EXPECT_THROW(sys.windowPrestage(wid, util, hw::Access::kRead),
+                     WindowError);
+    });
+    EXPECT_EQ(sys.monitor().windowAcl(wid), 0u);
+    for (const Cid cid : {util, sys.cidOf("third")}) {
+        sys.runAs(cid, [&] {
+            EXPECT_THROW(sys.touch(buf, 14, hw::Access::kRead),
+                         hw::CubicleFault);
+        });
+    }
+}
+
+/**
+ * Scenario: an ACL bit names a cubicle id before anything loads there,
+ * and a shared cubicle then takes that id. Neither its fault nor a
+ * prestage may hand it the page.
+ */
+TEST(ThreatModel, GrantToAnIdLaterTakenBySharedCubicleHandsNothing)
+{
+    System sys(cfg());
+    addToy(sys, "owner");
+    addToy(sys, "third");
+    sys.boot();
+    const Cid owner = sys.cidOf("owner");
+    const auto late = static_cast<Cid>(sys.cubicleCount());
+    char *buf = nullptr;
+    Wid wid = kInvalidWindow;
+    sys.runAs(owner, [&] {
+        buf = static_cast<char *>(sys.heapAlloc(64));
+        wid = sys.windowInit();
+        sys.windowAdd(wid, buf, 64);
+        sys.windowOpen(wid, late);
+    });
+    ComponentSpec spec;
+    spec.name = "late";
+    spec.kind = CubicleKind::kShared;
+    ASSERT_EQ(sys.monitor().loadComponent(spec), late);
+
+    sys.runAs(owner, [&] {
+        EXPECT_EQ(sys.windowPrestage(wid, late, hw::Access::kRead), 0u);
+    });
+    for (const Cid cid : {late, sys.cidOf("third")}) {
+        sys.runAs(cid, [&] {
+            EXPECT_THROW(sys.touch(buf, 1, hw::Access::kRead),
+                         hw::CubicleFault);
+        });
+    }
+}
+
 TEST(ThreatModel, LoaderBlocksPkruTampering)
 {
     System sys(cfg());

@@ -88,7 +88,7 @@ TEST(Mpk, AllocatesFifteenKeysAfterMonitorKey)
 
 TEST(Mpk, PhysBudgetCapsAllocation)
 {
-    Mpk mpk(/*modified_exec_semantics=*/true, /*phys_budget=*/4);
+    Mpk mpk(/*phys_budget=*/4);
     EXPECT_EQ(mpk.physBudget(), 4);
     EXPECT_EQ(mpk.allocKey(), 1);
     EXPECT_EQ(mpk.allocKey(), 2);
@@ -98,7 +98,7 @@ TEST(Mpk, PhysBudgetCapsAllocation)
 
 TEST(Mpk, FreedKeysAreReusedFirstAndCounted)
 {
-    Mpk mpk(/*modified_exec_semantics=*/true, /*phys_budget=*/4);
+    Mpk mpk(/*phys_budget=*/4);
     EXPECT_EQ(mpk.allocKey(), 1);
     EXPECT_EQ(mpk.allocKey(), 2);
     EXPECT_EQ(mpk.remainingKeys(), 1);
@@ -140,7 +140,7 @@ TEST(Mpk, CheckReadWrite)
 
 TEST(Mpk, ModifiedSemanticsDenyExecOnFullyDeniedKey)
 {
-    Mpk mpk(/*modified_exec_semantics=*/true);
+    Mpk mpk;
     Pkru pkru = Pkru::denyAll();
     auto x = mpk.check(pkru, 2, Access::kExec);
     ASSERT_TRUE(x.has_value());
@@ -148,15 +148,6 @@ TEST(Mpk, ModifiedSemanticsDenyExecOnFullyDeniedKey)
 
     // Read-only access re-enables execution.
     pkru.allowReadOnly(2);
-    EXPECT_FALSE(mpk.check(pkru, 2, Access::kExec).has_value());
-}
-
-TEST(Mpk, StockSemanticsAllowExecRegardlessOfPkru)
-{
-    // Stock MPK has no tag-wide execute control — the limitation the
-    // paper's hardware modification addresses.
-    Mpk mpk(/*modified_exec_semantics=*/false);
-    Pkru pkru = Pkru::denyAll();
     EXPECT_FALSE(mpk.check(pkru, 2, Access::kExec).has_value());
 }
 

@@ -97,6 +97,65 @@ TEST_F(ComponentsTest, HeapChunksComeFromAllocAfterBoot)
     EXPECT_GT(alloc.pagesServed(), 0u);
 }
 
+TEST_F(ComponentsTest, FreePagesFreesNothingButWholeHeapRuns)
+{
+    // ALLOC's free_pages is exported to every cubicle: a run past the
+    // end of the space, a second free and another cubicle's code page
+    // must each leave the pool, the page's owner and its page-table
+    // entry as they were.
+    boot();
+    auto allocPages =
+        sys->resolve<void *(core::Cid, std::size_t)>("alloc", "alloc_pages");
+    auto freePages =
+        sys->resolve<void(void *, std::size_t)>("alloc", "free_pages");
+    core::Monitor &mon = sys->monitor();
+    const core::Cid appCid = sys->cidOf("app");
+    const core::Cid vfsCid = sys->cidOf("vfscore");
+
+    struct Page {
+        std::size_t free;
+        Cid owner;
+        bool present;
+        uint8_t perms;
+        uint8_t pkey;
+    };
+    const auto look = [&](std::size_t page) {
+        const hw::PageEntry &e = mon.space().entryAt(page);
+        return Page{mon.freePageCount(), mon.pageMeta().at(page).owner,
+                    e.present, e.perms, e.pkey};
+    };
+    const auto same = [](const Page &a, const Page &b) {
+        return a.free == b.free && a.owner == b.owner &&
+               a.present == b.present && a.perms == b.perms &&
+               a.pkey == b.pkey;
+    };
+
+    app->run([&] {
+        const mem::PageRange code = mon.cubicle(vfsCid).codeRange;
+        Page before = look(code.first);
+        freePages(code.ptr, 1);
+        EXPECT_TRUE(same(look(code.first), before)) << "code page";
+        EXPECT_EQ(before.owner, vfsCid);
+
+        void *once = allocPages(appCid, 1);
+        ASSERT_NE(once, nullptr);
+        const std::size_t oncePage = mon.space().pageIndexOf(once);
+        before = look(oncePage);
+        freePages(once, 1);
+        EXPECT_EQ(mon.freePageCount(), before.free + 1);
+        before = look(oncePage);
+        freePages(once, 1);
+        EXPECT_TRUE(same(look(oncePage), before)) << "second free";
+
+        void *heap = allocPages(appCid, 1);
+        ASSERT_NE(heap, nullptr);
+        const std::size_t page = mon.space().pageIndexOf(heap);
+        before = look(page);
+        freePages(heap, mon.space().numPages());
+        EXPECT_TRUE(same(look(page), before)) << "run past the end";
+    });
+}
+
 TEST_F(ComponentsTest, RandomIsDeterministicPerSeed)
 {
     boot();

@@ -73,6 +73,36 @@ TEST_F(FsStackTest, CreateWriteReadRoundtrip)
     });
 }
 
+TEST_F(FsStackTest, BorrowRefusesAPeerTheMonitorCannotGrant)
+{
+    // The borrowing peer is a caller-supplied argument: a shared
+    // cubicle (the monitor refuses to open a window to it), an id past
+    // the cubicle table and one past the ACL mask are invalid
+    // arguments, not exceptions that escape into the application.
+    boot();
+    char *buf = appBuf(4096);
+    app->run([&] {
+        int fd = fs->open("/lent.bin", kCreate | kRdWr);
+        ASSERT_GE(fd, 0);
+        std::memset(buf, 0x3c, 4096);
+        ASSERT_EQ(fs->write(fd, buf, 4096), 4096);
+        const core::Cid bad[] = {
+            sys->cidOf("libc"), static_cast<core::Cid>(sys->cubicleCount()),
+            static_cast<core::Cid>(core::kMaxCubicles)};
+        for (const core::Cid peer : bad) {
+            VfsSpan span;
+            EXPECT_EQ(fs->borrow(fd, 0, peer, 0, &span), kErrInval)
+                << "peer " << peer;
+        }
+        // A peer the monitor grants still borrows.
+        VfsSpan span;
+        ASSERT_EQ(fs->borrow(fd, 0, sys->cidOf("vfscore"), 0, &span), kOk);
+        EXPECT_GT(span.len, 0u);
+        EXPECT_EQ(fs->release(fd, span.token), kOk);
+        EXPECT_EQ(fs->close(fd), 0);
+    });
+}
+
 TEST_F(FsStackTest, OpenMissingFileFails)
 {
     boot();

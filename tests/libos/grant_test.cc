@@ -220,28 +220,45 @@ TEST_F(GrantTest, ArenaStagingIsPageAlignedAndBounded)
 {
     app->run([&] {
         const PeerSet peers{vfsCid};
-        XferArena arena(*sys, 1, peers);
+        XferArena arena(*sys, peers);
         ASSERT_TRUE(arena.valid());
         EXPECT_EQ(reinterpret_cast<uintptr_t>(arena.base()) %
                       hw::kPageSize,
                   0u)
-            << "arena pages must not share a page with caller state";
+            << "the arena page must not share a page with caller state";
         EXPECT_EQ(arena.size(), hw::kPageSize);
 
-        void *p8 = arena.alloc(10, 8);
-        EXPECT_EQ(reinterpret_cast<uintptr_t>(p8) % 8, 0u);
-        void *p64 = arena.alloc(1, 64);
-        EXPECT_EQ(reinterpret_cast<uintptr_t>(p64) % 64, 0u);
-        EXPECT_GT(p64, p8);
-
+        EXPECT_EQ(arena.at(0), arena.base());
+        EXPECT_EQ(arena.at(arena.size() - 1),
+                  arena.base() + arena.size() - 1);
         EXPECT_THROW(arena.at(arena.size()), core::WindowError);
-        EXPECT_THROW(arena.alloc(2 * hw::kPageSize), core::OutOfMemory);
-        arena.rewind();
-        EXPECT_EQ(arena.alloc(16, 8), arena.base());
 
         arena.touchForWrite(0, 64);
         std::memset(arena.base(), 0x77, 64);
     });
+}
+
+TEST_F(GrantTest, RefusedPeerLeavesNothingStaged)
+{
+    // The monitor refuses to open a window to a shared cubicle. The
+    // Grant's constructor throws before the Grant exists, so no
+    // destructor would undo its staging: the constructor must.
+    char *buf = nullptr;
+    GrantWindow win;
+    const PeerSet peers{vfsCid, sys->cidOf("libc")};
+    app->run([&] {
+        buf = static_cast<char *>(sys->heapAlloc(128));
+        win = GrantWindow(*sys, peers);
+        EXPECT_THROW(Grant(*sys, win, peers, buf, 128), core::WindowError);
+    });
+    EXPECT_EQ(sys->monitor().windowAcl(win.id()), 0u);
+    for (const core::WindowWiring &w : sys->wiringSnapshot().windows) {
+        if (w.wid == win.id()) {
+            EXPECT_EQ(w.rangeCount, 0u);
+        }
+    }
+    EXPECT_TRUE(faults(vfsCid, buf, 128));
+    app->run([&] { win.destroy(); });
 }
 
 TEST_F(GrantTest, ArenaWindowAdmitsPeersForItsLifetime)
@@ -250,7 +267,7 @@ TEST_F(GrantTest, ArenaWindowAdmitsPeersForItsLifetime)
     XferArena arena;
     app->run([&] {
         const PeerSet peers{vfsCid, ramfsCid};
-        arena = XferArena(*sys, 1, peers);
+        arena = XferArena(*sys, peers);
         base = arena.base();
         arena.touchForWrite(0, 64);
         std::memcpy(base, "/staged-path", 13);
@@ -343,6 +360,56 @@ TEST(GrantVirtualTags, RoundTripLeavesNoPageOnAnotherCubiclesTag)
         sys.touch(p, kBytes, hw::Access::kRead);
         EXPECT_EQ(sys.stats().traps(), traps0);
         EXPECT_EQ(static_cast<unsigned char>(p[kBytes - 1]), 0x5au);
+    });
+    sys.runAs(peer, [&] {
+        EXPECT_THROW(sys.touch(p, 1, hw::Access::kRead), hw::CubicleFault);
+    });
+}
+
+TEST(GrantVirtualTags, HotRequestWithoutAKeyBracketsLikeAColdWindow)
+{
+    // Tag virtualisation keeps a few keys back for hot windows and
+    // degrades a hot request to an ordinary window once they are spent.
+    // A Grant on such a window must then close, hand back and unstage
+    // like on any cold window: nothing else revokes the grant.
+    core::SystemConfig cfg;
+    cfg.numPages = 1024;
+    cfg.virtualizeTags = true;
+    core::System sys(cfg);
+    auto &app = static_cast<AppComponent &>(
+        sys.addComponent(std::make_unique<AppComponent>()));
+    sys.addComponent(std::make_unique<Writer>("peer"));
+    sys.boot();
+    const core::Cid appCid = sys.cidOf("app");
+    const core::Cid peer = sys.cidOf("peer");
+    auto fill = sys.resolve<int64_t(char *, int64_t)>("peer", "peer_fill");
+
+    constexpr std::size_t kBytes = 2 * hw::kPageSize;
+    const mem::PageRange buf =
+        sys.monitor().allocPagesFor(appCid, 2, mem::PageType::kHeap);
+    char *p = reinterpret_cast<char *>(buf.ptr);
+    app.run([&] {
+        // Spend every key the monitor has left.
+        std::vector<GrantWindow> spent;
+        for (int i = 0; i < hw::kNumPhysPkeys; ++i) {
+            spent.emplace_back(sys, PeerSet{}, /*hot=*/true);
+            if (!spent.back().hot())
+                break;
+        }
+        GrantWindow win(sys, PeerSet{peer}, /*hot=*/true);
+        EXPECT_FALSE(win.hot()) << "no key is left for this window";
+        {
+            Grant grant(sys, win, PeerSet{peer}, p, kBytes,
+                        Prestage::kWrite);
+            EXPECT_EQ(fill(p, kBytes), static_cast<int64_t>(kBytes));
+        }
+        EXPECT_EQ(sys.monitor().windowAcl(win.id()), 0u)
+            << "the grant left the peer in the ACL";
+        const uint64_t traps0 = sys.stats().traps();
+        sys.touch(p, kBytes, hw::Access::kWrite);
+        EXPECT_EQ(sys.stats().traps(), traps0)
+            << "the buffer was not handed back";
+        EXPECT_EQ(static_cast<unsigned char>(p[0]), 0x5au);
     });
     sys.runAs(peer, [&] {
         EXPECT_THROW(sys.touch(p, 1, hw::Access::kRead), hw::CubicleFault);

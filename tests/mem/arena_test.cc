@@ -59,6 +59,27 @@ TEST_F(PageAllocatorTest, FreeReturnsPagesAndClearsState)
     EXPECT_EQ(meta.at(r.first).owner, kNoCubicle);
 }
 
+TEST_F(PageAllocatorTest, FreeRefusesOverrunDoubleFreeAndMixedRuns)
+{
+    PageRange a = alloc.allocPages(4, 1, PageType::kHeap, 0, 1);
+    PageRange b = alloc.allocPages(4, 2, PageType::kHeap, 0, 2);
+    PageRange c = alloc.allocPages(4, 2, PageType::kStack, 0, 2);
+    const std::size_t before = alloc.freePageCount();
+
+    // Past the end of the space, across two owners, across two types.
+    EXPECT_FALSE(alloc.freePages({a.first, space.numPages(), a.ptr}));
+    EXPECT_FALSE(alloc.freePages({a.first, a.count + 1, a.ptr}));
+    EXPECT_FALSE(alloc.freePages({b.first, b.count + 1, b.ptr}));
+    EXPECT_EQ(alloc.freePageCount(), before);
+    EXPECT_EQ(meta.at(b.first).owner, 2);
+
+    // A second free of the same run.
+    EXPECT_TRUE(alloc.freePages(a));
+    EXPECT_FALSE(alloc.freePages(a));
+    EXPECT_EQ(alloc.freePageCount(), before + a.count);
+    EXPECT_EQ(alloc.usedPageCount(), b.count + c.count);
+}
+
 TEST_F(PageAllocatorTest, CoalescingAllowsFullReallocation)
 {
     PageRange a = alloc.allocPages(32, 1, PageType::kHeap, 0, 1);
