@@ -23,6 +23,7 @@
 #include "libos/app.h"
 #include "libos/stack.h"
 #include "libos/ukapi.h"
+#include "tests/core/toy_components.h"
 
 using namespace cubicleos;
 
@@ -155,7 +156,7 @@ main()
         };
         for (int i = 0; i < kCubicles; ++i) {
             sys.addComponent(
-                std::make_unique<Echo>(bench::numbered("c", i)));
+                std::make_unique<Echo>(core::testing::numbered("c", i)));
         }
         sys.boot();
 
@@ -163,8 +164,8 @@ main()
         std::vector<core::CrossFn<int(int)>> fns;
         for (int i = 0; i < kCubicles; ++i) {
             fns.push_back(sys.resolve<int(int)>(
-                bench::numbered("c", i),
-                bench::numbered("c", i) + "_inc"));
+                core::testing::numbered("c", i),
+                core::testing::numbered("c", i) + "_inc"));
         }
         int v = 0;
         const auto m = bench::measure(sys.clock(), [&] {

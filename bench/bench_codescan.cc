@@ -1,15 +1,16 @@
 /**
  * @file
- * Load-time verification throughput: the conservative byte-grep, and
- * the loader's whole verdict, the reachability walk from every
+ * Code-verification throughput over synthesized component images from
+ * 64 KiB to 16 MiB: the conservative byte-grep, which is the loader's
+ * whole verdict, and the auditor's reachability walk from every
  * function entry with jump-table/lea-call/entry-table resolution of
- * indirect flow (verifyImageInter), over synthesized component images
- * from 64 KiB to 16 MiB.
+ * indirect flow (verifyImageInter), which runs outside the trusted
+ * core.
  *
  * The walk runs the grep, decodes the reachable code, resolves
  * indirect flow, labels each grep match, and ends with one linear
  * decode of the whole image for coverage. Both throughputs are
- * one-shot load-time costs, not steady-state costs.
+ * one-shot costs per image, not steady-state costs.
  *
  * The benign generator plants indirect sites on purpose (bounded
  * switches, lea/call singletons, and a fraction of naked register
@@ -25,10 +26,10 @@
 #include <cstdlib>
 #include <vector>
 
+#include "audit/ipcfg.h"
 #include "bench/bench_util.h"
 #include "builder/image.h"
 #include "core/codescan.h"
-#include "core/verifier/ipcfg.h"
 
 namespace {
 
@@ -47,9 +48,9 @@ mbPerSec(std::size_t bytes, double ms)
 int
 main()
 {
-    bench::header("Load-time code verification throughput",
-                  "loader rule 2 (paper §5.4) — grep vs "
-                  "interprocedural walk");
+    bench::header("Code verification throughput",
+                  "loader rule 2 (paper §5.4) — the loader's grep vs "
+                  "the auditor's interprocedural walk");
 
     const int reps = bench::intFromEnv("CODESCAN_REPS", 8);
     const bool listUnresolved =
@@ -57,8 +58,10 @@ main()
     const std::size_t sizes[] = {64u << 10, 256u << 10, 1u << 20,
                                  4u << 20, 16u << 20};
 
-    std::printf("%10s %6s %11s %11s %8s %8s %6s\n", "image", "reps",
-                "grep MB/s", "inter MB/s", "indirect", "unres", "rate%");
+    std::printf("%17s %22s %13s\n", "", "grep (loader verdict)",
+                "walk (audit)");
+    std::printf("%10s %6s %22s %13s %8s %8s %6s\n", "image", "reps",
+                "MB/s", "MB/s", "indirect", "unres", "rate%");
     bench::rule();
 
     hw::CycleClock clock; // unused by any scanner; wall time only
@@ -70,8 +73,7 @@ main()
 
         // Warm-up + correctness guard: benign images must pass both.
         if (core::scanCodeImage(image).has_value() ||
-            !core::verifier::verifyImageInter(image, entries, {})
-                 .accepted()) {
+            !audit::verifyImageInter(image, entries, {}).accepted()) {
             std::printf("BUG: benign image flagged at size %zu\n", size);
             return 1;
         }
@@ -83,28 +85,27 @@ main()
             }
         });
 
-        core::verifier::VerifierReport interReport;
-        auto inter = bench::measure(clock, [&] {
+        audit::VerifierReport walkReport;
+        auto walk = bench::measure(clock, [&] {
             for (int r = 0; r < reps; ++r)
-                interReport =
-                    core::verifier::verifyImageInter(image, entries, {});
+                walkReport = audit::verifyImageInter(image, entries, {});
         });
 
-        const std::size_t resolved = interReport.audit.resolvedSites;
-        const std::size_t unresolved = interReport.audit.unresolvedSites;
-        const double rate = interReport.audit.unresolvedRate();
+        const std::size_t resolved = walkReport.audit.resolvedSites;
+        const std::size_t unresolved = walkReport.audit.unresolvedSites;
+        const double rate = walkReport.audit.unresolvedRate();
         if (rate >= 0.20)
             rateOk = false;
 
         const std::size_t total = size * static_cast<std::size_t>(reps);
-        std::printf("%8zuK %6d %11.1f %11.1f %8zu %8zu %6.2f\n",
+        std::printf("%9zuK %6d %22.1f %13.1f %8zu %8zu %6.2f\n",
                     size >> 10, reps, mbPerSec(total, grep.wallMs),
-                    mbPerSec(total, inter.wallMs), resolved + unresolved,
+                    mbPerSec(total, walk.wallMs), resolved + unresolved,
                     unresolved, 100.0 * rate);
 
         if (listUnresolved) {
-            for (const core::verifier::IndirectSiteRecord &site :
-                 interReport.audit.indirectSites) {
+            for (const audit::IndirectSiteRecord &site :
+                 walkReport.audit.indirectSites) {
                 if (site.resolved)
                     continue;
                 std::printf("    unresolved %s at offset %zu "
@@ -115,9 +116,10 @@ main()
         }
     }
     bench::rule();
-    std::printf("inter = grep + reachability walk from every function "
-                "entry with\njump-table/lea-call resolution + one "
-                "coverage decode of every byte\n(all one-shot, at load). "
+    std::printf("grep = the loader's verdict (any match refuses the "
+                "image).\nwalk = the auditor's grep + reachability walk "
+                "from every function entry\nwith jump-table/lea-call "
+                "resolution + one coverage decode of every byte.\n"
                 "unres counts residual CFI-trusted indirect calls.\n");
     if (!rateOk) {
         std::printf("BUG: unresolved-indirect rate reached 20%% — "

@@ -9,9 +9,9 @@
  *  1. Micro cycles on a toy cubicle with a realistic CFI image:
  *     destroy latency (quiesce + revoke + reclaim) and restart
  *     latency with the verify cache warm (the image re-verifies from
- *     its memoised report) vs cold (cache cleared, the full grep and
- *     CFG walk — what a cold load pays). The acceptance story is
- *     hit ≪ miss: hot-restart rides the cache.
+ *     its memoised grep verdict) vs cold (cache cleared, the grep over
+ *     the whole image — what a cold load pays). The acceptance story
+ *     is hit < miss: hot-restart rides the cache.
  *
  *  2. The crash lab under service: HTTP req/s through the networked
  *     stack before the database cubicle dies, while it is dead, and
@@ -47,7 +47,7 @@ runMicro(int cycles)
     core::System sys(cfg);
 
     core::testing::addToy(sys, "anchor");
-    core::verifier::EntryTable table;
+    core::EntryTable table;
     core::testing::addToy(sys, "victim")
         .withImage(builder::makeCfiImage(262144, 0x11FEC1C5, &table))
         .withIndirectTables({table})
@@ -62,7 +62,7 @@ runMicro(int cycles)
     MicroResult r;
     r.cycles = cycles;
 
-    // Warm-cache cycles: destroy + restart, image report memoised.
+    // Warm-cache cycles: destroy + restart, grep verdict memoised.
     for (int i = 0; i < cycles; ++i) {
         const auto d = bench::measure(sys.clock(), [&] {
             r.reclaimedPages = sys.destroyComponent("victim");
@@ -75,7 +75,7 @@ runMicro(int cycles)
     }
 
     // Cold cycles: clearing the process-wide verify cache forces the
-    // full grep + CFG walk — the cold-load cost a restart avoids.
+    // grep over the whole image — the cold-load cost a restart avoids.
     for (int i = 0; i < cycles; ++i) {
         sys.destroyComponent("victim");
         core::verifier::VerifyCache::instance().clear();
@@ -214,7 +214,7 @@ main()
     std::printf("wrote %s\n", path);
 
     // Acceptance gate: hot-restart must ride the verify cache — the
-    // cold path re-decodes a 256 KiB image and must be visibly slower.
+    // cold path re-greps a 256 KiB image and must be visibly slower.
     if (m.restartMissMs <= m.restartHitMs) {
         std::fprintf(stderr,
                      "FAIL: cold restart (%.4f ms) not slower than "

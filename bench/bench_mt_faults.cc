@@ -43,6 +43,7 @@ using core::System;
 using core::SystemConfig;
 using core::testing::ToyComponent;
 using core::testing::addToy;
+using core::testing::numbered;
 
 struct Result {
     int threads = 0;
@@ -76,7 +77,7 @@ run(int threads, int iters)
             });
     });
     for (int t = 0; t < threads; ++t)
-        addToy(sys, bench::numbered("w", t));
+        addToy(sys, numbered("w", t));
     sys.boot();
     auto sum = sys.resolve<long(const char *, std::size_t)>("srv", "sum");
     const Cid srv = sys.cidOf("srv");
@@ -90,7 +91,7 @@ run(int threads, int iters)
         std::vector<std::thread> pool;
         for (int t = 0; t < threads; ++t) {
             pool.emplace_back([&, t] {
-                const Cid me = sys.cidOf(bench::numbered("w", t));
+                const Cid me = sys.cidOf(numbered("w", t));
                 sys.runAs(me, [&] {
                     auto *buf = reinterpret_cast<char *>(
                         sys.monitor()

@@ -73,7 +73,7 @@ void
 bootWorkers(core::System &sys, int n)
 {
     for (int i = 0; i < n; ++i) {
-        core::testing::addToy(sys, bench::numbered("w", i))
+        core::testing::addToy(sys, core::testing::numbered("w", i))
             .onExports([](core::Exporter &exp,
                           core::testing::ToyComponent &) {
                 exp.fn<int(int)>("ping", [](int x) { return x + 1; });
@@ -161,7 +161,7 @@ runMicro(int n)
     std::vector<core::CrossFn<int(int)>> ping;
     for (int i = 1; i < n; ++i) {
         ping.push_back(
-            sys.resolve<int(int)>(bench::numbered("w", i), "ping"));
+            sys.resolve<int(int)>(core::testing::numbered("w", i), "ping"));
     }
     const core::Cid driver = sys.cidOf("w0");
 
@@ -192,7 +192,7 @@ runMicro(int n)
     // least-recently-used workers are parked; time one cross-call
     // into the coldest one (includes evicting today's LRU victim).
     for (int i = 1; i < n; ++i) {
-        if (sys.monitor().cubicle(sys.cidOf(bench::numbered("w", i)))
+        if (sys.monitor().cubicle(sys.cidOf(core::testing::numbered("w", i)))
                 .pkey != sys.monitor().parkedKey())
             continue;
         const uint64_t f0 = sys.clock().read();

@@ -84,19 +84,6 @@ header(const std::string &title, const std::string &paper_ref)
     }
 }
 
-/**
- * @p prefix followed by @p i, e.g. "w3". Built by appending: GCC 12
- * reports a false -Wrestrict overlap on `"w" + std::to_string(i)` in
- * optimised builds, which prepends into the temporary.
- */
-inline std::string
-numbered(const char *prefix, int i)
-{
-    std::string name(prefix);
-    name += std::to_string(i);
-    return name;
-}
-
 #if defined(CUBICLEOS_GIT_SHA) && defined(CUBICLEOS_BUILD_TYPE)
 /**
  * Writes the provenance fields every committed BENCH_*.json carries,

@@ -3,9 +3,9 @@
  * CI gate: boots every in-tree deployment, drives a representative
  * workload so the fault history is populated, and runs the combined
  * isolation audit (syntactic lint + least-privilege dataflow + the
- * per-image pass-3 records). Exits non-zero on any warning-or-worse
- * finding — `cmake --build build --target verify-audit` is the
- * one-command deployment audit.
+ * per-image pass-3 records of the auditor's reachability walk). Exits
+ * non-zero on any warning-or-worse finding — `cmake --build build
+ * --target verify-audit` is the one-command deployment audit.
  *
  * Pass a file path as argv[1] to also dump the httpd deployment's
  * machine-readable audit JSON (audit::auditJson) for diffing.
@@ -42,10 +42,9 @@ reportFindings(const char *deployment, core::System &sys)
     std::size_t unresolved = 0;
     const std::size_t count = sys.monitor().cubicleCount();
     for (core::Cid cid = 0; cid < count; ++cid) {
-        const core::verifier::ImageAudit &audit =
-            sys.monitor().verifierReport(cid).audit;
-        resolved += audit.resolvedSites;
-        unresolved += audit.unresolvedSites;
+        const audit::ImageAudit record = audit::imageReport(sys, cid).audit;
+        resolved += record.resolvedSites;
+        unresolved += record.unresolvedSites;
     }
     std::printf("%s: %zu cubicles, %zu findings (%d warning+), "
                 "indirect sites %zu resolved / %zu unresolved\n",

@@ -144,6 +144,13 @@ class HttpHarness {
     core::Cid lwipCid_ = core::kNoCubicle;
     uint64_t requestBaseCycles_;
     uint64_t now_ = 0;
+    /**
+     * The client's response buffer, reused by every fetch: a large
+     * response lands in pages an earlier one already faulted in,
+     * instead of fresh ones whose host page faults would count as
+     * request latency.
+     */
+    std::string response_;
 };
 
 } // namespace cubicleos::httpd

@@ -40,9 +40,9 @@ namespace cubicleos::httpd {
 inline void
 attachTenantImage(core::ComponentSpec &s)
 {
-    core::verifier::EntryTable table;
+    core::EntryTable table;
     // Fixed seed: every tenant ships the same hardened build, so the
-    // verifier's image memoisation kicks in across the fleet.
+    // loader's verify cache hits across the fleet.
     s.image = builder::makeCfiImage(4096, 0x7e4a, &table);
     s.indirectTables = {table};
 }

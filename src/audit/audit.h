@@ -1,12 +1,15 @@
 /**
  * @file
- * Isolation linter and least-privilege auditor, outside the trusted
- * core.
+ * Isolation linter, least-privilege auditor and per-image code audit,
+ * outside the trusted core.
  *
- * Both read a core::WiringSnapshot (core/wiring.h) — the monitor's
- * plain-data export of cubicles, live windows with their ACL masks and
- * fault-observed usage, and exports — and never touch the enforcement
- * path (load, verify, cross-call, fault, destroy). Two rule sets:
+ * The linter and the auditor read a core::WiringSnapshot
+ * (core/wiring.h) — the monitor's plain-data export of cubicles, live
+ * windows with their ACL masks and fault-observed usage, and exports —
+ * and never touch the enforcement path (load, verify, cross-call,
+ * fault, destroy). The code audit (imageReport) runs the reachability
+ * walk (ipcfg.h) over the image each cubicle was loaded from. Two rule
+ * sets:
  *
  * Syntactic rules (lintWiring) check what the wiring *declares*:
  *   - window ACL bits granting cubicle IDs that do not exist;
@@ -49,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "audit/report.h"
 #include "core/ids.h"
 #include "core/wiring.h"
 
@@ -106,12 +110,19 @@ std::vector<LintFinding> lint(core::System &sys);
 std::vector<LintFinding> audit(core::System &sys);
 
 /**
- * The combined machine-readable audit: per-image verifier records
- * (decode-coverage and finding counts, the walk's CfgSummary in the
- * "pass2" block and its ImageAudit in "pass3"), the window usage
- * matrix, and audit(sys)'s findings, as deterministic JSON (schema
- * cubicleos-audit-v1: fixed key order, integers only, no addresses or
- * timestamps). Safe to diff against a committed baseline.
+ * The reachability walk (verifyImageInter) over the image loaded into
+ * @p cid: the image, entry points and declared tables of
+ * System::componentAt(cid).spec(), the spec the loader was handed.
+ */
+VerifierReport imageReport(core::System &sys, core::Cid cid);
+
+/**
+ * The combined machine-readable audit: per-image walk records
+ * (imageReport: decode-coverage and finding counts, the walk's
+ * CfgSummary in the "pass2" block and its ImageAudit in "pass3"), the
+ * window usage matrix, and audit(sys)'s findings, as deterministic
+ * JSON (schema cubicleos-audit-v1: fixed key order, integers only, no
+ * addresses or timestamps). Safe to diff against a committed baseline.
  */
 std::string auditJson(core::System &sys);
 

@@ -2,6 +2,7 @@
 #include <iterator>
 
 #include "audit/audit.h"
+#include "audit/ipcfg.h"
 #include "core/errors.h"
 #include "core/system.h"
 
@@ -11,9 +12,6 @@ using core::AclMask;
 using core::Cid;
 using core::WindowWiring;
 using core::WiringSnapshot;
-using core::verifier::IndirectSiteRecord;
-using core::verifier::VerifierReport;
-using core::verifier::WitnessPath;
 
 namespace {
 
@@ -196,6 +194,14 @@ audit(core::System &sys)
     return collect(sys.wiringSnapshot());
 }
 
+VerifierReport
+imageReport(core::System &sys, Cid cid)
+{
+    const core::ComponentSpec spec = sys.componentAt(cid).spec();
+    return verifyImageInter(spec.image, spec.entryPoints,
+                            spec.indirectTables);
+}
+
 std::string
 auditJson(core::System &sys)
 {
@@ -210,7 +216,7 @@ auditJson(core::System &sys)
         if (cid != 0)
             out += ',';
         appendImage(out, monitor.cubicle(cid).name,
-                    monitor.verifierReport(cid));
+                    imageReport(sys, cid));
     }
 
     out += "],\"windows\":[";

@@ -215,7 +215,7 @@ makeBenignImage(std::size_t size, uint64_t seed,
 
 std::vector<uint8_t>
 makeCfiImage(std::size_t size, uint64_t seed,
-             core::verifier::EntryTable *table,
+             core::EntryTable *table,
              std::vector<std::size_t> *entries)
 {
     std::vector<uint8_t> image = makeBenignImage(size, seed, entries);

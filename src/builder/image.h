@@ -16,7 +16,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/verifier/report.h"
+#include "core/component.h"
 
 namespace cubicleos::builder {
 
@@ -24,7 +24,7 @@ namespace cubicleos::builder {
  * Generates a benign pseudo code image of @p size bytes, deterministic
  * in @p seed, guaranteed to contain no forbidden sequence. The image
  * is a well-formed x86-64 instruction stream (fully decodable by the
- * verifier's coverage sweep): 0F appears only before a benign two-byte
+ * auditor's coverage sweep): 0F appears only before a benign two-byte
  * opcode and CD is never emitted, so no forbidden pattern can arise
  * even across instruction boundaries. The stream also carries the
  * indirect-dispatch idioms the walk resolves — bounded-switch jump
@@ -50,14 +50,14 @@ makeBenignImage(std::size_t size, uint64_t seed,
  * ships: the stream is sealed with a terminal ret and followed by a
  * builder-declared entry table (one 4-byte slot naming offset 0, the
  * canonical address-taken entry). Declaring @p table in
- * ComponentSpec::indirectTables lets the verifier's walk resolve the
+ * ComponentSpec::indirectTables lets the auditor's walk resolve the
  * stream's residual naked indirect calls entry-table-style instead of
  * reporting them opaque — the idiom for components loaded at scale,
  * where deployment audits bound the per-cubicle unresolved rate.
  */
 std::vector<uint8_t>
 makeCfiImage(std::size_t size, uint64_t seed,
-             core::verifier::EntryTable *table,
+             core::EntryTable *table,
              std::vector<std::size_t> *entries = nullptr);
 
 /**

@@ -10,13 +10,14 @@
  * performed over the full image so sequences spanning page boundaries
  * are found too.
  *
- * This byte-grep is deliberately conservative: it reports every
- * occurrence of the patterns, including bytes buried inside a longer
- * instruction's immediate and benign aliases of the masked xrstor
- * pattern (lfence shares its reg field). The verifier's reachability
- * walk (core/verifier/ipcfg.h) labels each match before the loader
- * decides; the grep's verdict is therefore always at least as strict
- * as the verifier's.
+ * This byte-grep is the loader's whole verdict, and deliberately
+ * conservative: it reports every occurrence of the patterns, including
+ * bytes buried inside a longer instruction's immediate and benign
+ * aliases of the masked xrstor pattern (lfence shares its reg field),
+ * and the loader refuses an image on any match. Whether a path
+ * executes a match is the auditor's question, outside the trusted
+ * core: its reachability walk (audit/ipcfg.h) labels each match. The
+ * grep refuses every image the walk would.
  */
 
 #ifndef CUBICLEOS_CORE_CODESCAN_H_
@@ -46,7 +47,8 @@ struct ForbiddenInsn {
 std::optional<ForbiddenInsn> scanCodeImage(std::span<const uint8_t> image);
 
 /**
- * Scans and collects every match (the verifier's findings).
+ * Scans and collects every match (the findings the auditor's walk
+ * labels).
  * Matches are non-overlapping: after a match the scan resumes past the
  * matched bytes, so a sequence is reported once, not at every
  * sub-position.

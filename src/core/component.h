@@ -20,6 +20,7 @@
 #ifndef CUBICLEOS_CORE_COMPONENT_H_
 #define CUBICLEOS_CORE_COMPONENT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -28,11 +29,20 @@
 #include <vector>
 
 #include "core/ids.h"
-#include "core/verifier/report.h"
 
 namespace cubicleos::core {
 
 class System;
+
+/**
+ * One relocation-like indirect-call target table the builder declares
+ * in ComponentSpec::indirectTables: @c count 4-byte little-endian
+ * image offsets starting at @c offset.
+ */
+struct EntryTable {
+    std::size_t offset = 0; ///< byte offset of the table in the image
+    std::size_t count = 0;  ///< number of 4-byte entries
+};
 
 /** Static description of a component, consumed by the loader. */
 struct ComponentSpec {
@@ -51,21 +61,23 @@ struct ComponentSpec {
     std::size_t stackPages = 0;     ///< 0: use system default
 
     /**
-     * Offsets of exported entry points within @c image, seeding the
-     * verifier's reachability walk. Empty means "the image
-     * exports its base": the walk starts at offset 0. An offset past
-     * the image end fails the load.
+     * Offsets of exported entry points within @c image. Empty means
+     * "the image exports its base", offset 0. The loader only checks
+     * that each lies inside the image (an offset past its end fails
+     * the load); the auditor's reachability walk (audit/ipcfg.h)
+     * starts from them.
      */
     std::vector<std::size_t> entryPoints;
 
     /**
      * Builder-declared indirect-call target tables (the address-taken
-     * set a CFI-instrumented build publishes): each table is @c count
-     * 4-byte little-endian image offsets at @c offset. The verifier's
-     * pass 3 resolves every indirect call site against their union and
-     * treats the table bytes as data. Empty means no declared targets.
+     * set a CFI-instrumented build publishes). Empty means no declared
+     * targets. The loader only checks that each table lies inside the
+     * image (one that does not fails the load); the auditor's walk
+     * resolves every indirect call site against their union and treats
+     * the table bytes as data.
      */
-    std::vector<verifier::EntryTable> indirectTables;
+    std::vector<EntryTable> indirectTables;
 };
 
 /**

@@ -38,11 +38,11 @@ class LoaderError : public std::runtime_error {
 };
 
 /**
- * The load-time verifier rejected an image: a path from an entry point
- * executes a forbidden instruction, or the reachability walk cannot
- * prove a forbidden byte sequence dead (see core/verifier/ipcfg.h).
- * A LoaderError subtype so callers treating every load refusal
- * uniformly keep working.
+ * The loader refused an image: it is empty, it holds a forbidden byte
+ * sequence anywhere (core/codescan.h; the message names the first
+ * one's mnemonic and offset), or an entry point or declared
+ * indirect-target table lies outside it. A LoaderError subtype so
+ * callers treating every load refusal uniformly keep working.
  */
 class VerifierError : public LoaderError {
   public:

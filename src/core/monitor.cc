@@ -82,7 +82,6 @@ Monitor::Monitor(const SystemConfig &cfg, Stats *stats)
     // Pre-reserve so the tables never reallocate: fault-path readers
     // index them without holding any lock.
     cubicles_.reserve(kMaxCubicles);
-    loadReports_.reserve(kMaxCubicles);
     lifeRecords_.reserve(kMaxCubicles);
 }
 
@@ -94,16 +93,11 @@ Monitor::loadComponent(const ComponentSpec &spec)
     if (cubicles_.size() >= static_cast<std::size_t>(kMaxCubicles))
         throw LoaderError("too many cubicles for ACL bitmask width");
 
-    // Rule 2 (§5.4): refuse code that could subvert isolation. The
-    // verifier walks the CFG from every exported entry point, through
-    // direct branches and the indirect flow it can resolve; forbidden
-    // sequences an entry path executes block the load, while sequences
-    // no entry path executes (payload constants, dead code) are
-    // recorded in the report for audit. An unresolved reachable
-    // indirect jump or an undecodable reachable byte proves nothing
-    // dead, so then every sequence blocks. The verdict is memoised by
-    // its inputs, so reloading an identical image skips the walk.
-    verifier::VerifierReport report = verifyImage(spec);
+    // Rule 2 (§5.4): refuse code that could subvert isolation. Any
+    // forbidden byte sequence anywhere in the image blocks the load,
+    // whether or not a path executes it. The verdict is memoised by
+    // the image bytes, so reloading an identical image skips the grep.
+    verifyImage(spec);
 
     auto cub = std::make_unique<Cubicle>();
     cub->id = static_cast<Cid>(cubicles_.size());
@@ -157,23 +151,21 @@ Monitor::loadComponent(const ComponentSpec &spec)
     }
 
     // Publish: the release store pairs with cubicleCount()'s acquire
-    // load, making the fully constructed cubicle (and its parallel
-    // report) visible to lock-free readers. The tables are deliberately
-    // not GUARDED_BY(loaderMutex_) — readers go through the publication
-    // protocol — so the "growth only under the loader lock" half is
-    // enforced at runtime instead.
+    // load, making the fully constructed cubicle visible to lock-free
+    // readers. The tables are deliberately not GUARDED_BY(loaderMutex_)
+    // — readers go through the publication protocol — so the "growth
+    // only under the loader lock" half is enforced at runtime instead.
     if constexpr (lockdep::kEnabled) {
         lockdep::assertHeld(&loaderMutex_,
                             "Monitor cubicle-table publication");
     }
     cubicles_.push_back(std::move(cub));
-    loadReports_.push_back(std::move(report));
     lifeRecords_.emplace_back();
     cubicleCount_.store(cubicles_.size(), std::memory_order_release);
     return cid;
 }
 
-verifier::VerifierReport
+void
 Monitor::verifyImage(const ComponentSpec &spec)
 {
     const std::vector<uint8_t> &image = spec.image;
@@ -188,7 +180,7 @@ Monitor::verifyImage(const ComponentSpec &spec)
                 std::to_string(image.size()) + "-byte image");
         }
     }
-    for (const verifier::EntryTable &t : spec.indirectTables) {
+    for (const EntryTable &t : spec.indirectTables) {
         if (t.offset >= image.size() ||
             t.count > (image.size() - t.offset) / 4) {
             throw VerifierError(
@@ -200,27 +192,16 @@ Monitor::verifyImage(const ComponentSpec &spec)
         }
     }
     bool cacheHit = false;
-    verifier::VerifierReport report =
-        verifier::VerifyCache::instance().verify(image, spec.entryPoints,
-                                                 spec.indirectTables,
-                                                 &cacheHit);
+    const std::optional<ForbiddenInsn> match =
+        verifier::VerifyCache::instance().scan(image, &cacheHit);
     stats_->add(cacheHit ? Stat::verifyCacheHits : Stat::verifyCacheMisses);
-    // Counted per load, hit or miss: imagesVerified tracks verified
-    // loads, the hit/miss counters tell how many ran the passes.
-    stats_->add(Stat::imagesVerified);
-    stats_->add(Stat::verifierBytesScanned, report.imageBytes);
-    stats_->add(Stat::verifierBytesDecoded, report.decodedBytes);
-    stats_->add(Stat::verifierInsns, report.insnCount);
-    stats_->add(Stat::verifierRejected, report.rejectingCount());
-    stats_->add(Stat::verifierReported, report.reportedCount());
-    if (const verifier::CodeFinding *f = report.firstRejecting()) {
-        throw VerifierError(
-            "component '" + spec.name +
-            "' contains forbidden instruction '" + f->mnemonic +
-            "' at offset " + std::to_string(f->offset) + " (" +
-            verifier::findingClassName(f->cls) + ")");
+    stats_->add(Stat::verifierBytesScanned, image.size());
+    if (match) {
+        throw VerifierError("component '" + spec.name +
+                            "' contains forbidden instruction '" +
+                            match->mnemonic + "' at offset " +
+                            std::to_string(match->offset));
     }
-    return report;
 }
 
 void
@@ -281,13 +262,6 @@ Monitor::provisionCubicle(Cubicle &cub, const ComponentSpec &spec)
             pageAlloc_.freePages(r);
         },
         kHeapChunkPages);
-}
-
-const verifier::VerifierReport &
-Monitor::verifierReport(Cid cid) const
-{
-    assert(cid < cubicleCount());
-    return loadReports_[cid];
 }
 
 WiringSnapshot
@@ -1149,9 +1123,9 @@ Monitor::restartCubicle(Cid cid, const ComponentSpec &spec)
 
     {
         MutexLock loader(loaderMutex_);
-        // An unchanged spec re-verifies as a hit in the verify cache:
+        // An unchanged image re-verifies as a hit in the verify cache:
         // the cheap path the restart benchmark measures.
-        verifier::VerifierReport report = verifyImage(spec);
+        verifyImage(spec);
 
         // Tag restore: dynamically-tagged cubicles come back parked
         // and re-bind on first touch; statically-tagged ones reuse the
@@ -1164,7 +1138,6 @@ Monitor::restartCubicle(Cid cid, const ComponentSpec &spec)
             cub.pkey = rec.staticKey;
         }
         provisionCubicle(cub, spec);
-        loadReports_[cid] = std::move(report);
     }
 
     // New tag binding (parked or restored static key): cached PKRUs

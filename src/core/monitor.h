@@ -79,7 +79,6 @@
 #include "core/keytable.h"
 #include "core/locking.h"
 #include "core/stats.h"
-#include "core/verifier/report.h"
 #include "core/window.h"
 #include "core/wiring.h"
 #include "hw/cycles.h"
@@ -194,23 +193,17 @@ class Monitor {
     /**
      * Loads a component into a fresh cubicle.
      *
-     * Runs the verifier over exactly the code image the spec carries
-     * (one reachability walk that resolves jump-table, lea/call and
-     * entry-table indirect flow and labels every forbidden byte
-     * sequence; see core/verifier/ipcfg.h) through the process-wide
-     * verify cache
-     * (core/verifier/cache.h), allocates an MPK key (isolated
+     * Greps exactly the code image the spec carries for forbidden
+     * byte sequences (core/codescan.h) through the process-wide verify
+     * cache (core/verifier/cache.h), allocates an MPK key (isolated
      * cubicles), maps code pages execute-only, and sets up globals,
      * the stack arena and the heap sub-allocator. A load that then
      * runs out of pages returns its key and pages before throwing.
      *
-     * @throws VerifierError when the image is empty, when a forbidden
-     *         sequence is reachable from an entry point, when
-     *         unresolved indirect jump flow (or an undecodable
-     *         reachable byte) leaves forbidden bytes possibly live,
-     *         when an entry point or declared indirect-target table
-     *         lies outside the image — all before any key or page is
-     *         taken;
+     * @throws VerifierError when the image is empty, when it holds a
+     *         forbidden byte sequence anywhere, when an entry point or
+     *         declared indirect-target table lies outside the image —
+     *         all before any key or page is taken;
      *         LoaderError on key or table exhaustion; OutOfMemory
      *         when the code, global or stack pages do not fit.
      */
@@ -259,8 +252,8 @@ class Monitor {
     /**
      * Relaunches a destroyed cubicle in place: re-verifies the image
      * through the process-wide verify cache (a content-identical image
-     * hits and skips the CFG walk, which is what makes restart
-     * cheap), reallocates code/global/stack/heap under the saved
+     * hits and skips the grep, which is what makes restart cheap),
+     * reallocates code/global/stack/heap under the saved
      * static tag (or re-parks a dynamically-tagged cubicle until first
      * touch). Nothing is replayed: the cubicle regains exactly the
      * grants its peers' window ACLs name now, which destroy left in
@@ -296,13 +289,6 @@ class Monitor {
     {
         return cubicleCount_.load(std::memory_order_acquire);
     }
-
-    /**
-     * The verifier report for @p cid's image, recorded at load time
-     * (including report-only findings, the forbidden byte sequences no
-     * entry path executes, which did not block the load).
-     */
-    const verifier::VerifierReport &verifierReport(Cid cid) const;
 
     /**
      * Plain-data snapshot of the current wiring — cubicle table and
@@ -501,8 +487,8 @@ class Monitor {
      */
     void destroyWindowLocked(Cid owner, Wid wid) REQUIRES(windowMutex_);
 
-    /** Image validation + verify-cache run shared by load and restart. */
-    verifier::VerifierReport verifyImage(const ComponentSpec &spec);
+    /** Image validation + verify-cache grep shared by load and restart. */
+    void verifyImage(const ComponentSpec &spec);
 
     /** Allocates code/global/stack + heap for @p cub (load/restart). */
     void provisionCubicle(Cubicle &cub, const ComponentSpec &spec);
@@ -632,10 +618,6 @@ class Monitor {
         AtomicAclMask write;
     };
     std::vector<WindowUsage> windowUsage_ GUARDED_BY(windowMutex_);
-
-    /** Load-time verifier reports, parallel to cubicles_ (same
-     *  pre-reserved append-only publication scheme). */
-    std::vector<verifier::VerifierReport> loadReports_;
 
     /**
      * Per-cubicle lifecycle bookkeeping (saved static key,

@@ -58,10 +58,8 @@
     P(countDestroy, destroys, reclaimedPages)  /* pages freed */          \
     C(restarts)                         /* relaunches after destroy */    \
     C(unwoundCalls)                     /* PeerFault verdicts */          \
-    C(imagesVerified)                   /* load-time verifier runs */     \
-    C(verifierBytesScanned) C(verifierBytesDecoded) C(verifierInsns)      \
-    C(verifierRejected) C(verifierReported) /* findings */                \
-    C(verifyCacheHits) C(verifyCacheMisses)   /* verify cache */          \
+    C(verifierBytesScanned)             /* bytes of each verified image */ \
+    C(verifyCacheHits) C(verifyCacheMisses)   /* one per verified load */ \
     P(countDataCopy, dataCopies, dataCopyBytes) /* payload memcpys */     \
     C(zeroCopySends) C(zeroCopyBytes)   /* segments from borrowed spans */
 

@@ -22,6 +22,7 @@ namespace {
 
 using testing::ToyComponent;
 using testing::addToy;
+using testing::numbered;
 
 TEST(Concurrency, ParallelCrossCallsKeepContextsSeparate)
 {
@@ -140,7 +141,7 @@ TEST(Concurrency, ParallelWindowGrantsOnDisjointPages)
                 });
         });
     for (int i = 0; i < 3; ++i)
-        addToy(sys, "w" + std::to_string(i));
+        addToy(sys, numbered("w", i));
     sys.boot();
     auto sum = sys.resolve<int(const char *, std::size_t)>("reader",
                                                            "sum");
@@ -150,7 +151,7 @@ TEST(Concurrency, ParallelWindowGrantsOnDisjointPages)
     std::vector<std::thread> threads;
     for (int t = 0; t < 3; ++t) {
         threads.emplace_back([&, t] {
-            const Cid me = sys.cidOf("w" + std::to_string(t));
+            const Cid me = sys.cidOf(numbered("w", t));
             sys.runAs(me, [&] {
                 // Each thread shares its own pages only.
                 auto *buf = reinterpret_cast<char *>(

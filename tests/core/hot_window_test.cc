@@ -19,6 +19,7 @@ namespace {
 
 using testing::ToyComponent;
 using testing::addToy;
+using testing::numbered;
 
 class HotWindowTest : public ::testing::Test {
   protected:
@@ -235,7 +236,7 @@ TEST(HotWindowKeys, ExhaustionIsReported)
     System sys(cfg);
     // 10 isolated cubicles consume keys 2..11; 0 monitor, 1 shared.
     for (int i = 0; i < 10; ++i)
-        addToy(sys, "c" + std::to_string(i));
+        addToy(sys, numbered("c", i));
     sys.boot();
     sys.runAs(sys.cidOf("c0"), [&] {
         char *p = static_cast<char *>(sys.heapAlloc(32));

@@ -24,6 +24,7 @@ namespace cubicleos::core {
 namespace {
 
 using testing::addToy;
+using testing::numbered;
 
 SystemConfig
 fullConfig()
@@ -254,7 +255,7 @@ TEST(LifecycleTest, ParkedDestroyReclaimsInPlace)
 
     constexpr int kToys = 10;
     for (int i = 0; i < kToys; ++i) {
-        addToy(sys, "c" + std::to_string(i))
+        addToy(sys, numbered("c", i))
             .onExports([](Exporter &exp, auto &) {
                 exp.fn<int()>("ping", [] { return 7; });
             });
@@ -265,7 +266,7 @@ TEST(LifecycleTest, ParkedDestroyReclaimsInPlace)
     // calling into the second parks the first.
     std::vector<std::string> dynamic;
     for (int i = 0; i < kToys; ++i) {
-        const std::string name = "c" + std::to_string(i);
+        const std::string name = numbered("c", i);
         if (sys.monitor().cubicle(sys.cidOf(name)).dynamicTag)
             dynamic.push_back(name);
     }

@@ -16,6 +16,7 @@ namespace cubicleos::core {
 namespace {
 
 using testing::addToy;
+using testing::numbered;
 using testing::ToyComponent;
 
 class TwoCubicleTest : public ::testing::Test {
@@ -394,12 +395,12 @@ TEST(MonitorTest, KeyExhaustionWithoutVirtualisation)
     System sys(cfg);
     // Keys: 0 monitor, 1 shared => 14 isolated cubicles fit.
     for (int i = 0; i < 14; ++i)
-        addToy(sys, "c" + std::to_string(i));
+        addToy(sys, numbered("c", i));
     EXPECT_NO_THROW(sys.boot());
 
     System sys2(cfg);
     for (int i = 0; i < 15; ++i)
-        addToy(sys2, "c" + std::to_string(i));
+        addToy(sys2, numbered("c", i));
     EXPECT_THROW(sys2.boot(), LoaderError);
 }
 
@@ -411,7 +412,7 @@ TEST(MonitorTest, TagVirtualisationAllowsMoreCubicles)
     cfg.virtualizeTags = true;
     System sys(cfg);
     for (int i = 0; i < 20; ++i)
-        addToy(sys, "c" + std::to_string(i));
+        addToy(sys, numbered("c", i));
     EXPECT_NO_THROW(sys.boot());
     const int parked = sys.monitor().parkedKey();
     ASSERT_GE(parked, 0);
@@ -419,8 +420,7 @@ TEST(MonitorTest, TagVirtualisationAllowsMoreCubicles)
     // cubicle ever owns a physical tag outside the hardware range.
     std::size_t n_parked = 0;
     for (int i = 0; i < 20; ++i) {
-        const Cubicle &c = sys.monitor().cubicle(sys.cidOf(
-            "c" + std::to_string(i)));
+        const Cubicle &c = sys.monitor().cubicle(sys.cidOf(numbered("c", i)));
         EXPECT_LT(c.pkey.load(), hw::kNumPhysPkeys);
         if (c.pkey == parked) {
             ++n_parked;
@@ -436,7 +436,7 @@ TEST(MonitorTest, TagVirtualisationAllowsMoreCubicles)
     ASSERT_GE(n_parked, 2u);
     Cid late = kNoCubicle, other = kNoCubicle;
     for (int i = 19; i >= 0; --i) {
-        const Cid cid = sys.cidOf("c" + std::to_string(i));
+        const Cid cid = sys.cidOf(numbered("c", i));
         if (sys.monitor().cubicle(cid).pkey != parked)
             continue;
         if (late == kNoCubicle)
@@ -475,7 +475,7 @@ TEST(MonitorTest, TagPressureEvictsLeastRecentlyUsedCubicle)
     cfg.dynamicTags = 3;
     System sys(cfg);
     for (int i = 0; i < 8; ++i)
-        addToy(sys, "c" + std::to_string(i));
+        addToy(sys, numbered("c", i));
     EXPECT_NO_THROW(sys.boot());
     const int parked = sys.monitor().parkedKey();
     // With a budget of 6 every cubicle overflows into the logical
@@ -483,7 +483,7 @@ TEST(MonitorTest, TagPressureEvictsLeastRecentlyUsedCubicle)
     // forces LRU evictions yet every touch succeeds.
     for (int round = 0; round < 2; ++round) {
         for (int i = 0; i < 8; ++i) {
-            const Cid cid = sys.cidOf("c" + std::to_string(i));
+            const Cid cid = sys.cidOf(numbered("c", i));
             auto &own = sys.monitor().cubicle(cid).globalRange;
             sys.runAs(cid, [&] {
                 EXPECT_NO_THROW(
@@ -498,7 +498,7 @@ TEST(MonitorTest, TagPressureEvictsLeastRecentlyUsedCubicle)
     std::size_t resident = 0;
     for (int i = 0; i < 8; ++i) {
         if (sys.monitor()
-                .cubicle(sys.cidOf("c" + std::to_string(i)))
+                .cubicle(sys.cidOf(numbered("c", i)))
                 .pkey != parked)
             ++resident;
     }

@@ -18,6 +18,7 @@ namespace {
 
 using testing::ToyComponent;
 using testing::addToy;
+using testing::numbered;
 
 SystemConfig
 smallCfg(IsolationMode mode = IsolationMode::kFull)
@@ -567,7 +568,7 @@ TEST(Prestage, IsOneShotAcrossEviction)
             });
     });
     for (int i = 0; i < 3; ++i) {
-        addToy(sys, "f" + std::to_string(i))
+        addToy(sys, numbered("f", i))
             .onExports([](Exporter &exp, ToyComponent &) {
                 exp.fn<int(int)>("ping", [](int x) { return x + 1; });
             });
@@ -579,7 +580,7 @@ TEST(Prestage, IsOneShotAcrossEviction)
     std::vector<CrossFn<int(int)>> fill;
     for (int i = 0; i < 3; ++i) {
         fill.push_back(
-            sys.resolve<int(int)>("f" + std::to_string(i), "ping"));
+            sys.resolve<int(int)>(numbered("f", i), "ping"));
     }
 
     constexpr std::size_t kPages = 4;

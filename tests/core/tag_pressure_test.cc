@@ -24,6 +24,7 @@ namespace {
 
 using testing::ToyComponent;
 using testing::addToy;
+using testing::numbered;
 
 constexpr int kToys = 10;
 constexpr int kOps = 400;
@@ -45,7 +46,7 @@ runScenario(const SystemConfig &cfg)
     std::vector<ToyState> state(kToys);
     for (int i = 0; i < kToys; ++i) {
         ToyState *st = &state[i];
-        addToy(sys, "c" + std::to_string(i))
+        addToy(sys, numbered("c", i))
             .onExports([st](Exporter &exp, ToyComponent &me) {
                 exp.fn<int(int)>("step", [st](int x) {
                     st->acc = st->acc * 1103515245u +
@@ -68,7 +69,7 @@ runScenario(const SystemConfig &cfg)
     std::vector<CrossFn<int(const char *, std::size_t)>> sum;
     std::vector<char *> buf(kToys);
     for (int i = 0; i < kToys; ++i) {
-        const std::string n = "c" + std::to_string(i);
+        const std::string n = numbered("c", i);
         step.push_back(sys.resolve<int(int)>(n, "step"));
         sum.push_back(
             sys.resolve<int(const char *, std::size_t)>(n, "sum"));
@@ -81,9 +82,7 @@ runScenario(const SystemConfig &cfg)
         sys.runAs(cid, [&] {
             const Wid wid = sys.windowInit();
             sys.windowAdd(wid, buf[i], 256);
-            sys.windowOpen(wid,
-                           sys.cidOf("c" +
-                                     std::to_string((i + 1) % kToys)));
+            sys.windowOpen(wid, sys.cidOf(numbered("c", (i + 1) % kToys)));
         });
     }
 
@@ -100,20 +99,20 @@ runScenario(const SystemConfig &cfg)
         const int v = static_cast<int>(rng() % 1000);
         switch (kind) {
         case 0: // cross-call into a random peer
-            sys.runAs(sys.cidOf("c" + std::to_string(a)), [&] {
+            sys.runAs(sys.cidOf(numbered("c", a)), [&] {
                 out.push_back(
                     static_cast<uint64_t>(step[b](v)));
             });
             break;
         case 1: // owner rewrites its shared page
-            sys.runAs(sys.cidOf("c" + std::to_string(a)), [&] {
+            sys.runAs(sys.cidOf(numbered("c", a)), [&] {
                 sys.touch(buf[a], 256, hw::Access::kWrite);
                 std::memset(buf[a], v & 0x3f, 256);
                 out.push_back(static_cast<uint64_t>(v & 0x3f));
             });
             break;
         default: // ring neighbour reads through the window
-            sys.runAs(sys.cidOf("c" + std::to_string(a)), [&] {
+            sys.runAs(sys.cidOf(numbered("c", a)), [&] {
                 out.push_back(static_cast<uint64_t>(
                     sum[(a + 1) % kToys](buf[a], 256)));
             });
@@ -162,7 +161,7 @@ TEST(TagPressureProperty, PressuredRunActuallyEvicts)
     std::vector<ToyState> state(4);
     for (int i = 0; i < 4; ++i) {
         ToyState *st = &state[i];
-        addToy(sys, "c" + std::to_string(i))
+        addToy(sys, numbered("c", i))
             .onExports([st](Exporter &exp, ToyComponent &) {
                 exp.fn<int(int)>("step", [st](int x) {
                     st->acc += static_cast<uint64_t>(x);

@@ -1,10 +1,11 @@
 /**
  * @file
- * Whole-deployment isolation auditor tests: verifier pass 3
- * (interprocedural resolution of indirect flow) at load time, the
- * least-privilege dataflow audit behind the strict gate after boot,
- * and the machine-readable JSON report diffed against a committed
- * baseline.
+ * Whole-deployment isolation auditor tests: pass 3 of the auditor's
+ * reachability walk (interprocedural resolution of indirect flow) over
+ * loaded images, next to the loader's grep verdict on the same images,
+ * the least-privilege dataflow audit behind the strict gate after
+ * boot, and the machine-readable JSON report diffed against a
+ * committed baseline.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +22,7 @@
 #include "audit/audit.h"
 #include "baselines/deployments.h"
 #include "core/system.h"
-#include "core/verifier/ipcfg.h"
+#include "audit/ipcfg.h"
 #include "tests/core/toy_components.h"
 
 namespace cubicleos::core {
@@ -105,6 +106,7 @@ leaCallImage(const std::vector<uint8_t> &callee)
         0xFF, 0xD0,                      // call rax
         0xC3,                            // ret
     };
+    img.reserve(img.size() + callee.size());
     append(img, callee); // offset 10
     return img;
 }
@@ -118,7 +120,9 @@ toyConfig()
 }
 
 // ----------------------------------------------------------------------
-// Pass 3 at load time
+// Pass 3 over loaded images: the loader refuses every forbidden byte
+// sequence, and the walk over the image the loader was handed
+// (audit::imageReport) records how each indirect site resolves.
 // ----------------------------------------------------------------------
 
 TEST(VerifierPass3, JumpTableReachingForbiddenInsnRejectsAtLoad)
@@ -145,13 +149,13 @@ TEST(VerifierPass3, CleanJumpTableResolvesAndLoads)
         .withEntryPoints({0});
     ASSERT_NO_THROW(sys.boot());
 
-    const verifier::VerifierReport &report =
-        sys.monitor().verifierReport(sys.cidOf("switcher"));
+    const audit::VerifierReport report =
+        audit::imageReport(sys, sys.cidOf("switcher"));
     ASSERT_TRUE(report.audit.ran);
     EXPECT_EQ(report.audit.unresolvedSites, 0u);
     ASSERT_GE(report.audit.resolvedSites, 1u);
     ASSERT_EQ(report.audit.indirectSites.size(), 1u);
-    const verifier::IndirectSiteRecord &site = report.audit.indirectSites[0];
+    const audit::IndirectSiteRecord &site = report.audit.indirectSites[0];
     EXPECT_TRUE(site.isJump);
     EXPECT_TRUE(site.resolved);
     EXPECT_STREQ(site.how, "jump-table");
@@ -174,12 +178,21 @@ TEST(VerifierPass3, UnresolvedIndirectJumpWithForbiddenBytesRejects)
     addToy(sys, "opaque").withImage(img).withEntryPoints({0});
     try {
         sys.boot();
-        FAIL() << "loader trusted an unresolved indirect jump";
+        FAIL() << "loader accepted forbidden bytes behind an unresolved "
+                  "indirect jump";
     } catch (const VerifierError &e) {
-        EXPECT_NE(std::string(e.what()).find("indirect-reachable"),
+        EXPECT_NE(std::string(e.what()).find("'wrpkru' at offset 2"),
                   std::string::npos)
             << e.what();
     }
+
+    // The walk labels the bytes: not reached, but not provably dead.
+    const std::size_t entries[] = {0};
+    const audit::VerifierReport report =
+        audit::verifyImageInter(img, entries, {});
+    ASSERT_EQ(report.findings.size(), 1u);
+    EXPECT_EQ(report.findings[0].cls,
+              audit::FindingClass::kIndirectReachable);
 }
 
 TEST(VerifierPass3, UnresolvedIndirectJumpWithoutForbiddenBytesLoads)
@@ -192,8 +205,8 @@ TEST(VerifierPass3, UnresolvedIndirectJumpWithoutForbiddenBytesLoads)
         .withEntryPoints({0});
     ASSERT_NO_THROW(sys.boot());
 
-    const verifier::VerifierReport &report =
-        sys.monitor().verifierReport(sys.cidOf("opaque"));
+    const audit::VerifierReport report =
+        audit::imageReport(sys, sys.cidOf("opaque"));
     ASSERT_TRUE(report.audit.ran);
     EXPECT_EQ(report.audit.unresolvedSites, 1u);
     ASSERT_EQ(report.audit.indirectSites.size(), 1u);
@@ -221,8 +234,8 @@ TEST(VerifierPass3, LeaCallSingletonResolves)
         .withEntryPoints({0});
     ASSERT_NO_THROW(sys.boot());
 
-    const verifier::VerifierReport &report =
-        sys.monitor().verifierReport(sys.cidOf("caller"));
+    const audit::VerifierReport report =
+        audit::imageReport(sys, sys.cidOf("caller"));
     ASSERT_TRUE(report.audit.ran);
     EXPECT_EQ(report.audit.unresolvedSites, 0u);
     ASSERT_EQ(report.audit.indirectSites.size(), 1u);
@@ -249,8 +262,8 @@ TEST(VerifierPass3, EntryTableResolvesIndirectCalls)
         .withIndirectTables({{8, 1}});
     ASSERT_NO_THROW(sys.boot());
 
-    const verifier::VerifierReport &report =
-        sys.monitor().verifierReport(sys.cidOf("plugin"));
+    const audit::VerifierReport report =
+        audit::imageReport(sys, sys.cidOf("plugin"));
     ASSERT_TRUE(report.audit.ran);
     EXPECT_EQ(report.audit.unresolvedSites, 0u);
     ASSERT_EQ(report.audit.indirectSites.size(), 1u);
@@ -287,8 +300,8 @@ TEST(VerifierPass3, UndeclaredIndirectCallStaysTrustedButCounted)
     addToy(sys, "plugin").withImage(img).withEntryPoints({0});
     ASSERT_NO_THROW(sys.boot());
 
-    const verifier::VerifierReport &report =
-        sys.monitor().verifierReport(sys.cidOf("plugin"));
+    const audit::VerifierReport report =
+        audit::imageReport(sys, sys.cidOf("plugin"));
     EXPECT_EQ(report.audit.unresolvedSites, 1u);
     ASSERT_EQ(report.audit.indirectSites.size(), 1u);
     EXPECT_FALSE(report.audit.indirectSites[0].isJump);
@@ -310,8 +323,8 @@ TEST(VerifierPass3, UnresolvedSitesChargedToTheirFunction)
         0xC3,                         // 14: ret
     };
     const std::size_t entries[] = {0};
-    const verifier::VerifierReport report =
-        verifier::verifyImageInter(img, entries, {});
+    const audit::VerifierReport report =
+        audit::verifyImageInter(img, entries, {});
     EXPECT_TRUE(report.accepted());
     EXPECT_EQ(report.audit.unresolvedSites, 4u);
     ASSERT_EQ(report.audit.functions.size(), 2u);
@@ -383,8 +396,8 @@ TEST(VerifierPass3, JumpTableResolutionMatchesBruteForce)
                 img.push_back(0x90);
             img.push_back(0xC3);
 
-            const verifier::JumpTableMatch m =
-                verifier::matchJumpTable(img, 0);
+            const audit::JumpTableMatch m =
+                audit::matchJumpTable(img, 0);
             ASSERT_TRUE(m.matched) << "count " << count;
             EXPECT_EQ(m.tableBase, kTableBase);
             EXPECT_EQ(m.count, count);
@@ -404,18 +417,18 @@ TEST(VerifierPass3, MutatedDispatchIdiomDoesNotMatch)
         // movsxd indexes a different base register than the lea loaded.
         std::vector<uint8_t> img = base;
         img[16] = 0x82; // sib base rdx, not rcx
-        EXPECT_FALSE(verifier::matchJumpTable(img, 0).matched);
+        EXPECT_FALSE(audit::matchJumpTable(img, 0).matched);
     }
     {
         // The dispatch jumps through a register the add never wrote.
         std::vector<uint8_t> img = base;
         img[21] = 0xE2; // jmp rdx
-        EXPECT_FALSE(verifier::matchJumpTable(img, 0).matched);
+        EXPECT_FALSE(audit::matchJumpTable(img, 0).matched);
     }
     {
         // Table truncated by the image end.
         std::vector<uint8_t> img(base.begin(), base.begin() + 25);
-        EXPECT_FALSE(verifier::matchJumpTable(img, 0).matched);
+        EXPECT_FALSE(audit::matchJumpTable(img, 0).matched);
     }
 }
 
@@ -618,8 +631,7 @@ expectDeploymentClean(System &sys)
     const std::size_t count = sys.monitor().cubicleCount();
     ASSERT_GT(count, 0u);
     for (Cid cid = 0; cid < count; ++cid) {
-        const verifier::VerifierReport &r =
-            sys.monitor().verifierReport(cid);
+        const audit::VerifierReport r = audit::imageReport(sys, cid);
         ASSERT_TRUE(r.audit.ran) << cid;
         EXPECT_LT(r.audit.unresolvedRate(), 0.2)
             << "cubicle " << cid << " ('"

@@ -1,18 +1,18 @@
 /**
  * @file
- * Decode-coverage regression floor: the verifier's length decoder must
+ * Decode-coverage regression floor: the auditor's length decoder must
  * cover at least 99.5% of every in-tree component image. A new menu
  * entry in makeBenignImage, or a decoder regression, that leaves gaps
- * in the sweep fails here before it degrades real verdicts (gaps force
- * conservative rejects).
+ * in the sweep fails here before it blinds the audit (a reachable gap
+ * makes the walk opaque, so it proves nothing dead).
  */
 
 #include <gtest/gtest.h>
 
 #include "apps/httpd/harness.h"
+#include "audit/audit.h"
 #include "baselines/deployments.h"
 #include "core/system.h"
-#include "core/verifier/report.h"
 
 namespace cubicleos {
 namespace {
@@ -25,8 +25,7 @@ expectFloor(core::System &sys)
     const std::size_t count = sys.monitor().cubicleCount();
     ASSERT_GT(count, 0u);
     for (core::Cid cid = 0; cid < count; ++cid) {
-        const core::verifier::VerifierReport &report =
-            sys.monitor().verifierReport(cid);
+        const audit::VerifierReport report = audit::imageReport(sys, cid);
         EXPECT_GE(report.decodeCoverage(), kCoverageFloor)
             << "cubicle " << cid << " ('"
             << sys.monitor().cubicle(cid).name << "'): "

@@ -1,14 +1,14 @@
 /**
  * @file
- * Differential properties: byte-grep verdicts versus the verifier's
+ * Differential properties: byte-grep verdicts versus the auditor's
  * reachability walk (from offset 0), over many seeded random images.
  *
- * The load-time contract is that the conservative grep is always at
- * least as strict as the verifier: every verifier finding is located
- * by the grep, so
+ * The grep is the loader's whole verdict, so it must always be at
+ * least as strict as the walk: every walk finding is located by the
+ * grep, so
  *
- *   - grep clean            ⟹ verifier accepts (no findings at all);
- *   - verifier rejects      ⟹ grep finds something;
+ *   - grep clean            ⟹ walk accepts (no findings at all);
+ *   - walk rejects          ⟹ grep finds something;
  *   - finding offsets       ⊆ grep match offsets (and counts agree).
  *
  * Images are drawn from three distributions: pure random bytes (mostly
@@ -24,15 +24,15 @@
 
 #include "builder/image.h"
 #include "core/codescan.h"
-#include "core/verifier/ipcfg.h"
+#include "audit/ipcfg.h"
 #include "hw/prng.h"
 
 namespace cubicleos::core {
 namespace {
 
-using verifier::FindingClass;
-using verifier::VerifierReport;
-using verifier::verifyImageInter;
+using audit::FindingClass;
+using audit::VerifierReport;
+using audit::verifyImageInter;
 
 std::vector<uint8_t>
 randomBytes(std::size_t size, uint64_t seed)
@@ -61,11 +61,11 @@ checkDifferential(const std::vector<uint8_t> &image, uint64_t seed)
 
     if (!scanCodeImage(image).has_value()) {
         EXPECT_TRUE(report.accepted())
-            << "verifier rejected a grep-clean image, seed " << seed;
+            << "walk rejected a grep-clean image, seed " << seed;
     }
     if (!report.accepted()) {
         EXPECT_TRUE(scanCodeImage(image).has_value())
-            << "verifier rejected what the grep missed, seed " << seed;
+            << "walk rejected what the grep missed, seed " << seed;
     }
 }
 
@@ -130,16 +130,16 @@ checkReachabilityMonotone(const std::vector<uint8_t> &image, uint64_t seed)
 {
     const VerifierReport r = verifyImageInter(image, {}, {});
     if (r.cfg.opaque) {
-        for (const verifier::CodeFinding &f : r.findings)
+        for (const audit::CodeFinding &f : r.findings)
             EXPECT_TRUE(f.rejecting()) << seed;
         return;
     }
     const bool unresolvedJump = std::any_of(
         r.audit.indirectSites.begin(), r.audit.indirectSites.end(),
-        [](const verifier::IndirectSiteRecord &s) {
+        [](const audit::IndirectSiteRecord &s) {
             return s.isJump && !s.resolved;
         });
-    for (const verifier::CodeFinding &f : r.findings) {
+    for (const audit::CodeFinding &f : r.findings) {
         if (f.cls == FindingClass::kUnreachable) {
             EXPECT_FALSE(unresolvedJump) << seed;
         }
@@ -227,7 +227,7 @@ TEST(VerifierDiff, RealComponentSnapshotsAcceptedWithFullDecodeCoverage)
 TEST(VerifierDiff, PageStraddlingSequencesAreAlwaysCaught)
 {
     // Forbidden sequence straddling the 4 KiB page boundary of a nop
-    // sled: both scanners must find it, and the verifier must reject
+    // sled: both scanners must find it, and the walk must reject
     // (every nop offset is an instruction boundary).
     for (std::size_t lead = 1; lead <= 2; ++lead) {
         std::vector<uint8_t> image(8192, 0x90);

@@ -1,15 +1,15 @@
 /**
  * @file
- * Differential check of the verifier's length decoder against objdump.
+ * Differential check of the auditor's length decoder against objdump.
  *
  * Usage: verifier_differential <objdump> <objcopy> <binary>
  *
  * objdump disassembles two inputs: a fixed-seed random byte stream,
  * and the .text of <binary> (extracted with objcopy). At every
  * instruction boundary objdump reports, decodeAt must return the same
- * length whenever both decode. A mismatch puts the verifier out of
- * step with the machine, the way a crafted image hides a reachable
- * wrpkru inside an immediate the verifier misreads.
+ * length whenever both decode. A mismatch puts the reachability walk
+ * out of step with the machine, the way a crafted image hides a
+ * reachable wrpkru inside an immediate the walk misreads.
  * Two kinds of disagreement are counted, not failed:
  *
  *   - opaque: decodeAt refuses the bytes, so a reachable one is a
@@ -33,14 +33,14 @@
 #include <string>
 #include <vector>
 
-#include "core/verifier/insn.h"
+#include "audit/insn.h"
 #include "hw/prng.h"
 
 namespace {
 
 namespace fs = std::filesystem;
-using cubicleos::core::verifier::decodeAt;
-using cubicleos::core::verifier::kMaxInsnLen;
+using cubicleos::audit::decodeAt;
+using cubicleos::audit::kMaxInsnLen;
 
 /** Random stream size: large enough that the 0x66 + REX.W immediate
  *  bug (an imm16 read where the CPU reads imm32) shows up. */
@@ -129,7 +129,7 @@ void
 report(const char *what, const Tally &t)
 {
     std::printf("%-12s %9zu boundaries: %9zu agree, %7zu opaque to the "
-                "verifier, %6zu objdump (bad), %zu mismatches\n",
+                "decoder, %6zu objdump (bad), %zu mismatches\n",
                 what, t.boundaries, t.agree, t.opaque, t.objdumpBad,
                 t.mismatches);
 }

@@ -1,29 +1,30 @@
 /**
  * @file
- * Tests for the load-time verifier: the x86-64 length decoder, the
- * labels the reachability walk gives forbidden sequences, the walk
- * from the entry points, and the loader integration (reject vs
- * report-only, reports and stats).
+ * Tests for the code verifier: the auditor's x86-64 length decoder,
+ * the labels its reachability walk gives forbidden sequences, the walk
+ * from the entry points, and the loader, whose verdict is the grep
+ * alone (refusals, stats and the verify cache).
  */
 
 #include <gtest/gtest.h>
 
+#include "audit/audit.h"
+#include "audit/insn.h"
+#include "audit/ipcfg.h"
 #include "builder/image.h"
 #include "core/system.h"
 #include "core/verifier/cache.h"
-#include "core/verifier/insn.h"
-#include "core/verifier/ipcfg.h"
 #include "tests/core/toy_components.h"
 
 namespace cubicleos::core {
 namespace {
 
-using verifier::FindingClass;
-using verifier::FlowKind;
-using verifier::Insn;
-using verifier::VerifierReport;
-using verifier::decodeAt;
-using verifier::verifyImageInter;
+using audit::FindingClass;
+using audit::FlowKind;
+using audit::Insn;
+using audit::VerifierReport;
+using audit::decodeAt;
+using audit::verifyImageInter;
 
 std::vector<uint8_t>
 bytes(std::initializer_list<int> list)
@@ -535,9 +536,8 @@ TEST(Verifier, AlignedWrpkruRejected)
     ASSERT_EQ(report.findings.size(), 1u);
     EXPECT_EQ(report.findings[0].cls, FindingClass::kAligned);
     EXPECT_EQ(report.findings[0].offset, 1u);
+    EXPECT_EQ(report.findings[0].mnemonic, "wrpkru");
     EXPECT_FALSE(report.accepted());
-    ASSERT_NE(report.firstRejecting(), nullptr);
-    EXPECT_EQ(report.firstRejecting()->mnemonic, "wrpkru");
 }
 
 TEST(Verifier, EmbeddedInImmediateIsReportOnly)
@@ -646,7 +646,7 @@ TEST(Verifier, CoverageCountsAreConsistent)
     EXPECT_EQ(report.imageBytes, image.size());
     EXPECT_GT(report.undecodableBytes, 0u);
     EXPECT_LE(report.decodedBytes + report.undecodableBytes, image.size());
-    EXPECT_LE(report.firstUndecodable, 8000u + verifier::kMaxInsnLen);
+    EXPECT_LE(report.firstUndecodable, 8000u + audit::kMaxInsnLen);
 }
 
 // ----------------------------------------------------------------------
@@ -827,8 +827,25 @@ TEST(Cfg, EmptyImageIsTriviallyAccepted)
 }
 
 // ----------------------------------------------------------------------
-// Loader integration
+// Loader integration: the loader refuses every grep match; the walk's
+// label for the same image is asserted on the audit side.
 // ----------------------------------------------------------------------
+
+/** Loads @p spec into a fresh System, expecting a VerifierError whose
+ *  message contains @p finding, and no cubicle left behind. */
+void
+expectRefused(const ComponentSpec &spec, const std::string &finding)
+{
+    System sys;
+    try {
+        sys.monitor().loadComponent(spec);
+        ADD_FAILURE() << spec.name << ": image was loaded";
+    } catch (const VerifierError &e) {
+        EXPECT_NE(std::string(e.what()).find(finding), std::string::npos)
+            << spec.name << ": " << e.what();
+    }
+    EXPECT_EQ(sys.monitor().cubicleCount(), 0u);
+}
 
 TEST(VerifierLoader, RejectsAlignedWrpkruWithClassification)
 {
@@ -842,10 +859,15 @@ TEST(VerifierLoader, RejectsAlignedWrpkruWithClassification)
         sys.boot();
         FAIL() << "hostile image was loaded";
     } catch (const VerifierError &e) {
-        EXPECT_NE(std::string(e.what()).find("wrpkru"), std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("instruction-aligned"),
-                  std::string::npos);
+        EXPECT_NE(std::string(e.what()).find("'wrpkru' at offset 10"),
+                  std::string::npos)
+            << e.what();
     }
+
+    // The walk from offset 0 runs the nop sled into it.
+    const VerifierReport report = verifyImageInter(image, {}, {});
+    ASSERT_EQ(report.findings.size(), 1u);
+    EXPECT_EQ(report.findings[0].cls, FindingClass::kAligned);
 }
 
 TEST(VerifierLoader, RejectsWrpkruHiddenByOperandSizeDesync)
@@ -853,21 +875,12 @@ TEST(VerifierLoader, RejectsWrpkruHiddenByOperandSizeDesync)
     // sub rax, imm32 (66 48 2d aa bb 68 dd), wrpkru at offset 7, ret.
     // Sizing the immediate from 0x66 alone decoded a 5-byte sub and a
     // push imm32 swallowing the wrpkru, so the load succeeded.
-    System sys;
     ComponentSpec spec;
     spec.name = "desync";
     spec.image = bytes({0x66, 0x48, 0x2D, 0xAA, 0xBB, 0x68, 0xDD, 0x0F,
                         0x01, 0xEF, 0xC3});
     spec.entryPoints = {0};
-    try {
-        sys.monitor().loadComponent(spec);
-        FAIL() << "desynchronising image was loaded";
-    } catch (const VerifierError &e) {
-        EXPECT_NE(std::string(e.what()).find("'wrpkru' at offset 7"),
-                  std::string::npos)
-            << e.what();
-    }
-    EXPECT_EQ(sys.monitor().cubicleCount(), 0u);
+    expectRefused(spec, "'wrpkru' at offset 7");
 }
 
 TEST(VerifierLoader, RejectsBranchesWhoseLengthDependsOnTheVendor)
@@ -890,20 +903,11 @@ TEST(VerifierLoader, RejectsBranchesWhoseLengthDependsOnTheVendor)
          "'syscall' at offset 5"},
     };
     for (const Case &c : cases) {
-        System sys;
         ComponentSpec spec;
         spec.name = "divergent";
         spec.image = c.image;
         spec.entryPoints = {0};
-        try {
-            sys.monitor().loadComponent(spec);
-            ADD_FAILURE() << "image with " << c.finding << " was loaded";
-        } catch (const VerifierError &e) {
-            EXPECT_NE(std::string(e.what()).find(c.finding),
-                      std::string::npos)
-                << e.what();
-        }
-        EXPECT_EQ(sys.monitor().cubicleCount(), 0u);
+        expectRefused(spec, c.finding);
     }
 }
 
@@ -970,31 +974,28 @@ TEST(VerifierLoader, RejectsJumpTableEnteredPastItsGuard)
         {"jmp onto the lea", jumpIn, {0}, "'wrpkru' at offset 38"},
     };
     for (const Case &c : cases) {
-        System sys;
         ComponentSpec spec;
-        spec.name = "dispatch";
+        spec.name = c.what;
         spec.image = c.image;
         spec.entryPoints = c.entries;
-        try {
-            sys.monitor().loadComponent(spec);
-            ADD_FAILURE() << c.what << ": image was loaded";
-        } catch (const VerifierError &e) {
-            EXPECT_NE(std::string(e.what()).find(c.finding),
-                      std::string::npos)
-                << c.what << ": " << e.what();
-        }
-        EXPECT_EQ(sys.monitor().cubicleCount(), 0u);
+        expectRefused(spec, c.finding);
+        // The walk, which resolves the dispatch only behind its guard,
+        // rejects each one too.
+        const VerifierReport report =
+            verifyImageInter(c.image, c.entries, {});
+        EXPECT_FALSE(report.accepted()) << c.what;
     }
 
-    // Entered only through its guard, the dispatch resolves and the
-    // wrpkru bytes stay a report-only constant.
-    System sys;
+    // Entered only through its guard, the loader still refuses the
+    // wrpkru bytes; the walk resolves the dispatch and labels them an
+    // unreachable constant.
     ComponentSpec spec;
-    spec.name = "dispatch";
+    spec.name = "guarded dispatch";
     spec.image = guarded;
     spec.entryPoints = {0};
-    const Cid cid = sys.monitor().loadComponent(spec);
-    const VerifierReport &report = sys.monitor().verifierReport(cid);
+    expectRefused(spec, "'wrpkru' at offset 36");
+    const VerifierReport report =
+        verifyImageInter(guarded, spec.entryPoints, {});
     EXPECT_TRUE(report.accepted());
     EXPECT_EQ(report.audit.resolvedSites, 1u);
     EXPECT_EQ(report.audit.unresolvedSites, 0u);
@@ -1003,19 +1004,24 @@ TEST(VerifierLoader, RejectsJumpTableEnteredPastItsGuard)
     EXPECT_EQ(report.findings[0].cls, FindingClass::kUnreachable);
 }
 
-TEST(VerifierLoader, AcceptsMisalignedSpanOnlyTheSweepWouldReject)
+TEST(VerifierLoader, RejectsMisalignedSpanTheWalkFindsUnreachable)
 {
     // mov al, 0x0F ; add eax, imm32 ; ret — the grep's "0F 05" spans
-    // two instructions, and no entry path executes at offset 1. A
-    // linear sweep would reject this shape (a false reject the
-    // reachability walk exists to avoid); the loader accepts and keeps
-    // the report-only finding in the report.
+    // two instructions, and no entry path executes at offset 1. The
+    // loader refuses it anyway; the walk labels the match report-only.
     System sys;
     auto image = bytes({0xB0, 0x0F, 0x05, 0x11, 0x22, 0x33, 0x44, 0xC3});
     testing::addToy(sys, "spanner").withImage(image);
-    sys.boot();
+    try {
+        sys.boot();
+        FAIL() << "image with a forbidden byte sequence was loaded";
+    } catch (const VerifierError &e) {
+        EXPECT_NE(std::string(e.what()).find("'syscall' at offset 1"),
+                  std::string::npos)
+            << e.what();
+    }
 
-    const auto &report = sys.monitor().verifierReport(sys.cidOf("spanner"));
+    const VerifierReport report = verifyImageInter(image, {}, {});
     EXPECT_TRUE(report.accepted());
     ASSERT_EQ(report.findings.size(), 1u);
     EXPECT_EQ(report.findings[0].cls, FindingClass::kUnreachable);
@@ -1055,18 +1061,19 @@ TEST(VerifierLoader, RejectsEntryPointOutsideImage)
     }
 }
 
-TEST(VerifierLoader, RetainsCfgSummaryInLoadReport)
+TEST(VerifierLoader, RejectsDeadWrpkruIslandTheWalkSkips)
 {
-    System sys;
     // jmp over a dead wrpkru island, then nops to a ret.
     auto image = bytes({0xEB, 0x03, 0x0F, 0x01, 0xEF});
     while (image.size() < 127)
         image.push_back(0x90);
     image.push_back(0xC3);
-    testing::addToy(sys, "app").withImage(image);
-    sys.boot();
+    ComponentSpec spec;
+    spec.name = "app";
+    spec.image = image;
+    expectRefused(spec, "'wrpkru' at offset 2");
 
-    const auto &report = sys.monitor().verifierReport(sys.cidOf("app"));
+    const VerifierReport report = verifyImageInter(image, {}, {});
     EXPECT_TRUE(report.accepted());
     EXPECT_TRUE(report.cfg.ran);
     EXPECT_FALSE(report.cfg.opaque);
@@ -1086,29 +1093,25 @@ TEST(VerifierLoader, VerifierErrorIsALoaderError)
     EXPECT_THROW(sys.boot(), LoaderError);
 }
 
-TEST(VerifierLoader, AcceptsEmbeddedConstantAndRecordsReport)
+TEST(VerifierLoader, RejectsEmbeddedConstantTheWalkReportsOnly)
 {
-    System sys;
     // A benign stream whose one mov immediate happens to contain the
     // wrpkru bytes; padded with real instructions.
     std::vector<uint8_t> image =
         bytes({0xB8, 0x0F, 0x01, 0xEF, 0x90, 0xC3});
     while (image.size() < 128)
         image.push_back(0x90);
-    testing::addToy(sys, "app").withImage(image);
-    sys.boot();
+    ComponentSpec spec;
+    spec.name = "app";
+    spec.image = image;
+    expectRefused(spec, "'wrpkru' at offset 1");
 
-    const Cid cid = sys.cidOf("app");
-    const verifier::VerifierReport &report =
-        sys.monitor().verifierReport(cid);
+    const VerifierReport report = verifyImageInter(image, {}, {});
     ASSERT_EQ(report.findings.size(), 1u);
     EXPECT_EQ(report.findings[0].cls, FindingClass::kUnreachable);
     EXPECT_EQ(report.findings[0].mnemonic, "wrpkru");
     EXPECT_TRUE(report.accepted());
     EXPECT_EQ(report.imageBytes, 128u);
-
-    EXPECT_EQ(sys.stats().verifierReported(), 1u);
-    EXPECT_EQ(sys.stats().verifierRejected(), 0u);
 }
 
 TEST(VerifierLoader, StatsCoverEveryLoadedImage)
@@ -1119,15 +1122,18 @@ TEST(VerifierLoader, StatsCoverEveryLoadedImage)
     testing::addToy(sys, "c", CubicleKind::kShared);
     sys.boot();
 
+    // One verify-cache lookup and the image's bytes per load.
     const Stats &stats = sys.stats();
-    EXPECT_EQ(stats.imagesVerified(), 3u);
-    EXPECT_GT(stats.verifierBytesScanned(), 0u);
-    EXPECT_GT(stats.verifierInsns(), 0u);
-    // Synthesized images are fully decodable instruction streams.
-    EXPECT_EQ(stats.verifierBytesDecoded(), stats.verifierBytesScanned());
+    const std::size_t imageBytes =
+        builder::componentImage(builder::ImageSeed::kApp).size();
+    EXPECT_EQ(stats.verifyCacheHits() + stats.verifyCacheMisses(), 3u);
+    EXPECT_EQ(stats.verifierBytesScanned(), 3 * imageBytes);
+    // Built images are fully decodable instruction streams the walk
+    // accepts.
     for (Cid cid = 0; cid < 3; ++cid) {
-        const auto &report = sys.monitor().verifierReport(cid);
-        EXPECT_TRUE(report.accepted());
+        const VerifierReport report = audit::imageReport(sys, cid);
+        EXPECT_TRUE(report.accepted()) << cid;
+        EXPECT_EQ(report.imageBytes, imageBytes) << cid;
         EXPECT_DOUBLE_EQ(report.decodeCoverage(), 1.0) << cid;
     }
 }
@@ -1139,7 +1145,7 @@ TEST(VerifyCache, IdenticalImagesLoadFromCache)
     std::vector<uint8_t> shared_image(96, 0x90);
     shared_image.back() = 0xC3;
     std::vector<uint8_t> other_image(96, 0x90);
-    other_image[0] = 0x50; // push rax: different bytes, different hash
+    other_image[0] = 0x50; // push rax: different bytes
     other_image.back() = 0xC3;
 
     System sys;
@@ -1148,103 +1154,51 @@ TEST(VerifyCache, IdenticalImagesLoadFromCache)
     testing::addToy(sys, "c").withImage(other_image);
     sys.boot();
 
+    // Three verified loads; only two ran the grep.
     const Stats &stats = sys.stats();
-    // Every load is a verified image; only two ran the walk.
-    EXPECT_EQ(stats.imagesVerified(), 3u);
     EXPECT_EQ(stats.verifyCacheMisses(), 2u);
     EXPECT_EQ(stats.verifyCacheHits(), 1u);
     EXPECT_EQ(verifier::VerifyCache::instance().size(), 2u);
 
-    // The cached report is indistinguishable from a fresh run.
-    const auto &fresh = sys.monitor().verifierReport(sys.cidOf("a"));
-    const auto &cached = sys.monitor().verifierReport(sys.cidOf("b"));
-    EXPECT_EQ(cached.imageBytes, fresh.imageBytes);
-    EXPECT_EQ(cached.insnCount, fresh.insnCount);
-    EXPECT_EQ(cached.findings.size(), fresh.findings.size());
-    EXPECT_TRUE(cached.cfg.ran);
-}
-
-TEST(VerifyCache, EntryPointsArePartOfTheKey)
-{
-    verifier::VerifyCache::instance().clear();
-
-    // Same bytes, different export sets: the reachability walk seeds
-    // differ, so the verdict may differ — they must not share a slot.
-    std::vector<uint8_t> image(64, 0x90);
-    image.back() = 0xC3;
-    const std::size_t e0[] = {0};
-    const std::size_t e8[] = {8};
-    EXPECT_NE(verifier::VerifyCache::hashImage(image, e0),
-              verifier::VerifyCache::hashImage(image, e8));
-
-    bool hit = true;
-    verifier::VerifyCache::instance().verify(image, e0, {}, &hit);
-    EXPECT_FALSE(hit);
-    verifier::VerifyCache::instance().verify(image, e8, {}, &hit);
-    EXPECT_FALSE(hit);
-    verifier::VerifyCache::instance().verify(image, e0, {}, &hit);
+    // The cached verdict is the grep's.
+    bool hit = false;
+    EXPECT_FALSE(
+        verifier::VerifyCache::instance().scan(shared_image, &hit));
     EXPECT_TRUE(hit);
-    EXPECT_EQ(verifier::VerifyCache::instance().size(), 2u);
-}
-
-TEST(VerifyCache, EntryPointsAndTablesDoNotAlias)
-{
-    verifier::VerifyCache::instance().clear();
-
-    // ret, then a declared one-slot table whose bytes hold a wrpkru.
-    // Entry points {0} plus table {4, 1} and entry points {0, 4, 1}
-    // feed the bucket hash the same byte stream, so exporting offset
-    // 4 (the wrpkru) must not replay the table's verdict.
-    const std::vector<uint8_t> image =
-        bytes({0xC3, 0x90, 0x90, 0x90, 0x0F, 0x01, 0xEF, 0x00});
-    const std::size_t entry[] = {0};
-    const std::size_t exported[] = {0, 4, 1};
-    const verifier::EntryTable table[] = {{4, 1}};
-    ASSERT_EQ(verifier::VerifyCache::hashImage(image, entry, table),
-              verifier::VerifyCache::hashImage(image, exported));
-
-    {
-        System sys;
-        testing::addToy(sys, "table")
-            .withImage(image)
-            .withEntryPoints({0})
-            .withIndirectTables({{4, 1}});
-        sys.boot();
-    }
-    System sys;
-    testing::addToy(sys, "exported")
-        .withImage(image)
-        .withEntryPoints({0, 4, 1});
-    EXPECT_THROW(sys.boot(), VerifierError);
-    EXPECT_EQ(sys.stats().verifyCacheHits(), 0u);
 }
 
 TEST(VerifyCache, HashCollisionDoesNotReplayAVerdict)
 {
     verifier::VerifyCache::instance().clear();
 
-    // Two 17-byte images with one FNV-1a key: a jmp over payload, and
-    // a wrpkru at the entry point.
-    const std::vector<uint8_t> benign =
-        bytes({0xEB, 0x0E, 0x2D, 0x52, 0x97, 0x86, 0x01, 0x96, 0x1D,
-               0x77, 0x90, 0x90, 0x90, 0x90, 0x90, 0x90, 0xC3});
-    const std::vector<uint8_t> hostile =
-        bytes({0x0F, 0x01, 0xEF, 0x88, 0x56, 0x08, 0x33, 0x0E, 0x6A,
-               0x7C, 0x0E, 0x90, 0x90, 0x90, 0x90, 0x90, 0xC3});
-    ASSERT_EQ(verifier::VerifyCache::hashImage(benign, {}),
-              0x796d3816a0de03c7ull);
-    ASSERT_EQ(verifier::VerifyCache::hashImage(hostile, {}),
-              0x796d3816a0de03c7ull);
+    // The key is the image bytes, not a hash of them, so the nearest
+    // image to another, one byte apart, still gets its own verdict.
+    // rdpkru (0F 01 EE) reads PKRU; wrpkru (0F 01 EF), one bit away,
+    // writes it. The two images differ in that byte alone.
+    std::vector<uint8_t> reader(64, 0x90);
+    reader[10] = 0x0F;
+    reader[11] = 0x01;
+    reader[12] = 0xEE;
+    reader.back() = 0xC3;
+    std::vector<uint8_t> writer = reader;
+    writer[12] = 0xEF;
 
-    {
+    for (int round = 0; round < 2; ++round) {
+        {
+            System sys;
+            testing::addToy(sys, "reader").withImage(reader);
+            EXPECT_NO_THROW(sys.boot()) << round;
+        }
         System sys;
-        testing::addToy(sys, "benign").withImage(benign);
-        sys.boot();
+        testing::addToy(sys, "writer").withImage(writer);
+        EXPECT_THROW(sys.boot(), VerifierError) << round;
+        // The second round hits the cache for both images, and each
+        // hit replays its own verdict.
+        EXPECT_EQ(sys.stats().verifyCacheHits(),
+                  static_cast<uint64_t>(round))
+            << round;
     }
-    System sys;
-    testing::addToy(sys, "hostile").withImage(hostile);
-    EXPECT_THROW(sys.boot(), VerifierError);
-    EXPECT_EQ(sys.stats().verifyCacheHits(), 0u);
+    EXPECT_EQ(verifier::VerifyCache::instance().size(), 2u);
 }
 
 TEST(VerifyCache, RejectingImageRejectsAgainOnHit)

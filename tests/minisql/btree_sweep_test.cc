@@ -28,8 +28,8 @@ paddedKey(int i, std::size_t len)
 {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%012d", i);
-    std::vector<uint8_t> key(buf, buf + 12);
-    key.resize(std::max<std::size_t>(len, 12), 'k');
+    std::vector<uint8_t> key(std::max<std::size_t>(len, 12), 'k');
+    std::copy(buf, buf + 12, key.begin());
     return key;
 }
 

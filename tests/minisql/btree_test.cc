@@ -189,8 +189,9 @@ TEST_F(BTreeTest, TwoTreesDoNotInterfere)
     const uint32_t root2 = BTree::create(&pager);
     BTree a(&pager, root), b(&pager, root2);
     for (int i = 0; i < 500; ++i) {
-        a.insert(bytes("a" + std::to_string(i)), bytes("A"));
-        b.insert(bytes("b" + std::to_string(i)), bytes("B"));
+        const std::string n = std::to_string(i);
+        a.insert(bytes("a" + n), bytes("A"));
+        b.insert(bytes("b" + n), bytes("B"));
     }
     EXPECT_EQ(a.countEntries(), 500u);
     EXPECT_EQ(b.countEntries(), 500u);
@@ -217,8 +218,8 @@ TEST_P(BTreeProperty, MatchesReferenceModel)
         std::string key =
             "key" + std::to_string(prng.nextBelow(800));
         if (action < 6) {
-            std::string value =
-                "v" + std::to_string(prng.nextBelow(100000));
+            std::string value = "v";
+            value += std::to_string(prng.nextBelow(100000));
             const bool fresh = tree.insert(bytes(key), bytes(value));
             EXPECT_EQ(fresh, model.find(key) == model.end());
             model[key] = value;

@@ -75,9 +75,10 @@ TEST_P(TxnDurability, CommittedStateSurvivesAnything)
             const int64_t k =
                 static_cast<int64_t>(prng.nextBelow(300));
             if (prng.nextBelow(4) != 0) {
-                std::string v =
-                    "r" + std::to_string(round) + "v" +
-                    std::to_string(prng.nextBelow(100000));
+                std::string v = "r";
+                v += std::to_string(round);
+                v += "v";
+                v += std::to_string(prng.nextBelow(100000));
                 tree.insert(key(k),
                             {reinterpret_cast<const uint8_t *>(
                                  v.data()),
