@@ -74,7 +74,7 @@ main()
                      "sendfile, ceiling is %.0f.\n"
                      "The bulk-transfer hot path regressed: check hot "
                      "windows (lwip/netdev frame\nbuffers, ukapi "
-                     "transfer arena), prestage hints (ramfs span "
+                     "staging page), prestage hints (ramfs span "
                      "windows, sockapi\nbuffers) and range-granular "
                      "retagging (Monitor::handleFault chunking).\n",
                      traps, kTrapCeiling);

@@ -187,6 +187,19 @@ matchLeaCall(std::span<const uint8_t> image, std::size_t pos)
     return m;
 }
 
+std::vector<ForbiddenInsn>
+grepMatches(std::span<const uint8_t> image)
+{
+    std::vector<ForbiddenInsn> out;
+    std::size_t from = 0;
+    while (auto m = core::scanCodeImage(image.subspan(from))) {
+        m->offset += from;
+        from = m->offset + m->length;
+        out.push_back(std::move(*m));
+    }
+    return out;
+}
+
 VerifierReport
 verifyImageInter(std::span<const uint8_t> image,
                  std::span<const std::size_t> entryPoints,
@@ -505,7 +518,7 @@ verifyImageInter(std::span<const uint8_t> image,
     // kIndirectReachable. A reachable forbidden instruction the grep
     // missed is added as a kAligned finding.
     const bool sound = !cfg.opaque && firstUnresolvedJump == n;
-    for (const ForbiddenInsn &m : core::scanCodeImageAll(image)) {
+    for (const ForbiddenInsn &m : grepMatches(image)) {
         CodeFinding f{m.offset, m.length, m.mnemonic,
                       sound ? FindingClass::kUnreachable
                             : FindingClass::kIndirectReachable};

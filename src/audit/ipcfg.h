@@ -71,6 +71,7 @@
 #include <vector>
 
 #include "audit/report.h"
+#include "core/codescan.h"
 #include "core/component.h"
 
 namespace cubicleos::audit {
@@ -128,6 +129,14 @@ struct LeaCallMatch {
  */
 LeaCallMatch matchLeaCall(std::span<const uint8_t> image,
                           std::size_t pos);
+
+/**
+ * Every match of the loader's byte-grep in @p image, in image order:
+ * core::scanCodeImage run again past each match, so the matches never
+ * overlap and a sequence is reported once, not at every sub-position.
+ * These are the findings the walk labels.
+ */
+std::vector<core::ForbiddenInsn> grepMatches(std::span<const uint8_t> image);
 
 /**
  * Verifies @p image: the byte-grep, the walk from @p entryPoints and

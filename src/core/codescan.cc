@@ -58,25 +58,4 @@ scanCodeImage(std::span<const uint8_t> image)
     return std::nullopt;
 }
 
-std::vector<ForbiddenInsn>
-scanCodeImageAll(std::span<const uint8_t> image)
-{
-    std::vector<ForbiddenInsn> out;
-    std::size_t pos = 0;
-    while (pos < image.size()) {
-        std::size_t advance = 1;
-        for (const ForbiddenPattern &p : kForbidden) {
-            if (matchAt(image, pos, p)) {
-                out.push_back(ForbiddenInsn{pos, p.mnemonic, p.len});
-                // Resume past the match so one sequence is reported
-                // once, not again at its interior positions.
-                advance = p.len;
-                break;
-            }
-        }
-        pos += advance;
-    }
-    return out;
-}
-
 } // namespace cubicleos::core

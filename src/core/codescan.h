@@ -28,7 +28,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
 
 namespace cubicleos::core {
 
@@ -45,15 +44,6 @@ struct ForbiddenInsn {
  * @return the first match, or no value if the image is clean.
  */
 std::optional<ForbiddenInsn> scanCodeImage(std::span<const uint8_t> image);
-
-/**
- * Scans and collects every match (the findings the auditor's walk
- * labels).
- * Matches are non-overlapping: after a match the scan resumes past the
- * matched bytes, so a sequence is reported once, not at every
- * sub-position.
- */
-std::vector<ForbiddenInsn> scanCodeImageAll(std::span<const uint8_t> image);
 
 } // namespace cubicleos::core
 

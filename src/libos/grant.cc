@@ -13,7 +13,8 @@ GrantWindow::GrantWindow(core::System &sys, const PeerSet &peers,
         hot_ = sys.windowSetHot(wid_);
         // A hot window keeps its ACL open across calls (§8), its key
         // in every peer's PKRU; without a key the open ACL still
-        // serves a persistent window such as XferArena's.
+        // serves a window its owner stages by hand (lwip's netdev
+        // window), and a Grant closes it at its first release.
         open(peers_);
     }
 }
@@ -173,64 +174,6 @@ Grant::moveFrom(Grant &other) noexcept
     win_ = other.win_;
     buf_ = other.buf_;
     other.buf_ = nullptr;
-}
-
-// --- XferArena --------------------------------------------------------
-
-XferArena::XferArena(core::System &sys, const PeerSet &peers)
-    : sys_(&sys)
-{
-    range_ = sys.monitor().allocPagesFor(sys.currentCubicle(), 1,
-                                         mem::PageType::kHeap);
-    if (!range_.valid())
-        throw core::OutOfMemory("XferArena staging page");
-    win_ = GrantWindow(sys, peers, /*hot=*/true);
-    win_.stage(range_.ptr, range_.sizeBytes());
-}
-
-XferArena::~XferArena() { reset(); }
-
-void
-XferArena::reset() noexcept
-{
-    if (!sys_)
-        return;
-    win_.destroy();
-    if (range_.valid()) {
-        try {
-            sys_->monitor().freePages(range_);
-        } catch (...) {
-            // Teardown after the allocator is gone; pages die with it.
-        }
-    }
-    range_ = {};
-    sys_ = nullptr;
-}
-
-void
-XferArena::moveFrom(XferArena &other) noexcept
-{
-    sys_ = other.sys_;
-    range_ = other.range_;
-    win_ = std::move(other.win_);
-    other.sys_ = nullptr;
-    other.range_ = {};
-}
-
-char *
-XferArena::at(std::size_t off) const
-{
-    if (off >= size())
-        throw core::WindowError("XferArena: offset " +
-                                std::to_string(off) +
-                                " outside the arena");
-    return base() + off;
-}
-
-void
-XferArena::touchForWrite(std::size_t off, std::size_t n)
-{
-    sys_->touch(at(off), n, hw::Access::kWrite);
 }
 
 } // namespace cubicleos::libos

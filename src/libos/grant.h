@@ -4,11 +4,10 @@
  *
  * Every porting layer used to hand-roll its own add/open…remove/close
  * sequences over the raw System::window* API. This header extracts
- * that plumbing into four reusable types, so the window discipline of
+ * that plumbing into three reusable types, so the window discipline of
  * the paper — Fig. 2's open→call→close pattern, the nested-call rule
  * (§5.6: the caller opens the window for every cubicle the call will
- * traverse), page-aligned staging (§5.3) and hot windows (§8) — is
- * implemented exactly once:
+ * traverse) and hot windows (§8) — is implemented exactly once:
  *
  *  - PeerSet      — the set of cubicles a call traverses (ACL set).
  *  - GrantWindow  — an owned window descriptor. Remembers the owner
@@ -23,18 +22,18 @@
  *                   exceptions thrown by the callee) closes the ACL,
  *                   hands the pages back to the owner in one retag
  *                   and removes the range.
- *  - XferArena    — a page-aligned staging page behind a persistent
- *                   multi-peer window, for paths and small
- *                   out-structures that must never share a page with
- *                   unrelated caller data.
+ *
+ * One Grant brackets every argument of a file call alike: a data
+ * buffer in place, and paths and out-structs on the page-aligned
+ * staging page (§5.3) that CubicleFileApi copies them to.
  *
  * Raw windowAdd/windowOpen/windowCloseAll calls outside grant.cc are
- * forbidden in src/libos, src/apps and bench (enforced by the
- * grant_wiring_lint ctest); ports go through these types.
+ * forbidden in src/libos, src/apps, src/baselines and bench (enforced
+ * by the grant_wiring_lint ctest); ports go through these types.
  *
  * Thread-safety: the grant layer deliberately holds NO locks of its
  * own (the locking_wrapper_lint ctest keeps it that way). A
- * GrantWindow/Grant/XferArena instance belongs to one call edge and is
+ * GrantWindow/Grant instance belongs to one call edge and is
  * externally synchronised by its owner — concurrent edges use distinct
  * instances (one per worker, as in bench_mt_faults). All shared state
  * a grant touches lives behind the monitor's annotated lock hierarchy
@@ -142,9 +141,11 @@ class GrantWindow {
     /**
      * Creates a window owned by the current cubicle. When @p hot, the
      * window asks the monitor for a dedicated key (hot() says whether
-     * it got one) and opens the ACL for @p peers now, to stay open;
-     * otherwise @p peers is only remembered as the default ACL set
-     * for open().
+     * it got one) and opens the ACL for @p peers now, to stay open:
+     * a Grant on a keyed window then only restages, and one on a
+     * keyless window brackets each call like a cold one, closing the
+     * ACL at its release. Otherwise @p peers is only remembered as the
+     * default ACL set for open().
      */
     GrantWindow(core::System &sys, const PeerSet &peers = {},
                 bool hot = false);
@@ -289,68 +290,6 @@ class Grant {
 
     GrantWindow *win_ = nullptr;
     const void *buf_ = nullptr;
-};
-
-/**
- * A page-aligned staging page behind a persistent multi-peer window.
- *
- * Implements the §5.3 alignment discipline: data shared through a
- * window must not share its page with unrelated caller state, so
- * paths and small out-structures are copied into a dedicated page
- * that stays windowed for the whole peer set of the call chain. The
- * window is hot (§8) when the monitor has a key for it: the page
- * changes hands on every call and holds no application data, so its
- * temporal isolation costs nothing to give up. The arena owns its page
- * (allocated in the constructing cubicle) and frees it — and destroys
- * the window — on destruction.
- */
-class XferArena {
-  public:
-    XferArena() = default;
-    XferArena(core::System &sys, const PeerSet &peers);
-    ~XferArena();
-
-    XferArena(const XferArena &) = delete;
-    XferArena &operator=(const XferArena &) = delete;
-    XferArena(XferArena &&other) noexcept { moveFrom(other); }
-    XferArena &operator=(XferArena &&other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            moveFrom(other);
-        }
-        return *this;
-    }
-
-    bool valid() const { return range_.valid(); }
-    char *base() const { return reinterpret_cast<char *>(range_.ptr); }
-    std::size_t size() const { return range_.sizeBytes(); }
-
-    /** Staging slot at byte offset @p off (bounds-checked). */
-    char *at(std::size_t off) const;
-
-    /** Touches [base+off, base+off+n) for write before staging data. */
-    void touchForWrite(std::size_t off, std::size_t n);
-
-    /**
-     * Forgets page and window without releasing either — crash
-     * teardown only (see GrantWindow::abandon): the monitor already
-     * reclaimed the staging page when the owner was destroyed.
-     */
-    void abandon() noexcept
-    {
-        win_.abandon();
-        range_ = {};
-        sys_ = nullptr;
-    }
-
-  private:
-    void moveFrom(XferArena &other) noexcept;
-    void reset() noexcept;
-
-    core::System *sys_ = nullptr;
-    mem::PageRange range_{};
-    GrantWindow win_;
 };
 
 } // namespace cubicleos::libos

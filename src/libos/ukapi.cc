@@ -1,6 +1,7 @@
 #include "libos/ukapi.h"
 
 #include <cstring>
+#include <type_traits>
 
 namespace cubicleos::libos {
 
@@ -40,16 +41,12 @@ CubicleFileApi::CubicleFileApi(core::System &sys,
                               VfsSpan *)>("vfscore", "vfs_borrow")),
       release_(sys.resolve<int(int, uint64_t)>("vfscore", "vfs_release"))
 {
-    // Persistent arena window over the transfer page, open for the
-    // whole file stack; one window per peer set keeps the descriptor
-    // arrays short (paper: <10 windows per cubicle). The arena owns
-    // the page and frees it on destruction. It asks to be hot (§8):
-    // the page ping-pongs between app, VFSCORE and backend on every
-    // call, and — unlike the I/O buffers — it holds no application
-    // data, so trading its temporal isolation for a dedicated key
-    // costs nothing and spares three-plus faults per call whenever an
-    // unrelated revocation bumps the grant epoch.
-    xfer_ = XferArena(sys_, peers_);
+    // The staging page asks for a hot window (§8): it changes hands on
+    // every path or stat call and holds no application data, so with a
+    // dedicated key the grant around each call is a no-op restage. A
+    // window the monitor has no key for is granted per call, like an
+    // I/O buffer.
+    stageWin_ = GrantWindow(sys_, peers_, /*hot=*/true);
 
     // Per-I/O window, managed by a Grant around each call: the buffer
     // is prestaged for the backend and handed back to the app after
@@ -58,22 +55,66 @@ CubicleFileApi::CubicleFileApi(core::System &sys,
     // ACL stays open, and per-call work reduces to re-staging the
     // range when the buffer changes.
     ioWin_ = GrantWindow(sys_, peers_, hot_windows);
+
+    // Allocated last: a constructor that throws frees nothing by hand.
+    staging_ = sys.monitor().allocPagesFor(sys.currentCubicle(), 1,
+                                           mem::PageType::kHeap);
+    if (!staging_.valid())
+        throw core::OutOfMemory("CubicleFileApi staging page");
 }
 
-const char *
-CubicleFileApi::stagePath(const char *path)
+CubicleFileApi::~CubicleFileApi()
 {
-    xfer_.touchForWrite(0, kMaxPath);
-    char *staged = xfer_.base();
-    std::strncpy(staged, path, kMaxPath - 1);
-    staged[kMaxPath - 1] = '\0';
-    return staged;
+    if (!staging_.valid())
+        return;
+    stageWin_.destroy();
+    try {
+        sys_.monitor().freePages(staging_);
+    } catch (...) {
+        // A destructor must not throw; an unfreed page only leaks.
+    }
+}
+
+template <typename Out, typename Call>
+int
+CubicleFileApi::staged(const char *path, Out *out, Call &&call)
+{
+    constexpr bool has_out = !std::is_void_v<Out>;
+    // The path slot opens the page; the out-struct sits past it.
+    char *const page = reinterpret_cast<char *>(staging_.ptr);
+    Out *const out_slot =
+        static_cast<Out *>(static_cast<void *>(page + kMaxPath));
+    return catchPeerFault<int>([&] {
+        sys_.touch(page, hw::kPageSize, hw::Access::kWrite);
+        if (path) {
+            std::strncpy(page, path, kMaxPath - 1);
+            page[kMaxPath - 1] = '\0';
+        }
+        if constexpr (has_out) {
+            static_assert(kMaxPath + sizeof(Out) <= hw::kPageSize);
+            *out_slot = Out{};
+        }
+        int rc;
+        {
+            Grant grant(sys_, stageWin_, peers_, page, hw::kPageSize,
+                        has_out ? Prestage::kWrite : Prestage::kRead,
+                        PeerSet{backendCid_});
+            rc = call(page, out_slot);
+        }
+        if constexpr (has_out) {
+            sys_.touch(out_slot, sizeof(Out), hw::Access::kRead);
+            *out = *out_slot;
+        }
+        return rc;
+    });
 }
 
 int
 CubicleFileApi::open(const char *path, int flags)
 {
-    return catchPeerFault<int>([&] { return open_(stagePath(path), flags); });
+    return staged<void>(path, nullptr, [&](const char *p, void *) {
+        return open_(p, flags);
+    });
 }
 
 int
@@ -136,40 +177,29 @@ CubicleFileApi::lseek(int fd, int64_t off, int whence)
 int
 CubicleFileApi::stat(const char *path, VfsStat *st)
 {
-    // Stage both the path and the out-struct on the transfer page.
-    return catchPeerFault<int>([&] {
-        const char *p = stagePath(path);
-        auto *out = reinterpret_cast<VfsStat *>(xfer_.at(kMaxPath));
-        const int rc = stat_(p, out);
-        sys_.touch(out, sizeof(*out), hw::Access::kRead);
-        *st = *out;
-        return rc;
-    });
+    return staged(path, st,
+                  [&](const char *p, VfsStat *out) { return stat_(p, out); });
 }
 
 int
 CubicleFileApi::fstat(int fd, VfsStat *st)
 {
-    return catchPeerFault<int>([&] {
-        xfer_.touchForWrite(0, hw::kPageSize);
-        auto *out = reinterpret_cast<VfsStat *>(xfer_.at(kMaxPath));
-        const int rc = fstat_(fd, out);
-        sys_.touch(out, sizeof(*out), hw::Access::kRead);
-        *st = *out;
-        return rc;
-    });
+    return staged(nullptr, st,
+                  [&](const char *, VfsStat *out) { return fstat_(fd, out); });
 }
 
 int
 CubicleFileApi::unlink(const char *path)
 {
-    return catchPeerFault<int>([&] { return unlink_(stagePath(path)); });
+    return staged<void>(path, nullptr,
+                        [&](const char *p, void *) { return unlink_(p); });
 }
 
 int
 CubicleFileApi::mkdir(const char *path)
 {
-    return catchPeerFault<int>([&] { return mkdir_(stagePath(path)); });
+    return staged<void>(path, nullptr,
+                        [&](const char *p, void *) { return mkdir_(p); });
 }
 
 int
@@ -187,13 +217,8 @@ CubicleFileApi::fsync(int fd)
 int
 CubicleFileApi::readdir(const char *path, uint64_t idx, VfsDirent *out)
 {
-    return catchPeerFault<int>([&] {
-        const char *p = stagePath(path);
-        auto *staged = reinterpret_cast<VfsDirent *>(xfer_.at(kMaxPath));
-        const int rc = readdir_(p, idx, staged);
-        sys_.touch(staged, sizeof(*staged), hw::Access::kRead);
-        *out = *staged;
-        return rc;
+    return staged(path, out, [&](const char *p, VfsDirent *staged_out) {
+        return readdir_(p, idx, staged_out);
     });
 }
 
@@ -201,17 +226,8 @@ int
 CubicleFileApi::borrow(int fd, uint64_t off, core::Cid peer,
                        std::size_t max_len, VfsSpan *out)
 {
-    // The out-struct is staged past the path slot so a concurrent
-    // stagePath cannot clobber it; the arena window already covers it
-    // for VFSCORE and the backend.
-    return catchPeerFault<int>([&] {
-        auto *staged = reinterpret_cast<VfsSpan *>(xfer_.at(kMaxPath));
-        sys_.touch(staged, sizeof(*staged), hw::Access::kWrite);
-        *staged = VfsSpan{};
-        const int rc = borrow_(fd, off, peer, max_len, staged);
-        sys_.touch(staged, sizeof(*staged), hw::Access::kRead);
-        *out = *staged;
-        return rc;
+    return staged(nullptr, out, [&](const char *, VfsSpan *staged_out) {
+        return borrow_(fd, off, peer, max_len, staged_out);
     });
 }
 

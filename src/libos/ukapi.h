@@ -9,18 +9,23 @@
  * pattern and the nested-call rule (the caller opens the window for
  * both VFSCORE and the backend, §5.6).
  *
- * Paths and small out-structures are staged in an XferArena — a
- * dedicated, page-aligned transfer page windowed for the whole file
- * stack — so unrelated caller data never shares a windowed page (the
- * alignment discipline of §5.3).
+ * Caller memory crosses only inside a Grant, one bracket for every
+ * kind of argument. Paths and small out-structures are copied to a
+ * dedicated, page-aligned staging page, so unrelated caller data never
+ * shares a windowed page (the alignment discipline of §5.3); data
+ * buffers are granted in place.
  *
- * Each data buffer is prestaged for the backend, which is the only
- * cubicle that reads or writes it; VFSCORE validates it without
- * touching it (System::checkAccess), so the page stays on the
- * backend's tag. After the call the grant hands the buffer back to
- * the caller's tag in one retag, so a per-call round trip takes no
- * trap: the paper's three traps per call (VFSCORE's access, the
- * backend's, the caller's reclaim) are the Fig. 6 MPK overhead.
+ * Each staged page or data buffer is prestaged for the backend, which
+ * is the only cubicle that reads or writes it; VFSCORE validates it
+ * without touching it (System::checkAccess), so the page stays on the
+ * backend's tag. After the call the grant closes the window and hands
+ * the page back to the caller's tag in one retag, so a per-call round
+ * trip takes no trap: the paper's three traps per call (VFSCORE's
+ * access, the backend's, the caller's reclaim) are the Fig. 6 MPK
+ * overhead. The staging page's window asks to be hot (§8): the page
+ * holds no application data, so where the monitor has a key its grant
+ * is a no-op restage and the page stays open to the file stack;
+ * without one it is closed between calls like a data buffer.
  */
 
 #ifndef CUBICLEOS_LIBOS_UKAPI_H_
@@ -37,7 +42,7 @@ class CubicleFileApi : public FileApi {
   public:
     /**
      * Binds to @p sys's VFS; must be constructed while executing inside
-     * the application cubicle (allocates the transfer arena there).
+     * the application cubicle (allocates the staging page there).
      *
      * @param backend_name the mounted backend whose cubicle also needs
      *        window access (nested-call rule), e.g. "ramfs".
@@ -50,7 +55,7 @@ class CubicleFileApi : public FileApi {
      */
     CubicleFileApi(core::System &sys, const std::string &backend_name,
                    bool hot_windows = false);
-    ~CubicleFileApi() override = default;
+    ~CubicleFileApi() override;
 
     int open(const char *path, int flags) override;
     int close(int fd) override;
@@ -83,28 +88,37 @@ class CubicleFileApi : public FileApi {
     int release(int fd, uint64_t token);
 
     /**
-     * Crash teardown (DESIGN.md §15): forgets the transfer arena and
-     * I/O window without releasing them. Call from Component::teardown
+     * Crash teardown (DESIGN.md §15): forgets the staging page and both
+     * windows without releasing them. Call from Component::teardown
      * after the owning cubicle was destroyed — the monitor already
      * reclaimed those pages and windows, and the remembered ids may
      * have been reissued. The destructor is then a no-op.
      */
     void abandon() noexcept
     {
-        xfer_.abandon();
+        staging_ = {};
+        stageWin_.abandon();
         ioWin_.abandon();
     }
 
   private:
-    /** Copies a path into the transfer arena, returns the staged copy. */
-    const char *stagePath(const char *path);
+    /**
+     * The one staging bracket: copies @p path (when given) to the
+     * staging page and runs @p call(path slot, out-struct slot) inside
+     * a Grant of the page, prestaged for the backend to read, or to
+     * write when an @p Out comes back. Once the page is home, copies
+     * the staged out-struct to @p out (Out = void: none).
+     */
+    template <typename Out, typename Call>
+    int staged(const char *path, Out *out, Call &&call);
 
     core::System &sys_;
     core::Cid vfsCid_;
     core::Cid backendCid_;
-    PeerSet peers_;    ///< {VFSCORE, backend}: the nested-call ACL set
-    XferArena xfer_;   ///< staging page for paths and out-structs
-    GrantWindow ioWin_; ///< per-I/O buffer window (hot-pooled if asked)
+    PeerSet peers_;       ///< {VFSCORE, backend}: the nested-call ACL set
+    mem::PageRange staging_; ///< page for paths (at 0) and out-structs
+    GrantWindow stageWin_; ///< staging-page window (asks to be hot)
+    GrantWindow ioWin_;   ///< per-I/O buffer window (hot-pooled if asked)
 
     core::CrossFn<int(const char *, int)> open_;
     core::CrossFn<int(int)> close_;

@@ -16,8 +16,11 @@ VfsComponent::checkPath(const char *path)
 {
     if (!path)
         return false;
-    const std::size_t n = libc_.strnlen(path, kMaxPath);
-    return n > 0 && n < kMaxPath;
+    // Only the backend reads the path (and bounds it): check the
+    // caller's kMaxPath-byte slot without taking its page, which stays
+    // on the backend's prestaged tag.
+    sys()->checkAccess(path, kMaxPath, hw::Access::kRead);
+    return true;
 }
 
 VfsComponent::FileDesc *
@@ -33,7 +36,9 @@ VfsComponent::fdAt(int fd)
 int
 VfsComponent::doMount(const char *fsname)
 {
-    if (!checkPath(fsname))
+    // The one name VFSCORE reads itself, once at boot.
+    const std::size_t len = fsname ? libc_.strnlen(fsname, kMaxPath) : 0;
+    if (len == 0 || len >= kMaxPath)
         return kErrInval;
     if (backend_.mounted)
         return kErrExist;
@@ -277,7 +282,7 @@ VfsComponent::doBorrow(int fd, uint64_t off, core::Cid peer,
         return kErrInval;
     // Validate the out-struct like any other caller pointer before the
     // backend writes through it (Fig. 2 discipline).
-    sys()->touch(out, sizeof(*out), hw::Access::kWrite);
+    sys()->checkAccess(out, sizeof(*out), hw::Access::kWrite);
     return backend_.borrow(f->node, off, peer, max_len, out);
 }
 

@@ -8,9 +8,12 @@
  * dynamic symbols at mount time so every backend call crosses a
  * trampoline — this produces the VFSCORE→RAMFS edges of Fig. 5/Fig. 8.
  *
- * Pointer arguments (paths, I/O buffers) are passed through unchanged:
- * data moves zero-copy through windows opened by the original caller
- * for both VFSCORE and the backend (the nested-call rule, §5.6).
+ * Pointer arguments (paths, I/O buffers, out-structs) are passed
+ * through unchanged: data moves zero-copy through windows opened by the
+ * original caller for both VFSCORE and the backend (the nested-call
+ * rule, §5.6). VFSCORE validates each with System::checkAccess and,
+ * but for the fsname at mount, reads none: only the backend touches
+ * the pages.
  */
 
 #ifndef CUBICLEOS_LIBOS_VFSCORE_H_
@@ -95,7 +98,10 @@ class VfsComponent : public core::Component {
     int doRelease(int fd, uint64_t token);
 
     FileDesc *fdAt(int fd);
-    /** Validates and bounds a caller-supplied path (checked access). */
+    /**
+     * Validates a caller-supplied path's kMaxPath-byte slot without
+     * reading it (System::checkAccess); the backend bounds the path.
+     */
     bool checkPath(const char *path);
 
     BackendOps backend_;

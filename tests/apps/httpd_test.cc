@@ -113,5 +113,34 @@ TEST_F(HttpdTest, CubicleOsCostsMoreThanUnikraft)
     EXPECT_EQ(uk.sys().stats().retags(), 0u);
 }
 
+TEST(HttpdTenantsTest, WarmBurstTakesNoTraps)
+{
+    // 26 tenant groups on 16 tags: the keys left for hot windows go to
+    // lwip's netdev window and tenant0's staging page, so every other
+    // tenant's paths cross in a per-call grant. Prestaged for RAMFS,
+    // checked by VFSCORE and handed home, they take no trap; nor does
+    // anything else a warm request does.
+    constexpr int kTenants = 26;
+    HttpHarness h(core::IsolationMode::kFull, 65536,
+                  /*request_base_cycles=*/1000, /*sendfile=*/false,
+                  kTenants);
+    const char *files[] = {"/small", "/large"};
+    for (int t = 0; t < kTenants; ++t) {
+        h.createFile(t, files[0], 1024);
+        h.createFile(t, files[1], 16 * 1024);
+        for (const char *f : files)
+            ASSERT_EQ(h.fetch(t, f).status, 200) << "warm-up";
+    }
+    h.sys().stats().reset();
+    int requests = 0;
+    for (int t = 0; t < kTenants; ++t) {
+        for (int i = 0; i < 3; ++i, ++requests)
+            ASSERT_EQ(h.fetch(t, files[i % 2]).status, 200);
+    }
+    EXPECT_EQ(h.sys().stats().traps(), 0u)
+        << static_cast<double>(h.sys().stats().traps()) / requests
+        << " traps per request";
+}
+
 } // namespace
 } // namespace cubicleos::httpd

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "audit/ipcfg.h"
 #include "builder/image.h"
 #include "core/codescan.h"
 
@@ -118,7 +119,7 @@ TEST(CodeScan, TruncatedSequenceAtEndDoesNotMatch)
 TEST(CodeScan, AllFindsEveryOccurrence)
 {
     auto image = bytes({0x0F, 0x05, 0x90, 0x0F, 0x01, 0xEF, 0xCD, 0x80});
-    auto hits = scanCodeImageAll(image);
+    auto hits = audit::grepMatches(image);
     ASSERT_EQ(hits.size(), 3u);
     EXPECT_EQ(hits[0].mnemonic, "syscall");
     EXPECT_EQ(hits[1].mnemonic, "wrpkru");
@@ -132,7 +133,7 @@ TEST(CodeScan, AllReportsAdjacentSequencesExactlyOnceEach)
     // or overlapping reports from the matched bytes' interior.
     auto image = bytes({0x0F, 0x01, 0xEF, 0x0F, 0x01, 0xEF,
                         0xCD, 0x80, 0xCD, 0x80});
-    auto hits = scanCodeImageAll(image);
+    auto hits = audit::grepMatches(image);
     ASSERT_EQ(hits.size(), 4u);
     EXPECT_EQ(hits[0].offset, 0u);
     EXPECT_EQ(hits[1].offset, 3u);
@@ -146,7 +147,7 @@ TEST(CodeScan, AllDoesNotRescanMatchedInterior)
     // match must not seed further matches, and the scan continues
     // cleanly after it (syscall at offset 4).
     auto image = bytes({0x0F, 0xAE, 0x28, 0x80, 0x0F, 0x05});
-    auto hits = scanCodeImageAll(image);
+    auto hits = audit::grepMatches(image);
     ASSERT_EQ(hits.size(), 2u);
     EXPECT_EQ(hits[0].mnemonic, "xrstor");
     EXPECT_EQ(hits[0].offset, 0u);
@@ -157,7 +158,7 @@ TEST(CodeScan, AllDoesNotRescanMatchedInterior)
 TEST(CodeScan, ReportsMatchLengths)
 {
     auto image = bytes({0x0F, 0x05, 0x90, 0x0F, 0x01, 0xEF});
-    auto hits = scanCodeImageAll(image);
+    auto hits = audit::grepMatches(image);
     ASSERT_EQ(hits.size(), 2u);
     EXPECT_EQ(hits[0].length, 2u);
     EXPECT_EQ(hits[1].length, 3u);
@@ -180,7 +181,7 @@ TEST(CodeScan, DetectsEveryForbiddenEncoding)
     for (const Case &c : cases) {
         auto image = bytes({0x90}); // nop, then the encoding
         image.insert(image.end(), c.encoding.begin(), c.encoding.end());
-        auto hits = scanCodeImageAll(image);
+        auto hits = audit::grepMatches(image);
         ASSERT_EQ(hits.size(), 1u) << c.mnemonic;
         EXPECT_EQ(hits[0].offset, 1u) << c.mnemonic;
         EXPECT_EQ(hits[0].mnemonic, c.mnemonic);

@@ -48,7 +48,7 @@ randomBytes(std::size_t size, uint64_t seed)
 void
 checkDifferential(const std::vector<uint8_t> &image, uint64_t seed)
 {
-    const auto grepHits = scanCodeImageAll(image);
+    const auto grepHits = audit::grepMatches(image);
     const VerifierReport report = verifyImageInter(image, {}, {});
 
     // Every grep match is labelled; nothing invented, nothing lost.

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the grant layer (PeerSet / GrantWindow / Grant /
- * XferArena) and the window-leak regression on the socket API.
+ * Unit tests for the grant layer (PeerSet / GrantWindow / Grant) and
+ * the window-leak regression on the socket API.
  */
 
 #include <gtest/gtest.h>
@@ -216,28 +216,6 @@ TEST_F(GrantTest, ReleaseHandsTheBufferHomeWithoutATrap)
     app->run([&] { win.destroy(); });
 }
 
-TEST_F(GrantTest, ArenaStagingIsPageAlignedAndBounded)
-{
-    app->run([&] {
-        const PeerSet peers{vfsCid};
-        XferArena arena(*sys, peers);
-        ASSERT_TRUE(arena.valid());
-        EXPECT_EQ(reinterpret_cast<uintptr_t>(arena.base()) %
-                      hw::kPageSize,
-                  0u)
-            << "the arena page must not share a page with caller state";
-        EXPECT_EQ(arena.size(), hw::kPageSize);
-
-        EXPECT_EQ(arena.at(0), arena.base());
-        EXPECT_EQ(arena.at(arena.size() - 1),
-                  arena.base() + arena.size() - 1);
-        EXPECT_THROW(arena.at(arena.size()), core::WindowError);
-
-        arena.touchForWrite(0, 64);
-        std::memset(arena.base(), 0x77, 64);
-    });
-}
-
 TEST_F(GrantTest, RefusedPeerLeavesNothingStaged)
 {
     // The monitor refuses to open a window to a shared cubicle. The
@@ -259,23 +237,6 @@ TEST_F(GrantTest, RefusedPeerLeavesNothingStaged)
     }
     EXPECT_TRUE(faults(vfsCid, buf, 128));
     app->run([&] { win.destroy(); });
-}
-
-TEST_F(GrantTest, ArenaWindowAdmitsPeersForItsLifetime)
-{
-    char *base = nullptr;
-    XferArena arena;
-    app->run([&] {
-        const PeerSet peers{vfsCid, ramfsCid};
-        arena = XferArena(*sys, peers);
-        base = arena.base();
-        arena.touchForWrite(0, 64);
-        std::memcpy(base, "/staged-path", 13);
-    });
-    EXPECT_FALSE(faults(vfsCid, base, 64));
-    EXPECT_FALSE(faults(ramfsCid, base, 64));
-    EXPECT_TRUE(faults(spyCid, base, 64));
-    app->run([&] { arena = XferArena(); }); // destroys window + pages
 }
 
 // --- grant round trip under tag virtualisation ------------------------

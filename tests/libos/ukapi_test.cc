@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "libos/app.h"
 #include "libos/stack.h"
@@ -17,10 +18,17 @@ namespace {
 
 class UkapiTest : public ::testing::Test {
   protected:
-    void boot(bool hot_windows)
+    /**
+     * Boots the file stack with an app and a spy cubicle. With
+     * @p spend_keys, tag virtualisation is on and the app spends every
+     * key the monitor has left before it builds the file API, so none
+     * of the API's windows gets one.
+     */
+    void boot(bool hot_windows, bool spend_keys = false)
     {
         core::SystemConfig cfg;
         cfg.numPages = 8192;
+        cfg.virtualizeTags = spend_keys;
         sys = std::make_unique<core::System>(cfg);
         addLibosComponents(*sys);
         app = static_cast<AppComponent *>(
@@ -29,6 +37,10 @@ class UkapiTest : public ::testing::Test {
             &sys->addComponent(std::make_unique<AppComponent>("spy")));
         finishBoot(*sys);
         app->run([&] {
+            std::vector<GrantWindow> spent;
+            while (spend_keys &&
+                   (spent.empty() || spent.back().hot()))
+                spent.emplace_back(*sys, PeerSet{}, /*hot=*/true);
             fs = std::make_unique<CubicleFileApi>(*sys, "ramfs",
                                                   hot_windows);
         });
@@ -38,6 +50,38 @@ class UkapiTest : public ::testing::Test {
     {
         if (app && fs)
             app->run([&] { fs.reset(); });
+    }
+
+    /**
+     * The app page that starts with @p path: where the file API staged
+     * it (read host-side, without a checked access), or nullptr.
+     */
+    char *pageStartingWith(const char *path)
+    {
+        const core::Cid appCid = sys->cidOf("app");
+        core::Monitor &mon = sys->monitor();
+        for (std::size_t i = 0; i < mon.pageMeta().numPages(); ++i) {
+            if (mon.pageMeta().at(i).owner != appCid)
+                continue;
+            auto *page = reinterpret_cast<char *>(mon.space().pageAt(i));
+            if (std::strncmp(page, path, kMaxPath) == 0)
+                return page;
+        }
+        return nullptr;
+    }
+
+    /** Whether cubicle @p name faults reading the page at @p page. */
+    bool faults(const char *name, const char *page)
+    {
+        bool faulted = false;
+        sys->runAs(sys->cidOf(name), [&] {
+            try {
+                sys->touch(page, hw::kPageSize, hw::Access::kRead);
+            } catch (const hw::CubicleFault &) {
+                faulted = true;
+            }
+        });
+        return faulted;
     }
 
     std::unique_ptr<core::System> sys;
@@ -122,9 +166,9 @@ TEST_F(UkapiTest, PathsNeverExposeCallerMemory)
 {
     boot(false);
     app->run([&] {
-        // The path lives in app memory next to a "secret"; stagePath
-        // copies it to the dedicated transfer page, so the secret's
-        // page is never windowed.
+        // The path lives in app memory next to a "secret"; the file API
+        // copies it to the dedicated staging page, so the secret's page
+        // is never windowed.
         char *blob = static_cast<char *>(sys->heapAlloc(64));
         std::strcpy(blob, "/visible");
         std::strcpy(blob + 16, "SECRET");
@@ -139,7 +183,7 @@ TEST_F(UkapiTest, PathsNeverExposeCallerMemory)
     });
     (void)blob;
     // No window covers any app heap page at rest: a spy access faults.
-    // (The transfer page is windowed, but it only ever holds paths.)
+    // (The staging page is windowed, but it only ever holds paths.)
     const auto before = sys->stats().violations();
     spy->run([&] {
         EXPECT_THROW(sys->touch(blob, 1, hw::Access::kRead),
@@ -154,7 +198,7 @@ TEST_F(UkapiTest, LongPathsAreTruncatedSafely)
     app->run([&] {
         const std::string longpath =
             "/" + std::string(2 * kMaxPath, 'a');
-        // Must not crash or overflow the transfer page; open fails
+        // Must not crash or overflow the staging page; open fails
         // cleanly (path invalid after truncation is fine).
         const int fd = fs->open(longpath.c_str(), kCreate | kRdWr);
         if (fd >= 0)
@@ -181,6 +225,66 @@ TEST_F(UkapiTest, StatAndReaddirThroughStagedStructs)
         EXPECT_STREQ(ent.name, "file");
         EXPECT_EQ(fs->readdir("/d", 1, &ent), kErrNoEnt);
     });
+}
+
+TEST_F(UkapiTest, EmptyPathIsRefused)
+{
+    // VFSCORE only checks the path's slot; the backend reads the path
+    // and refuses the empty one.
+    boot(false);
+    app->run([&] {
+        VfsStat st{};
+        VfsDirent ent{};
+        EXPECT_LT(fs->open("", kCreate | kRdWr), 0);
+        EXPECT_LT(fs->stat("", &st), 0);
+        EXPECT_LT(fs->unlink(""), 0);
+        EXPECT_LT(fs->mkdir(""), 0);
+        EXPECT_LT(fs->readdir("", 0, &ent), 0);
+    });
+}
+
+TEST_F(UkapiTest, HotStagingPageIsPageAlignedAndRefusesASpy)
+{
+    boot(false);
+    VfsStat st{};
+    app->run([&] { EXPECT_EQ(fs->stat("/probe", &st), kErrNoEnt); });
+    // The staged copy starts its own page (§5.3), away from caller
+    // data.
+    const char *page = pageStartingWith("/probe");
+    ASSERT_NE(page, nullptr);
+    // With a key the staging page stays open to the file stack between
+    // calls, and to nobody else.
+    EXPECT_FALSE(faults("vfscore", page));
+    EXPECT_FALSE(faults("ramfs", page));
+    EXPECT_TRUE(faults("spy", page));
+}
+
+TEST_F(UkapiTest, KeylessStagingPageClosesOnceAStatReturns)
+{
+    boot(false, /*spend_keys=*/true);
+    const core::Cid appCid = sys->cidOf("app");
+    for (const core::WindowWiring &w : sys->wiringSnapshot().windows) {
+        if (w.owner == appCid) {
+            ASSERT_EQ(w.hotKey, -1) << "window " << w.wid << " got a key";
+        }
+    }
+    app->run([&] {
+        const int fd = fs->open("/f", kCreate | kWrOnly);
+        char byte = 'x';
+        fs->write(fd, &byte, 1);
+        fs->close(fd);
+    });
+    sys->stats().reset();
+    VfsStat st{};
+    app->run([&] { EXPECT_EQ(fs->stat("/f", &st), 0); });
+    EXPECT_EQ(st.size, 1u);
+    // Prestaged for RAMFS, checked by VFSCORE, handed home: no trap...
+    EXPECT_EQ(sys->stats().traps(), 0u);
+    // ...and closed to both once the call returned.
+    const char *page = pageStartingWith("/f");
+    ASSERT_NE(page, nullptr);
+    EXPECT_TRUE(faults("vfscore", page));
+    EXPECT_TRUE(faults("ramfs", page));
 }
 
 } // namespace
