@@ -28,8 +28,9 @@
  *     stack: acquiring a lower rank than one already held, acquiring
  *     equal rank out of key order, or re-entering a held lock (the
  *     shared-vs-exclusive windowMutex_ re-entry case annotations
- *     cannot express) aborts the process with both acquisition
- *     backtraces. See locking.cc.
+ *     cannot express) aborts the process with the held lock's
+ *     acquisition site and the bad acquisition's backtrace. See
+ *     locking.cc.
  *
  * # Lock ranks
  *
@@ -145,8 +146,8 @@ struct LockTag {
  * aborts with a report instead of deadlocking. Aborts the process on
  * rank violation, same-rank key-order violation, or re-entry of a held
  * lock (including shared-then-exclusive re-entry), printing the
- * recorded acquisition backtrace of the conflicting held lock and the
- * current backtrace.
+ * recorded acquisition site (one return address) of the conflicting
+ * held lock and the current backtrace.
  */
 void onAcquire(const LockTag &tag, const void *lock, bool shared);
 

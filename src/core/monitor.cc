@@ -987,11 +987,12 @@ Monitor::destroyCubicle(Cid cid)
     // access — System::touchSlow, heapAlloc — throws PeerFault.
     cub.life.store(static_cast<uint8_t>(LifeState::kDraining));
 
-    // 2. Quiesce, shard by shard. We hold only lifecycleMutex_ (above
+    // 2. Quiesce, slot by slot. We hold only lifecycleMutex_ (above
     // the whole hierarchy), so draining threads are free to fault,
-    // allocate and unwind underneath us. A shard that reads zero stays
+    // allocate and unwind underneath us. A slot that reads zero stays
     // drained: an entry counted on it after this read checks life
-    // after our kDraining store, so it backs out.
+    // after our kDraining store, so it backs out. The seq_cst load
+    // acquires the leaving thread's release-store decrement.
     for (std::size_t s = 0; s < hw::kShards; ++s) {
         while (inFlight_[s][cid].load() != 0)
             std::this_thread::yield();
@@ -1189,13 +1190,15 @@ Monitor::allocPagesFor(Cid cid, std::size_t n, mem::PageType type,
 }
 
 bool
-Monitor::freePages(const mem::PageRange &range)
+Monitor::freePages(const mem::PageRange &range, Cid owner)
 {
     MutexLock lock(pageMutex_);
     // The allocator refuses a run outside the space or across owners
-    // or types; of the types, only heap pages come back this way.
+    // or types; of the types, only heap pages come back this way, and
+    // only the owner's own.
     if (range.first >= space_.numPages() ||
-        meta_.at(range.first).type != mem::PageType::kHeap)
+        meta_.at(range.first).type != mem::PageType::kHeap ||
+        meta_.at(range.first).owner != owner)
         return false;
     return pageAlloc_.freePages(range);
 }

@@ -427,13 +427,13 @@ class Monitor {
                                                  hw::kPermWrite);
 
     /**
-     * Returns heap pages to the pool. Frees nothing unless every page
-     * of @p range lies in the space and is a heap page of one cubicle,
-     * so a caller cannot free code, stacks, free pages or pages past
-     * the end of the space through it.
+     * Returns @p owner's heap pages to the pool. Frees nothing unless
+     * every page of @p range lies in the space and is a heap page of
+     * @p owner, so a caller cannot free another cubicle's pages, code,
+     * stacks, free pages or pages past the end of the space through it.
      * @return whether the range was freed.
      */
-    bool freePages(const mem::PageRange &range);
+    bool freePages(const mem::PageRange &range, Cid owner);
 
     /** Bump-allocates @p size bytes from @p cid's stack arena. */
     std::byte *stackAlloc(Cid cid, std::size_t size, std::size_t align);
@@ -455,11 +455,12 @@ class Monitor {
     friend struct MonitorTestPeer;
 
     /**
-     * The calling thread's shard of @p cid's in-flight count: threads
+     * The calling thread's slot of @p cid's in-flight count: threads
      * executing inside @p cid via a cross-call. CrossCallGuard
-     * increments it *then* checks Cubicle::life, and decrements it on
-     * leaving; destroyCubicle stores kDraining *then* waits for every
-     * shard's count to read zero. seq_cst, paired with life.
+     * increments it (seq_cst, paired with life) *then* checks
+     * Cubicle::life, and on leaving stores the decrement (release: the
+     * thread is the slot's only writer); destroyCubicle stores
+     * kDraining *then* waits for every slot's count to read zero.
      */
     std::atomic<uint32_t> &inFlightSlot(Cid cid)
     {
@@ -628,9 +629,9 @@ class Monitor {
     std::vector<LifecycleRecord> lifeRecords_;
 
     /**
-     * In-flight counts, [shard][cid] (see inFlightSlot). Sharded per
-     * thread so cross-calls into one cubicle from several cores do not
-     * share a cache line (DESIGN.md §9).
+     * In-flight counts, [slot][cid] (see inFlightSlot). One slot per
+     * live thread, so cross-calls into one cubicle from several cores
+     * do not share a cache line (DESIGN.md §9).
      */
     hw::Shards<std::array<std::atomic<uint32_t>, kMaxCubicles>> inFlight_;
 };

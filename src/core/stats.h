@@ -9,11 +9,14 @@
  *
  * Thread-safety: every counter is a relaxed atomic. Cross-calls and
  * trap-and-map faults bump counters concurrently from any thread, so
- * the counters must not serialise the hot paths: the table is sharded
- * per thread (hw/shards.h) and a getter sums the shards, like per-CPU
- * event counters. Relaxed increments add no ordering and no locks.
- * Readers (benches, tests) see values at least as fresh as the last
- * synchronisation point (thread join, lock release).
+ * the counters must not serialise the hot paths: the table has one
+ * slot per live thread (hw/shards.h), written by that thread alone,
+ * and a getter sums the slots, like per-CPU event counters. An
+ * increment is a relaxed load and store, with no lock and no locked
+ * instruction. Readers (benches, tests) see values at least as fresh
+ * as the last synchronisation point (thread join, lock release). The
+ * call-edge matrix is the exception: one shared copy, bumped with a
+ * relaxed fetch-add.
  */
 
 #ifndef CUBICLEOS_CORE_STATS_H_
@@ -103,10 +106,10 @@ class Stats {
         edgeMatrix_[matrixIndex(caller, callee)].fetchAdd(1);
     }
 
-    /** Adds @p n to counter @p s, on the calling thread's shard. */
+    /** Adds @p n to counter @p s, on the calling thread's slot. */
     void add(Stat s, uint64_t n = 1)
     {
-        counters_.local()[static_cast<std::size_t>(s)].fetchAdd(n);
+        counters_.local()[static_cast<std::size_t>(s)].addOwned(n);
     }
     /** Current value of counter @p s, summed over the shards. */
     uint64_t get(Stat s) const
@@ -167,7 +170,7 @@ class Stats {
     }
 
     /** Resets every counter on every shard (benchmark warm-up
-     *  boundary). */
+     *  boundary). No thread may count meanwhile. */
     void reset()
     {
         for (auto &v : edgeMatrix_)
@@ -196,8 +199,9 @@ class Stats {
     using Counter = hw::RelaxedAtomic<uint64_t>;
 
     /**
-     * Not sharded: callers in different cubicles bump different rows,
-     * and 16 copies would add about 2 MB per System.
+     * Not sharded, so bumped with a locked add: callers in different
+     * cubicles bump different rows, and kShards copies would add 8 MB
+     * per System.
      */
     std::vector<Counter> edgeMatrix_;
     hw::Shards<std::array<Counter, static_cast<std::size_t>(Stat::kCount)>>

@@ -24,6 +24,30 @@ thread_local std::vector<TlsEntry> tls_entries;
 thread_local uint64_t tls_cached_serial = 0;
 thread_local ThreadCtx *tls_cached_ctx = nullptr;
 
+/**
+ * Modelled cycles of one direction of a crossing: the trampoline and
+ * the stack switch, plus, once MPK is on, the guard page's wrpkru and
+ * the trampoline's wrpkru to the destination's key set.
+ */
+constexpr uint64_t
+crossingCycles(IsolationMode mode)
+{
+    return hw::cost::kTrampoline + hw::cost::kStackSwitch +
+           (mode >= IsolationMode::kNoAcl ? 2 * hw::cost::kWrpkru : 0);
+}
+
+/**
+ * Drops this thread's ref on its own in-flight slot. The thread is the
+ * slot's only writer, so a store suffices; release, so a destroyer that
+ * reads zero sees everything the thread did inside the callee.
+ */
+void
+leaveInFlight(std::atomic<uint32_t> &in_flight)
+{
+    in_flight.store(in_flight.load(std::memory_order_relaxed) - 1,
+                    std::memory_order_release);
+}
+
 } // namespace
 
 // ----------------------------------------------------------------------
@@ -40,6 +64,8 @@ CrossCallGuard::CrossCallGuard(System &sys, ThreadCtx &ctx, Cid callee)
     // precedes the destroyer's read of this thread's shard (it waits
     // for us). Relaxed ordering would admit the store-buffering
     // interleaving where the destroyer reads 0 while we read kLive.
+    // This increment is one of the two locked instructions left on a
+    // crossing; the call-edge count is the other.
     if (callee < sys.monitor().cubicleCount()) {
         Cubicle &cub = sys.monitor().cubicle(callee);
         std::atomic<uint32_t> &in_flight =
@@ -47,7 +73,7 @@ CrossCallGuard::CrossCallGuard(System &sys, ThreadCtx &ctx, Cid callee)
         in_flight.fetch_add(1);
         const auto state = static_cast<LifeState>(cub.life.load());
         if (state != LifeState::kLive) {
-            in_flight.fetch_sub(1);
+            leaveInFlight(in_flight);
             sys.stats().add(Stat::unwoundCalls);
             trace(TraceCategory::kLifecycle,
                   "refused entry into %s cubicle %s", lifeStateName(state),
@@ -59,19 +85,15 @@ CrossCallGuard::CrossCallGuard(System &sys, ThreadCtx &ctx, Cid callee)
         inFlight_ = &in_flight;
     }
 
+    // One clock charge and one wrpkru count per direction.
     const IsolationMode mode = sys.mode();
-    if (mode >= IsolationMode::kNoMpk) {
-        // Trampoline bookkeeping + per-cubicle stack switch.
-        sys.clock().charge(hw::cost::kTrampoline + hw::cost::kStackSwitch);
-    }
+    if (mode >= IsolationMode::kNoMpk)
+        sys.clock().charge(crossingCycles(mode));
     if (mode >= IsolationMode::kNoAcl) {
         // Tag virtualisation: stamp the callee's LRU clock and bind it
         // a physical tag if it is parked, BEFORE computing its PKRU —
         // pkruFor never allows the parked tag.
         sys.monitor().noteSwitch(callee);
-        // Guard-page wrpkru (enables the trampoline in the monitor's
-        // cubicle) + the trampoline's wrpkru to the callee's key set.
-        sys.clock().charge(2 * hw::cost::kWrpkru);
         sys.stats().add(Stat::wrpkrus, 2);
         ctx.pkru = sys.monitor().pkruFor(callee);
         ctx.keyEpoch = sys.monitor().keyEpoch();
@@ -91,19 +113,16 @@ CrossCallGuard::~CrossCallGuard()
 
     const IsolationMode mode = sys_.mode();
     if (mode >= IsolationMode::kNoAcl) {
-        sys_.clock().charge(2 * hw::cost::kWrpkru);
         sys_.stats().add(Stat::wrpkrus, 2);
         ctx_.pkru = savedPkru_;
     }
-    if (mode >= IsolationMode::kNoMpk) {
-        sys_.clock().charge(hw::cost::kTrampoline +
-                            hw::cost::kStackSwitch);
-    }
+    if (mode >= IsolationMode::kNoMpk)
+        sys_.clock().charge(crossingCycles(mode));
 
     // Drop the in-flight ref last: once the counter reads zero the
     // destroyer may reclaim, so this thread must be fully out first.
     if (inFlight_)
-        inFlight_->fetch_sub(1);
+        leaveInFlight(*inFlight_);
 }
 
 // ----------------------------------------------------------------------

@@ -90,6 +90,11 @@ struct GrantCache {
 struct ThreadCtx {
     Cid current = kNoCubicle;
     hw::Pkru pkru = hw::Pkru::denyAll();
+    /**
+     * One entry per running call: the cubicle it acts for
+     * (System::caller). CrossCallGuard pushes the caller it switches
+     * away from; a colocated plain call pushes the shared cubicle.
+     */
     std::vector<Cid> callStack;
     GrantCache grants;
     /**
@@ -240,6 +245,21 @@ class System {
 
     /** The cubicle the calling thread currently executes in. */
     Cid currentCubicle() { return currentCtx().current; }
+
+    /**
+     * The cubicle the running call acts for: the one that entered the
+     * current cubicle through the running cross-call (the top of
+     * ThreadCtx::callStack). Inside a call that does not cross (a
+     * colocated callee, or any call in Unikraft mode) it is the
+     * current cubicle itself. kNoCubicle outside every cubicle.
+     */
+    Cid caller()
+    {
+        const ThreadCtx &ctx = currentCtx();
+        if (mode_ == IsolationMode::kUnikraft || ctx.callStack.empty())
+            return ctx.current;
+        return ctx.callStack.back();
+    }
 
     /** The calling thread's context (monitor/trampoline internal). */
     ThreadCtx &currentCtx();
@@ -436,9 +456,16 @@ class System {
 
         ThreadCtx &ctx = currentCtx();
         // Calls within one cubicle (colocated components) are plain
-        // calls: no switch, no cross-cubicle edge.
-        if (ctx.current == callee)
+        // calls: no switch, no cross-cubicle edge. The callee acts for
+        // the cubicle it shares, so that is its caller().
+        if (ctx.current == callee) {
+            ctx.callStack.push_back(callee);
+            struct Pop {
+                ThreadCtx &ctx;
+                ~Pop() { ctx.callStack.pop_back(); }
+            } pop{ctx};
             return fn(std::forward<Args>(args)...);
+        }
         stats_.countCall(ctx.current, callee);
 
         CrossCallGuard guard(*this, ctx, callee);

@@ -62,14 +62,15 @@ inline constexpr uint64_t kSyscall = 600;
  * A monotonically increasing virtual cycle clock.
  *
  * One instance is owned by each core::System. Every cross-call charges
- * it from the calling thread, so charges go to the thread's own shard
- * (hw/shards.h) and read() sums the shards. Each shard is a relaxed
- * atomic: the clock is an accumulator, not a synchronisation point.
+ * it from the calling thread, so charges go to the thread's own slot
+ * (hw/shards.h), which no other thread writes: a charge is a relaxed
+ * load and store, not a locked add. read() sums the slots; the clock
+ * is an accumulator, not a synchronisation point.
  */
 class CycleClock {
   public:
     /** Charges @p n virtual cycles. */
-    void charge(uint64_t n) { cycles_.local().fetchAdd(n); }
+    void charge(uint64_t n) { cycles_.local().addOwned(n); }
 
     /** Returns the accumulated virtual cycles. */
     uint64_t read() const
@@ -80,7 +81,10 @@ class CycleClock {
         return n;
     }
 
-    /** Resets the clock to zero on every shard (benchmark harness use). */
+    /**
+     * Resets the clock to zero on every shard (benchmark harness use).
+     * No thread may charge it meanwhile.
+     */
     void reset()
     {
         for (std::size_t s = 0; s < kShards; ++s)

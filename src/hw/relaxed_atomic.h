@@ -50,6 +50,13 @@ class RelaxedAtomic {
         return value_.fetch_add(n, std::memory_order_relaxed);
     }
 
+    /**
+     * Adds @p n to a cell the calling thread alone writes (a counter
+     * slot, hw/shards.h): a load and a store, with no locked
+     * read-modify-write. Concurrent writers would lose updates.
+     */
+    void addOwned(T n) { store(load() + n); }
+
     T fetchOr(T bits)
     {
         return value_.fetch_or(bits, std::memory_order_relaxed);

@@ -1,17 +1,19 @@
 /**
  * @file
- * Per-thread shards for counters bumped on every cross-cubicle call.
+ * Per-thread slots for counters bumped on every cross-cubicle call.
  *
  * A crossing writes the cycle clock, the Stats table and the callee's
  * in-flight count. With one shared atomic each, every core's
- * increment pulls the same cache line away from the others, and the
- * monitor slows down as threads are added. Shards<T> instead keeps
- * kShards cache-line-aligned copies of T out of line, behind one
- * pointer, so the owner's own layout does not change. A thread writes
- * only the copy it was assigned round-robin at its first use, and
- * readers sum every copy. Up to kShards threads therefore never share
- * a line; more threads share copies, which is why the copies stay
- * atomic.
+ * increment pulls the same cache line away from the others, and each
+ * write is a locked read-modify-write. Shards<T> instead keeps kShards
+ * cache-line-aligned copies of T out of line, behind one pointer, so
+ * the owner's own layout does not change. Every live thread holds one
+ * slot index of a process-wide SlotPool, from its first use to its
+ * exit, and writes only that copy; readers sum every copy. A copy
+ * therefore has one writer, so an increment is a plain load and store
+ * (RelaxedAtomic::addOwned): the cells stay atomic only so that
+ * readers on other threads do not race the writer. A kShards + 1st
+ * live thread is refused, never given a shared slot.
  */
 
 #ifndef CUBICLEOS_HW_SHARDS_H_
@@ -19,21 +21,55 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 
 namespace cubicleos::hw {
 
-/** Number of per-thread copies behind every sharded counter. */
-inline constexpr std::size_t kShards = 16;
+/** Number of slots, so the most threads that may write counters at once. */
+inline constexpr std::size_t kShards = 64;
 
-/** The calling thread's shard, assigned round-robin at its first use. */
+/**
+ * kShards slot indices, one bit each: claim() takes the lowest free
+ * one, release() hands it back. The acquire claim pairs with the
+ * release, so a slot's next holder sees every write its last holder
+ * made to the slot's copies.
+ */
+class SlotPool {
+  public:
+    /**
+     * @return the lowest free slot, now held by the caller.
+     * @throws std::runtime_error when all kShards slots are held.
+     */
+    std::size_t claim();
+
+    /** Frees @p slot, which the caller holds. */
+    void release(std::size_t slot);
+
+    /** Number of slots held. */
+    std::size_t held() const;
+
+  private:
+    std::atomic<uint64_t> used_{0};
+};
+
+/** The process-wide pool threadShard() claims from. */
+SlotPool &threadSlotPool();
+
+/**
+ * The calling thread's slot: claimed from threadSlotPool() at the
+ * thread's first use, released when the thread exits.
+ * @throws std::runtime_error at first use when every slot is held.
+ */
 inline std::size_t
 threadShard()
 {
-    static std::atomic<std::size_t> next{0};
-    thread_local const std::size_t shard =
-        next.fetch_add(1, std::memory_order_relaxed) % kShards;
-    return shard;
+    struct Held {
+        const std::size_t slot = threadSlotPool().claim();
+        ~Held() { threadSlotPool().release(slot); }
+    };
+    thread_local const Held held;
+    return held.slot;
 }
 
 /**
@@ -49,7 +85,7 @@ class Shards {
     Shards(const Shards &) = delete;
     Shards &operator=(const Shards &) = delete;
 
-    /** The calling thread's copy. */
+    /** The calling thread's copy; no other thread writes it. */
     T &local() { return slots_[threadShard()].value; }
 
     /** Copy @p i, for readers summing every shard. */

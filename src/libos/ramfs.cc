@@ -8,8 +8,8 @@ void
 RamfsComponent::init()
 {
     libc_ = Libc(*sys());
-    allocPages_ = sys()->resolve<void *(core::Cid, std::size_t)>(
-        "alloc", "alloc_pages");
+    allocPages_ =
+        sys()->resolve<void *(std::size_t)>("alloc", "alloc_pages");
     freePages_ =
         sys()->resolve<void(void *, std::size_t)>("alloc", "free_pages");
 
@@ -98,49 +98,51 @@ RamfsComponent::doLookup(const char *path)
     return childOf(parent, leaf);
 }
 
-NodeId
-RamfsComponent::doCreate(const char *path, uint32_t mode)
+int
+RamfsComponent::doCreate(const char *path, uint32_t mode, NodeId *id)
 {
     std::string p;
     if (!readPath(path, &p))
-        return kNoNode;
+        return kErrInval;
+    if (p == "/")
+        return kErrExist;
     NodeId parent;
     std::string leaf;
-    if (walkParent(p, &parent, &leaf) != kOk)
-        return kNoNode;
+    const int rc = walkParent(p, &parent, &leaf);
+    if (rc != kOk)
+        return rc;
     Node *dir = nodeAt(parent);
     if (!dir || !(dir->mode & kModeDir))
-        return kNoNode;
+        return kErrNotDir;
     if (dir->children.count(leaf))
-        return kNoNode; // exists
+        return kErrExist;
     if (leaf.size() >= sizeof(VfsDirent{}.name))
-        return kNoNode;
+        return kErrNameTooLong;
 
     // Reuse a dead slot if possible.
-    NodeId id = nodes_.size();
+    *id = nodes_.size();
     for (NodeId i = 0; i < nodes_.size(); ++i) {
         if (!nodes_[i].live) {
-            id = i;
+            *id = i;
             break;
         }
     }
     Node fresh;
     fresh.mode = mode ? mode : kModeFile;
     fresh.live = true;
-    if (id == nodes_.size())
+    if (*id == nodes_.size())
         nodes_.push_back(std::move(fresh));
     else
-        nodes_[id] = std::move(fresh);
-    nodeAt(parent)->children.emplace(leaf, id);
-    return id;
+        nodes_[*id] = std::move(fresh);
+    nodeAt(parent)->children.emplace(leaf, *id);
+    return kOk;
 }
 
 int
 RamfsComponent::doMkdir(const char *path)
 {
-    // Re-dispatches through create with directory mode; path checks
-    // happen there.
-    return doCreate(path, kModeDir) == kNoNode ? kErrExist : kOk;
+    NodeId id;
+    return doCreate(path, kModeDir, &id);
 }
 
 int
@@ -174,7 +176,7 @@ RamfsComponent::allocBlock()
     // Coarse-grained allocation goes to the ALLOC cubicle — the hot
     // RAMFS→ALLOC edge of Fig. 8.
     auto *block = static_cast<std::byte *>(
-        allocPages_(self(), kBlockSize / hw::kPageSize));
+        allocPages_(kBlockSize / hw::kPageSize));
     if (block)
         ++blocksHeld_;
     return block;
@@ -452,8 +454,10 @@ RamfsComponent::registerExports(core::Exporter &exp)
     exp.fn<NodeId(const char *)>(
         "ramfs_lookup", [this](const char *p) { return doLookup(p); });
     exp.fn<NodeId(const char *, uint32_t)>(
-        "ramfs_create",
-        [this](const char *p, uint32_t m) { return doCreate(p, m); });
+        "ramfs_create", [this](const char *p, uint32_t m) {
+            NodeId id;
+            return doCreate(p, m, &id) == kOk ? id : kNoNode;
+        });
     exp.fn<int(const char *)>(
         "ramfs_remove", [this](const char *p) { return doRemove(p); });
     exp.fn<int(const char *)>(

@@ -73,7 +73,14 @@ class RamfsComponent : public core::Component {
     };
 
     NodeId doLookup(const char *path);
-    NodeId doCreate(const char *path, uint32_t mode);
+    /**
+     * Creates @p path with @p mode and stores its node in @p id.
+     * @return kOk, or why not: kErrInval (empty or relative path),
+     *         kErrNoEnt (missing parent), kErrNotDir (a parent is a
+     *         file), kErrExist, or kErrNameTooLong (a leaf too long
+     *         for a VfsDirent name).
+     */
+    int doCreate(const char *path, uint32_t mode, NodeId *id);
     int doRemove(const char *path);
     int doMkdir(const char *path);
     int64_t doRead(NodeId node, uint64_t off, void *buf, std::size_t n);
@@ -100,7 +107,7 @@ class RamfsComponent : public core::Component {
 
     std::vector<Node> nodes_;
     Libc libc_;
-    core::CrossFn<void *(core::Cid, std::size_t)> allocPages_;
+    core::CrossFn<void *(std::size_t)> allocPages_;
     core::CrossFn<void(void *, std::size_t)> freePages_;
     std::size_t blocksHeld_ = 0;
 

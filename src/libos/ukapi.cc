@@ -10,7 +10,7 @@ using core::catchPeerFault;
 CubicleFileApi::CubicleFileApi(core::System &sys,
                                const std::string &backend_name,
                                bool hot_windows)
-    : sys_(sys),
+    : sys_(sys), owner_(sys.currentCubicle()),
       vfsCid_(sys.cidOf("vfscore")),
       backendCid_(sys.cidOf(backend_name)),
       peers_{vfsCid_, backendCid_},
@@ -57,8 +57,7 @@ CubicleFileApi::CubicleFileApi(core::System &sys,
     ioWin_ = GrantWindow(sys_, peers_, hot_windows);
 
     // Allocated last: a constructor that throws frees nothing by hand.
-    staging_ = sys.monitor().allocPagesFor(sys.currentCubicle(), 1,
-                                           mem::PageType::kHeap);
+    staging_ = sys.monitor().allocPagesFor(owner_, 1, mem::PageType::kHeap);
     if (!staging_.valid())
         throw core::OutOfMemory("CubicleFileApi staging page");
 }
@@ -69,7 +68,7 @@ CubicleFileApi::~CubicleFileApi()
         return;
     stageWin_.destroy();
     try {
-        sys_.monitor().freePages(staging_);
+        sys_.monitor().freePages(staging_, owner_);
     } catch (...) {
         // A destructor must not throw; an unfreed page only leaks.
     }
@@ -80,16 +79,19 @@ int
 CubicleFileApi::staged(const char *path, Out *out, Call &&call)
 {
     constexpr bool has_out = !std::is_void_v<Out>;
-    // The path slot opens the page; the out-struct sits past it.
+    // The path slot opens the page; the out-struct sits past it. A
+    // path that does not fit the slot is refused, not cut: a cut path
+    // can name another file.
     char *const page = reinterpret_cast<char *>(staging_.ptr);
     Out *const out_slot =
         static_cast<Out *>(static_cast<void *>(page + kMaxPath));
+    const std::size_t path_len = path ? strnlen(path, kMaxPath) : 0;
+    if (path_len >= kMaxPath)
+        return kErrNameTooLong;
     return catchPeerFault<int>([&] {
         sys_.touch(page, hw::kPageSize, hw::Access::kWrite);
-        if (path) {
-            std::strncpy(page, path, kMaxPath - 1);
-            page[kMaxPath - 1] = '\0';
-        }
+        if (path)
+            std::memcpy(page, path, path_len + 1);
         if constexpr (has_out) {
             static_assert(kMaxPath + sizeof(Out) <= hw::kPageSize);
             *out_slot = Out{};

@@ -113,6 +113,7 @@ class CubicleFileApi : public FileApi {
     int staged(const char *path, Out *out, Call &&call);
 
     core::System &sys_;
+    core::Cid owner_;     ///< the constructing cubicle, the page's owner
     core::Cid vfsCid_;
     core::Cid backendCid_;
     PeerSet peers_;       ///< {VFSCORE, backend}: the nested-call ACL set

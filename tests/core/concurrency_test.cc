@@ -65,18 +65,20 @@ TEST(Concurrency, ParallelCrossCallsKeepContextsSeparate)
     }
 }
 
-// Per-crossing counters live on per-thread shards (hw/shards.h). With
-// twice as many threads as shards, threads must share shards, and the
-// summed counters must still be exact: each thread's runAs entry and
-// its kCalls cross-calls are T * (kCalls + 1) crossings of 4 wrpkrus
-// (2 in, 2 out) and two trampoline + stack-switch charges each. The
-// callers are shared cubicles because 2 * kShards isolated cubicles
-// would exhaust the 16 MPK tags, and tag virtualisation would add
-// retag cycles to the clock.
-TEST(Concurrency, ShardedCountersStayExactWhenThreadsShareShards)
+// Per-crossing counters live on per-thread slots (hw/shards.h), one
+// writer each. Three waves of kThreads threads cross into one server;
+// each wave reuses the slots the last one released, and the summed
+// counters must stay exact: each thread's runAs entry and its kCalls
+// cross-calls are kThreads * (kCalls + 1) crossings per wave, of 4
+// wrpkrus (2 in, 2 out) and 2 * (trampoline + stack switch + 2
+// wrpkru) cycles each. The callers are shared cubicles because
+// kThreads isolated cubicles would exceed the 16 MPK tags, and tag
+// virtualisation would add retag cycles to the clock.
+TEST(Concurrency, ShardedCountersStayExactAcrossWavesOfThreads)
 {
-    constexpr int kThreads = 2 * static_cast<int>(hw::kShards);
-    constexpr int kCalls = 500;
+    constexpr int kThreads = 24;
+    constexpr int kWaves = 3;
+    constexpr int kCalls = 2000;
     SystemConfig cfg;
     cfg.numPages = 8192;
     System sys(cfg);
@@ -84,18 +86,93 @@ TEST(Concurrency, ShardedCountersStayExactWhenThreadsShareShards)
         exp.fn<int(int)>("inc", [](int x) { return x + 1; });
     });
     for (int t = 0; t < kThreads; ++t)
-        addToy(sys, "app" + std::to_string(t), CubicleKind::kShared);
+        addToy(sys, numbered("app", t), CubicleKind::kShared);
     sys.boot();
     auto inc = sys.resolve<int(int)>("srv", "inc");
 
     const uint64_t wrpkrus0 = sys.stats().wrpkrus();
     const uint64_t calls0 = sys.stats().totalCalls();
     const uint64_t cycles0 = sys.clock().read();
+    const std::size_t held0 = hw::threadSlotPool().held();
+    std::atomic<int> failures{0};
+    for (int wave = 1; wave <= kWaves; ++wave) {
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                sys.runAs(sys.cidOf(numbered("app", t)), [&] {
+                    for (int i = 0; i < kCalls; ++i) {
+                        if (inc(i) != i + 1)
+                            ++failures;
+                    }
+                });
+            });
+        }
+        for (auto &th : threads)
+            th.join();
+        EXPECT_EQ(hw::threadSlotPool().held(), held0) << "wave " << wave;
+
+        const uint64_t crossings =
+            uint64_t{kThreads} * (kCalls + 1) * wave;
+        EXPECT_EQ(sys.stats().wrpkrus() - wrpkrus0, 4 * crossings)
+            << "wave " << wave;
+        EXPECT_EQ(sys.stats().totalCalls() - calls0,
+                  uint64_t{kThreads} * kCalls * wave)
+            << "wave " << wave;
+        EXPECT_EQ(sys.clock().read() - cycles0,
+                  crossings * 2 *
+                      (hw::cost::kTrampoline + hw::cost::kStackSwitch +
+                       2 * hw::cost::kWrpkru))
+            << "wave " << wave;
+    }
+    EXPECT_EQ(failures.load(), 0);
+
+    // Reset from a thread that never wrote most of the slots.
+    sys.stats().reset();
+    sys.clock().reset();
+    EXPECT_EQ(sys.stats().wrpkrus(), 0u);
+    EXPECT_EQ(sys.stats().totalCalls(), 0u);
+    EXPECT_EQ(sys.clock().read(), 0u);
+}
+
+/**
+ * Pins what one crossing costs in @p mode after the guard's charge
+ * merge: the modelled cycles and wrpkru of one cross-call from the
+ * main thread, then the totals of kThreads threads crossing at once,
+ * each from its own isolated app.
+ */
+void
+expectCrossingCost(IsolationMode mode, uint64_t cyclesPerCall,
+                   uint64_t wrpkrusPerCall)
+{
+    constexpr int kThreads = 4;
+    constexpr int kCalls = 20000;
+    SystemConfig cfg;
+    cfg.numPages = 4096;
+    cfg.mode = mode;
+    System sys(cfg);
+    addToy(sys, "srv").onExports([](Exporter &exp, ToyComponent &) {
+        exp.fn<int(int)>("inc", [](int x) { return x + 1; });
+    });
+    for (int t = 0; t < kThreads; ++t)
+        addToy(sys, numbered("app", t));
+    sys.boot();
+    auto inc = sys.resolve<int(int)>("srv", "inc");
+
+    sys.runAs(sys.cidOf("app0"), [&] {
+        const uint64_t cycles0 = sys.clock().read();
+        const uint64_t wrpkrus0 = sys.stats().wrpkrus();
+        EXPECT_EQ(inc(1), 2);
+        EXPECT_EQ(sys.clock().read() - cycles0, cyclesPerCall);
+        EXPECT_EQ(sys.stats().wrpkrus() - wrpkrus0, wrpkrusPerCall);
+    });
+
+    const uint64_t cycles0 = sys.clock().read();
+    const uint64_t wrpkrus0 = sys.stats().wrpkrus();
     std::atomic<int> failures{0};
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
-            sys.runAs(sys.cidOf("app" + std::to_string(t)), [&] {
+            sys.runAs(sys.cidOf(numbered("app", t)), [&] {
                 for (int i = 0; i < kCalls; ++i) {
                     if (inc(i) != i + 1)
                         ++failures;
@@ -106,22 +183,29 @@ TEST(Concurrency, ShardedCountersStayExactWhenThreadsShareShards)
     for (auto &th : threads)
         th.join();
     EXPECT_EQ(failures.load(), 0);
-
+    // Each thread's runAs entry is one more crossing.
     const uint64_t crossings = uint64_t{kThreads} * (kCalls + 1);
-    EXPECT_EQ(sys.stats().wrpkrus() - wrpkrus0, 4 * crossings);
-    EXPECT_EQ(sys.stats().totalCalls() - calls0,
-              uint64_t{kThreads} * kCalls);
-    EXPECT_EQ(sys.clock().read() - cycles0,
-              crossings * 2 *
-                  (hw::cost::kTrampoline + hw::cost::kStackSwitch +
-                   2 * hw::cost::kWrpkru));
+    EXPECT_EQ(sys.clock().read() - cycles0, crossings * cyclesPerCall);
+    EXPECT_EQ(sys.stats().wrpkrus() - wrpkrus0, crossings * wrpkrusPerCall);
+}
 
-    // Reset from a thread that never wrote most of the shards.
-    sys.stats().reset();
-    sys.clock().reset();
-    EXPECT_EQ(sys.stats().wrpkrus(), 0u);
-    EXPECT_EQ(sys.stats().totalCalls(), 0u);
-    EXPECT_EQ(sys.clock().read(), 0u);
+// Trampoline and stack switch each way; no wrpkru without MPK.
+TEST(Concurrency, CrossingCostIsExactWithoutMpk)
+{
+    expectCrossingCost(IsolationMode::kNoMpk,
+                       2 * (hw::cost::kTrampoline + hw::cost::kStackSwitch),
+                       0);
+}
+
+// The paper's 180-cycle round trip: two wrpkru each way on top.
+TEST(Concurrency, CrossingCostIsExactWithoutAcls)
+{
+    expectCrossingCost(IsolationMode::kNoAcl, 180, 4);
+}
+
+TEST(Concurrency, CrossingCostIsExactInFullIsolation)
+{
+    expectCrossingCost(IsolationMode::kFull, 180, 4);
 }
 
 TEST(Concurrency, ParallelWindowGrantsOnDisjointPages)

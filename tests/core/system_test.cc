@@ -182,6 +182,52 @@ TEST(SystemTest, NestedCrossCallsRestoreInOrder)
     });
 }
 
+// caller() names the cubicle a call acts for: the one that crossed
+// into the callee, the shared cubicle when a colocated component calls
+// its host without crossing, and the current cubicle in Unikraft mode,
+// where no call crosses.
+TEST(SystemTest, CallerNamesTheCubicleACallActsFor)
+{
+    for (const IsolationMode mode :
+         {IsolationMode::kFull, IsolationMode::kUnikraft}) {
+        System sys(smallCfg(mode));
+        CrossFn<Cid()> whoCalled;
+        addToy(sys, "srv").onExports([](Exporter &exp, ToyComponent &me) {
+            exp.fn<Cid()>("who_called",
+                          [&me] { return me.sys()->caller(); });
+        });
+        for (const char *relay : {"mid", "co"}) {
+            ToyComponent &toy = addToy(sys, relay).onExports(
+                [&whoCalled](Exporter &exp, ToyComponent &) {
+                    exp.fn<Cid()>("relay",
+                                  [&whoCalled] { return whoCalled(); });
+                });
+            if (std::string(relay) == "co")
+                toy.colocateWith("srv");
+        }
+        addToy(sys, "app");
+        sys.boot();
+        whoCalled = sys.resolve<Cid()>("srv", "who_called");
+        auto viaMid = sys.resolve<Cid()>("mid", "relay");
+        auto viaCo = sys.resolve<Cid()>("co", "relay");
+        const Cid app = sys.cidOf("app");
+        const Cid srv = sys.cidOf("srv");
+        ASSERT_EQ(sys.cidOf("co"), srv);
+
+        EXPECT_EQ(sys.caller(), kNoCubicle);
+        sys.runAs(app, [&] {
+            EXPECT_EQ(whoCalled(), app);
+            if (mode == IsolationMode::kFull) {
+                EXPECT_EQ(viaMid(), sys.cidOf("mid"));
+                EXPECT_EQ(viaCo(), srv);
+            } else {
+                EXPECT_EQ(viaMid(), app);
+                EXPECT_EQ(viaCo(), app);
+            }
+        });
+    }
+}
+
 TEST(SystemTest, ExceptionsUnwindAcrossCubicles)
 {
     System sys(smallCfg());

@@ -105,11 +105,10 @@ TEST_F(ComponentsTest, FreePagesFreesNothingButWholeHeapRuns)
     // entry as they were.
     boot();
     auto allocPages =
-        sys->resolve<void *(core::Cid, std::size_t)>("alloc", "alloc_pages");
+        sys->resolve<void *(std::size_t)>("alloc", "alloc_pages");
     auto freePages =
         sys->resolve<void(void *, std::size_t)>("alloc", "free_pages");
     core::Monitor &mon = sys->monitor();
-    const core::Cid appCid = sys->cidOf("app");
     const core::Cid vfsCid = sys->cidOf("vfscore");
 
     struct Page {
@@ -137,7 +136,7 @@ TEST_F(ComponentsTest, FreePagesFreesNothingButWholeHeapRuns)
         EXPECT_TRUE(same(look(code.first), before)) << "code page";
         EXPECT_EQ(before.owner, vfsCid);
 
-        void *once = allocPages(appCid, 1);
+        void *once = allocPages(1);
         ASSERT_NE(once, nullptr);
         const std::size_t oncePage = mon.space().pageIndexOf(once);
         before = look(oncePage);
@@ -147,13 +146,74 @@ TEST_F(ComponentsTest, FreePagesFreesNothingButWholeHeapRuns)
         freePages(once, 1);
         EXPECT_TRUE(same(look(oncePage), before)) << "second free";
 
-        void *heap = allocPages(appCid, 1);
+        void *heap = allocPages(1);
         ASSERT_NE(heap, nullptr);
         const std::size_t page = mon.space().pageIndexOf(heap);
         before = look(page);
         freePages(heap, mon.space().numPages());
         EXPECT_TRUE(same(look(page), before)) << "run past the end";
     });
+}
+
+TEST_F(ComponentsTest, AllocActsForItsCaller)
+{
+    // App b frees a page of app a's live heap through ALLOC, then asks
+    // ALLOC for a page. Were the free honoured, b's page would be a's,
+    // with a's bytes in it.
+    core::SystemConfig cfg;
+    cfg.numPages = 4096;
+    sys = std::make_unique<core::System>(cfg);
+    addLibosComponents(*sys);
+    auto *a = static_cast<AppComponent *>(
+        &sys->addComponent(std::make_unique<AppComponent>("a")));
+    auto *b = static_cast<AppComponent *>(
+        &sys->addComponent(std::make_unique<AppComponent>("b")));
+    finishBoot(*sys);
+    auto allocPages =
+        sys->resolve<void *(std::size_t)>("alloc", "alloc_pages");
+    auto freePages =
+        sys->resolve<void(void *, std::size_t)>("alloc", "free_pages");
+    core::Monitor &mon = sys->monitor();
+    const core::Cid aCid = sys->cidOf("a");
+    const core::Cid bCid = sys->cidOf("b");
+    static constexpr char kSecret[] = "a's heap secret";
+
+    std::byte *aPage = nullptr;
+    std::size_t offset = 0;
+    a->run([&] {
+        // Grow a's heap past its first chunk, so the block sits on a
+        // page ALLOC served to a.
+        char *block = nullptr;
+        for (int i = 0; i < 40; ++i)
+            block = static_cast<char *>(sys->heapAlloc(8192));
+        std::memcpy(block, kSecret, sizeof(kSecret));
+        aPage = mon.space().base() +
+                mon.space().pageIndexOf(block) * hw::kPageSize;
+        offset = static_cast<std::size_t>(
+            reinterpret_cast<std::byte *>(block) - aPage);
+    });
+    ASSERT_LE(offset + sizeof(kSecret), hw::kPageSize);
+    const std::size_t page = mon.space().pageIndexOf(aPage);
+    ASSERT_EQ(mon.pageMeta().at(page).owner, aCid);
+    const std::size_t freeBefore = mon.freePageCount();
+
+    std::byte *bPage = nullptr;
+    b->run([&] {
+        freePages(aPage, 1);
+        bPage = static_cast<std::byte *>(allocPages(1));
+    });
+    ASSERT_NE(bPage, nullptr);
+    EXPECT_EQ(mon.pageMeta().at(page).owner, aCid);
+    EXPECT_EQ(mon.freePageCount(), freeBefore - 1);
+    EXPECT_NE(bPage, aPage);
+    EXPECT_EQ(mon.pageMeta().at(mon.space().pageIndexOf(bPage)).owner,
+              bCid);
+    EXPECT_NE(std::memcmp(bPage + offset, kSecret, sizeof(kSecret)), 0);
+    EXPECT_EQ(std::memcmp(aPage + offset, kSecret, sizeof(kSecret)), 0);
+
+    // b frees its own page.
+    b->run([&] { freePages(bPage, 1); });
+    EXPECT_EQ(mon.freePageCount(), freeBefore);
 }
 
 TEST_F(ComponentsTest, RandomIsDeterministicPerSeed)

@@ -245,6 +245,52 @@ TEST_F(FsStackTest, NestedDirectories)
     });
 }
 
+// mkdir reports why it failed, one code per cause.
+TEST_F(FsStackTest, MkdirRefusesAnEmptyOrRelativePathAsInvalid)
+{
+    boot();
+    app->run([&] {
+        EXPECT_EQ(fs->mkdir(""), kErrInval);
+        EXPECT_EQ(fs->mkdir("dir"), kErrInval);
+    });
+}
+
+TEST_F(FsStackTest, MkdirUnderAMissingParentIsNoEnt)
+{
+    boot();
+    app->run([&] {
+        EXPECT_EQ(fs->mkdir("/missing/dir"), kErrNoEnt);
+        VfsStat st;
+        EXPECT_EQ(fs->stat("/missing", &st), kErrNoEnt);
+    });
+}
+
+TEST_F(FsStackTest, MkdirOfASixtyByteLeafIsNameTooLong)
+{
+    boot();
+    app->run([&] {
+        // VfsDirent::name holds 59 bytes and the terminator.
+        const std::string fits = "/" + std::string(59, 'd');
+        const std::string over = "/" + std::string(60, 'd');
+        EXPECT_EQ(fs->mkdir(over.c_str()), kErrNameTooLong);
+        EXPECT_EQ(fs->mkdir(fits.c_str()), 0);
+    });
+}
+
+TEST_F(FsStackTest, MkdirOfAnExistingNameIsExist)
+{
+    boot();
+    app->run([&] {
+        ASSERT_EQ(fs->mkdir("/d"), 0);
+        EXPECT_EQ(fs->mkdir("/d"), kErrExist);
+        const int fd = fs->open("/f", kCreate | kWrOnly);
+        ASSERT_GE(fd, 0);
+        fs->close(fd);
+        EXPECT_EQ(fs->mkdir("/f"), kErrExist);
+        EXPECT_EQ(fs->mkdir("/"), kErrExist);
+    });
+}
+
 TEST_F(FsStackTest, CallEdgesMatchDeploymentTopology)
 {
     boot();

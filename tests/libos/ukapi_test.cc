@@ -199,10 +199,45 @@ TEST_F(UkapiTest, LongPathsAreTruncatedSafely)
         const std::string longpath =
             "/" + std::string(2 * kMaxPath, 'a');
         // Must not crash or overflow the staging page; open fails
-        // cleanly (path invalid after truncation is fine).
+        // cleanly.
         const int fd = fs->open(longpath.c_str(), kCreate | kRdWr);
         if (fd >= 0)
             fs->close(fd);
+    });
+}
+
+TEST_F(UkapiTest, OverLongPathIsRefusedNotCut)
+{
+    // A 511-byte path (the longest the slot holds) under nine nested
+    // directories, and the same path with "-other" appended: cut at
+    // 511 bytes, the longer one would name the shorter one's file.
+    boot(false);
+    app->run([&] {
+        std::string dir;
+        for (int d = 0; d < 9; ++d) {
+            dir += "/" + std::string(50, static_cast<char>('a' + d));
+            ASSERT_EQ(fs->mkdir(dir.c_str()), 0) << d;
+        }
+        const std::string file =
+            dir + "/" + std::string(kMaxPath - 1 - dir.size() - 1, 'f');
+        ASSERT_EQ(file.size(), kMaxPath - 1);
+        const int fd = fs->open(file.c_str(), kCreate | kWrOnly);
+        ASSERT_GE(fd, 0);
+        EXPECT_EQ(fs->close(fd), 0);
+
+        const std::string longer = file + "-other";
+        ASSERT_EQ(longer.size(), 517u);
+        EXPECT_EQ(fs->open(longer.c_str(), kRdOnly), kErrNameTooLong);
+        EXPECT_EQ(fs->open(longer.c_str(), kCreate | kRdWr),
+                  kErrNameTooLong);
+        VfsStat st{};
+        EXPECT_EQ(fs->stat(longer.c_str(), &st), kErrNameTooLong);
+        EXPECT_EQ(fs->unlink(longer.c_str()), kErrNameTooLong);
+
+        // The 511-byte path still works, and the file is still there.
+        EXPECT_EQ(fs->stat(file.c_str(), &st), 0);
+        EXPECT_TRUE(st.isFile());
+        EXPECT_EQ(fs->unlink(file.c_str()), 0);
     });
 }
 
