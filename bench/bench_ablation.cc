@@ -182,7 +182,7 @@ main()
         for (core::Cid cid = 0;
              cid < static_cast<core::Cid>(sys.cubicleCount()); ++cid) {
             const auto &cub = sys.monitor().cubicle(cid);
-            if (cub.dynamicTag)
+            if (cub.dynamicTag())
                 ++dynamic;
             if (cub.pkey == sys.monitor().parkedKey())
                 ++parked;

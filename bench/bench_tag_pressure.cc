@@ -119,7 +119,7 @@ timeTransitions(int n, MicroResult &r)
         const int parked = mon.parkedKey();
         std::vector<core::Cid> dynamic;
         for (core::Cid cid = 0; cid < mon.cubicleCount(); ++cid) {
-            if (mon.cubicle(cid).dynamicTag)
+            if (mon.cubicle(cid).dynamicTag())
                 dynamic.push_back(cid);
         }
         if (dynamic.size() <= mon.config().dynamicTags)

@@ -5,7 +5,7 @@
  *
  * 12 infrastructure cubicles plus 26 tenant groups (an NGINX instance
  * and a request-log cubicle each) put 64 logical cubicles behind the
- * monitor's dynamic key table (DESIGN.md §14). The test serves every
+ * monitor's dynamic tag pool (DESIGN.md §14). The test serves every
  * tenant once cold (forcing parked tenants through the full
  * evict/fault-back-in path), then re-serves a working set in
  * per-tenant batches and hard-fails if the steady-state physical-tag

@@ -6,7 +6,7 @@
  * networked library OS plus one cubicle group per tenant — an NGINX
  * instance serving a private RAMFS subtree and a request-log cubicle.
  * With 26 tenants that is 64 logical cubicles, four times the 16 tags
- * the MPK hardware has; the monitor's key table multiplexes them onto
+ * the MPK hardware has; the monitor multiplexes them onto
  * a dynamic pool of physical tags, parking idle tenants under a
  * reserved tag and faulting them back in on their next request.
  *

@@ -89,6 +89,14 @@ struct LintFinding {
     std::string message;
 };
 
+/**
+ * Best-effort detection of pointer parameters in an Itanium-mangled
+ * function-type name (ExportWiring::sigName): scans for a 'P' type
+ * code while skipping length-prefixed identifiers and substitution
+ * references. The pointer-export rule of lintWiring reads it.
+ */
+bool signaturePassesPointers(const char *mangledSig);
+
 /** The syntactic rules over @p snapshot. */
 std::vector<LintFinding> lintWiring(const core::WiringSnapshot &snapshot);
 

@@ -1,5 +1,7 @@
 #include "audit/audit.h"
 
+#include <cctype>
+
 namespace cubicleos::audit {
 
 using core::aclBit;
@@ -34,6 +36,39 @@ windowOf(const WiringSnapshot &snapshot, const WindowWiring &w)
 }
 
 } // namespace
+
+bool
+signaturePassesPointers(const char *mangledSig)
+{
+    if (mangledSig == nullptr)
+        return false;
+    for (const char *p = mangledSig; *p != '\0';) {
+        const unsigned char c = static_cast<unsigned char>(*p);
+        if (std::isdigit(c)) {
+            // Length-prefixed identifier: skip the digits, then the
+            // identifier body (its characters are not type codes).
+            std::size_t len = 0;
+            while (std::isdigit(static_cast<unsigned char>(*p)))
+                len = len * 10 + static_cast<std::size_t>(*p++ - '0');
+            while (len-- > 0 && *p != '\0')
+                ++p;
+            continue;
+        }
+        if (c == 'S') {
+            // Substitution reference (S_, S0_, ...): skip through '_'.
+            ++p;
+            while (*p != '\0' && *p != '_')
+                ++p;
+            if (*p == '_')
+                ++p;
+            continue;
+        }
+        if (c == 'P')
+            return true;
+        ++p;
+    }
+    return false;
+}
 
 const char *
 lintRuleName(LintRule rule)
@@ -141,7 +176,8 @@ lintWiring(const WiringSnapshot &snapshot)
     // memory; otherwise every call is doomed to fault.
     std::vector<bool> flagged(count, false);
     for (const ExportWiring &e : snapshot.exports) {
-        if (!e.passesPointers || e.ownerKind == CubicleKind::kShared)
+        if (e.ownerKind == CubicleKind::kShared ||
+            !signaturePassesPointers(e.sigName.c_str()))
             continue;
         if (e.owner >= count || flagged[e.owner])
             continue;

@@ -34,14 +34,15 @@ namespace cubicleos::core {
  * Created by the loader; owned by the monitor. Untrusted code never holds
  * a Cubicle pointer — it interacts through the System facade.
  *
- * Concurrency: id/name/kind/dynamicTag and the page ranges are
+ * Concurrency: id/name/kind/staticKey and the page ranges are
  * immutable after loadComponent publishes the cubicle, so any thread
- * may read them without locking. pkey is immutable too for
- * statically-tagged cubicles, but under tag virtualisation a parked
- * cubicle's pkey is rewritten by eviction/re-binding
+ * may read them without locking. pkey changes only at destroy and
+ * restart for statically-tagged cubicles, but under tag virtualisation
+ * a dynamic cubicle's pkey is rewritten by eviction/re-binding
  * (Monitor::ensureResident), so it is a relaxed atomic — readers
  * racing a rebind see either the old or the new tag, and both are safe
- * (the stale one merely faults and retries; see DESIGN.md §14). Remaining mutable state is split per concern so
+ * (the stale one merely faults and retries; see DESIGN.md §14).
+ * Remaining mutable state is split per concern so
  * cubicles never contend with each other: the stack arena cursor under
  * stackMu, the heap sub-allocator under heapMu, the window-descriptor
  * arrays under the monitor's window lock, and extraAllow as an atomic
@@ -54,18 +55,27 @@ struct Cubicle {
 
     /**
      * Physical MPK tag currently backing this cubicle (shared key for
-     * shared cubicles, parked key while evicted). Written by the
-     * loader before publication and thereafter only by the monitor's
-     * key table under keyMutex_; read lock-free everywhere.
+     * shared cubicles, parked key while evicted or dead). The only
+     * record of which pool tag backs a dynamic cubicle: written by the
+     * loader before publication, by restart for a static cubicle, and
+     * otherwise only by the monitor under the exclusive window lock
+     * (fault-in, eviction, destroy); read lock-free everywhere.
      */
     hw::RelaxedAtomic<int> pkey{-1};
 
     /**
-     * True when the loader found the physical tags exhausted under
-     * tag virtualisation: the cubicle then shares the key table's
-     * dynamic pool and may be evicted. Immutable after load.
+     * The tag the loader gave this cubicle for good (its own key, or
+     * the shared key), or -1 when it found the physical tags exhausted
+     * under tag virtualisation and tagged it dynamically. Immutable
+     * after load: destroy parks pkey and restart restores it from here.
      */
-    bool dynamicTag = false;
+    int staticKey = -1;
+
+    /**
+     * Completed destroy/restart cycles. Written by restart under the
+     * monitor's lifecycle lock; read lock-free (Monitor::lifeGeneration).
+     */
+    hw::RelaxedAtomic<uint64_t> generation{0};
 
     /**
      * Lifecycle state (DESIGN.md §15). kLive from publication until
@@ -132,6 +142,12 @@ struct Cubicle {
     hw::AtomicPkru extraAllow;
 
     bool isolated() const { return kind == CubicleKind::kIsolated; }
+
+    /**
+     * Whether the cubicle shares the dynamic tag pool and may be
+     * evicted (Monitor::ensureResident binds it a pool tag on demand).
+     */
+    bool dynamicTag() const { return staticKey < 0; }
 };
 
 } // namespace cubicleos::core

@@ -17,8 +17,10 @@
  * the same. Once no thread's in-flight count for the cubicle
  * (Monitor::inFlightSlot) is non-zero, the monitor destroys the
  * windows the cubicle owns, sweeps its tag off other owners' pages,
- * reclaims its pages and physical tag, then marks it kDead.
- * restartCubicle reloads the image through the verify cache. No grant
+ * parks its pkey (freeing a pool tag; a static tag comes back from
+ * Cubicle::staticKey at restart), returns its pages to the pool, which
+ * zeroes them, then marks it kDead. restartCubicle reloads the image
+ * through the verify cache and counts Cubicle::generation. No grant
  * is recorded or replayed: the cubicle's bits in its peers' window
  * ACLs stay through its death (a dead cubicle executes nothing, so
  * they authorise nothing), and the restart inherits them as the owners
@@ -44,26 +46,6 @@ enum class LifeState : uint8_t {
 
 /** Human-readable state name for traces and errors. */
 const char *lifeStateName(LifeState state);
-
-/**
- * Per-cubicle lifecycle bookkeeping, owned by the monitor and guarded
- * by its lifecycleMutex_ (LockRank::kLifecycle — above every other
- * monitor lock, so destroy/restart can take the rest of the hierarchy
- * underneath it).
- */
-struct LifecycleRecord {
-    /**
-     * The static physical tag the cubicle held before death, or -1
-     * for dynamically-tagged cubicles. Destroy keeps the key reserved
-     * instead of returning it to hw::Mpk, and the restart reuses it:
-     * a relaunch then never competes for one of the 16 scarce tags,
-     * so it cannot fail on key exhaustion or take a key that a later
-     * load or hot window was counting on.
-     */
-    int staticKey = -1;
-    /** Completed destroy/restart cycles (trace + test introspection). */
-    uint64_t generation = 0;
-};
 
 } // namespace cubicleos::core
 

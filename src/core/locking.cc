@@ -62,8 +62,6 @@ lockRankName(LockRank rank)
         return "verify-cache";
     case LockRank::kWindow:
         return "window";
-    case LockRank::kKeyTable:
-        return "key-table";
     case LockRank::kCubicle:
         return "cubicle";
     case LockRank::kPage:

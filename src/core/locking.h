@@ -35,13 +35,12 @@
  * # Lock ranks
  *
  * Ranks mirror the monitor's documented acquisition order; gaps leave
- * room for future levels (vkey eviction, per-core sharding):
+ * room for future levels (per-core sharding):
  *
  *   kLifecycle   (5)   Monitor::lifecycleMutex_     (destroy/restart)
  *   kLoader      (10)  Monitor::loaderMutex_
  *   kVerifyCache (20)  verifier::VerifyCache::mu_   (under the loader)
  *   kWindow      (30)  Monitor::windowMutex_
- *   kKeyTable    (35)  Monitor::keyMutex_           (vkey bind/evict)
  *   kCubicle     (40)  Cubicle::stackMu / heapMu    (key = cubicle id)
  *   kPage        (50)  Monitor::pageMutex_          (leaf)
  *
@@ -111,7 +110,6 @@ enum class LockRank : uint16_t {
     kLoader = 10,      ///< Monitor::loaderMutex_
     kVerifyCache = 20, ///< verifier::VerifyCache::mu_
     kWindow = 30,      ///< Monitor::windowMutex_
-    kKeyTable = 35,    ///< Monitor::keyMutex_ (vkey bind/evict)
     kCubicle = 40,     ///< Cubicle::stackMu / heapMu (key = cid)
     kPage = 50,        ///< Monitor::pageMutex_ (leaf)
 };

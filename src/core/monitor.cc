@@ -1,6 +1,7 @@
 #include "core/monitor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <thread>
@@ -67,22 +68,19 @@ Monitor::Monitor(const SystemConfig &cfg, Stats *stats)
         if (parkedKey_ < 0)
             throw LoaderError("virtualizeTags: no physical tag left "
                               "for the parked key");
-        keys_.bindGuard(&keyMutex_);
-        MutexLock keys(keyMutex_);
         for (std::size_t i = 0; i < cfg_.dynamicTags; ++i) {
             const int tag = mpk_.allocKey();
             if (tag < 0)
                 break; // tight budget: smaller pool, more eviction
-            keys_.addTag(tag);
+            poolTags_ |= 1u << tag;
         }
-        if (keys_.poolSize() == 0)
+        if (poolTags_ == 0)
             throw LoaderError("virtualizeTags: physical-tag budget too "
                               "small for a dynamic pool");
     }
-    // Pre-reserve so the tables never reallocate: fault-path readers
-    // index them without holding any lock.
+    // Pre-reserve so the table never reallocates: fault-path readers
+    // index it without holding any lock.
     cubicles_.reserve(kMaxCubicles);
-    lifeRecords_.reserve(kMaxCubicles);
 }
 
 Cid
@@ -125,12 +123,12 @@ Monitor::loadComponent(const ComponentSpec &spec)
             // forever and never enters the eviction pool. The libos
             // infrastructure loads first, so under virtualisation the
             // core stack stays permanently resident.
+            cub->staticKey = key;
             cub->pkey = key;
         } else if (cfg_.virtualizeTags) {
             // Physical tags exhausted: dynamically tagged. The cubicle
             // starts parked; its first cross-call or touch binds a
             // pool tag through ensureResident.
-            cub->dynamicTag = true;
             cub->pkey = parkedKey_;
         } else {
             throw LoaderError(
@@ -138,6 +136,7 @@ Monitor::loadComponent(const ComponentSpec &spec)
                 "' (enable virtualizeTags for >14 isolated cubicles)");
         }
     } else {
+        cub->staticKey = sharedKey_;
         cub->pkey = sharedKey_;
     }
     const Cid cid = cub->id;
@@ -145,8 +144,8 @@ Monitor::loadComponent(const ComponentSpec &spec)
         provisionCubicle(*cub, spec);
     } catch (...) {
         // A failed load returns its static tag, as it does its pages.
-        if (spec.kind == CubicleKind::kIsolated && !cub->dynamicTag)
-            mpk_.freeKey(cub->pkey);
+        if (cub->isolated() && !cub->dynamicTag())
+            mpk_.freeKey(cub->staticKey);
         throw;
     }
 
@@ -160,7 +159,6 @@ Monitor::loadComponent(const ComponentSpec &spec)
                             "Monitor cubicle-table publication");
     }
     cubicles_.push_back(std::move(cub));
-    lifeRecords_.emplace_back();
     cubicleCount_.store(cubicles_.size(), std::memory_order_release);
     return cid;
 }
@@ -236,7 +234,7 @@ Monitor::provisionCubicle(Cubicle &cub, const ComponentSpec &spec)
         if (missing) {
             for (mem::PageRange *r :
                  {&cub.codeRange, &cub.globalRange, &cub.stackRange}) {
-                pageAlloc_.freePages(*r);
+                freeRunLocked(*r);
                 *r = mem::PageRange{};
             }
             throw OutOfMemory(std::string(missing) + " pages for '" +
@@ -259,7 +257,7 @@ Monitor::provisionCubicle(Cubicle &cub, const ComponentSpec &spec)
         },
         [this](const mem::PageRange &r) {
             MutexLock l(pageMutex_);
-            pageAlloc_.freePages(r);
+            freeRunLocked(r);
         },
         kHeapChunkPages);
 }
@@ -377,6 +375,9 @@ Monitor::windowInit(Cid caller)
 {
     WriterLock lock(windowMutex_);
     stats_->add(Stat::windowOps);
+    // Every later window call indexes the owner's cubicle.
+    if (caller >= cubicleCount())
+        throw WindowError("window_init: caller is not a loaded cubicle");
     // Reuse a dead slot if available.
     for (Wid wid = 0; wid < windows_.size(); ++wid) {
         if (!windows_[wid].live) {
@@ -815,23 +816,35 @@ Monitor::ensureResident(Cid cid)
         return -1;
     Cubicle &cub = *cubicles_[cid];
     // Lock-free fast path: statically tagged, or already bound.
-    if (!cub.dynamicTag)
+    if (!cub.dynamicTag())
         return cub.pkey;
     if (cub.pkey != parkedKey_)
         return cub.pkey;
 
-    // Bind/evict under the exclusive window lock (the page sweeps must
-    // not race the fault handler's window walk) then the key lock.
+    // Bind/evict under the exclusive window lock: the page sweeps must
+    // not race the fault handler's window walk, and every store of a
+    // pool tag to a pkey happens under it, so the scan below sees
+    // every binding.
     WriterLock windows(windowMutex_);
-    MutexLock keys(keyMutex_);
     if (cub.pkey != parkedKey_)
         return cub.pkey; // another thread bound us while we waited
 
-    int tag = keys_.bindFree(cid);
-    if (tag < 0) {
-        tag = evictLocked();
-        keys_.rebind(tag, cid);
+    // The pool tags the pkeys hold, and the holder used least recently
+    // (lastUse stamps are unique).
+    uint32_t held = 0;
+    Cubicle *lru = nullptr;
+    for (std::size_t c = 0; c < cubicleCount(); ++c) {
+        Cubicle &other = *cubicles_[c];
+        const int k = other.pkey;
+        if (k < 0 || (poolTags_ & (1u << k)) == 0)
+            continue;
+        held |= 1u << k;
+        if (lru == nullptr || other.lastUse < lru->lastUse)
+            lru = &other;
     }
+    const uint32_t free_tags = poolTags_ & ~held;
+    const int tag = free_tags != 0 ? std::countr_zero(free_tags)
+                                   : evictLocked(*lru);
     const std::size_t restored = faultInLocked(cid, tag);
     // Publish the binding only after the pages are restored, then
     // invalidate every thread's cached PKRU (the IPI analogue).
@@ -849,7 +862,7 @@ Monitor::noteSwitch(Cid callee)
     if (parkedKey_ < 0 || callee >= cubicleCount())
         return;
     Cubicle &cub = *cubicles_[callee];
-    if (!cub.dynamicTag)
+    if (!cub.dynamicTag())
         return; // statically tagged: never evicted
     cub.lastUse = useClock_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (cub.pkey == parkedKey_) {
@@ -861,28 +874,14 @@ Monitor::noteSwitch(Cid callee)
 }
 
 int
-Monitor::evictLocked()
+Monitor::evictLocked(Cubicle &victim)
 {
-    // LRU victim scan over the (≤ dynamicTags) bound slots.
-    const KeyBinding *victim = nullptr;
-    uint64_t oldest = ~uint64_t{0};
-    for (const KeyBinding &s : keys_.slots()) {
-        if (s.cid == kNoCubicle || s.cid >= cubicleCount())
-            continue;
-        const uint64_t lu = cubicles_[s.cid]->lastUse;
-        if (victim == nullptr || lu < oldest) {
-            oldest = lu;
-            victim = &s;
-        }
-    }
-    assert(victim != nullptr && "evictLocked: empty dynamic pool");
-    Cubicle &v = *cubicles_[victim->cid];
-    const int tag = victim->tag;
+    const int tag = victim.pkey;
 
     // Park the victim BEFORE the sweep: lock-free fast paths re-check
     // the accessor's pkey after their atomic retag and undo on
     // mismatch, so ordering the store first closes the race.
-    v.pkey = parkedKey_;
+    victim.pkey = parkedKey_;
     keyEpoch_.fetch_add(1, std::memory_order_seq_cst);
 
     // Sweep EVERY present page still carrying the victim's tag to the
@@ -900,9 +899,8 @@ Monitor::evictLocked()
     bumpEpoch();
 
     stats_->add(Stat::evictions);
-    keys_.release(tag);
     trace(TraceCategory::kEvictions, "evict %s tag=%d pages=%zu",
-          v.name.c_str(), tag, pages);
+          victim.name.c_str(), tag, pages);
     return tag;
 }
 
@@ -1000,7 +998,6 @@ Monitor::destroyCubicle(Cid cid)
 
     // Everything the cubicle owns right now is what destroy reclaims.
     const std::size_t reclaimed = meta_.countOwnedBy(cid);
-    LifecycleRecord &rec = lifeRecords_[cid];
 
     {
         WriterLock windows(windowMutex_);
@@ -1051,21 +1048,11 @@ Monitor::destroyCubicle(Cid cid)
         // 3c. Cached grants over the pages swept above are now stale.
         bumpEpoch();
 
-        // 4. Release the physical tag. A bound dynamic tag returns to
-        // the pool for other dynamically tagged cubicles; a static tag
-        // is saved, not freed, so the restart reuses it and never
-        // competes for a key.
-        {
-            MutexLock keys(keyMutex_);
-            if (cub.dynamicTag) {
-                rec.staticKey = -1;
-                if (victim_tag >= 0 && victim_tag != parkedKey_)
-                    keys_.release(victim_tag);
-            } else {
-                rec.staticKey = victim_tag;
-            }
-            cub.pkey = parkedKey_; // -1 without tag virtualisation
-        }
+        // 4. Park the tag. A bound dynamic tag is then free for the
+        // pool, since no pkey holds it; a static tag is not freed, so
+        // the restart takes it back from staticKey and never competes
+        // for a key.
+        cub.pkey = parkedKey_; // -1 without tag virtualisation
     }
     keyEpoch_.fetch_add(1, std::memory_order_seq_cst);
 
@@ -1081,7 +1068,7 @@ Monitor::destroyCubicle(Cid cid)
                 [](std::size_t) { return mem::PageRange{}; },
                 [this](const mem::PageRange &r) {
                     MutexLock l(pageMutex_);
-                    pageAlloc_.freePages(r);
+                    freeRunLocked(r);
                 });
             cub.heap.reset();
         }
@@ -1091,7 +1078,7 @@ Monitor::destroyCubicle(Cid cid)
         MutexLock pages(pageMutex_);
         for (mem::PageRange *r :
              {&cub.codeRange, &cub.globalRange, &cub.stackRange}) {
-            pageAlloc_.freePages(*r);
+            freeRunLocked(*r);
             *r = mem::PageRange{};
         }
         cub.stackUsed = 0;
@@ -1101,8 +1088,8 @@ Monitor::destroyCubicle(Cid cid)
     cub.life.store(static_cast<uint8_t>(LifeState::kDead));
     stats_->countDestroy(reclaimed);
     trace(TraceCategory::kLifecycle,
-          "destroy %s: %zu pages reclaimed, static key %d saved",
-          cub.name.c_str(), reclaimed, rec.staticKey);
+          "destroy %s: %zu pages reclaimed, static key %d",
+          cub.name.c_str(), reclaimed, cub.staticKey);
     return reclaimed;
 }
 
@@ -1120,7 +1107,6 @@ Monitor::restartCubicle(Cid cid, const ComponentSpec &spec)
             lifeStateName(static_cast<LifeState>(cub.life.load())) +
             ", not dead");
     }
-    LifecycleRecord &rec = lifeRecords_[cid];
 
     {
         MutexLock loader(loaderMutex_);
@@ -1128,16 +1114,12 @@ Monitor::restartCubicle(Cid cid, const ComponentSpec &spec)
         // the cheap path the restart benchmark measures.
         verifyImage(spec);
 
-        // Tag restore: dynamically-tagged cubicles come back parked
-        // and re-bind on first touch; statically-tagged ones reuse the
-        // key destroy kept reserved, so a restart takes no key.
-        if (cub.dynamicTag) {
-            cub.pkey = parkedKey_;
-        } else {
-            assert(rec.staticKey >= 0 &&
-                   "static cubicle died without a saved key");
-            cub.pkey = rec.staticKey;
-        }
+        // Tag restore: a dynamically-tagged cubicle stays parked, as
+        // destroy left it, and re-binds on first touch; a static one
+        // takes back the key destroy never freed, so a restart takes
+        // no key.
+        if (!cub.dynamicTag())
+            cub.pkey = cub.staticKey;
         provisionCubicle(cub, spec);
     }
 
@@ -1147,22 +1129,16 @@ Monitor::restartCubicle(Cid cid, const ComponentSpec &spec)
     // the restart sees each window as its owner last set it.
     keyEpoch_.fetch_add(1, std::memory_order_seq_cst);
 
+    // Counted before the kLive store, so a thread that sees the
+    // restarted cubicle live also sees its generation.
+    cub.generation.addOwned(1);
     cub.life.store(static_cast<uint8_t>(LifeState::kLive));
-    ++rec.generation;
     stats_->add(Stat::restarts);
     trace(TraceCategory::kLifecycle,
           "restart %s (cid=%u): generation %llu, pkey=%d",
           cub.name.c_str(), static_cast<unsigned>(cid),
-          static_cast<unsigned long long>(rec.generation),
+          static_cast<unsigned long long>(cub.generation.load()),
           static_cast<int>(cub.pkey));
-}
-
-uint64_t
-Monitor::lifeGeneration(Cid cid) const
-{
-    MutexLock life(lifecycleMutex_);
-    assert(cid < cubicleCount());
-    return lifeRecords_[cid].generation;
 }
 
 // ----------------------------------------------------------------------
@@ -1200,7 +1176,16 @@ Monitor::freePages(const mem::PageRange &range, Cid owner)
         meta_.at(range.first).type != mem::PageType::kHeap ||
         meta_.at(range.first).owner != owner)
         return false;
-    return pageAlloc_.freePages(range);
+    return freeRunLocked(range);
+}
+
+bool
+Monitor::freeRunLocked(const mem::PageRange &range)
+{
+    if (!pageAlloc_.freePages(range))
+        return false;
+    stats_->add(Stat::scrubbedPages, range.count);
+    return true;
 }
 
 std::byte *

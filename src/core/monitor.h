@@ -37,9 +37,11 @@
  *
  *   1. loaderMutex_      — cubicle/report table growth (loadComponent)
  *   2. windowMutex_      — windows_, per-cubicle WindowTables, ACLs,
- *                          hot keys. shared_mutex: faults take it
- *                          shared (❸/❹ are reads), window mutations
- *                          take it exclusive.
+ *                          hot keys, and which pool tag a dynamic
+ *                          cubicle's pkey holds. shared_mutex: faults
+ *                          take it shared (❸/❹ are reads), window
+ *                          mutations, fault-in and eviction take it
+ *                          exclusive.
  *   3. Cubicle::stackMu / Cubicle::heapMu — per-cubicle arena and heap
  *                          state; cubicles never contend with each
  *                          other. heapMu of different cubicles may
@@ -76,7 +78,6 @@
 #include "core/component.h"
 #include "core/cubicle.h"
 #include "core/errors.h"
-#include "core/keytable.h"
 #include "core/locking.h"
 #include "core/stats.h"
 #include "core/window.h"
@@ -170,10 +171,11 @@ class Monitor {
     }
 
     /**
-     * Ensures @p cid's pages are resident under a physical tag,
-     * evicting the LRU dynamically-tagged cubicle if the pool is full.
-     * No-op (lock-free) when the cubicle is statically tagged or
-     * already bound.
+     * Ensures @p cid's pages are resident under a physical tag: the
+     * lowest pool tag no dynamic cubicle's pkey holds, or else the tag
+     * of the bound dynamic cubicle with the oldest lastUse, which is
+     * evicted. No-op (lock-free) when the cubicle is statically tagged
+     * or already bound.
      * @return the physical tag now backing @p cid.
      */
     int ensureResident(Cid cid);
@@ -232,13 +234,14 @@ class Monitor {
      *      hot-window keys in its extraAllow that mirror them) stay:
      *      the ACL is the only grant record, and a dead cubicle
      *      executes nothing for them to authorise;
-     *   4. release its physical tag: a bound dynamic tag returns to
-     *      the key table's free pool; a static tag stays reserved for
-     *      the restart, which then cannot fail for want of a key nor
-     *      take one a later load needed; bump the key epoch (the
+     *   4. park its pkey: a bound dynamic tag is then free for the
+     *      pool, as no cubicle's pkey holds it; a static tag is never
+     *      freed, so the restart, which takes it back from
+     *      Cubicle::staticKey, cannot fail for want of a key nor take
+     *      one a later load needed; bump the key epoch (the
      *      PKRU-refresh IPI analogue);
      *   5. return its heap chunks and code/global/stack pages to the
-     *      page allocator; mark kDead.
+     *      page allocator, which zeroes them; mark kDead.
      *
      * Parked (tag-evicted) cubicles are destroyed in place: their
      * pages are reclaimed under the parked tag without faulting the
@@ -253,9 +256,9 @@ class Monitor {
      * Relaunches a destroyed cubicle in place: re-verifies the image
      * through the process-wide verify cache (a content-identical image
      * hits and skips the grep, which is what makes restart cheap),
-     * reallocates code/global/stack/heap under the saved
-     * static tag (or re-parks a dynamically-tagged cubicle until first
-     * touch). Nothing is replayed: the cubicle regains exactly the
+     * reallocates code/global/stack/heap under Cubicle::staticKey (a
+     * dynamically-tagged cubicle stays parked until first touch) and
+     * counts a generation. Nothing is replayed: the cubicle regains exactly the
      * grants its peers' window ACLs name now, which destroy left in
      * place and the owners may have changed since. The caller is
      * responsible for re-running the component's init() (see
@@ -280,8 +283,11 @@ class Monitor {
         return static_cast<LifeState>(cubicles_[cid]->life.load());
     }
 
-    /** Completed destroy/restart cycles of @p cid. */
-    uint64_t lifeGeneration(Cid cid) const;
+    /** Completed destroy/restart cycles of @p cid (lock-free). */
+    uint64_t lifeGeneration(Cid cid) const
+    {
+        return cubicle(cid).generation;
+    }
 
     Cubicle &cubicle(Cid cid);
     const Cubicle &cubicle(Cid cid) const;
@@ -304,7 +310,10 @@ class Monitor {
     // Window API (paper Table 1); @p caller is the invoking cubicle
     // ------------------------------------------------------------------
 
-    /** cubicle_window_init: creates an empty window owned by @p caller. */
+    /**
+     * cubicle_window_init: creates an empty window owned by @p caller.
+     * @throws WindowError unless @p caller is a loaded cubicle.
+     */
     Wid windowInit(Cid caller);
     /** cubicle_window_add: associates [ptr, ptr+size) with @p wid. */
     void windowAdd(Cid caller, Wid wid, const void *ptr, std::size_t size);
@@ -427,10 +436,11 @@ class Monitor {
                                                  hw::kPermWrite);
 
     /**
-     * Returns @p owner's heap pages to the pool. Frees nothing unless
-     * every page of @p range lies in the space and is a heap page of
-     * @p owner, so a caller cannot free another cubicle's pages, code,
-     * stacks, free pages or pages past the end of the space through it.
+     * Returns @p owner's heap pages to the pool, zeroed. Frees nothing
+     * unless every page of @p range lies in the space and is a heap
+     * page of @p owner, so a caller cannot free another cubicle's
+     * pages, code, stacks, free pages or pages past the end of the
+     * space through it.
      * @return whether the range was freed.
      */
     bool freePages(const mem::PageRange &range, Cid owner);
@@ -493,20 +503,27 @@ class Monitor {
 
     /** Allocates code/global/stack + heap for @p cub (load/restart). */
     void provisionCubicle(Cubicle &cub, const ComponentSpec &spec);
+
+    /**
+     * Returns @p range to the pool, which zeroes it, and counts the
+     * pages in Stats::scrubbedPages.
+     * @return whether the range was freed.
+     */
+    bool freeRunLocked(const mem::PageRange &range) REQUIRES(pageMutex_);
     void bumpEpoch() REQUIRES(windowMutex_)
     {
         windowEpoch_.fetch_add(1, std::memory_order_seq_cst);
     }
 
     /**
-     * Evicts the LRU dynamically-tagged cubicle and returns its tag,
+     * Parks @p victim, a bound dynamic cubicle, and returns its tag,
      * now free for re-binding. Sweeps every present page still tagged
      * with the victim's tag — the victim's own pages *and* pages it
      * was granted through windows — to the parked tag, and bumps both
-     * the revocation epoch (cached grants must not touch parked
-     * pages) and the key epoch.
+     * the revocation epoch (cached grants must not touch parked pages)
+     * and the key epoch.
      */
-    int evictLocked() REQUIRES(windowMutex_, keyMutex_);
+    int evictLocked(Cubicle &victim) REQUIRES(windowMutex_);
 
     /**
      * Restores @p cid's own pages from the parked tag to @p tag. Pages
@@ -514,8 +531,7 @@ class Monitor {
      * touches them, which traps them over through its windows' ACLs.
      * @return pages restored.
      */
-    std::size_t faultInLocked(Cid cid, int tag)
-        REQUIRES(windowMutex_, keyMutex_);
+    std::size_t faultInLocked(Cid cid, int tag) REQUIRES(windowMutex_);
 
     /**
      * Every present page whose tag is @p from becomes @p to, in
@@ -555,9 +571,12 @@ class Monitor {
     mem::PageAllocator pageAlloc_ GUARDED_BY(pageMutex_);
     int sharedKey_;
     int parkedKey_ = -1;
-
-    /** Logical→physical bindings for dynamically-tagged cubicles. */
-    KeyTable keys_; // guarded by keyMutex_ (bindGuard + lockdep)
+    /**
+     * Bit t set when physical tag t is in the dynamic pool; fixed by
+     * the constructor. Which cubicle a pool tag backs is recorded only
+     * in that cubicle's pkey.
+     */
+    uint32_t poolTags_ = 0;
     std::atomic<uint64_t> keyEpoch_{0};
     /** LRU clock: stamped into Cubicle::lastUse on every switch. */
     std::atomic<uint64_t> useClock_{0};
@@ -569,7 +588,7 @@ class Monitor {
     /**
      * Serialises destroy/restart against each other. Rank kLifecycle
      * sits above the whole hierarchy: a lifecycle operation walks
-     * loader → window → key → cubicle → page underneath it, and no
+     * loader → window → cubicle → page underneath it, and no
      * code path ever acquires it while holding another monitor lock.
      */
     mutable Mutex lifecycleMutex_{LockRank::kLifecycle,
@@ -579,17 +598,8 @@ class Monitor {
                                         "monitor.loader"};
     mutable SharedMutex windowMutex_
         ACQUIRED_AFTER(loaderMutex_){LockRank::kWindow, "monitor.window"};
-    /**
-     * Serialises key-table bind/evict decisions. Rank kKeyTable sits
-     * between kWindow and kCubicle: eviction runs under the exclusive
-     * window lock (its page sweep must not race the fault handler's
-     * window walk, and it bumps the revocation epoch), and never takes
-     * per-cubicle or page locks (the sweep is an atomic tag store).
-     */
-    mutable Mutex keyMutex_
-        ACQUIRED_AFTER(windowMutex_){LockRank::kKeyTable, "monitor.keys"};
     mutable Mutex pageMutex_
-        ACQUIRED_AFTER(keyMutex_){LockRank::kPage, "monitor.page"};
+        ACQUIRED_AFTER(windowMutex_){LockRank::kPage, "monitor.page"};
 
     /**
      * Append-only, pre-reserved to kMaxCubicles so readers index it
@@ -619,14 +629,6 @@ class Monitor {
         AtomicAclMask write;
     };
     std::vector<WindowUsage> windowUsage_ GUARDED_BY(windowMutex_);
-
-    /**
-     * Per-cubicle lifecycle bookkeeping (saved static key,
-     * generation), parallel to cubicles_. Grown at load under
-     * loaderMutex_; the record contents are only touched by
-     * destroy/restart under lifecycleMutex_.
-     */
-    std::vector<LifecycleRecord> lifeRecords_;
 
     /**
      * In-flight counts, [slot][cid] (see inFlightSlot). One slot per

@@ -59,6 +59,7 @@
     P(countFaultIn, faultIns, faultInPages)    /* parked, re-bound */     \
     C(residencyScanPages)  /* PTEs the evict/fault-in key walks read */   \
     P(countDestroy, destroys, reclaimedPages)  /* pages freed */          \
+    C(scrubbedPages)              /* freed pages zeroed for the next owner */ \
     C(restarts)                         /* relaunches after destroy */    \
     C(unwoundCalls)                     /* PeerFault verdicts */          \
     C(verifierBytesScanned)             /* bytes of each verified image */ \

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cctype>
 
 #include "core/lifecycle.h"
 #include "core/trace.h"
@@ -48,6 +47,23 @@ leaveInFlight(std::atomic<uint32_t> &in_flight)
                     std::memory_order_release);
 }
 
+/**
+ * CrossCallGuard's refusal of an entry into @p cub, which is in
+ * @p state, not kLive: counts the unwound call, traces it and throws
+ * PeerFault. Cold and out of line, so the strings it builds cost the
+ * guard's hot path no stack frame or saved registers.
+ */
+[[noreturn, gnu::cold, gnu::noinline]] void
+refuseEntry(Stats &stats, const Cubicle &cub, LifeState state)
+{
+    stats.add(Stat::unwoundCalls);
+    trace(TraceCategory::kLifecycle, "refused entry into %s cubicle %s",
+          lifeStateName(state), cub.name.c_str());
+    throw PeerFault(cub.id, "cross-call into " +
+                                std::string(lifeStateName(state)) +
+                                " cubicle '" + cub.name + "'");
+}
+
 } // namespace
 
 // ----------------------------------------------------------------------
@@ -66,21 +82,15 @@ CrossCallGuard::CrossCallGuard(System &sys, ThreadCtx &ctx, Cid callee)
     // interleaving where the destroyer reads 0 while we read kLive.
     // This increment is one of the two locked instructions left on a
     // crossing; the call-edge count is the other.
-    if (callee < sys.monitor().cubicleCount()) {
-        Cubicle &cub = sys.monitor().cubicle(callee);
-        std::atomic<uint32_t> &in_flight =
-            sys.monitor().inFlightSlot(callee);
+    Monitor &mon = sys.monitor();
+    if (callee < mon.cubicleCount()) {
+        const Cubicle &cub = *mon.cubicles_[callee];
+        std::atomic<uint32_t> &in_flight = mon.inFlightSlot(callee);
         in_flight.fetch_add(1);
         const auto state = static_cast<LifeState>(cub.life.load());
         if (state != LifeState::kLive) {
             leaveInFlight(in_flight);
-            sys.stats().add(Stat::unwoundCalls);
-            trace(TraceCategory::kLifecycle,
-                  "refused entry into %s cubicle %s", lifeStateName(state),
-                  cub.name.c_str());
-            throw PeerFault(callee, "cross-call into " +
-                                        std::string(lifeStateName(state)) +
-                                        " cubicle '" + cub.name + "'");
+            refuseEntry(sys.stats(), cub, state);
         }
         inFlight_ = &in_flight;
     }
@@ -93,10 +103,10 @@ CrossCallGuard::CrossCallGuard(System &sys, ThreadCtx &ctx, Cid callee)
         // Tag virtualisation: stamp the callee's LRU clock and bind it
         // a physical tag if it is parked, BEFORE computing its PKRU —
         // pkruFor never allows the parked tag.
-        sys.monitor().noteSwitch(callee);
+        mon.noteSwitch(callee);
         sys.stats().add(Stat::wrpkrus, 2);
-        ctx.pkru = sys.monitor().pkruFor(callee);
-        ctx.keyEpoch = sys.monitor().keyEpoch();
+        ctx.pkru = mon.pkruFor(callee);
+        ctx.keyEpoch = mon.keyEpoch();
     }
     ctx.callStack.push_back(caller_);
     ctx.current = callee;
@@ -260,39 +270,6 @@ System::componentAt(Cid cid)
     throw LinkError("no component in cubicle " + std::to_string(cid));
 }
 
-bool
-signaturePassesPointers(const char *mangledSig)
-{
-    if (mangledSig == nullptr)
-        return false;
-    for (const char *p = mangledSig; *p != '\0';) {
-        const unsigned char c = static_cast<unsigned char>(*p);
-        if (std::isdigit(c)) {
-            // Length-prefixed identifier: skip the digits, then the
-            // identifier body (its characters are not type codes).
-            std::size_t len = 0;
-            while (std::isdigit(static_cast<unsigned char>(*p)))
-                len = len * 10 + static_cast<std::size_t>(*p++ - '0');
-            while (len-- > 0 && *p != '\0')
-                ++p;
-            continue;
-        }
-        if (c == 'S') {
-            // Substitution reference (S_, S0_, ...): skip through '_'.
-            ++p;
-            while (*p != '\0' && *p != '_')
-                ++p;
-            if (*p == '_')
-                ++p;
-            continue;
-        }
-        if (c == 'P')
-            return true;
-        ++p;
-    }
-    return false;
-}
-
 WiringSnapshot
 System::wiringSnapshot() const
 {
@@ -300,8 +277,7 @@ System::wiringSnapshot() const
     snap.exports.reserve(exports_.size());
     for (const ExportSlot &slot : exports_) {
         snap.exports.push_back(ExportWiring{
-            slot.name, slot.owner, slot.ownerKind,
-            signaturePassesPointers(slot.sigName)});
+            slot.name, slot.owner, slot.ownerKind, slot.sigName});
     }
     return snap;
 }

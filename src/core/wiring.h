@@ -50,7 +50,8 @@ struct ExportWiring {
     std::string name;
     Cid owner = kNoCubicle;
     CubicleKind ownerKind = CubicleKind::kIsolated;
-    bool passesPointers = false;
+    /** The export's signature as typeid(Sig).name() mangles it. */
+    std::string sigName;
 };
 
 struct WiringSnapshot {
@@ -59,14 +60,6 @@ struct WiringSnapshot {
     std::vector<WindowWiring> windows; ///< live windows only
     std::vector<ExportWiring> exports;
 };
-
-/**
- * Best-effort detection of pointer parameters in an Itanium-mangled
- * function-type name (what typeid(Sig).name() yields for ExportSlot
- * signatures): scans for a 'P' type code while skipping
- * length-prefixed identifiers and substitution references.
- */
-bool signaturePassesPointers(const char *mangledSig);
 
 } // namespace cubicleos::core
 

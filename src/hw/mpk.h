@@ -162,8 +162,8 @@ class AtomicPkru {
  *
  * Hands out the 16 hardware keys (key 0 is reserved for the trusted
  * monitor, mirroring the kernel's default-key convention) and evaluates
- * PKRU checks. Cubicles loaded once the keys run out share a pool of
- * them through the monitor's key table instead (tag virtualisation,
+ * PKRU checks. Cubicles loaded once the keys run out share a few of
+ * them instead: the monitor's dynamic tag pool (tag virtualisation,
  * BULKHEAD-style; see DESIGN.md §14).
  */
 class Mpk {

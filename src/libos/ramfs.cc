@@ -358,13 +358,12 @@ RamfsComponent::doBorrow(NodeId id, uint64_t off, core::Cid peer,
     }
     std::byte *block = node->blocks[blk];
     if (!block) {
-        // A hole cannot be lent by reference: materialise the block
-        // with the zeros it reads as (metadata work, not a payload
-        // copy — doRead would have memset the same zeros per request).
+        // A hole cannot be lent by reference: materialise the block.
+        // It reads as the hole's zeros already, because the monitor's
+        // page pool zeroes every page it takes back.
         block = allocBlock();
         if (!block)
             return kErrNoSpc;
-        std::memset(block, 0, kBlockSize);
         node->blocks[blk] = block;
     }
 

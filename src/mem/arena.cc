@@ -1,6 +1,7 @@
 #include "mem/arena.h"
 
 #include <cassert>
+#include <cstring>
 
 namespace cubicleos::mem {
 
@@ -51,6 +52,10 @@ PageAllocator::freePages(const PageRange &range)
             m.type != head.type)
             return false;
     }
+    // Scrub before the run changes hands: the next owner must not read
+    // what this one left behind. From the page index, not range.ptr,
+    // which a caller may have pointed into the run's first page.
+    std::memset(space_->pageAt(range.first), 0, range.sizeBytes());
     space_->unmap(range.first, range.count);
     meta_->release(range.first, range.count);
     used_ -= range.count;

@@ -57,7 +57,8 @@ class PageAllocator {
                          uint8_t perms, uint8_t pkey);
 
     /**
-     * Returns a previously allocated range to the pool. Frees nothing
+     * Zeroes a previously allocated range and returns it to the pool,
+     * so every page the pool hands out reads as zeros. Frees nothing
      * unless every page of @p range lies in the space and is allocated
      * to one owner as one type, so an overrun, a second free or a run
      * across two owners' pages leaves the pool untouched.

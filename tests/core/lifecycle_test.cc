@@ -267,7 +267,7 @@ TEST(LifecycleTest, ParkedDestroyReclaimsInPlace)
     std::vector<std::string> dynamic;
     for (int i = 0; i < kToys; ++i) {
         const std::string name = numbered("c", i);
-        if (sys.monitor().cubicle(sys.cidOf(name)).dynamicTag)
+        if (sys.monitor().cubicle(sys.cidOf(name)).dynamicTag())
             dynamic.push_back(name);
     }
     ASSERT_GE(dynamic.size(), 2u);
@@ -300,6 +300,71 @@ TEST(LifecycleTest, ParkedDestroyReclaimsInPlace)
     // And a parked death is still restartable.
     sys.restartComponent(dynamic[0]);
     sys.runAs(sys.cidOf("c0"), [&] { EXPECT_EQ(pingA(), 7); });
+}
+
+TEST(LifecycleTest, DestroyFreesABoundDynamicTagForTheNextFaultIn)
+{
+    SystemConfig cfg = fullConfig();
+    cfg.numPages = 4096;
+    cfg.stackPages = 2;
+    cfg.virtualizeTags = true;
+    cfg.physTagBudget = 6; // monitor, shared, parked + 3 dynamic
+    cfg.dynamicTags = 3;
+    System sys(cfg);
+    for (int i = 0; i < 4; ++i)
+        addToy(sys, numbered("c", i));
+    sys.boot();
+    const Monitor &mon = sys.monitor();
+    const int parked = mon.parkedKey();
+    const Cid c0 = sys.cidOf("c0");
+    const Cid c1 = sys.cidOf("c1");
+
+    // Boot bound c1, c2 and c3 and left c0 parked: the pool is full.
+    ASSERT_EQ(mon.cubicle(c0).pkey.load(), parked);
+    const int c1Tag = mon.cubicle(c1).pkey.load();
+    ASSERT_NE(c1Tag, parked);
+
+    sys.destroyComponent("c1");
+    EXPECT_EQ(mon.cubicle(c1).pkey.load(), parked);
+    const uint64_t evictions = sys.stats().evictions();
+    sys.runAs(c0, [] {});
+    EXPECT_EQ(sys.stats().evictions(), evictions);
+    EXPECT_EQ(mon.cubicle(c0).pkey.load(), c1Tag);
+}
+
+TEST(LifecycleTest, RestartRestoresTheStaticKeyAndLeavesADynamicOneParked)
+{
+    SystemConfig cfg = fullConfig();
+    cfg.numPages = 4096;
+    cfg.stackPages = 2;
+    cfg.virtualizeTags = true;
+    cfg.physTagBudget = 8;
+    cfg.dynamicTags = 1;
+    System sys(cfg);
+    for (int i = 0; i < 4; ++i)
+        addToy(sys, numbered("c", i));
+    sys.boot();
+    Monitor &mon = sys.monitor();
+    const Cid stat = sys.cidOf("c0");
+    const Cid dyn = sys.cidOf("c3");
+    ASSERT_FALSE(mon.cubicle(stat).dynamicTag());
+    ASSERT_TRUE(mon.cubicle(dyn).dynamicTag());
+
+    // A static cubicle comes back under the very key it had.
+    const int statKey = mon.cubicle(stat).pkey.load();
+    sys.destroyComponent("c0");
+    EXPECT_NE(mon.cubicle(stat).pkey.load(), statKey);
+    mon.restartCubicle(stat, sys.componentAt(stat).spec());
+    EXPECT_EQ(mon.cubicle(stat).pkey.load(), statKey);
+
+    // A bound dynamic cubicle comes back parked, to re-bind on its
+    // first touch.
+    sys.runAs(dyn, [] {});
+    ASSERT_NE(mon.cubicle(dyn).pkey.load(), mon.parkedKey());
+    sys.destroyComponent("c3");
+    mon.restartCubicle(dyn, sys.componentAt(dyn).spec());
+    EXPECT_EQ(mon.cubicle(dyn).pkey.load(), mon.parkedKey());
+    EXPECT_EQ(mon.lifeGeneration(dyn), 1u);
 }
 
 /** An owner "a" with one staged heap page, and peers "b" and "c". */

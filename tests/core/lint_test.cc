@@ -21,6 +21,11 @@ using audit::LintRule;
 using audit::LintSeverity;
 using audit::lintClean;
 using audit::lintWiring;
+using audit::signaturePassesPointers;
+
+/** Mangled signatures of a pointer-taking and a pointer-free export. */
+const char *const kTakesPointer = typeid(int(const void *, int)).name();
+const char *const kTakesInts = typeid(int(int)).name();
 
 /** Two isolated cubicles + one shared, correctly keyed. */
 WiringSnapshot
@@ -51,7 +56,7 @@ TEST(Lint, CleanWiringHasNoFindings)
     WiringSnapshot snap = baseSnapshot();
     // app's window grants fs — which satisfies fs's pointer export.
     snap.windows = {{0, 1, aclBit(0), 2, -1}};
-    snap.exports = {{"read", 0, CubicleKind::kIsolated, true}};
+    snap.exports = {{"read", 0, CubicleKind::kIsolated, kTakesPointer}};
     auto findings = lintWiring(snap);
     EXPECT_TRUE(findings.empty());
     EXPECT_TRUE(lintClean(findings));
@@ -154,10 +159,10 @@ TEST(Lint, PointerExportWithoutAnyWindowIsInfo)
 {
     WiringSnapshot snap = baseSnapshot();
     snap.exports = {
-        {"write", 0, CubicleKind::kIsolated, true},
-        {"stat", 0, CubicleKind::kIsolated, true}, // same owner: dedup
-        {"sync", 1, CubicleKind::kIsolated, false},
-        {"memcpy", 2, CubicleKind::kShared, true}, // shared: exempt
+        {"write", 0, CubicleKind::kIsolated, kTakesPointer},
+        {"stat", 0, CubicleKind::kIsolated, kTakesPointer}, // same owner
+        {"sync", 1, CubicleKind::kIsolated, kTakesInts},
+        {"memcpy", 2, CubicleKind::kShared, kTakesPointer}, // shared: exempt
     };
     auto findings = lintWiring(snap);
     ASSERT_EQ(findings.size(), 1u);
@@ -169,7 +174,7 @@ TEST(Lint, PointerExportWithoutAnyWindowIsInfo)
 TEST(Lint, PointerExportSatisfiedByAnyWindowGrant)
 {
     WiringSnapshot snap = baseSnapshot();
-    snap.exports = {{"write", 0, CubicleKind::kIsolated, true}};
+    snap.exports = {{"write", 0, CubicleKind::kIsolated, kTakesPointer}};
     // app's window grants fs access to caller memory.
     snap.windows = {{0, 1, aclBit(0), 1, -1}};
     auto findings = lintWiring(snap);
@@ -323,8 +328,8 @@ TEST(LintSystem, SnapshotReflectsExportsAndWindows)
     ASSERT_EQ(snap.cubicles.size(), 1u);
     EXPECT_EQ(snap.cubicles[0].name, "fs");
     ASSERT_EQ(snap.exports.size(), 2u);
-    EXPECT_TRUE(snap.exports[0].passesPointers);  // open(const char*)
-    EXPECT_FALSE(snap.exports[1].passesPointers); // close(int)
+    EXPECT_EQ(snap.exports[0].sigName, typeid(int(const char *)).name());
+    EXPECT_EQ(snap.exports[1].sigName, typeid(int(int)).name());
     EXPECT_TRUE(snap.windows.empty());
 }
 

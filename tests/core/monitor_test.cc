@@ -212,6 +212,14 @@ TEST_F(TwoCubicleTest, OnlyOwnerManagesWindow)
     });
 }
 
+TEST_F(TwoCubicleTest, WindowOutsideAnyCubicleIsRefused)
+{
+    // A window's owner must be a cubicle: every later window call
+    // indexes the owner's window table. Host context is no cubicle.
+    bootWith(IsolationMode::kFull);
+    EXPECT_THROW(sys->windowInit(), WindowError);
+}
+
 TEST_F(TwoCubicleTest, WindowAddRequiresOwnedMemory)
 {
     bootWith(IsolationMode::kFull);
@@ -424,7 +432,7 @@ TEST(MonitorTest, TagVirtualisationAllowsMoreCubicles)
         EXPECT_LT(c.pkey.load(), hw::kNumPhysPkeys);
         if (c.pkey == parked) {
             ++n_parked;
-            EXPECT_TRUE(c.dynamicTag);
+            EXPECT_TRUE(c.dynamicTag());
         }
     }
     EXPECT_GT(n_parked, 0u) << "20 cubicles must overflow 16 tags";
@@ -503,6 +511,46 @@ TEST(MonitorTest, TagPressureEvictsLeastRecentlyUsedCubicle)
             ++resident;
     }
     EXPECT_LE(resident, cfg.dynamicTags);
+}
+
+TEST(MonitorTest, FaultInTakesTheLowestFreeTagElseEvictsTheLeastRecent)
+{
+    SystemConfig cfg;
+    cfg.numPages = 4096;
+    cfg.stackPages = 2;
+    cfg.virtualizeTags = true;
+    cfg.physTagBudget = 6; // monitor, shared, parked + 3 dynamic
+    cfg.dynamicTags = 3;
+    System sys(cfg);
+    for (int i = 0; i < 4; ++i)
+        addToy(sys, numbered("c", i));
+    sys.boot();
+    const Monitor &mon = sys.monitor();
+    const int parked = mon.parkedKey();
+    Cid c[4];
+    for (int i = 0; i < 4; ++i)
+        c[i] = sys.cidOf(numbered("c", i));
+    auto tag = [&](int i) { return mon.cubicle(c[i]).pkey.load(); };
+
+    // The pool is the three tags after the parked one. Boot's init
+    // calls bound c0, c1 and c2 lowest tag first; c3's evicted c0.
+    EXPECT_EQ(tag(0), parked);
+    EXPECT_EQ(tag(1), parked + 2);
+    EXPECT_EQ(tag(2), parked + 3);
+    EXPECT_EQ(tag(3), parked + 1);
+
+    // Entering c0, c1, c2, then c0 again leaves c3 parked and c1 the
+    // least recently used holder.
+    for (const int i : {0, 1, 2, 0})
+        sys.runAs(c[i], [] {});
+    ASSERT_EQ(tag(3), parked);
+    const int c1Tag = tag(1);
+    ASSERT_NE(c1Tag, parked);
+    const uint64_t evictions = sys.stats().evictions();
+    sys.runAs(c[3], [] {});
+    EXPECT_EQ(sys.stats().evictions() - evictions, 1u);
+    EXPECT_EQ(tag(1), parked);
+    EXPECT_EQ(tag(3), c1Tag);
 }
 
 TEST(MonitorTest, SharedCubicleDataReadableEverywhere)

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string_view>
 
 #include "libos/alloc.h"
 #include "libos/app.h"
@@ -30,8 +32,24 @@ class ComponentsTest : public ::testing::Test {
         finishBoot(*sys);
     }
 
+    /** Boots the library OS with two apps, "a" and "b". */
+    void bootTwoApps()
+    {
+        core::SystemConfig cfg;
+        cfg.numPages = 4096;
+        sys = std::make_unique<core::System>(cfg);
+        addLibosComponents(*sys);
+        a = static_cast<AppComponent *>(
+            &sys->addComponent(std::make_unique<AppComponent>("a")));
+        b = static_cast<AppComponent *>(
+            &sys->addComponent(std::make_unique<AppComponent>("b")));
+        finishBoot(*sys);
+    }
+
     std::unique_ptr<core::System> sys;
     AppComponent *app = nullptr;
+    AppComponent *a = nullptr;
+    AppComponent *b = nullptr;
 };
 
 TEST_F(ComponentsTest, ConsoleWriteLandsInPlatLog)
@@ -160,15 +178,7 @@ TEST_F(ComponentsTest, AllocActsForItsCaller)
     // App b frees a page of app a's live heap through ALLOC, then asks
     // ALLOC for a page. Were the free honoured, b's page would be a's,
     // with a's bytes in it.
-    core::SystemConfig cfg;
-    cfg.numPages = 4096;
-    sys = std::make_unique<core::System>(cfg);
-    addLibosComponents(*sys);
-    auto *a = static_cast<AppComponent *>(
-        &sys->addComponent(std::make_unique<AppComponent>("a")));
-    auto *b = static_cast<AppComponent *>(
-        &sys->addComponent(std::make_unique<AppComponent>("b")));
-    finishBoot(*sys);
+    bootTwoApps();
     auto allocPages =
         sys->resolve<void *(std::size_t)>("alloc", "alloc_pages");
     auto freePages =
@@ -214,6 +224,76 @@ TEST_F(ComponentsTest, AllocActsForItsCaller)
     // b frees its own page.
     b->run([&] { freePages(bPage, 1); });
     EXPECT_EQ(mon.freePageCount(), freeBefore);
+}
+
+/** Copies of @p text at each multiple of its size in [p, p + n). */
+std::size_t
+copiesOf(const std::byte *p, std::size_t n, std::string_view text)
+{
+    std::size_t copies = 0;
+    for (std::size_t off = 0; off + text.size() <= n; off += text.size())
+        copies += std::memcmp(p + off, text.data(), text.size()) == 0;
+    return copies;
+}
+
+TEST_F(ComponentsTest, FreedPageReachesTheNextOwnerZeroed)
+{
+    // App a fills an ALLOC page with its string and frees it; first
+    // fit hands that page to b's next alloc_pages.
+    bootTwoApps();
+    auto allocPages =
+        sys->resolve<void *(std::size_t)>("alloc", "alloc_pages");
+    auto freePages =
+        sys->resolve<void(void *, std::size_t)>("alloc", "free_pages");
+    constexpr std::string_view kSecret = "secret";
+
+    std::byte *aPage = nullptr;
+    const uint64_t scrubbed = sys->stats().scrubbedPages();
+    a->run([&] {
+        aPage = static_cast<std::byte *>(allocPages(1));
+        ASSERT_NE(aPage, nullptr);
+        for (std::size_t off = 0; off + kSecret.size() <= hw::kPageSize;
+             off += kSecret.size())
+            std::memcpy(aPage + off, kSecret.data(), kSecret.size());
+        ASSERT_EQ(copiesOf(aPage, hw::kPageSize, kSecret),
+                  hw::kPageSize / kSecret.size());
+        freePages(aPage, 1);
+    });
+    EXPECT_EQ(sys->stats().scrubbedPages() - scrubbed, 1u);
+
+    std::byte *bPage = nullptr;
+    b->run([&] { bPage = static_cast<std::byte *>(allocPages(1)); });
+    ASSERT_EQ(bPage, aPage) << "first fit no longer reuses a's page";
+    EXPECT_EQ(copiesOf(bPage, hw::kPageSize, kSecret), 0u);
+    EXPECT_TRUE(std::all_of(bPage, bPage + hw::kPageSize,
+                            [](std::byte x) { return x == std::byte{0}; }));
+}
+
+TEST_F(ComponentsTest, DestroyedCubiclesHeapReachesTheNextOwnerZeroed)
+{
+    // App a writes its string into 64 heap blocks and dies; destroy
+    // returns a's heap chunks to the pool, which serves b's heap next.
+    bootTwoApps();
+    constexpr std::string_view kSecret = "a's heap secret";
+    a->run([&] {
+        for (int i = 0; i < 64; ++i) {
+            std::memcpy(sys->heapAlloc(4000), kSecret.data(),
+                        kSecret.size());
+        }
+    });
+    const uint64_t scrubbed = sys->stats().scrubbedPages();
+    const std::size_t reclaimed = sys->destroyComponent("a");
+    EXPECT_EQ(sys->stats().scrubbedPages() - scrubbed, reclaimed);
+
+    std::size_t leaked = 0;
+    b->run([&] {
+        for (int i = 0; i < 128; ++i) {
+            const auto *block =
+                static_cast<const std::byte *>(sys->heapAlloc(4000));
+            leaked += copiesOf(block, kSecret.size(), kSecret);
+        }
+    });
+    EXPECT_EQ(leaked, 0u);
 }
 
 TEST_F(ComponentsTest, RandomIsDeterministicPerSeed)

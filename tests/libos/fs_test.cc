@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 
@@ -163,6 +164,30 @@ TEST_F(FsStackTest, UnlinkRemovesAndFreesBlocks)
         EXPECT_EQ(fs->unlink("/big"), 0);
         VfsStat st;
         EXPECT_EQ(fs->stat("/big", &st), kErrNoEnt);
+    });
+}
+
+TEST_F(FsStackTest, GapBeforeAWritePastTheEndReadsAsZeros)
+{
+    // POSIX reads the gap a write past the end leaves as zeros. RAMFS
+    // backs it with fresh ALLOC blocks, and the first pages ALLOC hands
+    // out again are the ones an unlinked file just gave back.
+    boot();
+    constexpr int kGap = 12288;
+    char *buf = appBuf(kGap);
+    app->run([&] {
+        int fd = fs->open("/old", kCreate | kWrOnly);
+        std::memset(buf, 'x', kGap);
+        ASSERT_EQ(fs->write(fd, buf, kGap), kGap);
+        fs->close(fd);
+        ASSERT_EQ(fs->unlink("/old"), 0);
+
+        fd = fs->open("/new", kCreate | kRdWr);
+        ASSERT_EQ(fs->pwrite(fd, buf, 1, kGap), 1);
+        std::memset(buf, 0x5a, kGap);
+        ASSERT_EQ(fs->pread(fd, buf, kGap, 0), kGap);
+        EXPECT_EQ(std::count(buf, buf + kGap, '\0'), kGap);
+        fs->close(fd);
     });
 }
 

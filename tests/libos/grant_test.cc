@@ -289,7 +289,7 @@ TEST(GrantVirtualTags, RoundTripLeavesNoPageOnAnotherCubiclesTag)
     sys.boot();
     const core::Cid appCid = sys.cidOf("app");
     const core::Cid peer = sys.cidOf("peer");
-    ASSERT_TRUE(sys.monitor().cubicle(appCid).dynamicTag)
+    ASSERT_TRUE(sys.monitor().cubicle(appCid).dynamicTag())
         << "the owner must be dynamically tagged";
 
     constexpr std::size_t kBytes = 2 * hw::kPageSize;
