@@ -1,20 +1,43 @@
 #include "hw/page_table.h"
 
+#include <sys/mman.h>
+
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
+#include <new>
 
 namespace cubicleos::hw {
 
+namespace {
+
+/**
+ * Maps @p bytes of private anonymous memory. The host zero-fills each
+ * page at its first touch, so nothing is zeroed (or resident) here.
+ */
+std::byte *
+mapDemandZero(std::size_t bytes)
+{
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    return static_cast<std::byte *>(p);
+}
+
+} // namespace
+
+void
+AddressSpace::Unmapper::operator()(std::byte *p) const
+{
+    munmap(p, bytes);
+}
+
 AddressSpace::AddressSpace(std::size_t num_pages, CycleClock *clock)
-    : memory_(static_cast<std::byte *>(
-          std::aligned_alloc(kPageSize, num_pages * kPageSize))),
+    : memory_(mapDemandZero(num_pages * kPageSize),
+              Unmapper{num_pages * kPageSize}),
       entries_(num_pages),
       groupKeys_((num_pages + kKeyGroupPages - 1) / kKeyGroupPages),
       clock_(clock)
 {
-    assert(memory_ && "address-space allocation failed");
-    std::memset(memory_.get(), 0, num_pages * kPageSize);
 }
 
 void

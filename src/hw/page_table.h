@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <cstdlib>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -76,15 +75,24 @@ struct PageEntry {
  * A contiguous simulated address space with page-granular protection.
  *
  * Pointers handed out by the runtime are real host pointers into the
- * backing buffer, so components run at native speed on their own data;
+ * backing memory, so components run at native speed on their own data;
  * protection is evaluated by check() at the instrumentation points.
+ *
+ * The backing memory is one private anonymous host mapping, as the
+ * paper's prototype gets its memory from the Linux kernel: every page
+ * reads as zeros until first written, and only pages a deployment
+ * touches become resident. A page that is freed and handed out again
+ * is not demand-zero any more, so mem::PageAllocator::freePages
+ * scrubs every run it takes back.
  */
 class AddressSpace {
   public:
     /**
-     * Creates an address space of @p num_pages pages.
+     * Creates an address space of @p num_pages pages, all reading as
+     * zeros and none resident until touched.
      *
      * @param clock cycle clock charged for priced operations (setKeyRange).
+     * @throws std::bad_alloc if the host refuses the mapping.
      */
     AddressSpace(std::size_t num_pages, CycleClock *clock);
 
@@ -220,8 +228,10 @@ class AddressSpace {
     uint64_t retagPageCount() const { return retagPages_; }
 
   private:
-    struct FreeDeleter {
-        void operator()(std::byte *p) const { std::free(p); }
+    /** Unmaps the backing mapping of @c bytes bytes. */
+    struct Unmapper {
+        std::size_t bytes = 0;
+        void operator()(std::byte *p) const;
     };
 
     /** Summary bit of @p key; keys past the 16 tags alias mod 16. */
@@ -233,8 +243,11 @@ class AddressSpace {
     /** Flags @p key in every group [first, first + n) touches. */
     void flagKey(std::size_t first, std::size_t n, uint8_t key);
 
-    /** Page-aligned backing memory (aligned_alloc). */
-    std::unique_ptr<std::byte[], FreeDeleter> memory_;
+    /**
+     * Demand-zero backing memory (one anonymous mapping). First among
+     * the members, so a refused mapping throws before any is built.
+     */
+    std::unique_ptr<std::byte[], Unmapper> memory_;
     std::vector<PageEntry> entries_;
     /** One key mask per kKeyGroupPages pages (groupKeys). */
     std::vector<std::atomic<uint16_t>> groupKeys_;

@@ -86,36 +86,63 @@ LwipComponent::doPoll(uint64_t now_ns)
     return processed;
 }
 
+int
+LwipComponent::claim(int fd)
+{
+    if (fd < 0)
+        return fd;
+    const auto i = static_cast<std::size_t>(fd);
+    if (i >= owners_.size())
+        owners_.resize(i + 1);
+    owners_[i] = sys()->caller();
+    return fd;
+}
+
+bool
+LwipComponent::owns(int fd)
+{
+    return fd >= 0 && static_cast<std::size_t>(fd) < owners_.size() &&
+           owners_[static_cast<std::size_t>(fd)] == sys()->caller();
+}
+
 void
 LwipComponent::registerExports(core::Exporter &exp)
 {
-    exp.fn<int()>("lwip_socket", [this] { return stack_.socket(); });
+    exp.fn<int()>("lwip_socket", [this] { return claim(stack_.socket()); });
     exp.fn<int(int, uint16_t)>("lwip_bind", [this](int fd, uint16_t p) {
-        return stack_.bind(fd, p);
+        return owns(fd) ? stack_.bind(fd, p) : kNetBadFd;
     });
     exp.fn<int(int, int)>("lwip_listen", [this](int fd, int bl) {
-        return stack_.listen(fd, bl);
+        return owns(fd) ? stack_.listen(fd, bl) : kNetBadFd;
     });
-    exp.fn<int(int)>("lwip_accept",
-                     [this](int fd) { return stack_.accept(fd); });
+    // A child belongs to whoever accepts it: the listener's owner.
+    exp.fn<int(int)>("lwip_accept", [this](int fd) {
+        return owns(fd) ? claim(stack_.accept(fd)) : kNetBadFd;
+    });
     exp.fn<int(int, uint32_t, uint16_t)>(
         "lwip_connect", [this](int fd, uint32_t ip, uint16_t port) {
-            return stack_.connect(fd, ip, port);
+            return owns(fd) ? stack_.connect(fd, ip, port) : kNetBadFd;
         });
     exp.fn<int64_t(int, const void *, std::size_t)>(
         "lwip_send", [this](int fd, const void *buf, std::size_t n) {
+            if (!owns(fd))
+                return int64_t{kNetBadFd};
             if (n > 0)
                 sys()->touch(buf, n, hw::Access::kRead);
             return stack_.send(fd, buf, n);
         });
     exp.fn<int64_t(int, void *, std::size_t)>(
         "lwip_recv", [this](int fd, void *buf, std::size_t n) {
+            if (!owns(fd))
+                return int64_t{kNetBadFd};
             if (n > 0)
                 sys()->touch(buf, n, hw::Access::kWrite);
             return stack_.recv(fd, buf, n);
         });
     exp.fn<int64_t(int, const void *, std::size_t)>(
         "lwip_sendz", [this](int fd, const void *span, std::size_t n) {
+            if (!owns(fd))
+                return int64_t{kNetBadFd};
             // The span lives in backend-owned pages granted to this
             // cubicle by the borrow that produced it; the touch models
             // our first read through that grant. No bytes are copied —
@@ -125,11 +152,19 @@ LwipComponent::registerExports(core::Exporter &exp)
             return stack_.sendZero(fd, span, n);
         });
     exp.fn<int64_t(int)>("lwip_zc_done", [this](int fd) {
-        return stack_.zeroCopyDone(fd);
+        return owns(fd) ? stack_.zeroCopyDone(fd) : int64_t{kNetBadFd};
     });
-    exp.fn<int(int)>("lwip_close",
-                     [this](int fd) { return stack_.close(fd); });
+    // The stack keeps a closing connection until its FIN exchange
+    // ends, but the fd is no longer the caller's.
+    exp.fn<int(int)>("lwip_close", [this](int fd) {
+        if (!owns(fd))
+            return int{kNetBadFd};
+        owners_[static_cast<std::size_t>(fd)].reset();
+        return stack_.close(fd);
+    });
     exp.fn<int(int)>("lwip_established", [this](int fd) {
+        if (!owns(fd))
+            return int{kNetBadFd};
         return stack_.isEstablished(fd) ? 1 : 0;
     });
     exp.fn<int64_t(uint64_t)>(

@@ -6,10 +6,17 @@
  * the NETDEV cubicle through cross-cubicle calls over windowed packet
  * buffers. This is the NGINX deployment's hottest edge in the paper
  * (NGINX→LWIP: 44,135 calls; LWIP→NETDEV: 6,991×4 in Fig. 5).
+ *
+ * Each stack fd belongs to the cubicle that opened it (lwip_socket)
+ * or accepted it (lwip_accept, on a listener it owns); every export
+ * that takes an fd refuses any other caller with kNetBadFd.
  */
 
 #ifndef CUBICLEOS_LIBOS_LWIP_H_
 #define CUBICLEOS_LIBOS_LWIP_H_
+
+#include <optional>
+#include <vector>
 
 #include "builder/image.h"
 #include "core/system.h"
@@ -41,6 +48,10 @@ class LwipComponent : public core::Component {
 
   private:
     int64_t doPoll(uint64_t now_ns);
+    /** Records the caller as the owner of @p fd (if valid); returns it. */
+    int claim(int fd);
+    /** Whether the caller owns @p fd. */
+    bool owns(int fd);
 
     TcpConfig tcpCfg_;
     TcpIpStack stack_{tcpCfg_};
@@ -51,6 +62,11 @@ class LwipComponent : public core::Component {
     GrantWindow netdevWin_;     ///< persistent grant over both buffers
     uint64_t zcSegsSeen_ = 0;   ///< stack zc counters already mirrored
     uint64_t zcBytesSeen_ = 0;
+    /**
+     * Owner of each stack fd, by fd: none for a closed fd or a
+     * connection not yet accepted.
+     */
+    std::vector<std::optional<core::Cid>> owners_;
 };
 
 } // namespace cubicleos::libos

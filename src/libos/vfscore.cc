@@ -26,11 +26,12 @@ VfsComponent::checkPath(const char *path)
 VfsComponent::FileDesc *
 VfsComponent::fdAt(int fd)
 {
-    if (fd < 0 || static_cast<std::size_t>(fd) >= fds_.size() ||
-        !fds_[static_cast<std::size_t>(fd)].used) {
+    if (fd < 0 || static_cast<std::size_t>(fd) >= fds_.size())
         return nullptr;
-    }
-    return &fds_[static_cast<std::size_t>(fd)];
+    FileDesc &f = fds_[static_cast<std::size_t>(fd)];
+    if (!f.used || f.owner != sys()->caller())
+        return nullptr;
+    return &f;
 }
 
 int
@@ -109,7 +110,7 @@ VfsComponent::doOpen(const char *path, int flags)
                 if (backend_.getattr(node, &st) == kOk)
                     off = st.size;
             }
-            fds_[fd] = FileDesc{true, node, off, flags};
+            fds_[fd] = FileDesc{true, node, off, flags, sys()->caller()};
             return static_cast<int>(fd);
         }
     }

@@ -2,7 +2,8 @@
  * @file
  * The VFSCORE cubicle: virtual file system layer (Unikraft's vfscore).
  *
- * Maintains the mount table and per-process file descriptors, and
+ * Maintains the mount table and the file descriptors, each usable
+ * only by the cubicle that opened it, and
  * dispatches operations to file system backends through a callback
  * table. As in the paper (§5.2), backend callbacks are resolved as
  * dynamic symbols at mount time so every backend call crosses a
@@ -75,6 +76,8 @@ class VfsComponent : public core::Component {
         NodeId node = kNoNode;
         uint64_t offset = 0;
         int flags = 0;
+        /** The cubicle that opened it (System::caller() at open). */
+        core::Cid owner = core::kNoCubicle;
     };
 
     int doMount(const char *fsname);
@@ -97,6 +100,11 @@ class VfsComponent : public core::Component {
                  std::size_t max_len, VfsSpan *out);
     int doRelease(int fd, uint64_t token);
 
+    /**
+     * The open description @p fd names for the caller: null unless
+     * @p fd is open and the caller opened it, so one cubicle can
+     * neither use nor close another's descriptor.
+     */
     FileDesc *fdAt(int fd);
     /**
      * Validates a caller-supplied path's kMaxPath-byte slot without

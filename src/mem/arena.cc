@@ -53,8 +53,10 @@ PageAllocator::freePages(const PageRange &range)
             return false;
     }
     // Scrub before the run changes hands: the next owner must not read
-    // what this one left behind. From the page index, not range.ptr,
-    // which a caller may have pointed into the run's first page.
+    // what this one left behind. Only a never-used page is demand-zero
+    // (hw::AddressSpace), a recycled run is not. From the page index,
+    // not range.ptr, which a caller may have pointed into the run's
+    // first page.
     std::memset(space_->pageAt(range.first), 0, range.sizeBytes());
     space_->unmap(range.first, range.count);
     meta_->release(range.first, range.count);

@@ -58,7 +58,8 @@ class PageAllocator {
 
     /**
      * Zeroes a previously allocated range and returns it to the pool,
-     * so every page the pool hands out reads as zeros. Frees nothing
+     * so every page the pool hands out reads as zeros: the space is
+     * demand-zero only until a page's first use. Frees nothing
      * unless every page of @p range lies in the space and is allocated
      * to one owner as one type, so an overrun, a second free or a run
      * across two owners' pages leaves the pool untouched.

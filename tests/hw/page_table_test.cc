@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <new>
 #include <random>
 #include <vector>
 
@@ -150,6 +153,47 @@ TEST_F(AddressSpaceTest, UnmapClearsEntries)
     space.unmap(0, 1);
     EXPECT_FALSE(space.entryAt(0).present);
     EXPECT_TRUE(space.entryAt(1).present);
+}
+
+/** mincore's residency byte for each page of @p space. */
+std::vector<unsigned char>
+residency(AddressSpace &space)
+{
+    std::vector<unsigned char> vec(space.numPages());
+    EXPECT_EQ(mincore(space.base(), space.sizeBytes(), vec.data()), 0);
+    return vec;
+}
+
+// The space is demand-zero: building it zeroes nothing, and a page
+// becomes resident only when touched. A counted page figure, not a
+// timing: with an eagerly zeroed buffer every page reads resident.
+TEST_F(AddressSpaceTest, FreshSpaceHasNoResidentPages)
+{
+    AddressSpace fresh(16384, &clock);
+    const auto before = residency(fresh);
+    EXPECT_EQ(std::count_if(before.begin(), before.end(),
+                            [](unsigned char v) { return v & 1; }),
+              0);
+
+    // Touched pages turn resident; a page in another 2 MB region stays
+    // out whatever the host's huge-page mode, and reads as zeros.
+    for (std::size_t idx : {std::size_t{0}, std::size_t{5000},
+                            std::size_t{16383}})
+        fresh.pageAt(idx)[8] = std::byte{1};
+    const auto after = residency(fresh);
+    EXPECT_EQ(after[0] & 1, 1);
+    EXPECT_EQ(after[5000] & 1, 1);
+    EXPECT_EQ(after[16383] & 1, 1);
+    EXPECT_EQ(after[10000] & 1, 0);
+    EXPECT_EQ(fresh.pageAt(10000)[8], std::byte{0});
+}
+
+// 2^40 pages (4 PiB) exceed the x86-64 user address space, so the host
+// always refuses the mapping; the constructor throws, not a null base.
+TEST_F(AddressSpaceTest, SpaceTooLargeToMapThrows)
+{
+    EXPECT_THROW(AddressSpace(std::size_t{1} << 40, &clock),
+                 std::bad_alloc);
 }
 
 // The key summary: one 16-bit mask per kKeyGroupPages pages, walked in

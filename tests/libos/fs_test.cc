@@ -20,10 +20,11 @@ namespace {
 
 class FsStackTest : public ::testing::Test {
   protected:
-    void boot(core::IsolationMode mode = core::IsolationMode::kFull)
+    /** Boots one app, or with @p second_app a second one, "b". */
+    void boot(core::IsolationMode mode = core::IsolationMode::kFull,
+              bool second_app = false)
     {
-        if (fs && app)
-            app->run([&] { fs.reset(); }); // release before old System dies
+        TearDown(); // release before old System dies
         core::SystemConfig cfg;
         cfg.numPages = 8192; // 32 MiB
         cfg.mode = mode;
@@ -31,16 +32,27 @@ class FsStackTest : public ::testing::Test {
         addLibosComponents(*sys);
         app = static_cast<AppComponent *>(
             &sys->addComponent(std::make_unique<AppComponent>()));
+        other = second_app
+            ? static_cast<AppComponent *>(&sys->addComponent(
+                  std::make_unique<AppComponent>("b")))
+            : nullptr;
         finishBoot(*sys);
         app->run([&] {
             fs = std::make_unique<CubicleFileApi>(*sys, "ramfs");
         });
+        if (other) {
+            other->run([&] {
+                otherFs = std::make_unique<CubicleFileApi>(*sys, "ramfs");
+            });
+        }
     }
 
     void TearDown() override
     {
         if (app && fs)
             app->run([&] { fs.reset(); });
+        if (other && otherFs)
+            other->run([&] { otherFs.reset(); });
     }
 
     /** Allocates an I/O buffer inside the app cubicle. */
@@ -55,6 +67,8 @@ class FsStackTest : public ::testing::Test {
     std::unique_ptr<core::System> sys;
     AppComponent *app = nullptr;
     std::unique_ptr<CubicleFileApi> fs;
+    AppComponent *other = nullptr; ///< the second app, "b"
+    std::unique_ptr<CubicleFileApi> otherFs;
 };
 
 TEST_F(FsStackTest, CreateWriteReadRoundtrip)
@@ -101,6 +115,39 @@ TEST_F(FsStackTest, BorrowRefusesAPeerTheMonitorCannotGrant)
         EXPECT_GT(span.len, 0u);
         EXPECT_EQ(fs->release(fd, span.token), kOk);
         EXPECT_EQ(fs->close(fd), 0);
+    });
+}
+
+TEST_F(FsStackTest, AnotherCubiclesDescriptorIsRefused)
+{
+    // The app opens a file as fd 0; app b names fd 0 in a pread and a
+    // close. Descriptors are one table in VFSCORE, so both calls reach
+    // the app's open file unless VFSCORE checks who opened it.
+    boot(core::IsolationMode::kFull, /*second_app=*/true);
+    static constexpr char kText[] = "sixteen bytes!!";
+    static_assert(sizeof(kText) == 16);
+    char *buf = appBuf(64);
+    int fd = -1;
+    app->run([&] {
+        fd = fs->open("/a.txt", kCreate | kRdWr);
+        std::memcpy(buf, kText, sizeof(kText));
+        EXPECT_EQ(fs->pwrite(fd, buf, sizeof(kText), 0), 16);
+    });
+    ASSERT_EQ(fd, 0);
+
+    char *b_buf = nullptr;
+    other->run([&] {
+        b_buf = static_cast<char *>(sys->heapAllocZeroed(64));
+        EXPECT_EQ(otherFs->pread(fd, b_buf, 64, 0), kErrBadF);
+        EXPECT_EQ(otherFs->close(fd), kErrBadF);
+    });
+    EXPECT_TRUE(std::all_of(b_buf, b_buf + 64, [](char c) { return c == 0; }));
+
+    app->run([&] {
+        std::memset(buf, 0, 64);
+        EXPECT_EQ(fs->pread(fd, buf, 64, 0), 16);
+        EXPECT_STREQ(buf, kText);
+        EXPECT_EQ(fs->close(fd), kOk);
     });
 }
 

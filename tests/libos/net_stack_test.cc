@@ -21,7 +21,8 @@ namespace {
 
 class NetStackTest : public ::testing::Test {
   protected:
-    void boot()
+    /** Boots one app, or with @p second_app a second one, "b". */
+    void boot(bool second_app = false)
     {
         core::SystemConfig cfg;
         cfg.numPages = 8192;
@@ -34,11 +35,20 @@ class NetStackTest : public ::testing::Test {
         addLibosComponents(*sys, opts);
         app = static_cast<AppComponent *>(
             &sys->addComponent(std::make_unique<AppComponent>()));
+        if (second_app) {
+            other = static_cast<AppComponent *>(&sys->addComponent(
+                std::make_unique<AppComponent>("b")));
+        }
         finishBoot(*sys);
 
         app->run([&] {
             sock = std::make_unique<CubicleSockApi>(*sys);
         });
+        if (other) {
+            other->run([&] {
+                otherSock = std::make_unique<CubicleSockApi>(*sys);
+            });
+        }
 
         TcpConfig ccfg;
         ccfg.ipAddr = 0x0A000002; // client 10.0.0.2
@@ -49,6 +59,8 @@ class NetStackTest : public ::testing::Test {
     {
         if (app && sock)
             app->run([&] { sock.reset(); });
+        if (other && otherSock)
+            other->run([&] { otherSock.reset(); });
     }
 
     /** One full pump round: client <-> wire <-> server cubicles. */
@@ -70,6 +82,8 @@ class NetStackTest : public ::testing::Test {
     std::unique_ptr<FrameChannel> wire;
     AppComponent *app = nullptr;
     std::unique_ptr<CubicleSockApi> sock;
+    AppComponent *other = nullptr; ///< the second app, "b"
+    std::unique_ptr<CubicleSockApi> otherSock;
     std::unique_ptr<TcpIpStack> client;
     uint64_t now = 0;
 };
@@ -127,6 +141,54 @@ TEST_F(NetStackTest, EchoThroughAllEightCubicles)
     EXPECT_EQ(client->recv(cfd, reply, sizeof(reply)),
               static_cast<int64_t>(sizeof(kMsg)));
     EXPECT_STREQ(reply, kMsg);
+}
+
+TEST_F(NetStackTest, AnotherCubiclesSocketIsRefused)
+{
+    // The app accepts a connection; app b names that socket in a send,
+    // a recv and a close, and the app's listener in an accept. One
+    // LWIP serves both apps, so each call reaches the app's connection
+    // unless LWIP checks who owns the fd.
+    boot(/*second_app=*/true);
+    int listen_fd = -1;
+    char *srv_buf = nullptr;
+    app->run([&] {
+        listen_fd = sock->socket();
+        ASSERT_EQ(sock->bind(listen_fd, 7), kNetOk);
+        ASSERT_EQ(sock->listen(listen_fd, 8), kNetOk);
+        srv_buf = static_cast<char *>(sys->heapAlloc(4096));
+    });
+    const int cfd = client->socket();
+    ASSERT_EQ(client->connect(cfd, 0x0A000001, 7), kNetOk);
+    pump();
+    int conn = -1;
+    app->run([&] { conn = sock->accept(listen_fd); });
+    ASSERT_GE(conn, 0);
+
+    const char kForged[] = "forged by b";
+    const char kMsg[] = "for the owner";
+    client->send(cfd, kMsg, sizeof(kMsg));
+    pump();
+    other->run([&] {
+        char *b_buf = static_cast<char *>(sys->heapAlloc(4096));
+        std::memcpy(b_buf, kForged, sizeof(kForged));
+        EXPECT_EQ(otherSock->send(conn, b_buf, sizeof(kForged)), kNetBadFd);
+        EXPECT_EQ(otherSock->recv(conn, b_buf, 4096), kNetBadFd);
+        EXPECT_EQ(otherSock->close(conn), kNetBadFd);
+        EXPECT_EQ(otherSock->accept(listen_fd), kNetBadFd);
+    });
+
+    // The owner's connection is intact: the client's bytes wait for
+    // it, and nothing of b's reaches the client.
+    app->run([&] {
+        EXPECT_EQ(sock->recv(conn, srv_buf, 4096),
+                  static_cast<int64_t>(sizeof(kMsg)));
+        EXPECT_STREQ(srv_buf, kMsg);
+    });
+    pump();
+    char reply[64] = {};
+    EXPECT_EQ(client->recv(cfd, reply, sizeof(reply)), kNetAgain);
+    EXPECT_TRUE(client->isEstablished(cfd));
 }
 
 TEST_F(NetStackTest, NginxDeploymentHasEightIsolatedCubicles)
